@@ -6,7 +6,7 @@ paper-scale configurations are to regenerate.  pytest-benchmark runs the same
 broadcast repeatedly, so this is also the benchmark to watch when optimising
 the simulator's hot path.
 
-Six kinds of scenario are exercised:
+Five kinds of scenario are exercised:
 
 * the seed scenarios (64 switches, 64-flit worms) kept verbatim so numbers
   stay comparable across PRs,
@@ -22,10 +22,6 @@ Six kinds of scenario are exercised:
 * slow-channel scenarios (``channel_latency_factors``): worms behind a 2x
   or 3x injection bottleneck stream at rate 1/k and exercise the
   multi-period (every-k-th-window) coalescing mode,
-* a region-parallel scenario (256 switches, 16-flit churn traffic whose
-  preferred-route closures are globally disjoint — the embarrassingly
-  parallel best case for ``docs/region_parallel.md``) timed against the
-  single-process reference at 2 and 4 worker processes,
 * an explicit fast-path vs. reference comparison that asserts bit-identical
   delivery timestamps and records the measured speedups to
   ``benchmarks/results/simulator_throughput.json`` (the committed
@@ -37,30 +33,19 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.core.regions import assign_regions, preferred_channels
 from repro.core.spam import SpamRouting
 from repro.obs import Telemetry, summarize_snapshot
 from repro.obs.export import snapshot_dict
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
-from repro.simulator.regions import run_region_parallel, simulator_fingerprint
 from repro.topology.irregular import lattice_irregular_network
 from repro.traffic.arrivals import make_arrival_process
-from repro.traffic.workload import MessageSpec, Workload, mixed_traffic_workload
-
-
-def _available_cores() -> int:
-    """CPUs this process may actually run on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
+from repro.traffic.workload import mixed_traffic_workload
 
 
 @pytest.fixture(scope="module")
@@ -383,89 +368,6 @@ def test_fast_path_speedup_and_equivalence(
             }
         )
 
-    # Region-parallel scenario: the churny 256-switch workload the
-    # region-vs-whole harness (tests/test_regions.py) pins, at benchmark
-    # scale.  40 unicast pairs — 10 per region of a 4-region DFS-contiguous
-    # partition — are rejection-sampled so their *preferred-route closures*
-    # are globally pairwise disjoint, and each pair repeats every 11 us,
-    # just above the NI's injection period for a 16-flit worm.  The traffic
-    # is therefore pure churn (constant worm setup/teardown, the regime the
-    # coalescing fast path helps least) yet contention-free: no worm ever
-    # deviates off its preferred route, the optimistic 4-shard plan
-    # validates with zero conflict re-runs, and the run is embarrassingly
-    # parallel — the honest upper bound for region-parallel speedup.
-    network, routing, _ = scale_setup
-    assignment = assign_regions(network, 4, tree=routing.tree)
-    rng = random.Random(5)
-    used: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for region in assignment.regions:
-        procs = [p for sw in region for p in network.processors_of(sw)]
-        got = tries = 0
-        while got < 10 and tries < 4000:
-            tries += 1
-            src, dst = rng.sample(procs, 2)
-            closure = preferred_channels(network, routing, src, (dst,))
-            if not (closure & used):
-                used |= closure
-                pairs.append((src, dst))
-                got += 1
-        assert got == 10, "rejection sampling found too few disjoint pairs"
-    workload = Workload("bench-region-disjoint")
-    for repeat in range(60):
-        for src, dst in pairs:
-            workload.specs.append(MessageSpec(src, (dst,), repeat * 11_000))
-    workload.specs.sort(key=lambda spec: (spec.at_ns, spec.source))
-
-    region_config = SimulationConfig(
-        message_length_flits=16, region_parallel=True, region_count=4
-    )
-    start = time.perf_counter()
-    region_ref = WormholeSimulator(network, routing, region_config)
-    workload.submit_to(region_ref)
-    region_ref.run()
-    ref_s = time.perf_counter() - start
-    reference = simulator_fingerprint(region_ref)
-    hops = region_ref.stats.flit_hops
-
-    for workers in (2, 4):
-        start = time.perf_counter()
-        result = run_region_parallel(
-            network, routing, region_config, workload, max_workers=workers
-        )
-        par_s = time.perf_counter() - start
-        # The contract always holds; wall-clock speedup is hardware-bound.
-        assert result.fingerprint() == reference
-        assert result.region_planned_shards == result.region_shards == 4
-        assert result.region_conflict_reruns == 0
-        scenarios.append(
-            {
-                "scenario": f"region_parallel_256sw_16f_{workers}w",
-                "message_length_flits": 16,
-                "flit_hops": hops,
-                "messages": len(workload.specs),
-                "region_count": 4,
-                "max_workers": workers,
-                "region_processes": result.region_processes,
-                "parallel_seconds": round(par_s, 6),
-                "reference_seconds": round(ref_s, 6),
-                "parallel_flit_hops_per_sec": round(hops / par_s),
-                "reference_flit_hops_per_sec": round(hops / ref_s),
-                "speedup": round(ref_s / par_s, 2),
-            }
-        )
-        # Parallel wall-clock beats single-process only with real cores to
-        # spread the shards over; a 1-CPU container time-slices the worker
-        # processes and pays the fork/pickle overhead on top.  The floor is
-        # therefore doubly gated: opt-in strict mode AND >= 4 usable cores
-        # (measured 2.5-3x per-shard cost reduction, so 4 cores clears 1x
-        # comfortably).
-        if os.environ.get("REPRO_BENCH_STRICT") and _available_cores() >= 4:
-            assert ref_s / par_s > 1.0, (
-                f"region-parallel @ {workers} workers: "
-                f"{ref_s / par_s:.2f}x <= 1x despite >= 4 cores"
-            )
-
     # Telemetry-sourced time attribution: where the wall clock actually goes.
     # The Figure-3 poisson workload is re-run with a ``repro.obs`` recorder
     # attached, so the instrumented probe attributes every coalescing window
@@ -482,27 +384,6 @@ def test_fast_path_speedup_and_equivalence(
     instrumented.run()
     engine_summary = summarize_snapshot(snapshot_dict(engine_tel))
 
-    # Per-shard region timings: the disjoint region-parallel scenario again,
-    # now with each worker's shard telemetry shipped back and merged
-    # parent-side (tracks shard0..shard3).
-    region_tel = Telemetry(track="region")
-    region_result = run_region_parallel(
-        network, routing, region_config, workload, max_workers=2,
-        telemetry=region_tel,
-    )
-    assert region_result.fingerprint() == reference
-    shard_rows = sorted(
-        (
-            {
-                "track": span["track"],
-                "messages": span["attrs"].get("messages"),
-                "run_ms": round(span["dur_ns"] / 1e6, 3),
-            }
-            for span in region_tel.iter_spans("region.shard.run")
-        ),
-        key=lambda row: row["track"],
-    )
-
     payload = {
         "benchmark": "simulator_throughput",
         "metric": "flit_hops_per_sec",
@@ -510,10 +391,6 @@ def test_fast_path_speedup_and_equivalence(
         "time_attribution": {
             "workload": "figure3_mixed_128sw_128f_poisson",
             "engine_probe_tiers": engine_summary["tiers"],
-            "region_parallel_shards": {
-                "scenario": "region_parallel_256sw_16f_2w",
-                "shards": shard_rows,
-            },
         },
     }
     path = Path(results_dir) / "simulator_throughput.json"

@@ -132,12 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival process at every processor (paper: negative-binomial)",
     )
     figure3.add_argument("--seed", type=int, default=7)
-    figure3.add_argument(
-        "--region-parallel", type=int, default=None, metavar="N",
-        help="evaluate every point through the region-parallel decomposition "
-             "with N regions (results are identical; the knob participates "
-             "in cache identity)",
-    )
     add_telemetry_flag(figure3)
 
     compare = subparsers.add_parser("compare", help="SPAM vs software multicast")
@@ -255,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="[compare] destination counts")
     sweep.add_argument("--bound-only", action="store_true",
                        help="[compare] skip the executable software baseline")
-    sweep.add_argument("--region-parallel", type=int, default=None, metavar="N",
-                       help="[figure3] evaluate points region-parallel with N "
-                            "regions (identical results; distinct cache identity)")
     sweep.add_argument("--seed", type=int, default=7)
     add_telemetry_flag(sweep)
 
@@ -320,13 +311,6 @@ def _write_telemetry(telemetry: Telemetry, out: str) -> None:
     print(f"telemetry written to {snapshot_path} (trace: {trace_path})")
 
 
-def _region_overrides(args) -> tuple[tuple[str, object], ...]:
-    regions = getattr(args, "region_parallel", None)
-    if not regions:
-        return ()
-    return (("region_parallel", True), ("region_count", regions))
-
-
 def _cmd_figure2(args, scale) -> int:
     config = Figure2Config(
         network_sizes=tuple(args.network_sizes),
@@ -352,7 +336,6 @@ def _cmd_figure3(args, scale) -> int:
         arrival=args.arrival,
         scale=scale,
         topology_seed=args.seed,
-        sim_overrides=_region_overrides(args),
     )
     telemetry = _make_telemetry(args)
     result = run_figure3(config, telemetry=telemetry)
@@ -423,7 +406,6 @@ def _sweep_universe(experiment: str, args, scale):
             arrival=args.arrival,
             scale=scale,
             topology_seed=args.seed,
-            sim_overrides=_region_overrides(args),
         )
         specs = figure3_specs(config)
         assemble = lambda points: figure3_result_from_points(config, points)  # noqa: E731

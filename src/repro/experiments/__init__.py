@@ -33,7 +33,6 @@ from .figure2 import (
     run_figure2,
 )
 from .figure3 import Figure3Config, figure3_specs, run_figure3
-from .parallel import SweepPointSpec, evaluate_point, parallel_figure2_points, run_points
 from .software_comparison import (
     SoftwareComparisonConfig,
     run_software_comparison,
@@ -63,8 +62,4 @@ __all__ = [
     "run_selection_ablation",
     "run_root_ablation",
     "run_partition_ablation",
-    "SweepPointSpec",
-    "evaluate_point",
-    "run_points",
-    "parallel_figure2_points",
 ]

@@ -50,8 +50,7 @@ class Figure3Config:
     workload_seed: int = 23
     root_strategy: str = "center"
     #: Extra :class:`~repro.simulator.config.SimulationConfig` overrides
-    #: applied to every point (e.g. ``(("region_parallel", True),
-    #: ("region_count", 2))`` for the CLI's ``--region-parallel`` flag).
+    #: applied to every point (e.g. ``(("input_buffer_depth", 4),)``).
     #: Overrides participate in spec identity — points computed under
     #: different overrides are distinct cache entries by design.
     sim_overrides: tuple[tuple[str, object], ...] = ()

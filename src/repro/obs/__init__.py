@@ -1,11 +1,11 @@
 """``repro.obs``: wall-clock observability behind the observables firewall.
 
-The engine's normative observability surface (``coalesce_*`` / ``region_*``
-counters, ``docs/engine_counters.md``) is *deterministic*: facts about how a
+The engine's normative observability surface (``coalesce_*`` counters,
+``docs/engine_counters.md``) is *deterministic*: facts about how a
 run executed that are pure functions of the inputs.  This package is the
 complementary *wall-clock* surface — spans, counters and value
 distributions measured on the host's monotonic clock — used to see where
-engine, region and sweep time actually goes.
+engine and sweep time actually goes.
 
 Wall-clock readings are nondeterministic by nature, so everything here
 lives behind the **observables firewall** (``docs/observability.md``,

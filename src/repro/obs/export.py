@@ -5,8 +5,8 @@ Two renderings of one :class:`~repro.obs.telemetry.Telemetry`:
 * :func:`write_snapshot` — the *unified* structured JSON snapshot
   (``snapshot.schema.json``, schema-versioned): wall-clock spans, counters
   and value distributions side by side with whatever deterministic gauge
-  values the engine/region layers published (``engine.coalesce_*``,
-  ``region.*``).  This is the machine-readable artifact CI validates and
+  values the engine published (``engine.coalesce_*``).  This is the
+  machine-readable artifact CI validates and
   ``repro-spam obs summarize`` reads.
 * :func:`write_chrome_trace` — Chrome ``trace_event`` JSON (the
   ``{"traceEvents": [...]}`` object form), loadable in Perfetto /

@@ -4,7 +4,7 @@ The determinism contract (``docs/determinism.md``) bans ambient environment
 reads in result paths: a simulation or sweep result must be a pure function
 of spec + config.  A small family of *runtime* knobs is exempt — values
 that change how fast work runs, never what any run reports: the worker
-counts ``REPRO_REGION_WORKERS`` and ``REPRO_SWEEP_WORKERS``.  (The scale
+count ``REPRO_SWEEP_WORKERS``.  (The scale
 selectors and the store-location knob are *not* read here: scale changes
 what is computed and the store module is an R9 sink that may not import
 this package — those sites keep their own justified pragmas.)

@@ -102,23 +102,6 @@ class SimulationConfig:
         timestamps stay on the base grid.  A slow channel throttles its
         whole worm to rate ``1/factor`` — the canonical source of
         every-k-th-window steady states (``coalesce_multi_period``).
-    region_parallel:
-        Route whole-run execution through the region-parallel decomposition
-        (:mod:`repro.simulator.regions`): the workload is split into
-        channel-disjoint shards by region and each shard runs on its own
-        engine, usually in its own process.  Results stay equivalent to
-        the single-process engine (``docs/region_parallel.md`` specifies
-        the contract).  Honoured by the sweep layer's evaluation path;
-        :class:`~repro.simulator.engine.WormholeSimulator` itself ignores
-        it (a single engine instance is always sequential).
-    region_count:
-        Number of spanning-tree-contiguous regions the switches are
-        partitioned into when ``region_parallel`` is on (clamped to the
-        switch count).  ``1`` keeps everything in one shard — the
-        reference execution.  More regions expose more parallelism for
-        region-local traffic but coalesce globally-routed messages into
-        fewer, larger shards; see ``docs/region_parallel.md`` for how to
-        pick a value.
     telemetry:
         Record wall-clock telemetry (:mod:`repro.obs`) during runs: one
         span per fast-path probe with its exit tier, snapshot/replay
@@ -146,8 +129,6 @@ class SimulationConfig:
     coalesce_multi_period: bool = True
     coalesce_k_max: int = 3
     channel_latency_factors: tuple[tuple[int, int], ...] = ()
-    region_parallel: bool = False
-    region_count: int = 1
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -165,8 +146,6 @@ class SimulationConfig:
             raise ConfigurationError("max_hops must be at least 2")
         if self.coalesce_k_max < 1:
             raise ConfigurationError("coalesce_k_max must be at least 1")
-        if self.region_count < 1:
-            raise ConfigurationError("region_count must be at least 1")
         seen_cids: set[int] = set()
         for entry in self.channel_latency_factors:
             try:

@@ -77,21 +77,6 @@ self-similar simply runs on the per-flit substrate.  ``docs/fast_path.md``
 specifies the contract in full, including how to add a new coalescible
 pattern safely; every ``coalesce_*`` observability counter the engine
 exposes is documented in ``docs/engine_counters.md``.
-
-Region-parallel execution
--------------------------
-
-A single engine instance is strictly sequential.  To scale one large run
-across cores, :mod:`repro.simulator.regions` decomposes the workload into
-channel-disjoint *shards* and runs each shard through its own engine
-instance (usually in its own process), then merges the results.  The
-decomposition leans on two properties of this engine: routing decisions are
-pure functions of ``(message, switch, in_channel)`` (so the set of channels
-a message can ever touch is statically enumerable), and all cross-message
-coupling flows through shared channels, switches and source NIs (so
-channel-disjoint message sets execute independently).  ``submit_message``'s
-explicit ``mid`` parameter exists for that decomposition.  See
-``docs/region_parallel.md`` for the contract and its limits.
 """
 
 from __future__ import annotations
@@ -196,18 +181,6 @@ class WormholeSimulator:
             injection = self.links[network.injection_channel(processor).cid]
             self.sources[processor] = SourceInterface(self, processor, injection)
         self.messages: dict[int, Message] = {}
-        #: Channel ids this run interacted with: every channel any worm
-        #: segment enqueued an OCRQ request on, plus the injection channel
-        #: of every submitted message.  A routing decision's candidate scan
-        #: short-circuits at the first acquirable channel, and a candidate
-        #: rejected by the scan is blocked — i.e. reserved or OCRQ-queued by
-        #: an *earlier enqueue of this same engine* — so this set also
-        #: covers every channel a decision ever **read**.  That closure
-        #: property is what the region-parallel executor's disjointness
-        #: validation rests on (``docs/region_parallel.md``); maintained
-        #: unconditionally (one set update per message hop, nothing per
-        #: flit).
-        self.touched_cids: set[int] = set()
         self.stats = SimulationStats()
         self.trace: Trace | None = Trace() if self.config.trace else None
         self._segments: set[WormSegment] = set()
@@ -284,9 +257,9 @@ class WormholeSimulator:
         #: probed window; not an observable result).
         self._delivery_count = 0
         #: Wall-clock telemetry recorder (``repro.obs``).  An explicit
-        #: ``telemetry`` argument wins (region shards and sweep workers pass
-        #: their own track); otherwise ``config.telemetry`` selects between a
-        #: fresh recorder and the shared no-op singleton.  Everything written
+        #: ``telemetry`` argument wins (sweep workers pass their own track);
+        #: otherwise ``config.telemetry`` selects between a fresh recorder
+        #: and the shared no-op singleton.  Everything written
         #: here is observability-only — the observables firewall (repro-lint
         #: R9) keeps it out of ``stats``/``trace``/results.
         self.telemetry: Telemetry | NullTelemetry = (
@@ -329,7 +302,6 @@ class WormholeSimulator:
         at_ns: int | None = None,
         length_flits: int | None = None,
         metadata: dict | None = None,
-        mid: int | None = None,
     ) -> Message:
         """Create a message and hand it to the source processor at ``at_ns``.
 
@@ -346,21 +318,9 @@ class WormholeSimulator:
             Worm length; defaults to the configuration's message length.
         metadata:
             Free-form annotations copied onto the message.
-        mid:
-            Explicit message id.  Must be >= every id already assigned; ids
-            assigned afterwards continue from ``mid + 1``.  Used by the
-            region-parallel decomposition (:mod:`repro.simulator.regions`)
-            so each shard engine reproduces the reference engine's global
-            message ids; normal callers leave this ``None``.
         """
         if not self.network.is_processor(source):
             raise ConfigurationError(f"source {source} is not a processor")
-        if mid is not None:
-            if mid < self._next_mid:
-                raise ConfigurationError(
-                    f"explicit mid {mid} would reuse an id (next is {self._next_mid})"
-                )
-            self._next_mid = mid
         dests = normalize_destinations(self.network, source, destinations)
         self.routing.validate_destinations(_DestinationView(source, dests))
         at = self.now if at_ns is None else max(at_ns, self.now)
@@ -376,10 +336,6 @@ class WormholeSimulator:
             message.metadata.update(metadata)
         self.routing.prepare(message)
         self.messages[message.mid] = message
-        # The source NI serialises its queue, so even a message that never
-        # starts before a bounded-run cutoff influences later messages on
-        # the same injection channel: touch it at submission, not startup.
-        self.touched_cids.add(self.sources[source].injection.cid)
         self.stats.messages_submitted += 1
         self.events.schedule(at, partial(self.sources[source].submit, message))
         self.trace_event("submit", message=message.mid, source=source, destinations=dests)

@@ -113,7 +113,6 @@ class WormSegment:
             links = [chosen]
         self.required = links
         self.state = SegmentState.WAITING
-        engine.touched_cids.update(link.cid for link in links)
         for link in links:
             link.ocrq.enqueue(self)
         engine.trace_event("request", message=self.message.mid, switch=self.switch,

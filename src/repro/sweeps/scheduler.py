@@ -45,7 +45,7 @@ without any call-site changes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -402,20 +402,16 @@ def run_sweep(
 
                 def fail(exc: Exception) -> None:
                     nonlocal first_error
-                    # Keep draining: results from tasks that completed (or
-                    # are still running and will complete) must be
-                    # checkpointed so a re-run only repeats the failed
-                    # points.  Unstarted tasks are cancelled.
+                    # Keep draining, and cancel nothing: every other task
+                    # runs to completion and is checkpointed, so a re-run
+                    # only repeats the failed points — whatever the
+                    # executor had or had not started when the error came.
                     if first_error is None:
                         first_error = exc
-                        for pending_future in futures:
-                            pending_future.cancel()
 
                 for future in as_completed(futures):
                     try:
                         task_results, task_telemetry, task_error = future.result()
-                    except CancelledError:
-                        continue  # cancelled after the first failure below
                     except Exception as exc:
                         fail(exc)
                         continue

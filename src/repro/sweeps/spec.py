@@ -349,26 +349,11 @@ def _run_latencies(
 ) -> list[float]:
     """Run ``workload`` on a fresh simulator and return per-message latencies (µs).
 
-    ``config.region_parallel`` routes the run through the region-parallel
-    decomposition (:func:`repro.simulator.regions.run_region_parallel`) with
-    in-process shard execution: sweep evaluation already runs inside the
-    scheduler's worker processes, so nesting another process pool would
-    oversubscribe the host.  Results are identical either way — that is the
-    region-parallel contract (``docs/region_parallel.md``) — so the knob
-    only changes *how* the point is computed, never what it reports.
-
     ``telemetry`` is an opaque wall-clock recorder (``repro.obs``) passed
     straight through to the engine; this module never reads it — the
     observables firewall (repro-lint R9) keeps telemetry out of every
     result constructed here.
     """
-    if config.region_parallel:
-        from ..simulator.regions import run_region_parallel
-
-        result = run_region_parallel(
-            network, routing, config, workload, max_workers=0, telemetry=telemetry
-        )
-        return result.stats.latencies_us(from_creation=from_creation)
     simulator = WormholeSimulator(network, routing, config, telemetry=telemetry)
     workload.submit_to(simulator)
     stats = simulator.run()

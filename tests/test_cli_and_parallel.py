@@ -1,16 +1,11 @@
-"""Tests for the command-line interface and the parallel sweep runner."""
+"""Tests for the command-line interface and single-point sweep evaluation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.parallel import (
-    SweepPointSpec,
-    evaluate_point,
-    parallel_figure2_points,
-    run_points,
-)
+from repro.sweeps import SweepPointSpec, evaluate_spec
 
 
 class TestCli:
@@ -66,14 +61,8 @@ class TestCli:
         assert "P(LCA is root)" in output
 
 
-class TestParallelSweeps:
-    def test_spec_builder(self):
-        specs = parallel_figure2_points(16, [1, 4, 8], samples=2, message_length_flits=16)
-        assert len(specs) == 3
-        assert all(spec.workload_kind == "single-multicast" for spec in specs)
-        assert [spec.x for spec in specs] == [1.0, 4.0, 8.0]
-
-    def test_evaluate_point_single_multicast(self):
+class TestEvaluateSpec:
+    def test_single_multicast(self):
         spec = SweepPointSpec(
             workload_kind="single-multicast",
             network_size=16,
@@ -83,12 +72,12 @@ class TestParallelSweeps:
             workload_seed=5,
             x=4.0,
         )
-        result = evaluate_point(spec)
+        result = evaluate_spec(spec)
         assert len(result.latencies_us) == 2
         assert result.mean_us > 10.0
         assert result.spec is spec
 
-    def test_evaluate_point_mixed(self):
+    def test_mixed(self):
         spec = SweepPointSpec(
             workload_kind="mixed",
             network_size=16,
@@ -102,7 +91,7 @@ class TestParallelSweeps:
             workload_seed=5,
             x=0.02,
         )
-        result = evaluate_point(spec)
+        result = evaluate_spec(spec)
         assert len(result.latencies_us) == 10
 
     def test_unknown_kind_rejected(self):
@@ -115,17 +104,4 @@ class TestParallelSweeps:
             workload_seed=5,
         )
         with pytest.raises(ValueError):
-            evaluate_point(spec)
-
-    def test_run_points_sequential_matches_parallel_api(self):
-        specs = parallel_figure2_points(16, [1, 4], samples=1, message_length_flits=16)
-        sequential = run_points(specs, parallel=False)
-        assert [r.spec.x for r in sequential] == [1.0, 4.0]
-        assert all(r.mean_us > 10.0 for r in sequential)
-
-    @pytest.mark.slow
-    def test_run_points_with_process_pool(self):
-        specs = parallel_figure2_points(16, [1, 4], samples=1, message_length_flits=16)
-        results = run_points(specs, parallel=True, max_workers=2)
-        assert len(results) == 2
-        assert all(r.latencies_us for r in results)
+            evaluate_spec(spec)

@@ -20,35 +20,11 @@ import pytest
 from repro.core.spam import SpamRouting
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
+from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import two_switch_network
 from repro.topology.irregular import lattice_irregular_network
 from repro.traffic.arrivals import NegativeBinomialArrivals, PoissonArrivals
 from repro.traffic.workload import mixed_traffic_workload
-
-
-def _fingerprint(simulator, stats):
-    """Everything observable about a finished (or paused) simulation."""
-    summary = {
-        key: (None if value != value else value)  # normalise NaN for ==
-        for key, value in stats.summary().items()
-    }
-    return {
-        "summary": summary,
-        "trace": simulator.trace.signature(),
-        "deliveries": {
-            mid: dict(message.delivered_ns)
-            for mid, message in simulator.messages.items()
-        },
-        "completions": {
-            mid: message.completed_ns for mid, message in simulator.messages.items()
-        },
-        "hops": {mid: message.hops for mid, message in simulator.messages.items()},
-        "channels": [
-            (rec.cid, rec.data_flits, rec.bubble_flits, rec.busy_ns)
-            for rec in stats.channel_records
-        ],
-        "now": simulator.now,
-    }
 
 
 def _run_pair(
@@ -83,7 +59,7 @@ def _run_pair(
         simulator = WormholeSimulator(network, routing, config)
         submit(simulator)
         stats = simulator.run() if run is None else run(simulator)
-        results.append(_fingerprint(simulator, stats))
+        results.append(simulator_fingerprint(simulator, stats))
         simulators.append(simulator)
     fast_sim, ref_sim = simulators
     assert ref_sim.coalesced_ticks == 0
@@ -698,7 +674,7 @@ class TestMultiPeriodCoalescing:
             simulator = WormholeSimulator(lattice32, lattice32_spam, config)
             simulator.submit_message(processors[0], [processors[11]])
             stats = simulator.run()
-            results.append(_fingerprint(simulator, stats))
+            results.append(simulator_fingerprint(simulator, stats))
             assert simulator.coalesce_multi_period_batches == 0
         assert results[0] == results[1]
 

@@ -1,0 +1,271 @@
+"""Golden corpus: the engine's observables pinned to a checked-in file.
+
+Every other bit-identity test compares two code paths of the same tree
+(fast path vs reference, telemetry on vs off).  A refactor that moves both
+sides together passes all of them.  This module closes that gap: each
+scenario below is run with the fast path on and off, and both runs must
+reproduce the sha256 digest of the strict run fingerprint
+(:func:`repro.simulator.fingerprint.simulator_fingerprint`) stored in
+``tests/golden/engine.json``.  The stored ``stats.summary()`` next to each
+digest makes a failure say what moved.
+
+The scenarios are the engine equivalence regimes: the Figure-1 multicast
+with replication bubbles, a lattice broadcast, contended OCRQ multicasts,
+cross-traffic unicasts, 128-flit mixed traffic under both arrival
+processes, single and compound slow-channel periods, and a bounded run
+window cut mid-stream.
+
+Regenerate the corpus only for a change that is *meant* to move results,
+and say in the commit message why it moved::
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+from repro.core.spam import SpamRouting
+from repro.simulator.config import SimulationConfig
+from repro.simulator.engine import WormholeSimulator
+from repro.simulator.fingerprint import simulator_fingerprint
+from repro.topology.examples import figure1_network
+from repro.topology.irregular import lattice_irregular_network
+from repro.topology.network import Network
+from repro.traffic.arrivals import NegativeBinomialArrivals, PoissonArrivals
+from repro.traffic.workload import MessageSpec, Workload, mixed_traffic_workload
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "engine.json"
+
+
+@dataclass
+class Scenario:
+    """One pinned run: a workload on a network under one configuration."""
+
+    network: Network
+    routing: SpamRouting
+    workload: Workload
+    flits: int
+    overrides: dict = field(default_factory=dict)
+    until_ns: int | None = None
+
+
+def _lattice() -> tuple[Network, SpamRouting]:
+    network = lattice_irregular_network(32, seed=7)
+    return network, SpamRouting.build(network)
+
+
+def _workload(name: str, specs) -> Workload:
+    workload = Workload(name)
+    workload.specs.extend(specs)
+    return workload
+
+
+def _figure1_multicast() -> Scenario:
+    fixture = figure1_network()
+    spam = SpamRouting.build(fixture.network, root=fixture.root)
+    specs = [MessageSpec(fixture.source, tuple(fixture.destinations), 0)]
+    return Scenario(fixture.network, spam, _workload("figure1", specs), flits=64)
+
+
+def _lattice_broadcast(flits: int = 128, until_ns: int | None = None) -> Scenario:
+    network, spam = _lattice()
+    source = network.processors()[0]
+    destinations = tuple(p for p in network.processors() if p != source)
+    specs = [MessageSpec(source, destinations, 0)]
+    return Scenario(
+        network, spam, _workload("broadcast", specs), flits=flits, until_ns=until_ns
+    )
+
+
+def _contended_ocrq() -> Scenario:
+    network, spam = _lattice()
+    processors = network.processors()
+    specs = [
+        MessageSpec(
+            processors[index],
+            tuple(p for p in processors[8:20] if p != processors[index]),
+            0,
+        )
+        for index in range(6)
+    ]
+    return Scenario(network, spam, _workload("contended", specs), flits=64)
+
+
+def _cross_traffic() -> Scenario:
+    network, spam = _lattice()
+    processors = network.processors()
+    specs = [
+        MessageSpec(processors[index], (processors[(index + 11) % len(processors)],), 0)
+        for index in range(8)
+    ]
+    return Scenario(network, spam, _workload("cross", specs), flits=256)
+
+
+def _mixed_traffic(arrival_cls) -> Callable[[], Scenario]:
+    """The 128-flit churn-regime workload of ``TestChurnPhaseBackoff``."""
+
+    def build() -> Scenario:
+        network, spam = _lattice()
+        workload = mixed_traffic_workload(
+            network,
+            rate_per_us=0.03,
+            multicast_destinations=8,
+            num_messages=36,
+            multicast_fraction=0.15,
+            seed=23,
+            arrival_process=arrival_cls(0.03),
+        )
+        return Scenario(network, spam, workload, flits=128)
+
+    return build
+
+
+def _slow_channels(*factors: int) -> Callable[[], Scenario]:
+    """Unicasts from the first processors, each behind a slow injection
+    channel: one factor is the every-2nd-window multi-period pattern,
+    two factors the compound 2x + 3x pattern."""
+
+    def build() -> Scenario:
+        network, spam = _lattice()
+        processors = network.processors()
+        destinations = (processors[11], processors[14])
+        specs = [
+            MessageSpec(processors[index], (destinations[index],), 0)
+            for index in range(len(factors))
+        ]
+        slow = tuple(
+            (network.injection_channel(processors[index]).cid, factor)
+            for index, factor in enumerate(factors)
+        )
+        return Scenario(
+            network,
+            spam,
+            _workload("slow", specs),
+            flits=256,
+            overrides={"channel_latency_factors": slow},
+        )
+
+    return build
+
+
+#: Scenario name -> builder.  Names key ``tests/golden/engine.json``.
+SCENARIOS: dict[str, Callable[[], Scenario]] = {
+    "figure1_multicast": _figure1_multicast,
+    "lattice_broadcast": _lattice_broadcast,
+    "contended_ocrq": _contended_ocrq,
+    "cross_traffic_unicasts": _cross_traffic,
+    "mixed_128f_negative_binomial": _mixed_traffic(NegativeBinomialArrivals),
+    "mixed_128f_poisson": _mixed_traffic(PoissonArrivals),
+    "slow_channel_2x": _slow_channels(2),
+    "compound_periods_2x_3x": _slow_channels(2, 3),
+    "bounded_window_11000ns": lambda: _lattice_broadcast(flits=256, until_ns=11_000),
+}
+
+
+def digest(fingerprint: dict) -> str:
+    """sha256 of a fingerprint's compact JSON rendering."""
+    payload = json.dumps(fingerprint, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def observe(scenario: Scenario, fast_path: bool, **overrides) -> dict:
+    """Run ``scenario`` and return its golden entry: digest and summary."""
+    config = SimulationConfig(
+        message_length_flits=scenario.flits,
+        trace=True,
+        collect_channel_stats=True,
+        fast_path=fast_path,
+        **{**scenario.overrides, **overrides},
+    )
+    simulator = WormholeSimulator(scenario.network, scenario.routing, config)
+    scenario.workload.submit_to(simulator)
+    stats = simulator.run(until_ns=scenario.until_ns)
+    fingerprint = simulator_fingerprint(simulator, stats)
+    return {"sha256": digest(fingerprint), "summary": fingerprint["summary"]}
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())["scenarios"]
+
+
+def compare(name: str, observed: dict, golden: dict) -> None:
+    """Raise ``AssertionError`` naming ``name`` unless ``observed`` matches."""
+    expected = golden[name]
+    if observed == expected:
+        return
+    moved = [
+        f"  {key}: golden {expected['summary'].get(key)!r} -> {value!r}"
+        for key, value in observed["summary"].items()
+        if expected["summary"].get(key) != value
+    ]
+    raise AssertionError(
+        f"golden scenario {name!r} moved (sha256 {expected['sha256'][:12]} -> "
+        f"{observed['sha256'][:12]})"
+        + ("\n" + "\n".join(moved) if moved else "; summary unchanged")
+    )
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return load_golden()
+
+
+@pytest.mark.equivalence
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_engine_matches_golden(name, fast_path, golden):
+    compare(name, observe(SCENARIOS[name](), fast_path), golden)
+
+
+def test_corpus_covers_exactly_the_scenarios(golden):
+    assert sorted(golden) == sorted(SCENARIOS)
+
+
+@pytest.mark.equivalence
+def test_single_channel_perturbation_fails_the_comparison(golden):
+    """A 2x latency factor on one channel must trip the gate by name."""
+    name = "cross_traffic_unicasts"
+    scenario = SCENARIOS[name]()
+    cid = scenario.network.injection_channel(scenario.workload.specs[0].source).cid
+    mutated = observe(scenario, fast_path=True, channel_latency_factors=((cid, 2),))
+    with pytest.raises(AssertionError, match=name):
+        compare(name, mutated, golden)
+
+
+def regenerate() -> None:
+    """Rewrite the corpus from the current engine (fast path and reference
+    must agree on every scenario before anything is written)."""
+    scenarios = {}
+    for name, build in SCENARIOS.items():
+        fast = observe(build(), fast_path=True)
+        reference = observe(build(), fast_path=False)
+        if fast != reference:
+            raise SystemExit(f"{name}: fast path and reference disagree; not writing")
+        scenarios[name] = fast
+        print(f"{name}: {fast['sha256']}")
+    document = {
+        "regenerate": "PYTHONPATH=src python tests/test_golden.py --regenerate",
+        "scenarios": scenarios,
+    }
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--regenerate", action="store_true", help="rewrite tests/golden/engine.json"
+    )
+    if parser.parse_args().regenerate:
+        regenerate()
+    else:
+        parser.print_help()

@@ -7,9 +7,9 @@ tested in ``tests/test_repro_lint.py``.  This module tests the dynamic
 contract the sanction rests on:
 
 * recording telemetry never changes any observable — every equivalence
-  regime (single-process fast path, region-parallel at 2/4 regions with
-  and without a real process pool, sweep evaluation) fingerprints
-  identically with ``config.telemetry`` on and off;
+  regime (the engine's fast path, bounded windows, sweep evaluation with
+  and without a real process pool) fingerprints identically with
+  ``config.telemetry`` on and off;
 * the disabled path really is the no-op singleton (zero per-event cost);
 * the exporters are deterministic given an injected clock, produce
   schema-valid snapshots and loadable Chrome traces, and the summary
@@ -37,7 +37,7 @@ from repro.obs import (
 from repro.obs.export import snapshot_dict
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
-from repro.simulator.regions import run_region_parallel, simulator_fingerprint
+from repro.simulator.fingerprint import simulator_fingerprint
 from repro.sweeps import run_sweep
 from repro.sweeps.spec import SweepPointSpec
 from repro.traffic.arrivals import PoissonArrivals
@@ -334,87 +334,6 @@ class TestTelemetryOnOffEquivalence:
             fingerprints.append(simulator_fingerprint(simulator, simulator.stats))
         assert fingerprints[0] == fingerprints[1]
 
-    def test_region_parallel_bit_identical_at_2_and_4_regions(
-        self, lattice32, lattice32_spam
-    ):
-        workload = mixed_traffic_workload(
-            lattice32, rate_per_us=0.02, multicast_destinations=8,
-            num_messages=32, seed=9,
-        )
-        for region_count in (2, 4):
-            config = SimulationConfig(
-                message_length_flits=64,
-                trace=True,
-                collect_channel_stats=True,
-                region_parallel=True,
-                region_count=region_count,
-            )
-            off = run_region_parallel(
-                lattice32, lattice32_spam, config, workload.specs, max_workers=0
-            )
-            on = run_region_parallel(
-                lattice32,
-                lattice32_spam,
-                config.with_overrides(telemetry=True),
-                workload.specs,
-                max_workers=0,
-            )
-            assert on.fingerprint() == off.fingerprint(), region_count
-            assert off.telemetry is NULL_TELEMETRY
-            tel = on.telemetry
-            assert tel.enabled
-            # Phase spans and shard-merged engine telemetry are all present.
-            for phase in ("region.plan", "region.execute", "region.merge"):
-                assert tel.span_count(phase) >= 1, (region_count, phase)
-            assert tel.span_count("region.shard.run") == tel.gauges["region.shards"]
-            assert any(track.startswith("shard") for track in
-                       {span["track"] for span in tel.spans})
-
-    def test_region_parallel_real_process_pool_ships_worker_telemetry(
-        self, lattice32, lattice32_spam
-    ):
-        # A region-local workload that genuinely splits into shards, run on
-        # a real 2-process pool: observables identical, every shard's
-        # telemetry payload shipped back and merged under shard{i} tracks.
-        from repro.core.regions import assign_regions
-        import random as _random
-
-        assignment = assign_regions(lattice32, 4, tree=lattice32_spam.tree)
-        rng = _random.Random(4)
-        workload = Workload("region-local")
-        for switches in assignment.regions:
-            processors = [
-                p for sw in switches for p in lattice32.processors_of(sw)
-            ]
-            if len(processors) < 2:
-                continue
-            source, dest = rng.sample(processors, 2)
-            workload.specs.append(MessageSpec(source, (dest,), 0))
-        config = SimulationConfig(
-            message_length_flits=32,
-            trace=True,
-            collect_channel_stats=True,
-            region_parallel=True,
-            region_count=4,
-            telemetry=True,
-        )
-        reference = run_region_parallel(
-            lattice32, lattice32_spam, config.with_overrides(telemetry=False),
-            workload.specs, max_workers=0,
-        )
-        pooled = run_region_parallel(
-            lattice32, lattice32_spam, config, workload.specs, max_workers=2
-        )
-        assert pooled.fingerprint() == reference.fingerprint()
-        assert pooled.region_processes > 0, "pool never engaged; test is vacuous"
-        shard_tracks = {
-            span["track"]
-            for span in pooled.telemetry.spans
-            if span["track"].startswith("shard")
-        }
-        assert len(shard_tracks) == pooled.region_shards
-        assert pooled.telemetry.span_count("region.shard.run") == pooled.region_shards
-
     def test_sweep_results_identical_and_worker_telemetry_merged(self):
         specs = [
             SweepPointSpec(
@@ -488,11 +407,11 @@ def _golden_telemetry() -> Telemetry:
         {
             "spans": [
                 {
-                    "name": "region.shard.run",
-                    "track": "shard",
+                    "name": "sweep.point.evaluate",
+                    "track": "worker",
                     "start_ns": 0,
                     "dur_ns": 500,
-                    "attrs": {"messages": 2},
+                    "attrs": {"workload": "mixed"},
                 }
             ],
             "counters": {"engine.probe.scan_reject": 3},
@@ -502,7 +421,7 @@ def _golden_telemetry() -> Telemetry:
                 }
             },
         },
-        track="shard0",
+        track="chunk0",
     )
     return tel
 
@@ -530,24 +449,24 @@ class TestExporters:
                     "attrs": {"bounded": False},
                 },
                 {
-                    "name": "region.shard.run",
-                    "track": "shard0",
+                    "name": "sweep.point.evaluate",
+                    "track": "chunk0",
                     "start_ns": 0,
                     "dur_ns": 500,
-                    "attrs": {"messages": 2},
+                    "attrs": {"workload": "mixed"},
                 },
             ],
             "spans_dropped": 0,
             "counters": {
                 "engine.probe.batch": 1,
-                "shard0/engine.probe.scan_reject": 3,
+                "chunk0/engine.probe.scan_reject": 3,
             },
             "gauges": {"engine.coalesce_batches": 1},
             "values": {
                 "engine.probe.batch_ns": {
                     "count": 1, "total": 1000.0, "min": 1000.0, "max": 1000.0,
                 },
-                "shard0/engine.probe.scan_reject_ns": {
+                "chunk0/engine.probe.scan_reject_ns": {
                     "count": 3, "total": 300.0, "min": 50.0, "max": 150.0,
                 },
             },
@@ -584,10 +503,10 @@ class TestExporters:
         events = chrome_trace_events(_golden_telemetry())
         # One thread-name metadata record per track, in first-seen order.
         meta = [event for event in events if event["ph"] == "M"]
-        assert [event["args"]["name"] for event in meta] == ["main", "shard0"]
+        assert [event["args"]["name"] for event in meta] == ["main", "chunk0"]
         complete = [event for event in events if event["ph"] == "X"]
         assert [event["name"] for event in complete] == [
-            "engine.probe", "engine.run", "region.shard.run",
+            "engine.probe", "engine.run", "sweep.point.evaluate",
         ]
         probe = complete[0]
         assert probe["ts"] == 1.5 and probe["dur"] == 1.0  # ns -> us
@@ -613,7 +532,7 @@ class TestExporters:
         document = snapshot_dict(_golden_telemetry())
         tables = summarize_snapshot(document)
         tiers = {row["tier"]: row for row in tables["tiers"]}
-        # Track prefixes are stripped, so the shard's scan rejects aggregate
+        # Track prefixes are stripped, so the worker's scan rejects aggregate
         # with the parent's batch tier into one attribution table.
         assert set(tiers) == {"batch", "scan_reject"}
         assert tiers["batch"]["probes"] == 1
@@ -622,7 +541,7 @@ class TestExporters:
         assert sum(row["share"] for row in tables["tiers"]) == pytest.approx(1.0)
         spans = {row["span"]: row for row in tables["spans"]}
         assert spans["engine.run"]["count"] == 1
-        assert spans["region.shard.run"]["total_ms"] == pytest.approx(500.0 / 1e6)
+        assert spans["sweep.point.evaluate"]["total_ms"] == pytest.approx(500.0 / 1e6)
 
 
 # ----------------------------------------------------------------------

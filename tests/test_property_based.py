@@ -12,10 +12,6 @@ on:
 * multicast plans cover exactly the destination set with down-tree channels;
 * the end-to-end simulator delivers every message (deadlock/livelock freedom
   under the full protocol) and latency accounting is consistent;
-* region-parallel execution (:func:`repro.simulator.regions.run_region_parallel`)
-  is bit-identical to the reference engine on random irregular networks and
-  mixed workloads at every region count, and ``region_count=1`` collapses to
-  exactly today's engine;
 * the sweep-store merge (:func:`repro.sweeps.store.merge_stores`) is
   idempotent, order-insensitive for disjoint stores, last-row-wins on key
   collisions, rejects rows computed under a different code salt, and
@@ -453,78 +449,3 @@ def test_multi_period_with_k_max_one_is_todays_engine(
             )
         )
     assert fingerprints[0] == fingerprints[1]
-
-
-# Region-parallel invariants --------------------------------------------------
-
-
-def _random_mixed_specs(network, rng, num_messages):
-    """Random mixed unicast/multicast submissions, skewed toward unicasts
-    (region-parallel's interesting regime) but always exercising at least
-    one multicast when the draw allows."""
-    processors = network.processors()
-    specs = []
-    for _ in range(num_messages):
-        source = processors[int(rng.integers(0, len(processors)))]
-        others = [p for p in processors if p != source]
-        if rng.random() < 0.25:
-            k = int(rng.integers(2, min(5, len(others)) + 1))
-        else:
-            k = 1
-        chosen = rng.choice(len(others), size=min(k, len(others)), replace=False)
-        destinations = tuple(others[int(i)] for i in chosen)
-        specs.append((source, destinations, int(rng.integers(0, 3_000))))
-    return specs
-
-
-@SLOW_SETTINGS
-@given(
-    params=network_params,
-    workload_seed=st.integers(min_value=0, max_value=2**16),
-    num_messages=st.integers(min_value=1, max_value=10),
-    length=st.sampled_from([4, 16, 64]),
-)
-def test_region_parallel_bit_identical_at_every_region_count(
-    params, workload_seed, num_messages, length
-):
-    """The region-vs-whole differential as a property: for random irregular
-    networks and random mixed workloads, :func:`run_region_parallel` at
-    ``region_count`` 1, 2 and 4 must fingerprint-identical to the reference
-    engine — whatever the optimistic plan proposed and however many
-    touched-set conflicts the validator had to repair."""
-    import numpy as np
-
-    from repro.simulator.regions import run_region_parallel, simulator_fingerprint
-
-    network, spam = build_spam(params)
-    rng = np.random.default_rng(workload_seed)
-    specs = _random_mixed_specs(network, rng, num_messages)
-
-    for region_count in (1, 2, 4):
-        config = SimulationConfig(
-            message_length_flits=length,
-            trace=True,
-            collect_channel_stats=True,
-            region_parallel=True,
-            region_count=region_count,
-        )
-        reference = WormholeSimulator(network, spam, config)
-        for source, destinations, at_ns in specs:
-            reference.submit_message(source, destinations, at_ns=at_ns)
-        stats = reference.run()
-
-        from repro.traffic.workload import MessageSpec
-
-        result = run_region_parallel(
-            network,
-            spam,
-            config,
-            [MessageSpec(*spec) for spec in specs],
-            max_workers=0,
-        )
-        assert result.fingerprint() == simulator_fingerprint(reference, stats)
-        if region_count == 1:
-            # One region admits exactly one shard: the run IS a reference
-            # run, with nothing planned apart and nothing to repair.
-            assert result.region_shards == 1
-            assert result.region_conflict_reruns == 0

@@ -4,8 +4,8 @@ Each rule gets at least one *positive* snippet (the hazard fires) and one
 *negative* snippet (the corrected code is silent), written to a temporary
 project tree that mirrors the repository's scoped paths.  On top of the
 per-rule tests: pragma discipline, baseline round-trips, the CLI contract,
-the ``check_counter_docs`` shim, and the tier-1 "self-clean" test asserting
-the real repository lints clean with an empty baseline.
+and the tier-1 "self-clean" test asserting the real repository lints clean
+with an empty baseline.
 """
 
 from __future__ import annotations
@@ -390,69 +390,6 @@ def test_r6_doc_coverage_both_directions(tmp_path):
     assert "coalesce_stale" in messages["R6:docs/engine_counters.md"]
 
 
-_REGIONS_WITH_COUNTERS = """
-    from dataclasses import dataclass
-
-    @dataclass
-    class RegionRunResult:
-        region_documented: int
-        region_mystery: int
-"""
-
-
-def test_r6_region_counter_doc_coverage_both_directions(tmp_path):
-    result = lint_project(
-        tmp_path,
-        {
-            "src/repro/simulator/regions.py": _REGIONS_WITH_COUNTERS,
-            "docs/engine_counters.md": """
-                ### `region_documented`
-                Documented counter.
-
-                ### `region_stale`
-                No longer exists.
-            """,
-        },
-        select=["R6"],
-    )
-    messages = {finding.rule + ":" + finding.path: finding.message for finding in result.findings}
-    assert len(result.findings) == 2
-    assert "region_mystery" in messages["R6:src/repro/simulator/regions.py"]
-    assert "region_stale" in messages["R6:docs/engine_counters.md"]
-
-
-def test_r6_region_counters_clean_and_independent_of_engine_counters(tmp_path):
-    """A fully documented region result must lint clean, and coalesce*
-    engine headings must never cross-flag against regions.py (nor
-    region_* headings against engine.py)."""
-    result = lint_project(
-        tmp_path,
-        {
-            "src/repro/simulator/regions.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class RegionRunResult:
-                    region_documented: int
-            """,
-            "src/repro/simulator/engine.py": """
-                class WormholeSimulator:
-                    def __init__(self):
-                        self.coalesce_documented = 0
-            """,
-            "docs/engine_counters.md": """
-                ### `coalesce_documented`
-                Engine counter.
-
-                ### `region_documented`
-                Region counter.
-            """,
-        },
-        select=["R6"],
-    )
-    assert rule_ids(result) == []
-
-
 def test_r6_doc_coverage_clean(tmp_path):
     result = lint_project(
         tmp_path,
@@ -538,8 +475,7 @@ def test_r7_silent_on_pure_module_level_function(tmp_path):
 
 def test_r7_covers_executor_map(tmp_path):
     """``Executor.map`` is the other door a callable crosses the process
-    boundary through (the region-parallel executor's worker path); the
-    same purity contract applies."""
+    boundary through; the same purity contract applies."""
     result = lint_snippet(
         tmp_path,
         """
@@ -950,19 +886,8 @@ def test_cli_list_rules():
         assert rule_id in proc.stdout
 
 
-def test_counter_docs_shim_cli_contract():
-    proc = subprocess.run(
-        [sys.executable, "tools/check_counter_docs.py"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "ok" in proc.stdout
-
-
-def test_counter_docs_shim_detects_an_injected_mismatch(tmp_path, monkeypatch):
-    # Exercised via the library (the shim is a thin wrapper over R6/R8).
+def test_docs_selection_detects_an_injected_mismatch(tmp_path):
+    # The CI docs job runs ``python -m tools.repro_lint --select R6,R8 src``.
     result = lint_project(
         tmp_path,
         {

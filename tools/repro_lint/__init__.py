@@ -6,9 +6,8 @@ Usage (from a checkout, no install needed)::
     python -m tools.repro_lint --json          # machine-readable findings
     python -m tools.repro_lint --list-rules    # rule ids + rationale
 
-Library entry points: :func:`run_lint` (programmatic runs; the CI shim
-``tools/check_counter_docs.py`` and the test-suite use it) and
-:func:`all_rules`.  The contract the rules enforce is documented in
+Library entry points: :func:`run_lint` (programmatic runs; the test-suite
+uses it) and :func:`all_rules`.  The contract the rules enforce is documented in
 ``docs/determinism.md``; the framework lives in
 :mod:`tools.repro_lint.framework`.
 """

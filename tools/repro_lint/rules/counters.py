@@ -11,12 +11,7 @@ Two related contracts on the engine's observability counters
   partial reset.
 * **Documentation**: every public ``coalesce*`` counter the engine assigns
   must have a ``### `name` `` heading in ``docs/engine_counters.md``, and
-  every documented heading must still exist in the engine.  This is the
-  AST-based generalization of the old textual ``tools/check_counter_docs.py``
-  (now a thin shim over this rule).  The same coverage contract applies to
-  the region-parallel executor's ``region_*`` counters — the dataclass
-  fields of ``RegionRunResult`` in ``src/repro/simulator/regions.py`` —
-  which share the reference document.
+  every documented heading must still exist in the engine.
 """
 
 from __future__ import annotations
@@ -28,10 +23,8 @@ from typing import Iterator
 from ..framework import FileContext, FileRule, Finding, Project, register
 
 _ENGINE = "src/repro/simulator/engine.py"
-_REGIONS = "src/repro/simulator/regions.py"
 _REFERENCE = "docs/engine_counters.md"
 _HEADING = re.compile(r"^###\s+`(coalesce\w*)`", re.MULTILINE)
-_REGION_HEADING = re.compile(r"^###\s+`(region_\w*)`", re.MULTILINE)
 
 _INIT_METHODS = re.compile(r"^(__init__|reset\w*|clear\w*|_reset\w*)$")
 
@@ -103,9 +96,8 @@ class CounterDisciplineRule(FileRule):
     name = "counter-discipline"
     description = (
         "every self.x += … in a simulator class must be initialized in "
-        "__init__/reset*, and every public coalesce* engine counter and "
-        "region_* region-parallel counter must have a heading in "
-        "docs/engine_counters.md (and vice versa)"
+        "__init__/reset*, and every public coalesce* engine counter must "
+        "have a heading in docs/engine_counters.md (and vice versa)"
     )
     scope = ("src/repro/simulator/*",)
 
@@ -133,8 +125,6 @@ class CounterDisciplineRule(FileRule):
                         )
         if ctx.relpath == _ENGINE:
             yield from self._check_doc_coverage(ctx, project)
-        if ctx.relpath == _REGIONS:
-            yield from self._check_region_doc_coverage(ctx, project)
 
     def _check_doc_coverage(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
         counters: dict[str, int] = {}
@@ -171,60 +161,5 @@ class CounterDisciplineRule(FileRule):
                 message=(
                     f"[{self.name}] documents counter '{name}', which no longer "
                     f"exists in {_ENGINE}; delete or rename the section"
-                ),
-            )
-
-    def _check_region_doc_coverage(
-        self, ctx: FileContext, project: Project
-    ) -> Iterator[Finding]:
-        """``region_*`` result fields <-> ``docs/engine_counters.md`` headings.
-
-        The region-parallel executor reports its observability counters as
-        dataclass fields (``region_count``, ``region_conflict_reruns``, …)
-        rather than engine attributes; the doc-coverage contract is the
-        same as for ``coalesce*`` and uses the same reference document.
-        """
-        counters: dict[str, int] = {}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and stmt.target.id.startswith("region_")
-                ):
-                    counters.setdefault(stmt.target.id, stmt.lineno)
-        reference = project.read_text(_REFERENCE)
-        if reference is None:
-            if counters:
-                yield self.finding(
-                    ctx.relpath,
-                    1,
-                    f"counter reference {_REFERENCE} is missing; it is the "
-                    f"normative documentation for every region_* counter",
-                )
-            return
-        documented: dict[str, int] = {}
-        for match in _REGION_HEADING.finditer(reference):
-            documented.setdefault(
-                match.group(1), reference.count("\n", 0, match.start()) + 1
-            )
-        for name in sorted(set(counters) - set(documented)):
-            yield self.finding(
-                ctx.relpath,
-                counters[name],
-                f"region-parallel counter '{name}' has no '### `{name}`' heading "
-                f"in {_REFERENCE}; document its meaning and increment rule",
-            )
-        for name in sorted(set(documented) - set(counters)):
-            yield Finding(
-                path=_REFERENCE,
-                line=documented[name],
-                col=0,
-                rule=self.rule_id,
-                message=(
-                    f"[{self.name}] documents counter '{name}', which no longer "
-                    f"exists in {_REGIONS}; delete or rename the section"
                 ),
             )

@@ -8,10 +8,9 @@ library makes results depend on when/where they ran — the exact failure
 mode the content-addressed store exists to prevent.
 
 Environment reads deserve a note: a handful of sanctioned knobs exist
-(``REPRO_SWEEP_WORKERS`` / ``REPRO_REGION_WORKERS`` — parallelism only,
-results bit-identical; ``REPRO_SWEEP_CACHE`` — store *location*, not
-content; ``REPRO_SCALE`` / ``REPRO_FLITS`` / ``REPRO_SAMPLES`` — explicit
-scale selectors for CI).  Worker-count knobs flow through the single
+(``REPRO_SWEEP_WORKERS`` — parallelism only, results bit-identical;
+``REPRO_SWEEP_CACHE`` — store *location*, not content; ``REPRO_SCALE`` /
+``REPRO_FLITS`` / ``REPRO_SAMPLES`` — explicit scale selectors for CI).  The worker-count knob flows through the single
 sanctioned reader :func:`repro.obs.runtime.env_knob`; the ``repro.obs``
 package as a whole is excluded from this rule (a rule-scoped sanction —
 it owns the monotonic telemetry clock too), with rule R9's observables

@@ -9,11 +9,11 @@ R9 enforces that boundary statically, from both sides:
 
 1. **Sink modules stay obs-free.**  The modules that define observable
    result types (``simulator/stats.py``, ``trace.py``, ``message.py``,
-   ``flit.py``; ``sweeps/store.py``, ``sweeps/spec.py``) may not import
-   ``repro.obs`` at all — neither ``from ..obs import …`` nor the absolute
-   form.  Code that *orchestrates* (engine, regions, scheduler) may hold a
-   recorder, but the modules whose values are fingerprinted cannot even
-   name one.
+   ``flit.py``, ``fingerprint.py``; ``sweeps/store.py``,
+   ``sweeps/spec.py``) may not import ``repro.obs`` at all — neither
+   ``from ..obs import …`` nor the absolute form.  Code that
+   *orchestrates* (engine, scheduler) may hold a recorder, but the modules
+   whose values are fingerprinted cannot even name one.
 
 2. **Telemetry values stay out of sink constructors.**  Anywhere in the
    library outside ``repro.obs``, an argument whose name looks like
@@ -53,6 +53,7 @@ _SINK_MODULES = {
     "src/repro/simulator/trace.py",
     "src/repro/simulator/message.py",
     "src/repro/simulator/flit.py",
+    "src/repro/simulator/fingerprint.py",
     "src/repro/sweeps/store.py",
     "src/repro/sweeps/spec.py",
 }

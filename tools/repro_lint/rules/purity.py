@@ -6,9 +6,9 @@ while closing over or mutating module-level state — state that silently
 diverges between parent and children, differs under ``spawn`` (macOS,
 Windows), and breaks the parallel-vs-sequential bit-identity guarantee the
 scheduler tests enforce.  The rule checks every ``….submit(f, …)`` and
-``….map(f, …)`` call site (the sweep scheduler and the region-parallel
-executor both ship workers through ``submit``; ``Executor.map`` is the
-other way a callable crosses the process boundary):
+``….map(f, …)`` call site (the sweep scheduler ships workers through
+``submit``; ``Executor.map`` is the other way a callable crosses the
+process boundary):
 
 * ``f`` must be a plain module-level function (or an import) — lambdas and
   locally-defined closures are flagged outright;
