@@ -64,18 +64,7 @@ from .obs import (
     write_chrome_trace,
     write_snapshot,
 )
-from .sweeps import (
-    DEFAULT_STORE_DIR,
-    Coordinator,
-    CoordinatorServer,
-    ResultStore,
-    WORKER_FAULTS,
-    WorkerClient,
-    merge_stores,
-    parse_shard,
-    run_sweep,
-    run_worker,
-)
+from .sweeps import DEFAULT_STORE_DIR, ResultStore, merge_stores, parse_shard, run_sweep
 from .topology.irregular import lattice_irregular_network
 from .topology.properties import summarize
 from .topology.serialization import save_network
@@ -154,66 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes.  '--shard I/N' runs one deterministic shard "
             "of the sweep (split across hosts, one cache dir each); "
             "'sweep merge --into DIR SRC...' combines per-shard stores "
-            "conflict-free."
+            "conflict-free and reports the points a shard still owes."
         ),
     )
     sweep.add_argument(
         "experiment",
-        choices=["figure2", "figure3", "compare", "merge",
-                 "serve", "work", "lease", "submit", "status"],
-        help="experiment to sweep, 'merge' for store merging, or a fleet "
-             "verb: 'serve' runs the lease coordinator over a spec "
-             "universe, 'work' drains leases as a worker process, "
-             "'lease'/'submit'/'status' are one-shot protocol calls",
+        choices=["figure2", "figure3", "compare", "merge"],
+        help="experiment to sweep, or 'merge' to combine per-shard stores",
     )
     sweep.add_argument("sources", nargs="*", default=[], metavar="SRC",
                        help="[merge] source store directories to merge")
     sweep.add_argument("--into", default=None, metavar="DIR",
                        help="[merge] destination store directory")
-    # Fleet-coordination knobs (sweep serve / work / lease / submit / status).
-    sweep.add_argument("--universe", choices=["figure2", "figure3", "compare"],
-                       default="figure3",
-                       help="[serve] experiment whose specs form the coordinator's "
-                            "universe (uses the same experiment knobs below)")
-    sweep.add_argument("--host", default="127.0.0.1",
-                       help="[serve] bind address (default: %(default)s)")
-    sweep.add_argument("--port", type=int, default=0,
-                       help="[serve] TCP port (default: 0 = pick a free port, "
-                            "printed on startup)")
-    sweep.add_argument("--lease-ttl", type=float, default=60.0, metavar="S",
-                       help="[serve] seconds a worker has to submit or renew "
-                            "before its lease expires and the points re-queue")
-    sweep.add_argument("--lease-points", type=int, default=8, metavar="N",
-                       help="[serve] maximum spec points per lease")
-    sweep.add_argument("--exit-when-complete", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="[serve] stop serving once every universe point is "
-                            "done (--no-exit-when-complete keeps serving, e.g. "
-                            "for status queries)")
-    sweep.add_argument("--url", default=None, metavar="URL",
-                       help="[work/lease/submit/status] coordinator endpoint, "
-                            "e.g. http://127.0.0.1:8471")
-    sweep.add_argument("--worker-id", default="worker", metavar="ID",
-                       help="[work/lease] worker identity reported to the "
-                            "coordinator (default: %(default)s)")
-    sweep.add_argument("--max-points", type=int, default=None, metavar="N",
-                       help="[work/lease] ask for at most N points per lease")
-    sweep.add_argument("--max-leases", type=int, default=None, metavar="N",
-                       help="[work] stop after draining N leases")
-    sweep.add_argument("--poll-interval", type=float, default=0.25, metavar="S",
-                       help="[work] seconds between lease polls while other "
-                            "workers hold the remaining points")
-    sweep.add_argument("--fault", choices=list(WORKER_FAULTS), default="none",
-                       help="[work] scripted one-shot failure mode for the "
-                            "coordinator fault-injection harness "
-                            "(tools/coordinator_fault_check.py); production "
-                            "workers keep the default")
-    sweep.add_argument("--lease-id", type=int, default=None, metavar="ID",
-                       help="[submit] lease the rows answer (omitted: "
-                            "unsolicited idempotent submission)")
-    sweep.add_argument("--from-store", default=None, metavar="DIR",
-                       help="[submit] worker-side store directory whose rows "
-                            "are submitted")
     sweep.add_argument("--shard", default=None, metavar="I/N",
                        help="run only shard I of N (1-based, e.g. 2/4): a "
                             "deterministic content-addressed slice of the sweep, "
@@ -385,8 +326,8 @@ def _cmd_merge(args) -> int:
 
 
 def _sweep_universe(experiment: str, args, scale):
-    """The spec universe (and figure assembler) of one sweep experiment —
-    shared by ``sweep <experiment>`` runs and the coordinator's ``serve``."""
+    """The specs of one sweep experiment and the assembler that turns their
+    results into a figure (``None`` for the row-table comparison)."""
     if experiment == "figure2":
         config = Figure2Config(
             network_sizes=tuple(args.network_sizes),
@@ -422,99 +363,6 @@ def _sweep_universe(experiment: str, args, scale):
     return specs, assemble
 
 
-def _cmd_sweep_serve(args, scale) -> int:
-    specs, _ = _sweep_universe(args.universe, args, scale)
-    store = ResultStore(args.cache_dir)
-    telemetry = Telemetry(track="coordinator") if getattr(args, "telemetry", None) else None
-    coordinator = Coordinator(
-        specs,
-        store,
-        lease_ttl=args.lease_ttl,
-        lease_points=args.lease_points,
-        telemetry=telemetry,
-    )
-    server = CoordinatorServer(coordinator, host=args.host, port=args.port)
-    initial = coordinator.status()
-    print(f"sweep serve: coordinating {initial.total} {args.universe} points "
-          f"({initial.describe()})")
-    print(f"sweep serve: listening on {server.url}  (store: {store.root}, "
-          f"lease ttl {args.lease_ttl:g}s, {args.lease_points} points/lease)",
-          flush=True)
-    try:
-        server.serve_until_done(exit_when_complete=args.exit_when_complete)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-    final = coordinator.status()
-    print(f"sweep serve: {final.describe()}")
-    if telemetry is not None:
-        _write_telemetry(telemetry, args.telemetry)
-    return 0 if final.complete else 1
-
-
-def _require_url(args) -> str | None:
-    if not args.url:
-        print(f"sweep {args.experiment}: --url URL is required", file=sys.stderr)
-        return None
-    return args.url
-
-
-def _cmd_sweep_work(args) -> int:
-    url = _require_url(args)
-    if url is None:
-        return 2
-    report = run_worker(
-        url,
-        worker_id=args.worker_id,
-        max_points=args.max_points,
-        poll_interval=args.poll_interval,
-        max_leases=args.max_leases,
-        fault=args.fault,
-        announce=lambda line: print(f"  {line}", flush=True),
-    )
-    print(f"sweep work: {report.summary()}")
-    return 0
-
-
-def _cmd_sweep_lease(args) -> int:
-    url = _require_url(args)
-    if url is None:
-        return 2
-    response = WorkerClient(url, args.worker_id).lease(args.max_points)
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_sweep_submit(args) -> int:
-    url = _require_url(args)
-    if url is None:
-        return 2
-    if not args.from_store:
-        print("sweep submit: --from-store DIR is required", file=sys.stderr)
-        return 2
-    rows = [row for _key, row in ResultStore(args.from_store).iter_raw_rows()]
-    outcome = WorkerClient(url).submit_rows(args.lease_id, rows)
-    print(f"sweep submit: {outcome.get('accepted', 0)} accepted, "
-          f"{outcome.get('foreign_salt', 0)} foreign-salt, "
-          f"{outcome.get('unknown', 0)} unknown, "
-          f"{len(outcome.get('requeued', ()))} requeued"
-          + (", sweep complete" if outcome.get("complete") else ""))
-    return 0
-
-
-def _cmd_sweep_status(args) -> int:
-    url = _require_url(args)
-    if url is None:
-        return 2
-    status = WorkerClient(url).status()
-    print(f"sweep status: {status['done']}/{status['total']} points done, "
-          f"{status['leased']} leased, {status['queued']} queued"
-          + (", complete" if status.get("complete") else ""))
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_sweep(args, scale) -> int:
     if args.experiment == "merge":
         return _cmd_merge(args)
@@ -522,16 +370,6 @@ def _cmd_sweep(args, scale) -> int:
         print("sweep: SRC.../--into are only valid with the 'merge' experiment",
               file=sys.stderr)
         return 2
-    if args.experiment == "serve":
-        return _cmd_sweep_serve(args, scale)
-    if args.experiment == "work":
-        return _cmd_sweep_work(args)
-    if args.experiment == "lease":
-        return _cmd_sweep_lease(args)
-    if args.experiment == "submit":
-        return _cmd_sweep_submit(args)
-    if args.experiment == "status":
-        return _cmd_sweep_status(args)
     shard = None
     if args.shard is not None:
         try:

@@ -1,7 +1,7 @@
 """The span/metric recorder and its zero-overhead no-op twin.
 
 One :class:`Telemetry` instance records one *track* of wall-clock
-observability — the main process or one sweep worker.
+observability — the main process or one pool worker of a sweep.
 Worker processes ship their telemetry back as a plain picklable payload
 (:meth:`Telemetry.to_payload`) and the parent folds it in with
 :meth:`Telemetry.merge_child`, prefixing the child's metric names with its

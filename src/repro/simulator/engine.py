@@ -257,7 +257,7 @@ class WormholeSimulator:
         #: probed window; not an observable result).
         self._delivery_count = 0
         #: Wall-clock telemetry recorder (``repro.obs``).  An explicit
-        #: ``telemetry`` argument wins (sweep workers pass their own track);
+        #: ``telemetry`` argument wins (a sweep's pool workers pass their own track);
         #: otherwise ``config.telemetry`` selects between a fresh recorder
         #: and the shared no-op singleton.  Everything written
         #: here is observability-only — the observables firewall (repro-lint

@@ -22,31 +22,13 @@ runs:
   into :class:`ReplicationBatchSpec` batches (:func:`evaluate_batch`) for
   replication-heavy statistics.
 
-* :mod:`repro.sweeps.coordinator` / :mod:`repro.sweeps.worker` — the fleet
-  layer: :class:`Coordinator`, a long-lived service owning a spec universe
-  (shard leases, owed-point re-queue, crash-safe journal, continuously
-  merged store) behind a JSON-over-HTTP front end
-  (:class:`CoordinatorServer`), and :func:`run_worker`/:class:`WorkerClient`,
-  the worker loop that drains leases through :func:`evaluate_spec`.
-
 The experiment drivers in :mod:`repro.experiments` build specs and route
 through :func:`run_sweep`; ``repro-spam sweep`` exposes the same machinery
-on the command line (including ``--shard I/N``, ``sweep merge`` and the
-fleet verbs ``sweep serve | work | lease | submit | status``).
+on the command line (including ``--shard I/N`` and ``sweep merge``).
 ``docs/sweeps.md`` documents the store layout, the hashing contract, the
-resume semantics, the sharding workflow and the fleet-coordination
-protocol.
+resume semantics and the sharding workflow.
 """
 
-from .coordinator import (
-    Coordinator,
-    CoordinatorServer,
-    CoordinatorState,
-    CoordinatorStatus,
-    IngestReport,
-    Lease,
-    LeaseError,
-)
 from .scheduler import SweepOutcome, resolve_workers, run_sweep
 from .spec import (
     ReplicationBatchSpec,
@@ -71,10 +53,8 @@ from .store import (
     ResultStore,
     default_code_salt,
     merge_stores,
-    result_row,
     spec_key,
 )
-from .worker import WORKER_FAULTS, WorkerClient, WorkerReport, run_worker
 
 __all__ = [
     "SweepPointSpec",
@@ -101,16 +81,4 @@ __all__ = [
     "run_sweep",
     "SweepOutcome",
     "resolve_workers",
-    "result_row",
-    "Coordinator",
-    "CoordinatorServer",
-    "CoordinatorState",
-    "CoordinatorStatus",
-    "IngestReport",
-    "Lease",
-    "LeaseError",
-    "WorkerClient",
-    "WorkerReport",
-    "run_worker",
-    "WORKER_FAULTS",
 ]

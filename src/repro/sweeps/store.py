@@ -30,7 +30,7 @@ overridable via ``REPRO_SWEEP_CACHE``) in two files:
     "shard": [index, count] | null, "expected": [<sha256>, ...]}`` — the
     spec keys a sweep was *asked* to produce, independent of what has been
     computed so far.  ``done``/``missing`` are derived by intersecting
-    ``expected`` with the data file, so a coordinator can report which
+    ``expected`` with the data file, so ``sweep merge`` can report which
     shards still owe points (:meth:`ResultStore.manifest_status`).
     Re-recording unions the expected keys while the salt matches; a salt
     change (code upgrade) resets the manifest.
@@ -74,7 +74,6 @@ __all__ = [
     "ResultStore",
     "default_code_salt",
     "merge_stores",
-    "result_row",
     "spec_key",
 ]
 
@@ -106,28 +105,6 @@ def spec_key(spec: SweepPointSpec, code_salt: str | None = None) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def result_row(result: SweepPointResult, code_salt: str | None = None) -> dict:
-    """The raw store-row form of ``result`` under ``code_salt``.
-
-    This is the wire format of the whole sweep layer: what
-    :meth:`ResultStore.put` appends, what :func:`merge_stores` transplants,
-    and what a coordinator worker submits over the fleet protocol
-    (:mod:`repro.sweeps.worker`) — a worker can build valid rows without
-    ever opening a store of its own.
-    """
-    salt = default_code_salt() if code_salt is None else code_salt
-    return {
-        "key": spec_key(result.spec, salt),
-        "salt": salt,
-        "spec": result.spec.as_dict(),
-        "latencies_us": list(result.latencies_us),
-        # Pair list, not an object: metric order is part of the result
-        # (report tables use it for column order) and canonical-JSON key
-        # sorting must not scramble it.
-        "metrics": [[k, v] for k, v in result.metrics],
-    }
 
 
 #: Bump when the manifest layout changes meaning.
@@ -311,7 +288,18 @@ class ResultStore:
         )
 
     def _row(self, result: SweepPointResult) -> dict:
-        return result_row(result, self.code_salt)
+        """The raw store-row form of ``result`` under this store's salt:
+        what :meth:`put_many` appends and :func:`merge_stores` transplants."""
+        return {
+            "key": self.key(result.spec),
+            "salt": self.code_salt,
+            "spec": result.spec.as_dict(),
+            "latencies_us": list(result.latencies_us),
+            # Pair list, not an object: metric order is part of the result
+            # (report tables use it for column order) and canonical-JSON key
+            # sorting must not scramble it.
+            "metrics": [[k, v] for k, v in result.metrics],
+        }
 
     def put(self, result: SweepPointResult) -> str:
         """Append ``result`` (checkpoint) and return its key."""
@@ -330,20 +318,15 @@ class ResultStore:
         self.append_rows(rows)
         return [str(row["key"]) for row in rows]
 
-    def append_row(self, row: dict) -> str:
-        """Append a raw store row (last row wins on lookup); returns its key.
-
-        The merge path uses this to transplant rows between stores verbatim
-        — the row's ``key`` field is trusted, so only rows that came out of
-        a store under the same salt should ever be re-appended.
-        """
-        self.append_rows([row])
-        return str(row["key"])
-
     def append_rows(self, rows: Sequence[dict]) -> None:
-        """Append raw rows under one file handle (the bulk half of
-        :meth:`append_row`; merges use it so row count does not translate
-        into open/close round-trips)."""
+        """Append raw store rows under one file handle (last row wins on
+        lookup).
+
+        Merges use this to transplant rows between stores verbatim, so row
+        count does not translate into open/close round-trips.  Each row's
+        ``key`` field is trusted: only rows that came out of a store under
+        the same salt should ever be re-appended.
+        """
         if not rows:
             return
         offsets = self._ensure_index()
@@ -546,7 +529,7 @@ def merge_stores(
     store with a truncated trailing line (a host killed mid-append) merges
     its valid prefix.  Manifests are merged too: expected keys from every
     salt-matching manifest (destination included) plus every merged row are
-    unioned into the destination's manifest, so a coordinator can ask the
+    unioned into the destination's manifest, so any one host can ask the
     merged store which points are still owed (`manifest_status`).  The
     destination's index is rebuilt and flushed from the merged data —
     never trusted stale (see :meth:`ResultStore.clear`).

@@ -15,6 +15,14 @@ cross-traffic unicasts, 128-flit mixed traffic under both arrival
 processes, single and compound slow-channel periods, and a bounded run
 window cut mid-stream.
 
+The sweep layer is pinned the same way: ``tests/golden/sweeps.json`` holds
+the sha256 of the exact bytes ``repro-spam sweep ... --export`` writes for
+three smoke-scale sweeps (Figure 2, the software comparison, and the
+Figure-3 grid of the CI sweep-smoke job), each computed in-process with no
+result store.  The batched-vs-per-point and sharded-vs-whole differentials
+then have a stored reference too: CI hashes its merged and batched Figure-3
+exports against the same digest.
+
 Regenerate the corpus only for a change that is *meant* to move results,
 and say in the commit message why it moved::
 
@@ -24,14 +32,18 @@ and say in the commit message why it moved::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.spam import SpamRouting
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
@@ -43,6 +55,8 @@ from repro.traffic.arrivals import NegativeBinomialArrivals, PoissonArrivals
 from repro.traffic.workload import MessageSpec, Workload, mixed_traffic_workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine.json"
+SWEEP_GOLDEN_PATH = Path(__file__).parent / "golden" / "sweeps.json"
+REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
 
 
 @dataclass
@@ -240,9 +254,48 @@ def test_single_channel_perturbation_fails_the_comparison(golden):
         compare(name, mutated, golden)
 
 
+#: Export name -> ``repro-spam`` arguments of the sweep whose ``--export``
+#: bytes are pinned.  Names key ``tests/golden/sweeps.json``.
+SWEEP_EXPORTS: dict[str, list[str]] = {
+    "figure2": ["--scale", "smoke", "sweep", "figure2"],
+    "compare": ["--scale", "smoke", "sweep", "compare"],
+    "figure3": [
+        "--scale", "smoke", "sweep", "figure3",
+        "--network-size", "32", "--degrees", "4", "8", "--rates", "0.005", "0.02",
+    ],
+}
+
+
+def sweep_export_digest(argv: list[str]) -> str:
+    """sha256 of the ``--export`` file of ``repro-spam <argv> --no-cache``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main([*argv, "--no-cache", "--export", str(path)]) == 0
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def load_sweep_golden() -> dict:
+    return json.loads(SWEEP_GOLDEN_PATH.read_text())["exports"]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_EXPORTS))
+def test_sweep_export_matches_golden(name):
+    expected = load_sweep_golden()[name]
+    assert expected["argv"] == SWEEP_EXPORTS[name]
+    assert sweep_export_digest(SWEEP_EXPORTS[name]) == expected["sha256"], (
+        f"sweep export {name!r} moved from its golden digest"
+    )
+
+
+def test_sweep_corpus_covers_exactly_the_exports():
+    assert sorted(load_sweep_golden()) == sorted(SWEEP_EXPORTS)
+
+
 def regenerate() -> None:
-    """Rewrite the corpus from the current engine (fast path and reference
-    must agree on every scenario before anything is written)."""
+    """Rewrite both corpora: the engine scenarios (fast path and reference
+    must agree on every scenario before anything is written) and the sweep
+    export digests."""
     scenarios = {}
     for name, build in SCENARIOS.items():
         fast = observe(build(), fast_path=True)
@@ -251,19 +304,24 @@ def regenerate() -> None:
             raise SystemExit(f"{name}: fast path and reference disagree; not writing")
         scenarios[name] = fast
         print(f"{name}: {fast['sha256']}")
-    document = {
-        "regenerate": "PYTHONPATH=src python tests/test_golden.py --regenerate",
-        "scenarios": scenarios,
-    }
+    document = {"regenerate": REGENERATE, "scenarios": scenarios}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    exports = {}
+    for name, argv in SWEEP_EXPORTS.items():
+        exports[name] = {"argv": argv, "sha256": sweep_export_digest(argv)}
+        print(f"{name}: {exports[name]['sha256']}")
+    document = {"regenerate": REGENERATE, "exports": exports}
+    SWEEP_GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {SWEEP_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--regenerate", action="store_true", help="rewrite tests/golden/engine.json"
+        "--regenerate", action="store_true",
+        help="rewrite tests/golden/engine.json and tests/golden/sweeps.json",
     )
     if parser.parse_args().regenerate:
         regenerate()

@@ -427,8 +427,9 @@ class TestSharding:
 
 
 class TestManifestStatusEdgeCases:
-    """Regression pins for `manifest_status` corner cases the fleet layer
-    leans on (the coordinator reads completion straight off the manifest)."""
+    """Regression pins for `manifest_status` corner cases that `sweep merge`
+    and the resume check lean on (both read completion straight off the
+    manifest)."""
 
     def test_no_manifest_returns_none(self, tmp_path):
         assert ResultStore(tmp_path / "cache").manifest_status() is None
@@ -454,9 +455,9 @@ class TestManifestStatusEdgeCases:
         assert status.describe() == "store: 0/0 expected points done"
 
     def test_expected_but_empty_store_owes_every_point(self, tmp_path):
-        """A manifest recorded up front (the coordinator does this at
-        startup) against a store with no rows yet: nothing done, everything
-        missing, and the describe line says so."""
+        """A manifest recorded up front (a shard run does this before it
+        computes anything) against a store with no rows yet: nothing done,
+        everything missing, and the describe line says so."""
         _config, specs = small_specs((1, 4))
         store = ResultStore(tmp_path / "cache")
         store.record_expected(specs)
@@ -562,8 +563,8 @@ class TestMergeStores:
         assert dst.get(replace(BASE_SPEC, workload_seed=1)).latencies_us == (2.0,)
 
     def test_merged_manifest_reports_missing_shard_points(self, tmp_path):
-        """A coordinator merging an incomplete shard sees exactly the owed
-        keys in the merged manifest."""
+        """Merging an incomplete shard leaves exactly the owed keys in the
+        merged manifest, so the host running the merge knows what to re-run."""
         _config, specs = small_specs((1, 4, 8))
         store = ResultStore(tmp_path / "shard")
         store.record_expected(specs, shard=(0, 1))
@@ -582,10 +583,10 @@ class TestMergeStores:
 
 class TestClearStaleIndex:
     def test_clear_then_merge_rebuilds_index(self, tmp_path):
-        """Regression: after ``clear()``, a merge into the same root (by a
-        coordinator holding its own store instance) must be visible to the
-        original instance — the advisory index is rebuilt from the new
-        ``results.jsonl``, never trusted stale."""
+        """Regression: after ``clear()``, a merge into the same root (through
+        a second store instance) must be visible to the original instance —
+        the advisory index is rebuilt from the new ``results.jsonl``, never
+        trusted stale."""
         spec_a = BASE_SPEC
         spec_b = replace(BASE_SPEC, workload_seed=6)
         src = ResultStore(tmp_path / "src")
