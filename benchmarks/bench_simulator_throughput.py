@@ -14,14 +14,14 @@ Five kinds of scenario are exercised:
   streaming dominates and the engine's event-coalescing fast path pays off,
 * Figure-3-style mixed-traffic scenarios (128 switches, 90 % unicast / 10 %
   multicast, Poisson and negative-binomial arrivals) — the workloads that
-  motivated the phase-staggered and bubble-periodic coalescing modes, the
+  motivated the phase-staggered and bubble-periodic coalescing patterns, the
   profile used to tune ``_MIN_BATCH_TICKS`` and the probe backoff, and (at
   the paper's 128-flit length) the churn regime whose probe-economics
   counters (verify failures, drain bails, generic bails) the snapshot
   records,
 * slow-channel scenarios (``channel_latency_factors``): worms behind a 2x
   or 3x injection bottleneck stream at rate 1/k and exercise the
-  multi-period (every-k-th-window) coalescing mode,
+  multi-period (every-k-th-window) coalescing pattern,
 * an explicit fast-path vs. reference comparison that asserts bit-identical
   delivery timestamps and records the measured speedups to
   ``benchmarks/results/simulator_throughput.json`` (the committed
@@ -247,24 +247,17 @@ def test_fast_path_speedup_and_equivalence(
             assert speedup >= floor, f"{name}: fast path speedup {speedup:.2f}x < {floor}x"
 
     # Figure-3 mixed traffic: the workloads the phase-staggered and
-    # bubble-periodic coalescing modes were built for.  ``sync_only`` runs
-    # the fast path with both new modes disabled, so the recorded numbers
-    # separate their contribution from PR 1's synchronized coalescing.  The
-    # 512-flit variants are where streaming dominates and those modes pay;
-    # the paper-length 128-flit runs are churn-dominated — their
-    # probe-economics counters are recorded so the churn-regime trajectory
-    # (verify failures down, drain bails engaged, speedup vs reference up)
-    # stays visible across PRs.
+    # bubble-periodic patterns matter for.  The 512-flit variants are where
+    # streaming dominates; the paper-length 128-flit runs are
+    # churn-dominated — their probe-economics counters are recorded so the
+    # churn-regime trajectory (verify failures down, drain bails engaged,
+    # speedup vs reference up) stays visible across PRs.
     network, routing, workloads, base_config = figure3_setup
     for arrival, workload in workloads.items():
         for flits in (base_config.message_length_flits, 512):
             config = base_config.with_overrides(message_length_flits=flits)
             ref_config = config.with_overrides(fast_path=False)
-            sync_only_config = config.with_overrides(
-                coalesce_stagger=False, coalesce_bubbles=False
-            )
             fast_s, fast_sim = _time_mixed(network, routing, workload, config, rounds=2)
-            sync_s, _ = _time_mixed(network, routing, workload, sync_only_config, rounds=2)
             ref_s, ref_sim = _time_mixed(network, routing, workload, ref_config, rounds=2)
 
             assert {m: dict(msg.delivered_ns) for m, msg in fast_sim.messages.items()} == {
@@ -290,8 +283,6 @@ def test_fast_path_speedup_and_equivalence(
                     "fast_flit_hops_per_sec": round(hops / fast_s),
                     "reference_flit_hops_per_sec": round(hops / ref_s),
                     "speedup": round(ref_s / fast_s, 2),
-                    "sync_only_seconds": round(sync_s, 6),
-                    "sync_only_speedup": round(ref_s / sync_s, 2),
                     "coalesced_ticks": fast_sim.coalesced_ticks,
                     "coalesced_stagger_ticks": fast_sim.coalesced_stagger_ticks,
                     "coalesced_bubble_ticks": fast_sim.coalesced_bubble_ticks,
@@ -302,12 +293,6 @@ def test_fast_path_speedup_and_equivalence(
                     "coalesce_drain_bails": fast_sim.coalesce_drain_bails,
                 }
             )
-            if os.environ.get("REPRO_BENCH_STRICT") and flits == 512:
-                # The new modes must beat sync-only coalescing where
-                # streaming dominates (measured ≈1.3–1.5x); floor well below.
-                assert sync_s / fast_s >= 1.1, (
-                    f"{arrival}@512f: modes speedup {sync_s / fast_s:.2f}x < 1.1x"
-                )
 
     # Slow-channel scenarios: a 2x/3x injection bottleneck throttles the
     # worm to rate 1/k — the multi-period (every-k-th-window) coalescing

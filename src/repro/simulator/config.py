@@ -64,36 +64,8 @@ class SimulationConfig:
         traces and statistics; turn it off to force the reference per-flit
         execution (useful when stepping through the engine, and exercised by
         the trace-equivalence tests).  ``docs/fast_path.md`` specifies the
-        coalescing contract.
-    coalesce_stagger:
-        Allow the fast path to coalesce *phase-staggered* period windows:
-        pending flit transfers may sit at several deadlines (congruence
-        classes modulo ``channel_latency_ns``) within one channel period
-        instead of one synchronized tick, so concurrently-active worms that
-        started on different cycles — e.g. under Poisson arrivals — still
-        batch.  Ignored when ``fast_path`` is off.
-    coalesce_bubbles:
-        Allow the fast path to coalesce *bubble-periodic* steady states:
-        windows whose only non-body activity is a fixed per-tick bubble
-        emission from blocked multicast branches (the bubble signature —
-        buffer contents, creation count, trace records — must repeat
-        exactly).  Ignored when ``fast_path`` is off.
-    coalesce_multi_period:
-        Allow the fast path to coalesce *multi-period* steady states: a
-        window whose activity is self-similar with period
-        ``k × channel_latency_ns`` for some ``k ≤ coalesce_k_max`` — the
-        regime behind a rate bottleneck such as a slow channel (see
-        ``channel_latency_factors``), where every link upstream of the
-        bottleneck fires every k-th window.  The probe tries k in
-        ascending order before declaring a verify failure.  Ignored when
-        ``fast_path`` is off.
-    coalesce_k_max:
-        Largest compound period (in channel periods) the multi-period
-        probe will try; ``K_MAX`` in ``docs/fast_path.md``.  Larger values
-        deepen the state closure the probe snapshots, so keep this small
-        (the default covers the 2× and 3× slow channels that produce
-        multi-period patterns in practice).  Ignored when
-        ``coalesce_multi_period`` is off.
+        coalescing contract; the patterns it coalesces have no switches of
+        their own.
     channel_latency_factors:
         Per-channel latency multipliers ``((cid, factor), ...)``: channel
         ``cid`` forwards one flit per ``factor × channel_latency_ns``
@@ -101,11 +73,12 @@ class SimulationConfig:
         an irregular topology.  Factors are positive integers so event
         timestamps stay on the base grid.  A slow channel throttles its
         whole worm to rate ``1/factor`` — the canonical source of
-        every-k-th-window steady states (``coalesce_multi_period``).
+        every-k-th-window steady states the fast path's multi-period
+        pattern coalesces.
     telemetry:
         Record wall-clock telemetry (:mod:`repro.obs`) during runs: one
-        span per fast-path probe with its exit tier, snapshot/replay
-        sub-spans, and the ``coalesce_*`` counters re-published as gauges.
+        span per fast-path probe with its exit tier, and the ``coalesce_*``
+        counters re-published as gauges.
         Telemetry is observability-only — every observable result stays
         bit-identical with it on or off (the observables firewall,
         ``docs/observability.md``) — but the per-probe instrumentation
@@ -124,10 +97,6 @@ class SimulationConfig:
     collect_channel_stats: bool = False
     trace: bool = False
     fast_path: bool = True
-    coalesce_stagger: bool = True
-    coalesce_bubbles: bool = True
-    coalesce_multi_period: bool = True
-    coalesce_k_max: int = 3
     channel_latency_factors: tuple[tuple[int, int], ...] = ()
     telemetry: bool = False
 
@@ -144,8 +113,6 @@ class SimulationConfig:
             raise ConfigurationError("buffer depths must be at least one flit")
         if self.max_hops < 2:
             raise ConfigurationError("max_hops must be at least 2")
-        if self.coalesce_k_max < 1:
-            raise ConfigurationError("coalesce_k_max must be at least 1")
         seen_cids: set[int] = set()
         for entry in self.channel_latency_factors:
             try:

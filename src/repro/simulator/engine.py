@@ -37,30 +37,30 @@ counters, busy-time accounting, trace records and the pending transfer
 deadlines are all advanced in O(links) instead of O(k × links) heap events.
 ``k`` is capped so the batch ends strictly before the first non-transfer
 event, before any head or tail flit would move, and before a bounded run's
-window boundary.  Four steady-state patterns coalesce:
+window boundary.  Four steady-state patterns coalesce, with no switch
+beyond ``fast_path`` itself:
 
 * **synchronized body streaming** — every pending transfer completes at the
   same deadline and every wire flit is a body flit shifted by exactly one
   sequence number per tick;
-* **phase-staggered streaming** (``SimulationConfig.coalesce_stagger``) —
-  pending transfers sit at several deadlines (congruence classes modulo the
-  channel period) within one window, as happens when concurrently-active
-  worms started on different cycles (e.g. Poisson arrivals); each class
-  advances by the period independently;
-* **bubble-periodic streaming** (``SimulationConfig.coalesce_bubbles``) —
-  blocked multicast branches emit a fixed set of bubbles per period
-  (asynchronous replication); the window is self-similar *including* its
-  bubble signature: bubble buffer contents are bit-identical, and the
-  bubble-creation count, per-link bubble counters and ``bubble`` trace
-  records advance by the same fixed amount every period;
-* **multi-period streaming** (``SimulationConfig.coalesce_multi_period``) —
-  behind a rate bottleneck such as a slow channel
-  (``SimulationConfig.channel_latency_factors``), links fire every k-th
-  window instead of every window; the probe tries compound periods
-  ``k × channel_latency_ns`` for ``k`` up to
-  ``SimulationConfig.coalesce_k_max``, verifying self-similarity over the
-  whole compound window (per-slot sequence advances measured, not
-  assumed) and replaying whole compound periods arithmetically.
+* **phase-staggered streaming** — pending transfers sit at several
+  deadlines (congruence classes modulo the channel period) within one
+  window, as happens when concurrently-active worms started on different
+  cycles (e.g. Poisson arrivals); each class advances by the period
+  independently;
+* **bubble-periodic streaming** — blocked multicast branches emit a fixed
+  set of bubbles per period (asynchronous replication); the window is
+  self-similar *including* its bubble signature: bubble buffer contents
+  are bit-identical, and the bubble-creation count, per-link bubble
+  counters and ``bubble`` trace records advance by the same fixed amount
+  every period;
+* **multi-period streaming** — behind a rate bottleneck such as a slow
+  channel (``SimulationConfig.channel_latency_factors``), links fire every
+  k-th window instead of every window; the probe tries compound periods
+  ``k × channel_latency_ns`` for ``k`` up to ``_K_MAX``, verifying
+  self-similarity over the whole compound window (per-slot sequence
+  advances measured, not assumed) and replaying whole compound periods
+  arithmetically.
 
 **Equivalence guarantee:** because the verification window *is* the
 reference execution and self-similarity is checked structurally (buffer
@@ -74,16 +74,17 @@ asynchronous-replication bubbles, OCRQ contention, Poisson and
 negative-binomial arrivals, phase-staggered worms, slow channels and
 bounded ``run_for`` windows.  Anything the verifier cannot prove
 self-similar simply runs on the per-flit substrate.  ``docs/fast_path.md``
-specifies the contract in full, including how to add a new coalescible
-pattern safely; every ``coalesce_*`` observability counter the engine
-exposes is documented in ``docs/engine_counters.md``.
+specifies the contract in full, including the probe's phases and exit
+tiers and how to add a new coalescible pattern safely; every
+``coalesce_*`` observability counter the engine exposes is documented in
+``docs/engine_counters.md``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heappop
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..core.interface import RoutingAlgorithm
 from ..core.multicast import normalize_destinations
@@ -121,6 +122,19 @@ _MIN_BATCH_TICKS = 4
 #: the ``tuning`` section of ``BENCH_simulator_throughput.json``.
 _COALESCE_BACKOFF_TICKS = 4
 _COALESCE_BACKOFF_MAX_TICKS = 32
+
+#: Largest compound period, in channel periods, the probe tries on a network
+#: with slow channels (``K_MAX`` in ``docs/fast_path.md``).  Each extra period
+#: deepens the snapshotted closure by one expansion; 3 covers the 2x and 3x
+#: bottlenecks that produce multi-period patterns in practice.
+_K_MAX = 3
+
+#: Probe exit tiers, cheapest first: ``_coalesce_tick`` returns one of these,
+#: and ``_PROBE_TIERS[tier]`` is its telemetry name.  Below
+#: ``_VERIFY_FAILURE`` the probe touched no simulation state; from it on, at
+#: least one window ran through the per-flit machinery.
+_GENERIC_BAIL, _SCAN_REJECT, _DRAIN_BAIL, _VERIFY_FAILURE, _BATCH = range(5)
+_PROBE_TIERS = ("generic_bail", "scan_reject", "drain_bail", "verify_failure", "batch")
 
 
 class WormholeSimulator:
@@ -189,8 +203,6 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
-        self._coalesce_stagger = self.config.coalesce_stagger
-        self._coalesce_bubbles = self.config.coalesce_bubbles
         #: Largest compound period (in channel periods) the probe will try;
         #: 1 collapses every multi-period code path back to single-window
         #: probing.  Multi-period patterns require a sub-unit-rate
@@ -202,11 +214,7 @@ class WormholeSimulator:
         #: a different latency (``channel_latency_factors``).
         base_latency = self.config.channel_latency_ns
         heterogeneous = any(link.latency_ns != base_latency for link in self.links)
-        self._coalesce_k_max = (
-            self.config.coalesce_k_max
-            if self.config.coalesce_multi_period and heterogeneous
-            else 1
-        )
+        self._coalesce_k_max = _K_MAX if heterogeneous else 1
         # Fast-path bookkeeping: earliest time a coalesce attempt is allowed.
         # Each tick is probed at most once, and an attempt that paid for a
         # snapshot but failed verification backs off for a few ticks (failed
@@ -267,13 +275,6 @@ class WormholeSimulator:
             if telemetry is not None
             else (Telemetry(track="engine") if self.config.telemetry else NULL_TELEMETRY)
         )
-        #: ``None`` when telemetry is off — the single flag ``_coalesce_tick``
-        #: checks before recording section marks, so the disabled fast path
-        #: pays one attribute load on its cold sections and nothing else.
-        self._obs_clock = self.telemetry.clock if self.telemetry.enabled else None
-        #: Scratch marks ``_coalesce_tick`` leaves for ``_coalesce_tick_timed``
-        #: (section timestamps and the verified ``k``/``ticks`` of a batch).
-        self._obs_marks: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Time and scheduling helpers
@@ -366,11 +367,12 @@ class WormholeSimulator:
         # Telemetry selects the probe entry point once, outside the loop:
         # disabled runs call the raw probe and pay zero per-event overhead
         # (``telemetry is NULL_TELEMETRY``); enabled runs go through the
-        # timing wrapper, which classifies each probe's exit tier post-hoc
-        # from the counter deltas.
+        # timing wrapper, which labels one span with the tier the probe
+        # returned.
         telemetry = self.telemetry
         instrumented = telemetry.enabled
         coalesce = self._coalesce_tick_timed if instrumented else self._coalesce_tick
+        executed = _VERIFY_FAILURE
         run_start_ns = telemetry.clock() if instrumented else 0
         # The loop body below is ``pop_entry()`` unrolled by hand: this is the
         # hottest loop in the repository and method/property calls per event
@@ -389,7 +391,7 @@ class WormholeSimulator:
             # would be too small, and otherwise ends every batch strictly
             # before the first of them fires.
             if fast and heap[0][2] and t0 >= self._coalesce_gate_ns:
-                if coalesce(t0, until_ns):
+                if coalesce(t0, until_ns) >= executed:
                     continue
             entry = heappop(heap)
             events.now = entry[0]
@@ -433,74 +435,106 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     # Steady-state coalescing fast path
     # ------------------------------------------------------------------
-    def _coalesce_tick(self, t0: int, until_ns: int | None) -> bool:
-        """Attempt to coalesce the steady-state pattern starting at ``t0``.
+    def _coalesce_tick(self, t0: int, until_ns: int | None) -> int:
+        """Probe the steady-state pattern starting at ``t0``; return the
+        probe's exit tier.
 
-        The probe executes whole period windows ``[t0, t0 + k·L)`` (where
-        ``L = channel_latency_ns``) through the ordinary per-flit machinery
-        and checks, for ascending candidate periods ``k``, whether the
-        executed span is *self-similar with period k·L*; the first period
-        that verifies is replayed arithmetically.  ``k = 1`` is the
-        single-window probe of PR 1/2; larger periods (up to
-        ``SimulationConfig.coalesce_k_max``) recognise multi-period
-        patterns — links firing every k-th window behind a rate bottleneck
-        such as a slow channel.
+        Phases, cheapest first; the first that rules out a batch ends the
+        probe with its tier (``docs/fast_path.md`` has the table):
 
-        Returns ``True`` when at least one window was executed here —
-        whether or not a batch advance followed.  Returns ``False`` without
-        touching any state when the preconditions fail cheaply; the caller
-        then pops events normally.
+        1. bail (here, O(1) on the earliest generic deadline) —
+           ``_GENERIC_BAIL``;
+        2. :meth:`_probe_scan` (one heap pass) — ``_SCAN_REJECT`` or
+           ``_DRAIN_BAIL``;
+        3. :meth:`_probe_snapshot` (the closure of touchable state);
+        4. :meth:`_probe_execute` (run windows ``[t0, t0 + k·L)`` through the
+           per-flit machinery and examine them for ascending ``k``) —
+           ``_VERIFY_FAILURE``;
+        5. :meth:`_probe_replay` — ``_BATCH``, or ``_VERIFY_FAILURE`` when
+           the replay would be too short to pay.
+
+        Multi-period candidates (``k > 1``) exist only when
+        ``_coalesce_k_max > 1``; what they need beyond the single-window
+        path sits in the ``_compound_*`` helpers and
+        :meth:`_replay_compound_link_stats`.
         """
-        events = self.events
         latency = self.config.channel_latency_ns
-        # Probe each window at most once (re-opened below on a verify failure).
+        # Probe each window at most once (a failed probe closes the gate for
+        # longer; see _coalesce_pause).
         self._coalesce_gate_ns = t0 + latency
-        window_end = t0 + latency
-        # -- O(1) bail: the queue maintains the earliest pending generic
-        # deadline.  Every batch must end strictly before it, so even in the
-        # best case (all transfers at t0) the batch length is bounded by
+        # -- Bail: the queue maintains the earliest pending generic deadline.
+        # Every batch must end strictly before it, so even in the best case
+        # (all transfers at t0) the batch length is bounded by
         # (t_other - 1 - t0) // latency; when that optimistic bound is
         # already below the worthwhile minimum — the dominant rejection in
         # churn phases, where submits/decisions/acquisitions queue close by —
         # the probe exits before paying for any heap scan or snapshot.
-        # Counted at most once per probe: the per-k room caps below merely
-        # shrink k_limit without touching the counter again.
-        generic_times = events._generic_times
+        generic_times = self.events._generic_times
         t_other: int | None = generic_times[0] if generic_times else None
         if t_other is not None and (t_other - 1 - t0) // latency < _MIN_BATCH_TICKS + 1:
             self.coalesce_generic_bails += 1
-            return False
-        # -- Largest compound period worth probing here: a k-period batch
-        # must execute k reference windows and replay at least one compound
-        # window with m·k >= _MIN_BATCH_TICKS, i.e. ceil(MIN/k)·k more
-        # windows, all strictly before the first generic deadline and
-        # inside a bounded run's window.
+            return _GENERIC_BAIL
         k_limit = self._coalesce_k_max
         if k_limit > 1:
+            k_limit = self._compound_k_limit(t0, t_other, until_ns)
+        window = self._probe_scan(t0, until_ns, t_other, k_limit)
+        if isinstance(window, int):
+            return window
+        k_min, off_class, moving = window
+        snapshot = self._probe_snapshot(moving, k_limit)
+        verified = self._probe_execute(t0, k_min, k_limit, snapshot)
+        if isinstance(verified, int):
+            return verified
+        k, plan = verified
+        return self._probe_replay(t0, until_ns, t_other, off_class, snapshot, k, plan)
 
-            def fits(k: int, room: int) -> bool:
-                replay = ((_MIN_BATCH_TICKS + k - 1) // k) * k
-                return k + replay <= room
+    def _compound_k_limit(self, t0: int, t_other: int | None, until_ns: int | None) -> int:
+        """Largest compound period worth probing at ``t0``: a k-period batch
+        executes k reference windows and then replays at least one compound
+        window with ``m·k >= _MIN_BATCH_TICKS``, i.e. ``ceil(MIN/k)·k`` more
+        windows, all strictly before the first generic deadline and inside a
+        bounded run's window.  Only probes on networks with slow channels
+        get here."""
+        latency = self.config.channel_latency_ns
+        room: int | None = None
+        if t_other is not None:
+            room = (t_other - 1 - t0) // latency
+        if until_ns is not None:
+            until_room = (until_ns - t0) // latency
+            if room is None or until_room < room:
+                room = until_room
+        k_limit = self._coalesce_k_max
+        if room is not None:
+            while k_limit > 1:
+                replay = ((_MIN_BATCH_TICKS + k_limit - 1) // k_limit) * k_limit
+                if k_limit + replay <= room:
+                    break
+                k_limit -= 1
+        return k_limit
 
-            if t_other is not None:
-                room = (t_other - 1 - t0) // latency
-                while k_limit > 1 and not fits(k_limit, room):
-                    k_limit -= 1
-            if until_ns is not None:
-                room = (until_ns - t0) // latency
-                while k_limit > 1 and not fits(k_limit, room):
-                    k_limit -= 1
-        horizon = window_end if k_limit == 1 else t0 + k_limit * latency
-        # -- Cheap scan (unsorted): every pending transfer must complete
-        # within the probe horizon (k_limit windows), off-grid deadlines
-        # need phase-staggered windows enabled, every wire flit must be a
-        # body flit (or a bubble, when bubble-periodic windows are allowed),
-        # and a wire flit that is the last one queued must have a feeder
-        # that can still refill the buffer.  This rejects head crawls and
-        # worm-drain phases before paying for a sort or a snapshot.
+    def _probe_scan(
+        self, t0: int, until_ns: int | None, t_other: int | None, k_limit: int
+    ) -> int | tuple[int, bool, list[tuple[int, LinkState, bool]]]:
+        """Phase 2: one unsorted pass over the heap.
+
+        Every pending transfer must complete within the probe horizon
+        (``k_limit`` windows), every wire flit must be a body flit or a
+        bubble, and a wire flit that is the last one queued must have a
+        feeder that can still refill the buffer; the replay the window
+        allows must also be worthwhile.  This rejects head crawls and
+        worm-drain phases before paying for a sort or a snapshot.
+
+        Returns the exit tier (``_SCAN_REJECT`` or ``_DRAIN_BAIL``) when the
+        window is rejected, else ``(k_min, off_class, moving)``: the
+        smallest period covering every pending deadline, whether the
+        transfers span several deadline classes (the phase-staggered
+        pattern), and the pending transfers in per-flit completion order as
+        ``(deadline, link, wire flit is a bubble)``.
+        """
+        events = self.events
+        latency = self.config.channel_latency_ns
+        horizon = t0 + k_limit * latency
         messages = self.messages
-        allow_stagger = self._coalesce_stagger
-        allow_bubbles = self._coalesce_bubbles
         d_max = t0
         off_class = False
         flit_cap: int | None = None
@@ -509,24 +543,22 @@ class WormholeSimulator:
                 continue
             if time_ns != t0:
                 if time_ns >= horizon:
-                    return False
+                    return _SCAN_REJECT
                 if (time_ns - t0) % latency:
-                    if not allow_stagger:
-                        return False
                     off_class = True
                 if time_ns > d_max:
                     d_max = time_ns
             out_slots = payload.out_buffer._slots
             if not out_slots:
-                return False
+                return _SCAN_REJECT
             flit = out_slots[0]
             flit_kind = flit.kind
             if flit_kind is FlitKind.BODY:
                 limit = messages[flit.message_id].length_flits - 2 - flit.seq
                 if flit_cap is None or limit < flit_cap:
                     flit_cap = limit
-            elif flit_kind is not FlitKind.BUBBLE or not allow_bubbles:
-                return False
+            elif flit_kind is not FlitKind.BUBBLE:
+                return _SCAN_REJECT
             in_buffer = payload.in_buffer
             if len(in_buffer._slots) >= in_buffer.capacity:
                 # -- Drain bail (blocked receiver): the receiving input
@@ -569,8 +601,8 @@ class WormholeSimulator:
                     # a compound period).
                     return self._coalesce_drain_bail(t0, latency)
         # -- Economics precheck (exact caps are recomputed per verified
-        # period below; for k > 1 these single-period bounds are simply
-        # conservative).
+        # period in the replay; for k > 1 these single-period bounds are
+        # simply conservative).
         cap = flit_cap
         if t_other is not None:
             # Every replayed window must end strictly before the first
@@ -583,34 +615,31 @@ class WormholeSimulator:
             if cap is None or cap_until < cap:
                 cap = cap_until
         if cap is not None and cap < _MIN_BATCH_TICKS + 1:
-            return False
+            return _SCAN_REJECT
         if flit_cap is None and cap is None:
             # A pure-bubble window with no bounding event: the stall that
             # feeds the bubbles can only resolve through an event this scan
             # cannot see, so never replay it arithmetically.
-            return False
-        # Smallest period covering every pending deadline.
-        k_min = 1 if d_max < window_end else (d_max - t0) // latency + 1
-        # Pending transfers in per-flit completion order: (deadline, link,
-        # whether the wire flit is a bubble).
+            return _SCAN_REJECT
+        k_min = 1 if d_max < t0 + latency else (d_max - t0) // latency + 1
         moving = [
             (entry[0], entry[3], entry[3].out_buffer._slots[0].kind is FlitKind.BUBBLE)
             for entry in sorted(events._heap)
             if entry[2]
         ]
+        return k_min, off_class, moving
 
-        # -- Snapshot the closure of state the probe can touch.  One
-        # expansion (the moving links plus every buffer their sink segments
-        # replicate into and their feeders drain from) covers a single
-        # window; each further window can reach one expansion more, so the
-        # closure is expanded k_limit times.
+    def _probe_snapshot(
+        self, moving: list[tuple[int, LinkState, bool]], k_limit: int
+    ) -> _ProbeSnapshot:
+        """Phase 3: snapshot the closure of state the probe can touch.
+
+        One expansion (the moving links plus every buffer their sink
+        segments replicate into and their feeders drain from) covers a
+        single window; each further window can reach one expansion more, so
+        the closure is expanded ``k_limit`` times.
+        """
         self.coalesce_snapshots += 1
-        obs_clock = self._obs_clock
-        if obs_clock is not None:
-            # Section marks for the telemetry wrapper.  Only the cold
-            # sections are marked — every probe that reaches here has
-            # already paid for a heap scan, so two clock reads are noise.
-            self._obs_marks["snapshot_start_ns"] = obs_clock()
         closure: dict[LinkState, None] = {}
         segments: dict[WormSegment, None] = {}
         interfaces: dict[SourceInterface, None] = {}
@@ -638,42 +667,13 @@ class WormholeSimulator:
             if not grown:
                 break
             frontier = grown
-
-        def link_snap(link: LinkState):
-            return (
-                link.busy,
-                link.reserved_by,
-                link.feeder,
-                link.sink_segment,
-                tuple((f.kind, f.message_id, f.seq) for f in link.out_buffer.flits()),
-                tuple((f.kind, f.message_id, f.seq) for f in link.in_buffer.flits()),
-            )
-
-        pre_links = [(link, link_snap(link)) for link in closure]
-        pre_segments = [
-            (seg, seg.state, seg.head_replicated, tuple(seg.outputs), tuple(seg.required))
-            for seg in segments
-        ]
-        pre_interfaces = [
-            (ni, ni.current, ni.next_seq, len(ni.queue)) for ni in interfaces
-        ]
         stats = self.stats
-        collect = self._collect_stats
-        pre_flit_hops = stats.flit_hops
-        pre_bubbles = stats.bubbles_created
-        pre_counters = (
-            stats.messages_completed,
-            len(self._segments),
-            self._delivery_count,
-        )
         trace = self.trace
-        pre_trace_len = len(trace.events) if trace is not None else 0
-        pre_generic_len = len(generic_times)
         # Per-link statistics baselines, needed only if a multi-period batch
         # replays (a verified single window implies one flit of the scanned
         # kind per moving link and continuous wire busyness, so k == 1 keeps
         # the cheaper closed-form advance).
-        pre_link_stats = (
+        link_stats = (
             [
                 (
                     link,
@@ -684,130 +684,56 @@ class WormholeSimulator:
                 )
                 for link in closure
             ]
-            if collect and k_limit > 1
+            if self._collect_stats and k_limit > 1
             else None
         )
+        return _ProbeSnapshot(
+            moving=moving,
+            links=[
+                (
+                    link,
+                    (
+                        link.busy,
+                        link.reserved_by,
+                        link.feeder,
+                        link.sink_segment,
+                        _buffer_signature(link.out_buffer),
+                        _buffer_signature(link.in_buffer),
+                    ),
+                )
+                for link in closure
+            ],
+            segments=[
+                (seg, seg.state, seg.head_replicated, tuple(seg.outputs), tuple(seg.required))
+                for seg in segments
+            ],
+            interfaces=[(ni, ni.current, ni.next_seq, len(ni.queue)) for ni in interfaces],
+            link_stats=link_stats,
+            flit_hops=stats.flit_hops,
+            bubbles=stats.bubbles_created,
+            counters=(stats.messages_completed, len(self._segments), self._delivery_count),
+            trace_len=len(trace.events) if trace is not None else 0,
+            generic_len=len(self.events._generic_times),
+        )
 
-        if obs_clock is not None:
-            self._obs_marks["snapshot_end_ns"] = obs_clock()
+    def _probe_execute(
+        self, t0: int, k_min: int, k_limit: int, snapshot: _ProbeSnapshot
+    ) -> int | tuple[int, tuple]:
+        """Phase 4: execute windows through the per-flit machinery, examining
+        the accumulated span against each candidate period in ascending
+        order.
 
-        complete_transfer = self._complete_transfer
-        pop_entry = events.pop_entry
+        Whatever happens, everything executed here is exactly the reference
+        execution, so a probe that never verifies has simply run the
+        simulation forward.  Returns ``(k, plan)`` for the first period
+        that verifies (see :meth:`_probe_examine`), else ends the probe with
+        ``_VERIFY_FAILURE``.
+        """
+        events = self.events
+        latency = self.config.channel_latency_ns
         heap = events._heap
-        count = len(moving)
-
-        def examine(k: int):
-            """Compare the current state against the snapshot shifted by
-            ``k`` periods.  Returns ``("ok", plan)`` when self-similar,
-            ``("retry", None)`` for mismatches a longer compound period
-            could still close (mid-pattern sub-windows), and
-            ``("abort", None)`` for permanent transitions (segment
-            lifecycle, NI message changes, generics, deliveries) that no
-            period can make periodic."""
-            shift = k * latency
-            if (
-                stats.messages_completed,
-                len(self._segments),
-                self._delivery_count,
-            ) != pre_counters:
-                return "abort", None
-            if len(generic_times) != pre_generic_len:
-                return "abort", None
-            bubble_rate = stats.bubbles_created - pre_bubbles
-            if bubble_rate and not allow_bubbles:
-                return "abort", None
-            for seg, state, head_replicated, outputs, required in pre_segments:
-                if (
-                    seg.state is not state
-                    or seg.head_replicated != head_replicated
-                    or tuple(seg.outputs) != outputs
-                    or tuple(seg.required) != required
-                ):
-                    return "abort", None
-            if events._transfer_pending != count:
-                return "retry", None
-            post_transfers = sorted(entry for entry in heap if entry[2])
-            for entry, (pre_time, link, _bubble) in zip(post_transfers, moving):
-                if entry[0] != pre_time + shift or entry[3] is not link:
-                    return "retry", None
-            bound: int | None = None
-            ni_deltas: list[tuple[SourceInterface, int]] = []
-            for ni, current, next_seq, backlog in pre_interfaces:
-                if ni.current is not current or len(ni.queue) != backlog:
-                    return "abort", None
-                delta = ni.next_seq - next_seq
-                if delta:
-                    if current is None or delta < 0 or delta > k:
-                        return "abort", None
-                    limit = (current.length_flits - 1 - ni.next_seq) // delta
-                    if bound is None or limit < bound:
-                        bound = limit
-                    ni_deltas.append((ni, delta))
-            shifting: list[tuple[object, tuple, list[int]]] = []
-            for link, snap in pre_links:
-                busy, reserved_by, feeder, sink, out_flits, in_flits = snap
-                if (
-                    link.reserved_by != reserved_by
-                    or link.feeder is not feeder
-                    or link.sink_segment is not sink
-                ):
-                    return "abort", None
-                if link.busy != busy:
-                    return "retry", None
-                for pre_flits, buffer in (
-                    (out_flits, link.out_buffer),
-                    (in_flits, link.in_buffer),
-                ):
-                    post_flits = tuple(
-                        (f.kind, f.message_id, f.seq) for f in buffer.flits()
-                    )
-                    if post_flits == pre_flits:
-                        # Unchanged contents: either the buffer was not
-                        # touched, or a bubble was re-emitted with the
-                        # identical signature (bubbles reuse the stalled
-                        # data flit's sequence number, so a periodic bubble
-                        # stream is a fixed point here).
-                        continue
-                    if len(post_flits) != len(pre_flits):
-                        return "retry", None
-                    deltas: list[int] = []
-                    for (kind0, mid0, seq0), (kind1, mid1, seq1) in zip(
-                        pre_flits, post_flits
-                    ):
-                        delta = seq1 - seq0
-                        if (
-                            kind1 is not kind0
-                            or mid1 != mid0
-                            or delta < 0
-                            or delta > k
-                            or (delta and kind1 is not FlitKind.BODY)
-                        ):
-                            return "retry", None
-                        if delta:
-                            limit = (messages[mid1].length_flits - 2 - seq1) // delta
-                            if bound is None or limit < bound:
-                                bound = limit
-                        deltas.append(delta)
-                    shifting.append((buffer, post_flits, deltas))
-            if pre_link_stats is not None and k > 1:
-                # Busy-period bookkeeping is part of multi-period
-                # self-similarity: an open period must have slid forward by
-                # exactly one compound period (the single-window case is
-                # implied by the transfer-set check above).
-                for link, _data0, _bubble0, _busy0, since0 in pre_link_stats:
-                    post_since = link.busy_since_ns
-                    if since0 is None:
-                        if post_since is not None:
-                            return "retry", None
-                    elif post_since != since0 + shift:
-                        return "retry", None
-            return "ok", (shifting, ni_deltas, bound, bubble_rate)
-
-        # -- Execute windows through the per-flit machinery, verifying the
-        # accumulated span against each candidate period in ascending order.
-        # Whatever happens, everything executed below is exactly the
-        # reference execution, so a probe that never verifies has simply run
-        # the simulation forward.
+        pop_entry = events.pop_entry
+        complete_transfer = self._complete_transfer
         k = k_min
         while True:
             exec_end = t0 + k * latency
@@ -825,16 +751,145 @@ class WormholeSimulator:
                     entry[3]()
             if executed_generic:
                 return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
-            verdict, plan = examine(k)
+            verdict, plan = self._probe_examine(snapshot, k)
             if verdict == "ok":
-                break
+                return k, plan
             if verdict == "abort" or k >= k_limit:
                 return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
             k += 1
 
-        # -- Batch advance: replay m further compound windows arithmetically.
-        if obs_clock is not None:
-            self._obs_marks["replay_start_ns"] = obs_clock()
+    def _probe_examine(self, snapshot: _ProbeSnapshot, k: int) -> tuple[str, tuple | None]:
+        """Compare the current state against the snapshot shifted by ``k``
+        periods.  Returns ``("ok", plan)`` when self-similar,
+        ``("retry", None)`` for mismatches a longer compound period could
+        still close (mid-pattern sub-windows), and ``("abort", None)`` for
+        permanent transitions (segment lifecycle, NI message changes,
+        generics, deliveries) that no period can make periodic.
+
+        ``plan`` is ``(shifting, ni_deltas, bound, bubble_rate)``: the
+        buffers whose slots advance with each slot's per-period ``seq``
+        delta, the NIs whose ``next_seq`` advances, the number of further
+        periods before any body flit would become a tail (``None`` for a
+        pure fixed point), and the bubbles created per period.
+        """
+        stats = self.stats
+        events = self.events
+        messages = self.messages
+        shift = k * self.config.channel_latency_ns
+        if (
+            stats.messages_completed,
+            len(self._segments),
+            self._delivery_count,
+        ) != snapshot.counters:
+            return "abort", None
+        if len(events._generic_times) != snapshot.generic_len:
+            return "abort", None
+        for seg, state, head_replicated, outputs, required in snapshot.segments:
+            if (
+                seg.state is not state
+                or seg.head_replicated != head_replicated
+                or tuple(seg.outputs) != outputs
+                or tuple(seg.required) != required
+            ):
+                return "abort", None
+        moving = snapshot.moving
+        if events._transfer_pending != len(moving):
+            return "retry", None
+        post_transfers = sorted(entry for entry in events._heap if entry[2])
+        for entry, (pre_time, link, _bubble) in zip(post_transfers, moving):
+            if entry[0] != pre_time + shift or entry[3] is not link:
+                return "retry", None
+        bound: int | None = None
+        ni_deltas: list[tuple[SourceInterface, int]] = []
+        for ni, current, next_seq, backlog in snapshot.interfaces:
+            if ni.current is not current or len(ni.queue) != backlog:
+                return "abort", None
+            delta = ni.next_seq - next_seq
+            if delta:
+                if current is None or delta < 0 or delta > k:
+                    return "abort", None
+                limit = (current.length_flits - 1 - ni.next_seq) // delta
+                if bound is None or limit < bound:
+                    bound = limit
+                ni_deltas.append((ni, delta))
+        shifting: list[tuple[object, tuple, list[int]]] = []
+        for link, snap in snapshot.links:
+            busy, reserved_by, feeder, sink, out_flits, in_flits = snap
+            if (
+                link.reserved_by != reserved_by
+                or link.feeder is not feeder
+                or link.sink_segment is not sink
+            ):
+                return "abort", None
+            if link.busy != busy:
+                return "retry", None
+            for pre_flits, buffer in (
+                (out_flits, link.out_buffer),
+                (in_flits, link.in_buffer),
+            ):
+                post_flits = _buffer_signature(buffer)
+                if post_flits == pre_flits:
+                    # Unchanged contents: either the buffer was not
+                    # touched, or a bubble was re-emitted with the
+                    # identical signature (bubbles reuse the stalled
+                    # data flit's sequence number, so a periodic bubble
+                    # stream is a fixed point here).
+                    continue
+                if len(post_flits) != len(pre_flits):
+                    return "retry", None
+                deltas: list[int] = []
+                for (kind0, mid0, seq0), (kind1, mid1, seq1) in zip(pre_flits, post_flits):
+                    delta = seq1 - seq0
+                    if (
+                        kind1 is not kind0
+                        or mid1 != mid0
+                        or delta < 0
+                        or delta > k
+                        or (delta and kind1 is not FlitKind.BODY)
+                    ):
+                        return "retry", None
+                    if delta:
+                        limit = (messages[mid1].length_flits - 2 - seq1) // delta
+                        if bound is None or limit < bound:
+                            bound = limit
+                    deltas.append(delta)
+                shifting.append((buffer, post_flits, deltas))
+        if k > 1 and snapshot.link_stats is not None:
+            if not self._compound_busy_periods_slid(snapshot.link_stats, shift):
+                return "retry", None
+        bubble_rate = stats.bubbles_created - snapshot.bubbles
+        return "ok", (shifting, ni_deltas, bound, bubble_rate)
+
+    @staticmethod
+    def _compound_busy_periods_slid(link_stats: list[tuple], shift: int) -> bool:
+        """Busy-period bookkeeping is part of multi-period self-similarity:
+        every open period must have slid forward by exactly one compound
+        period (the single-window case is implied by the transfer-set
+        check)."""
+        for link, _data0, _bubble0, _busy0, since0 in link_stats:
+            post_since = link.busy_since_ns
+            if since0 is None:
+                if post_since is not None:
+                    return False
+            elif post_since != since0 + shift:
+                return False
+        return True
+
+    def _probe_replay(
+        self,
+        t0: int,
+        until_ns: int | None,
+        t_other: int | None,
+        off_class: bool,
+        snapshot: _ProbeSnapshot,
+        k: int,
+        plan: tuple,
+    ) -> int:
+        """Phase 5: replay ``m`` further compound windows of the verified
+        period ``k`` arithmetically and return ``_BATCH`` — or end the probe
+        with ``_VERIFY_FAILURE`` when no worthwhile ``m`` fits."""
+        events = self.events
+        latency = self.config.channel_latency_ns
         shifting, ni_deltas, bound, bubble_rate = plan
         shift = k * latency
         now_ns = events.now
@@ -849,31 +904,21 @@ class WormholeSimulator:
             limit = (until_ns - now_ns) // shift
             if m is None or limit < m:
                 m = limit
-        if m is None:
-            # A pure fixed point (no advancing flit or NI cursor) with no
-            # bounding event cannot be replayed a finite number of times.
-            return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
-        if m < 1 or m * k < _MIN_BATCH_TICKS:
+        # m is None for a pure fixed point (no advancing flit or NI cursor)
+        # with no bounding event: it cannot be replayed a finite number of
+        # times.
+        if m is None or m < 1 or m * k < _MIN_BATCH_TICKS:
             return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
         advance = m * shift
-        delta_hops = stats.flit_hops - pre_flit_hops
-        stats.flit_hops += m * delta_hops
+        stats = self.stats
+        stats.flit_hops += m * (stats.flit_hops - snapshot.flit_hops)
         stats.bubbles_created += m * bubble_rate
-        if collect:
+        if self._collect_stats:
             if k == 1:
-                for _time, link, bubble in moving:
+                for _time, link, bubble in snapshot.moving:
                     link.fast_forward(m, advance, bubble)
             else:
-                for link, data0, bubble0, busy0, _since0 in pre_link_stats:
-                    d_data = link.data_flits_carried - data0
-                    d_bubble = link.bubble_flits_carried - bubble0
-                    d_busy = link.busy_total_ns - busy0
-                    if d_data or d_bubble or d_busy:
-                        link.data_flits_carried += m * d_data
-                        link.bubble_flits_carried += m * d_bubble
-                        link.busy_total_ns += m * d_busy
-                    if link.busy_since_ns is not None:
-                        link.busy_since_ns += advance
+                self._replay_compound_link_stats(snapshot.link_stats, m, advance)
         for buffer, post_flits, deltas in shifting:
             buffer.replace_contents(
                 Flit(kind, mid, seq + m * delta)
@@ -881,12 +926,13 @@ class WormholeSimulator:
             )
         for ni, delta in ni_deltas:
             ni.next_seq += m * delta
-        if trace is not None and len(trace.events) != pre_trace_len:
+        trace = self.trace
+        if trace is not None and len(trace.events) != snapshot.trace_len:
             # A self-similar compound window records the identical trace
             # events every period (bubble records carry only message/switch
             # fields), so the replayed windows' records are the window's
             # shifted in time.
-            window_records = trace.events[pre_trace_len:]
+            window_records = trace.events[snapshot.trace_len :]
             append = trace.events.append
             for tick in range(1, m + 1):
                 delta = tick * shift
@@ -905,10 +951,23 @@ class WormholeSimulator:
         histogram[k] = histogram.get(k, 0) + 1
         if k > 1:
             self.coalesce_multi_period_batches += 1
-        if obs_clock is not None:
-            self._obs_marks["k"] = k
-            self._obs_marks["ticks"] = ticks
-        return True
+        return _BATCH
+
+    @staticmethod
+    def _replay_compound_link_stats(link_stats: list[tuple], m: int, advance: int) -> None:
+        """Advance per-link statistics over ``m`` compound periods by each
+        link's measured per-period deltas (bottlenecked links carry fewer
+        flits per compound period and idle between firings)."""
+        for link, data0, bubble0, busy0, _since0 in link_stats:
+            d_data = link.data_flits_carried - data0
+            d_bubble = link.bubble_flits_carried - bubble0
+            d_busy = link.busy_total_ns - busy0
+            if d_data or d_bubble or d_busy:
+                link.data_flits_carried += m * d_data
+                link.bubble_flits_carried += m * d_bubble
+                link.busy_total_ns += m * d_busy
+            if link.busy_since_ns is not None:
+                link.busy_since_ns += advance
 
     def _coalesce_pause(self, t0: int, latency: int) -> None:
         """Shared churn backoff: bump the failure streak and close the probe
@@ -921,88 +980,48 @@ class WormholeSimulator:
         ticks = min(_COALESCE_BACKOFF_TICKS << min(streak, 3), _COALESCE_BACKOFF_MAX_TICKS)
         self._coalesce_gate_ns = t0 + ticks * latency
 
-    def _coalesce_backoff(self, t0: int, latency: int) -> bool:
+    def _coalesce_backoff(self, t0: int, latency: int) -> int:
         """An executed probe paid for a snapshot without batching — the
         self-similarity check failed at every candidate period, or the
         verified pattern had no worthwhile replay.  The system is in a
         churn phase, so pause probing.  Counted once per probe, however
-        many periods were tried.  Always returns ``True`` (the probed
+        many periods were tried.  Returns ``_VERIFY_FAILURE`` (the probed
         windows themselves ran through the reference machinery)."""
         self.coalesce_verify_failures += 1
         self._coalesce_pause(t0, latency)
-        return True
+        return _VERIFY_FAILURE
 
-    def _coalesce_drain_bail(self, t0: int, latency: int) -> bool:
+    def _coalesce_drain_bail(self, t0: int, latency: int) -> int:
         """The cheap scan proved the window can never verify (a draining
         link whose feeder cannot refill it): take the same exponential
         backoff a paid verify failure would — a drain is churn — but
         without having wasted a snapshot, and without counting a verify
-        failure.  Returns ``False``: nothing was executed, the caller pops
-        events normally."""
+        failure.  Returns ``_DRAIN_BAIL``: nothing was executed, the caller
+        pops events normally."""
         self.coalesce_drain_bails += 1
         self._coalesce_pause(t0, latency)
-        return False
+        return _DRAIN_BAIL
 
     # ------------------------------------------------------------------
     # Wall-clock telemetry (observability only; see docs/observability.md)
     # ------------------------------------------------------------------
-    def _coalesce_tick_timed(self, t0: int, until_ns: int | None) -> bool:
-        """Instrumented twin of :meth:`_coalesce_tick`.
+    def _coalesce_tick_timed(self, t0: int, until_ns: int | None) -> int:
+        """Instrumented twin of :meth:`_coalesce_tick`: one ``engine.probe``
+        span around one call, labelled with the tier the probe returned.
 
         ``run()`` binds this instead of the raw probe when telemetry is
-        enabled.  The probe itself is untouched — its exit tier is
-        classified *post hoc* from the ``coalesce_*`` counter deltas, so
-        the instrumentation cannot perturb the decision logic; the cold
-        sections (snapshot build, batch replay) leave timestamp marks in
-        ``_obs_marks`` that become sub-spans here.
+        enabled; the probe itself never reads the clock.
         """
         tel = self.telemetry
-        marks = self._obs_marks
-        marks.clear()
-        pre_batches = self.coalesce_batches
-        pre_verify = self.coalesce_verify_failures
-        pre_drain = self.coalesce_drain_bails
-        pre_generic = self.coalesce_generic_bails
         clock = tel.clock
         start_ns = clock()
-        executed = self._coalesce_tick(t0, until_ns)
+        tier = self._coalesce_tick(t0, until_ns)
         end_ns = clock()
-        if self.coalesce_batches != pre_batches:
-            tier = "batch"
-        elif self.coalesce_verify_failures != pre_verify:
-            tier = "verify_failure"
-        elif self.coalesce_drain_bails != pre_drain:
-            tier = "drain_bail"
-        elif self.coalesce_generic_bails != pre_generic:
-            tier = "generic_bail"
-        else:
-            tier = "scan_reject"
-        tel.counter(f"engine.probe.{tier}")
-        tel.value(f"engine.probe.{tier}_ns", end_ns - start_ns)
-        if tier == "batch":
-            k = marks.get("k", 1)
-            tel.counter(f"engine.probe.k.{k}")
-            tel.span_at(
-                "engine.probe",
-                start_ns,
-                end_ns,
-                tier=tier,
-                k=k,
-                ticks=marks.get("ticks", 0),
-            )
-        else:
-            tel.span_at("engine.probe", start_ns, end_ns, tier=tier)
-        snapshot_start = marks.get("snapshot_start_ns")
-        if snapshot_start is not None:
-            tel.span_at(
-                "engine.probe.snapshot",
-                snapshot_start,
-                marks.get("snapshot_end_ns", end_ns),
-            )
-        replay_start = marks.get("replay_start_ns")
-        if replay_start is not None:
-            tel.span_at("engine.probe.replay", replay_start, end_ns)
-        return executed
+        name = _PROBE_TIERS[tier]
+        tel.counter(f"engine.probe.{name}")
+        tel.value(f"engine.probe.{name}_ns", end_ns - start_ns)
+        tel.span_at("engine.probe", start_ns, end_ns, tier=name)
+        return tier
 
     def _publish_telemetry_gauges(self, tel: "Telemetry | NullTelemetry") -> None:
         """Re-publish the deterministic ``coalesce_*`` counters as gauges so
@@ -1172,6 +1191,36 @@ class WormholeSimulator:
             f"WormholeSimulator(network={self.network.name!r}, routing={self.routing.name!r}, "
             f"now={self.now} ns, messages={len(self.messages)})"
         )
+
+
+def _buffer_signature(buffer) -> tuple:
+    """A buffer's contents as ``(kind, message_id, seq)`` triples, the form
+    the fast-path probe snapshots and compares."""
+    return tuple((f.kind, f.message_id, f.seq) for f in buffer.flits())
+
+
+class _ProbeSnapshot(NamedTuple):
+    """What a fast-path probe captured before running its windows
+    (:meth:`WormholeSimulator._probe_snapshot`): the examine phase compares
+    the executed windows against it and the replay phase advances from it."""
+
+    #: Pending transfers in completion order: ``(deadline, link, bubble)``.
+    moving: list[tuple[int, LinkState, bool]]
+    #: ``(link, (busy, reserved_by, feeder, sink, out_flits, in_flits))``.
+    links: list[tuple[LinkState, tuple]]
+    #: ``(segment, state, head_replicated, outputs, required)``.
+    segments: list[tuple]
+    #: ``(ni, current message, next_seq, backlog)``.
+    interfaces: list[tuple]
+    #: ``(link, data, bubbles, busy_total, busy_since)`` baselines; only on
+    #: multi-period probes with channel statistics on, else ``None``.
+    link_stats: list[tuple] | None
+    flit_hops: int
+    bubbles: int
+    #: ``(messages_completed, live segments, deliveries)``.
+    counters: tuple[int, int, int]
+    trace_len: int
+    generic_len: int
 
 
 class _DestinationView:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.spam import SpamRouting
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import WormholeSimulator
+from repro.simulator.engine import _K_MAX, _PROBE_TIERS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import two_switch_network
 from repro.topology.irregular import lattice_irregular_network
@@ -43,7 +43,7 @@ def _run_pair(
     ``submit`` receives the simulator and schedules the workload; ``run``
     (default: one unbounded ``run()``) drives the simulation and returns the
     final stats.  ``overrides`` are extra :class:`SimulationConfig` fields
-    (e.g. ``coalesce_stagger=False``).  Returns the fast-path simulator for
+    (e.g. ``channel_latency_factors``).  Returns the fast-path simulator for
     extra assertions.
     """
     results = []
@@ -238,24 +238,6 @@ class TestGeneralizedCoalescing:
             expect_stagger=True,
         )
 
-    def test_stagger_disabled_still_equivalent(self, lattice32, lattice32_spam):
-        """With ``coalesce_stagger=False`` the same workload must fall back to
-        synchronized-only coalescing — still bit-identical, never staggered."""
-        processors = lattice32.processors()
-
-        def submit(sim):
-            for index in range(8):
-                sim.submit_message(
-                    processors[index],
-                    [processors[(index + 11) % len(processors)]],
-                    at_ns=index * 3,
-                )
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, coalesce_stagger=False
-        )
-        assert fast_sim.coalesced_stagger_ticks == 0
-
     def _bubble_periodic_submit(self, processors):
         """A long unicast acquires channels that one branch of a following
         multicast needs; while the branch waits, the multicast's fork segment
@@ -283,17 +265,6 @@ class TestGeneralizedCoalescing:
             expect_bubbles=True,
         )
         assert fast_sim.stats.bubbles_created > 0
-
-    def test_bubbles_disabled_still_equivalent(self, lattice32, lattice32_spam):
-        processors = lattice32.processors()
-        fast_sim = _run_pair(
-            lattice32,
-            lattice32_spam,
-            self._bubble_periodic_submit(processors),
-            flits=256,
-            coalesce_bubbles=False,
-        )
-        assert fast_sim.coalesced_bubble_ticks == 0
 
     def test_bubble_counters_match_reference_exactly(self, lattice32, lattice32_spam):
         """Regression for the closed-form bubble replay: the total bubble
@@ -523,8 +494,7 @@ class TestFastPathSafety:
 
 @pytest.mark.equivalence
 class TestMultiPeriodCoalescing:
-    """Multi-period (every-k-th-window) coalescing
-    (``SimulationConfig.coalesce_multi_period``).
+    """Multi-period (every-k-th-window) coalescing.
 
     On a homogeneous-latency network multi-period steady states cannot
     occur — deadlock-free wormhole routing keeps the buffer-dependency
@@ -625,27 +595,10 @@ class TestMultiPeriodCoalescing:
         )
         assert fast_sim.coalesce_multi_period_batches > 0
 
-    def test_multi_period_disabled_still_equivalent(self, lattice32, lattice32_spam):
-        """With ``coalesce_multi_period=False`` the slow-channel scenario
-        must fall back to per-flit execution — still bit-identical, and
-        never a compound-period batch."""
-        processors = lattice32.processors()
-
-        def submit(sim):
-            sim.submit_message(processors[0], [processors[11]])
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 2),
-            coalesce_multi_period=False,
-        )
-        assert fast_sim.coalesce_multi_period_batches == 0
-        assert all(k == 1 for k in fast_sim.coalesce_k_histogram)
-
-    def test_k_max_caps_the_probed_period(self, lattice32, lattice32_spam):
-        """A 3x bottleneck needs k=3; with ``coalesce_k_max=2`` the probe
-        must give up (bit-identically) rather than batch a period it was
-        not allowed to try."""
+    def test_period_beyond_k_max_is_never_batched(self, lattice32, lattice32_spam):
+        """A bottleneck one step slower than ``_K_MAX`` needs a compound
+        period the probe never tries: it must give up bit-identically
+        rather than batch a longer period."""
         processors = lattice32.processors()
 
         fast_sim = _run_pair(
@@ -653,30 +606,12 @@ class TestMultiPeriodCoalescing:
             lattice32_spam,
             lambda sim: sim.submit_message(processors[0], [processors[11]]),
             flits=256,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 3),
-            coalesce_k_max=2,
+            channel_latency_factors=self._slow_injection(
+                lattice32, processors[0], _K_MAX + 1
+            ),
         )
-        assert 3 not in fast_sim.coalesce_k_histogram
+        assert max(fast_sim.coalesce_k_histogram, default=1) <= _K_MAX
         assert fast_sim.coalesce_multi_period_batches == 0
-
-    def test_k_max_one_matches_multi_period_off(self, lattice32, lattice32_spam):
-        """``coalesce_k_max=1`` must collapse the probe to exactly the
-        single-period engine (deterministic twin of the hypothesis property
-        in ``tests/test_property_based.py``)."""
-        processors = lattice32.processors()
-        factors = self._slow_injection(lattice32, processors[0], 2)
-        results = []
-        for overrides in ({"coalesce_k_max": 1}, {"coalesce_multi_period": False}):
-            config = SimulationConfig(
-                message_length_flits=128, trace=True, collect_channel_stats=True,
-                channel_latency_factors=factors, **overrides,
-            )
-            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-            simulator.submit_message(processors[0], [processors[11]])
-            stats = simulator.run()
-            results.append(simulator_fingerprint(simulator, stats))
-            assert simulator.coalesce_multi_period_batches == 0
-        assert results[0] == results[1]
 
     def test_homogeneous_network_records_only_k1(self, lattice32, lattice32_spam):
         """The k-histogram regression for paper-length mixed traffic: on a
@@ -856,3 +791,73 @@ class TestGenericDeadlineBail:
         simulator.submit_broadcast(lattice32.processors()[0])
         simulator.run()
         assert simulator.coalesce_generic_bails == 0
+
+
+@pytest.mark.equivalence
+class TestProbeTiers:
+    """``_coalesce_tick`` returns its exit tier.  The tier must name the one
+    counter the probe moved, and only the executing tiers (a verify failure
+    or a batch) may have run any event."""
+
+    #: Tier -> the counter a probe of that tier increments (``None``: none).
+    TIER_COUNTERS = {
+        "generic_bail": "coalesce_generic_bails",
+        "scan_reject": None,
+        "drain_bail": "coalesce_drain_bails",
+        "verify_failure": "coalesce_verify_failures",
+        "batch": "coalesce_batches",
+    }
+
+    def _probe_log(self, simulator):
+        """Wrap the instance's probe; return the list it appends
+        ``(tier name, counters moved, flit hops moved)`` to per probe."""
+        counters = [name for name in self.TIER_COUNTERS.values() if name]
+        probe = simulator._coalesce_tick
+        log = []
+
+        def recording_probe(t0, until_ns):
+            before = [getattr(simulator, name) for name in counters]
+            hops = simulator.stats.flit_hops
+            tier = probe(t0, until_ns)
+            moved = {
+                name
+                for name, value in zip(counters, before)
+                if getattr(simulator, name) != value
+            }
+            log.append((_PROBE_TIERS[tier], moved, simulator.stats.flit_hops != hops))
+            return tier
+
+        simulator._coalesce_tick = recording_probe
+        return log
+
+    def test_returned_tier_names_the_counter_it_moved(self, lattice32, lattice32_spam):
+        processors = lattice32.processors()
+        poisson = mixed_traffic_workload(
+            lattice32,
+            rate_per_us=0.03,
+            multicast_destinations=8,
+            num_messages=36,
+            multicast_fraction=0.15,
+            seed=23,
+            arrival_process=PoissonArrivals(0.03),
+        )
+        slow = ((lattice32.injection_channel(processors[0]).cid, 2),)
+        runs = [
+            (poisson.submit_to, SimulationConfig(message_length_flits=128)),
+            (
+                lambda sim: sim.submit_message(processors[0], processors[8:20]),
+                SimulationConfig(message_length_flits=256, channel_latency_factors=slow),
+            ),
+        ]
+        seen = set()
+        for submit, config in runs:
+            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+            log = self._probe_log(simulator)
+            submit(simulator)
+            simulator.run()
+            for tier, moved, executed in log:
+                counter = self.TIER_COUNTERS[tier]
+                assert moved == ({counter} if counter else set()), (tier, moved)
+                assert executed == (tier in ("verify_failure", "batch")), tier
+            seen.update(tier for tier, _moved, _executed in log)
+        assert seen == set(_PROBE_TIERS), f"tiers never taken: {set(_PROBE_TIERS) - seen}"

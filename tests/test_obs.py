@@ -220,9 +220,19 @@ class TestNullTelemetry:
         net = two_switch_network()
         from repro.core.spam import SpamRouting
 
-        simulator = WormholeSimulator(net, SpamRouting.build(net), SimulationConfig())
+        simulator = WormholeSimulator(
+            net, SpamRouting.build(net), SimulationConfig(message_length_flits=256)
+        )
         assert simulator.telemetry is NULL_TELEMETRY
-        assert simulator._obs_clock is None
+
+        def instrumented_probe(t0, until_ns):
+            raise AssertionError("telemetry-off run called the instrumented probe")
+
+        simulator._coalesce_tick_timed = instrumented_probe
+        source, dest = net.processors()
+        simulator.submit_message(source, [dest])
+        simulator.run()
+        assert simulator.coalesced_ticks > 0
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +324,17 @@ class TestTelemetryOnOffEquivalence:
             )
             assert probes > 0, f"{name!r} never engaged the fast path probe"
             assert probes == tier_total, name
+            # Each probe's span tier is the tier it returned, which moved
+            # exactly the matching deterministic counter.
+            for tier, counter in (
+                ("batch", "coalesce_batches"),
+                ("verify_failure", "coalesce_verify_failures"),
+                ("drain_bail", "coalesce_drain_bails"),
+                ("generic_bail", "coalesce_generic_bails"),
+            ):
+                assert tel.counters.get(f"engine.probe.{tier}", 0) == getattr(
+                    simulator, counter
+                ), (name, tier)
             assert tel.gauges["engine.coalesce_snapshots"] == simulator.coalesce_snapshots
 
     def test_bounded_windows_bit_identical(self, lattice32, lattice32_spam):

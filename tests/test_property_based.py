@@ -393,15 +393,13 @@ def test_simulator_delivers_every_message(params, workload_seed, num_messages, l
     length=st.sampled_from([8, 32]),
     slow_factor=st.sampled_from([1, 2, 3]),
 )
-def test_multi_period_with_k_max_one_is_todays_engine(
+def test_fast_path_matches_reference_with_slow_channels(
     params, workload_seed, num_messages, length, slow_factor
 ):
-    """Multi-period coalescing restricted to ``coalesce_k_max=1`` must be
-    bit-identical to the single-period engine (``coalesce_multi_period``
-    off) on every observable — the multi-period machinery with a compound
-    period of one window IS today's probe.  Runs with and without a slow
-    channel so both the homogeneous collapse and the heterogeneous
-    fallback paths are exercised."""
+    """The fast path is bit-identical to the per-flit reference engine on
+    every observable, on random irregular networks with and without a slow
+    channel, so both the homogeneous single-window probe and the
+    multi-period probe are exercised."""
     import numpy as np
 
     network, spam = build_spam(params)
@@ -422,19 +420,18 @@ def test_multi_period_with_k_max_one_is_todays_engine(
         factors = ((network.injection_channel(slow_source).cid, slow_factor),)
 
     fingerprints = []
-    for overrides in ({"coalesce_k_max": 1}, {"coalesce_multi_period": False}):
+    for fast in (True, False):
         config = SimulationConfig(
             message_length_flits=length,
             trace=True,
             collect_channel_stats=True,
             channel_latency_factors=factors,
-            **overrides,
+            fast_path=fast,
         )
         simulator = WormholeSimulator(network, spam, config)
         for source, destinations, at_ns in specs:
             simulator.submit_message(source, destinations, at_ns=at_ns)
         stats = simulator.run()
-        assert simulator.coalesce_multi_period_batches == 0
         fingerprints.append(
             (
                 {m: dict(msg.delivered_ns) for m, msg in simulator.messages.items()},

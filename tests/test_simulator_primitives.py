@@ -3,6 +3,8 @@ event queue, configuration, messages)."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
@@ -292,9 +294,11 @@ class TestSimulationConfig:
         assert PAPER_CONFIG.message_length_flits == 128  # original untouched
 
     def test_multi_period_defaults(self):
-        assert PAPER_CONFIG.coalesce_multi_period
-        assert PAPER_CONFIG.coalesce_k_max == 3
+        # Homogeneous channels, and the fast path's patterns have no
+        # switches beyond ``fast_path`` itself.
         assert PAPER_CONFIG.channel_latency_factors == ()
+        assert PAPER_CONFIG.fast_path
+        assert not [f.name for f in fields(SimulationConfig) if f.name.startswith("coalesce")]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -305,7 +309,7 @@ class TestSimulationConfig:
             {"input_buffer_depth": 0},
             {"max_hops": 1},
             {"router_setup_ns": -5},
-            {"coalesce_k_max": 0},
+            {"output_buffer_depth": 0},
             {"channel_latency_factors": ((0, 0),)},
             {"channel_latency_factors": ((-1, 2),)},
             {"channel_latency_factors": ((0, 2, 3),)},
