@@ -162,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: $REPRO_SWEEP_WORKERS or sequential; "
                             "0 = one per CPU)")
-    sweep.add_argument("--batch-replications", type=int, default=0, metavar="N",
-                       help="batch up to N replications sharing a network/routing "
-                            "skeleton into one evaluation task (bit-identical "
-                            "results, shared construction cost; 0 disables)")
     sweep.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                        help="reuse stored results and compute only missing points "
                             "(--no-resume recomputes everything)")
@@ -387,7 +383,6 @@ def _cmd_sweep(args, scale) -> int:
     telemetry = _make_telemetry(args)
     outcome = run_sweep(
         specs, store=store, workers=args.workers, resume=args.resume,
-        batch_replications=args.batch_replications,
         progress=progress, shard=shard, telemetry=telemetry,
     )
     if assemble is not None:

@@ -13,6 +13,7 @@ selection-function ablation benchmark.
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "FirstAllowedSelection",
     "RandomSelection",
     "make_selection",
-    "SELECTION_CLASSES",
     "SELECTION_STRATEGIES",
 ]
 
@@ -37,13 +37,6 @@ class SelectionFunction(abc.ABC):
 
     #: Short machine-readable name used in reports and benchmark labels.
     name: str = "abstract"
-
-    #: Whether :meth:`order` is a pure function of its arguments.  Stateful
-    #: selections (e.g. :class:`RandomSelection`, which consumes an RNG per
-    #: decision) must set this ``False`` so that callers never share one
-    #: instance across simulations that each need reproducible results —
-    #: the sweep layer only caches routing built on stateless selections.
-    stateless: bool = True
 
     @abc.abstractmethod
     def order(self, options: Sequence[RoutingOption], target: int) -> list[RoutingOption]:
@@ -71,11 +64,12 @@ class DistanceToTargetSelection(SelectionFunction):
     to the target node (the LCA for multicasts).
 
     Distances are unweighted hop counts over the switch sub-graph, computed
-    once per network and reused for every message.  Processor endpoints (the
-    consumption channel of the target itself) are given distance ``-1`` so
-    that delivering directly always wins, and ties are broken by preferring
-    down-tree over down-cross over up channels and finally by endpoint id for
-    determinism.
+    on the first routing decision and reused for every later one, so an
+    instance that never routes never pays for the all-pairs table.
+    Processor endpoints (the consumption channel of the target itself) are
+    given distance ``-1`` so that delivering directly always wins, and ties
+    are broken by preferring down-tree over down-cross over up channels and
+    finally by endpoint id for determinism.
     """
 
     name = "distance-to-lca"
@@ -84,7 +78,10 @@ class DistanceToTargetSelection(SelectionFunction):
 
     def __init__(self, network: Network) -> None:
         self.network = network
-        self._distances = network.switch_distance_matrix()
+
+    @cached_property
+    def _distances(self) -> dict[int, dict[int, int]]:
+        return self.network.switch_distance_matrix()
 
     def _endpoint_distance(self, option: RoutingOption, target: int) -> int:
         endpoint = option.channel.dst
@@ -132,7 +129,6 @@ class RandomSelection(SelectionFunction):
     """Uniformly random preference order (seeded, for reproducibility)."""
 
     name = "random"
-    stateless = False  # every order() call consumes the RNG
 
     def __init__(self, seed: int | np.random.Generator = 0) -> None:
         self._rng = (
@@ -145,17 +141,8 @@ class RandomSelection(SelectionFunction):
         return options
 
 
-#: Strategy name → implementing class (lets callers inspect class attributes
-#: such as ``stateless`` without instantiating, which for the distance-based
-#: policy would compute the all-pairs distance matrix).
-SELECTION_CLASSES = {
-    "distance-to-lca": DistanceToTargetSelection,
-    "first-allowed": FirstAllowedSelection,
-    "random": RandomSelection,
-}
-
-#: Factory registry used by experiment configuration files.
-SELECTION_STRATEGIES = tuple(SELECTION_CLASSES)
+#: Strategy names :func:`make_selection` accepts.
+SELECTION_STRATEGIES = ("distance-to-lca", "first-allowed", "random")
 
 
 def make_selection(

@@ -117,10 +117,11 @@ class SpamRouting(RoutingAlgorithm):
         ``__init__`` derives the labelling and ancestry purely from
         ``(network, tree)`` and never consumes selection state, so the
         skeleton is safe to share between instances: two routings built this
-        way differ only in their selection function.  The batched
-        Monte-Carlo evaluator (:func:`repro.sweeps.spec.evaluate_batch`)
-        uses this to give every replication a freshly seeded stateful
-        selection without re-deriving the skeleton.
+        way differ only in their selection function.  The sweep layer's
+        per-process skeleton cache (:mod:`repro.sweeps.spec`) uses this to
+        give every point that does not use the default selection a freshly
+        built one, a seeded ``random`` selection included, without
+        re-deriving the skeleton.
         """
         clone = self.__class__.__new__(self.__class__)
         clone.network = self.network

@@ -25,7 +25,7 @@ from .ablations import (
     run_root_ablation,
     run_selection_ablation,
 )
-from .common import ExperimentScale, SCALES, build_network_and_routing, current_scale, paper_config
+from .common import ExperimentScale, SCALES, current_scale, paper_config
 from .figure2 import (
     Figure2Config,
     default_destination_counts,
@@ -45,7 +45,6 @@ __all__ = [
     "SCALES",
     "current_scale",
     "paper_config",
-    "build_network_and_routing",
     "Figure2Config",
     "default_destination_counts",
     "figure2_specs",

@@ -84,7 +84,6 @@ def run_buffer_depth_ablation(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
 ) -> list[dict]:
     """Effect of input/output buffer depth on single-multicast latency.
 
@@ -110,7 +109,6 @@ def run_buffer_depth_ablation(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
     )
     return [
         {"buffer_depth": depth, "latency_us": result.mean_us}
@@ -124,7 +122,6 @@ def run_selection_ablation(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
 ) -> list[dict]:
     """Effect of the selection function on single-multicast latency."""
     config = config or AblationConfig()
@@ -143,7 +140,6 @@ def run_selection_ablation(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
     )
     return [
         {"selection": strategy, "latency_us": result.mean_us}
@@ -157,7 +153,6 @@ def run_root_ablation(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
 ) -> list[dict]:
     """Effect of the spanning-tree root choice on single-multicast latency."""
     config = config or AblationConfig()
@@ -175,7 +170,6 @@ def run_root_ablation(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
     )
     return [
         {
@@ -195,7 +189,6 @@ def run_partition_ablation(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
 ) -> list[dict]:
     """The paper's §5 destination-partitioning extension.
 
@@ -227,7 +220,6 @@ def run_partition_ablation(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
     )
     return [
         {

@@ -17,10 +17,6 @@ reads environment variables to scale back up:
 ``REPRO_SWEEP_WORKERS``
     Worker-process count picked up by the sweep orchestrator the drivers
     route through (see :mod:`repro.sweeps`); unset means sequential.
-
-``build_network_and_routing`` lives in :mod:`repro.sweeps.spec` (worker
-processes need it without importing the experiment layer) and is re-exported
-here for compatibility.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from dataclasses import dataclass
 
 from ..simulator.config import SimulationConfig
 from ..simulator.engine import WormholeSimulator
-from ..sweeps.spec import build_network_and_routing
 from ..topology.network import Network
 from ..traffic.workload import Workload
 
@@ -38,7 +33,6 @@ __all__ = [
     "ExperimentScale",
     "current_scale",
     "scaled",
-    "build_network_and_routing",
     "run_workload_collect_latencies",
     "paper_config",
 ]

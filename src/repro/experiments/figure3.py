@@ -117,14 +117,10 @@ def run_figure3(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
     telemetry=None,
 ) -> SweepResult:
     """Regenerate Figure 3 and return its sweep data.
 
-    ``batch_replications > 0`` routes skeleton-sharing points through the
-    batched Monte-Carlo backend (see :func:`repro.sweeps.run_sweep`) —
-    bit-identical results, shared network/routing construction.
     ``telemetry`` is an optional ``repro.obs`` recorder threaded through the
     sweep into every point's engine (wall-clock observability only).
     """
@@ -134,7 +130,6 @@ def run_figure3(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
         telemetry=telemetry,
     )
     return figure3_result_from_points(config, outcome.results)

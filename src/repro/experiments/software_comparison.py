@@ -84,18 +84,14 @@ def run_software_comparison(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
     telemetry=None,
 ) -> list[dict]:
     """Run the comparison and return one result row per destination count.
 
     Each row contains the measured SPAM latency, the software lower bound,
     the measured software (binomial) latency when enabled, and the resulting
-    speedup factors.  ``batch_replications > 0`` routes skeleton-sharing
-    points through the batched Monte-Carlo backend (see
-    :func:`repro.sweeps.run_sweep`).  ``telemetry`` is an optional
-    ``repro.obs`` recorder threaded through the sweep (wall-clock
-    observability only).
+    speedup factors.  ``telemetry`` is an optional ``repro.obs`` recorder
+    threaded through the sweep (wall-clock observability only).
     """
     config = config or SoftwareComparisonConfig()
     outcome = run_sweep(
@@ -103,7 +99,6 @@ def run_software_comparison(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
         telemetry=telemetry,
     )
     return [result.metrics_dict() for result in outcome.results]

@@ -8,19 +8,19 @@ runs:
 
 * :mod:`repro.sweeps.spec` — :class:`SweepPointSpec`, a frozen, picklable,
   hashable description of one point, :func:`evaluate_spec`, the single
-  evaluation path every workload kind shares, and :func:`shard_specs`, the
-  deterministic content-addressed partitioner behind multi-host sharding;
+  evaluation path every workload kind shares (points on one network share
+  its SPAM skeleton through a per-process cache), and :func:`shard_specs`,
+  the deterministic content-addressed partitioner behind multi-host
+  sharding;
 * :mod:`repro.sweeps.store` — :class:`ResultStore`, a content-addressed
   JSONL + index store keyed by a stable hash of spec + code-version salt,
   plus :func:`merge_stores`, which combines per-shard stores conflict-free
   and tracks completion through per-store ``manifest.json`` files;
-* :mod:`repro.sweeps.scheduler` — :func:`run_sweep`, chunked process-pool
-  dispatch with per-point checkpointing, deterministic ordering, a resume
-  path that completes a partially finished sweep from the store, a
-  ``shard=(index, count)`` restriction for splitting a sweep across hosts,
-  and a ``batch_replications`` mode that groups skeleton-sharing points
-  into :class:`ReplicationBatchSpec` batches (:func:`evaluate_batch`) for
-  replication-heavy statistics.
+* :mod:`repro.sweeps.scheduler` — :func:`run_sweep`, one-point-per-task
+  process-pool dispatch with per-point checkpointing, deterministic
+  ordering, a resume path that completes a partially finished sweep from
+  the store, and a ``shard=(index, count)`` restriction for splitting a
+  sweep across hosts.
 
 The experiment drivers in :mod:`repro.experiments` build specs and route
 through :func:`run_sweep`; ``repro-spam sweep`` exposes the same machinery
@@ -31,15 +31,10 @@ resume semantics and the sharding workflow.
 
 from .scheduler import SweepOutcome, resolve_workers, run_sweep
 from .spec import (
-    ReplicationBatchSpec,
     SweepPointResult,
     SweepPointSpec,
     WORKLOAD_KINDS,
-    build_network_and_routing,
-    evaluate_batch,
     evaluate_spec,
-    group_replications,
-    iter_evaluate_batch,
     parse_shard,
     run_software_multicast_once,
     shard_specs,
@@ -59,16 +54,11 @@ from .store import (
 __all__ = [
     "SweepPointSpec",
     "SweepPointResult",
-    "ReplicationBatchSpec",
     "WORKLOAD_KINDS",
     "evaluate_spec",
-    "evaluate_batch",
-    "iter_evaluate_batch",
-    "group_replications",
     "spec_from_dict",
     "shard_specs",
     "parse_shard",
-    "build_network_and_routing",
     "run_software_multicast_once",
     "ResultStore",
     "ManifestStatus",

@@ -3,27 +3,21 @@
 :func:`run_sweep` is the single execution path for every experiment: it
 takes a list of :class:`~repro.sweeps.spec.SweepPointSpec`, satisfies what
 it can from the content-addressed :class:`~repro.sweeps.store.ResultStore`,
-evaluates the rest — sequentially or over a chunked
-:class:`~concurrent.futures.ProcessPoolExecutor` — and returns results in
-the order the specs were given, regardless of completion order.
+evaluates the rest — sequentially or over a
+:class:`~concurrent.futures.ProcessPoolExecutor`, one point per task — and
+returns results in the order the specs were given, regardless of
+completion order.
 
 Guarantees:
 
 * **Determinism** — evaluation is a pure function of the spec (seeds
   included), so parallel and sequential runs produce bit-identical results
-  and the returned list order always matches the input order.
+  and the returned list order always matches the input order.  Each
+  process shares network/routing skeletons between points through the
+  spec layer's cache, which never changes a result.
 * **Per-point checkpointing** — every computed result is appended to the
   store the moment it arrives, so a killed run loses at most the points
-  still in flight.  Batched replication mode keeps the granularity: a
-  batch's results are checkpointed under their individual spec keys as the
-  batch lands, and a failure mid-batch still checkpoints the replications
-  that completed before it.
-* **Batched replications** — ``batch_replications > 0`` groups points that
-  share a network/routing skeleton (same ``network_size`` /
-  ``topology_seed`` / ``root_strategy``) into
-  :class:`~repro.sweeps.spec.ReplicationBatchSpec` tasks evaluated with
-  shared immutable state, bit-identical per replication to the per-point
-  path (:func:`~repro.sweeps.spec.iter_evaluate_batch`).
+  still in flight.
 * **Resume** — a re-run of the same spec list completes exactly the
   missing points (``resume=False`` recomputes everything but still
   refreshes the store).
@@ -51,15 +45,7 @@ from typing import Callable, Sequence
 
 from ..errors import SweepError
 from ..obs import NullTelemetry, Telemetry, env_knob
-from .spec import (
-    ReplicationBatchSpec,
-    SweepPointResult,
-    SweepPointSpec,
-    evaluate_spec,
-    group_replications,
-    iter_evaluate_batch,
-    shard_specs,
-)
+from .spec import SweepPointResult, SweepPointSpec, evaluate_spec, shard_specs
 from .store import ResultStore
 
 __all__ = ["SweepOutcome", "run_sweep", "resolve_workers"]
@@ -126,76 +112,25 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _evaluate_chunk(
-    specs: list[SweepPointSpec], collect_detail: bool = False
-) -> tuple[list[SweepPointResult], dict, Exception | None]:
-    """Worker-side entry point: evaluate a chunk of specs.
+def _evaluate_point(
+    spec: SweepPointSpec, collect_detail: bool = False
+) -> tuple[SweepPointResult, dict]:
+    """Worker-side entry point: evaluate one spec.
 
-    Always records one ``sweep.point.evaluate`` span per spec on a private
+    Records the point's ``sweep.point.evaluate`` span on a private
     ``worker`` track (the parent folds the payload in for wall-time
     accounting); ``collect_detail`` additionally threads the recorder into
-    each point's engine for per-probe spans.
-
-    A failing spec does not discard the chunk: the results computed before
-    it are returned alongside the exception (third element) so the parent
-    can checkpoint them — a resume then repeats only the failed point and
-    whatever followed it in the chunk.
+    the point's engine for per-probe spans.  A failing spec raises out of
+    the future like any other task error.
     """
     worker = Telemetry(track="worker")
     clock = worker.clock
-    results: list[SweepPointResult] = []
-    error: Exception | None = None
-    for spec in specs:
-        start_ns = clock()
-        try:
-            result = evaluate_spec(
-                spec, telemetry=worker if collect_detail else None
-            )
-        except Exception as exc:
-            error = exc
-            break
-        end_ns = clock()
-        worker.span_at(
-            "sweep.point.evaluate", start_ns, end_ns, workload=spec.workload_kind
-        )
-        worker.value("sweep.point.evaluate_ns", end_ns - start_ns)
-        results.append(result)
-    return results, worker.to_payload(), error
-
-
-def _evaluate_batch(
-    batch: ReplicationBatchSpec, collect_detail: bool = False
-) -> tuple[list[SweepPointResult], dict, Exception | None]:
-    """Worker-side entry point: evaluate one replication batch.
-
-    Mirrors :func:`_evaluate_chunk` — one ``sweep.point.evaluate`` span and
-    one ``sweep.point.evaluate_ns`` sample per replication on a private
-    ``worker`` track, partial results plus the exception on a mid-batch
-    failure — but drives :func:`~repro.sweeps.spec.iter_evaluate_batch`, so
-    the network and SPAM skeleton are built once for the whole batch (the
-    first replication's span absorbs that shared construction cost).
-    """
-    worker = Telemetry(track="worker")
-    clock = worker.clock
-    results: list[SweepPointResult] = []
-    error: Exception | None = None
-    replications = iter_evaluate_batch(
-        batch, telemetry=worker if collect_detail else None
-    )
-    for spec in batch.specs:
-        start_ns = clock()
-        try:
-            result = next(replications)
-        except Exception as exc:
-            error = exc
-            break
-        end_ns = clock()
-        worker.span_at(
-            "sweep.point.evaluate", start_ns, end_ns, workload=spec.workload_kind
-        )
-        worker.value("sweep.point.evaluate_ns", end_ns - start_ns)
-        results.append(result)
-    return results, worker.to_payload(), error
+    start_ns = clock()
+    result = evaluate_spec(spec, telemetry=worker if collect_detail else None)
+    end_ns = clock()
+    worker.span_at("sweep.point.evaluate", start_ns, end_ns, workload=spec.workload_kind)
+    worker.value("sweep.point.evaluate_ns", end_ns - start_ns)
+    return result, worker.to_payload()
 
 
 def run_sweep(
@@ -203,8 +138,6 @@ def run_sweep(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    chunk_size: int = 1,
-    batch_replications: int = 0,
     progress: ProgressCallback | None = None,
     shard: tuple[int, int] | None = None,
     telemetry: Telemetry | NullTelemetry | None = None,
@@ -225,23 +158,6 @@ def run_sweep(
         When ``True`` (default), stored results are reused and only missing
         points run.  When ``False`` every point is recomputed, and the fresh
         rows are appended to the store (last row wins on lookup).
-    chunk_size:
-        Specs per pool task.  The default of 1 gives per-point
-        checkpointing and the finest progress; raise it when points are so
-        cheap that pickling dominates.  Ignored in batched mode (the batch
-        is the task).
-    batch_replications:
-        When ``> 0``, enable batched Monte-Carlo evaluation: points sharing
-        a network/routing skeleton are grouped into
-        :class:`~repro.sweeps.spec.ReplicationBatchSpec` batches of at most
-        this many replications and evaluated with shared immutable state —
-        bit-identical per replication to the per-point path, but the
-        network/tree/labelling/ancestry construction is paid once per batch
-        instead of once per replication.  Results are still checkpointed
-        under their individual spec keys, so warm-cache, resume and
-        sharding semantics are unchanged.  Use it for replication-heavy
-        statistics (many points on one topology); use ``chunk_size`` when
-        points are merely cheap but heterogeneous.
     progress:
         Optional callback invoked after every completed point with
         ``(points_done, points_total, spec)``.
@@ -256,9 +172,9 @@ def run_sweep(
         passing a live :class:`~repro.obs.Telemetry` additionally threads
         it into every point's engine (per-probe spans) and keeps the full
         span record — worker-process telemetry is shipped back and merged
-        under ``chunk{i}`` track labels (``batch{i}`` in batched mode, one
-        per-replication span each).  Recording never changes any result
-        (the observables firewall, ``docs/observability.md``).
+        under ``chunk{i}`` track labels, one per point.  Recording never
+        changes any result (the observables firewall,
+        ``docs/observability.md``).
 
     When a store is given, the points this run was responsible for (the
     shard's, under sharding) are recorded in the store's ``manifest.json``
@@ -312,127 +228,67 @@ def run_sweep(
     unique = list(pending)
     done = len(specs) - sum(len(indices) for indices in pending.values())
 
-    def record_all(batch_results: Sequence[SweepPointResult]) -> None:
-        nonlocal done
-        if not batch_results:
-            return
-        for result in batch_results:
-            indices = pending[result.spec]
-            for index in indices:
-                results[index] = result
-        if store is not None:
-            # One append handle per arriving group — per-replication rows
-            # under individual spec keys, without per-row open/close.
-            with acct.span("sweep.point.store_append"):
-                store.put_many(batch_results)
-        for result in batch_results:
-            done += len(pending[result.spec])
-            if progress is not None:
-                progress(done, len(specs), result.spec)
-
     def record(result: SweepPointResult) -> None:
-        record_all([result])
+        nonlocal done
+        indices = pending[result.spec]
+        for index in indices:
+            results[index] = result
+        if store is not None:
+            with acct.span("sweep.point.store_append"):
+                store.put(result)
+        done += len(indices)
+        if progress is not None:
+            progress(done, len(specs), result.spec)
 
-    workers = resolve_workers(workers)
-    batch_size = max(0, int(batch_replications or 0))
+    workers = min(resolve_workers(workers), len(unique))
     try:
-        if workers <= 1 or len(unique) <= 1:
-            if batch_size > 0:
-                for batch in group_replications(unique, max_batch_size=batch_size):
-                    replications = iter_evaluate_batch(
-                        batch, telemetry=acct if collect_detail else None
+        if workers <= 1:
+            for spec in unique:
+                point_start_ns = clock() if clock is not None else 0
+                result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
+                if clock is not None:
+                    point_end_ns = clock()
+                    computed_ns += point_end_ns - point_start_ns
+                    acct.span_at(
+                        "sweep.point.evaluate",
+                        point_start_ns,
+                        point_end_ns,
+                        workload=spec.workload_kind,
                     )
-                    for spec in batch.specs:
-                        point_start_ns = clock() if clock is not None else 0
-                        # A mid-batch failure propagates from here with the
-                        # earlier replications already recorded below.
-                        result = next(replications)
-                        if clock is not None:
-                            point_end_ns = clock()
-                            computed_ns += point_end_ns - point_start_ns
-                            acct.span_at(
-                                "sweep.point.evaluate",
-                                point_start_ns,
-                                point_end_ns,
-                                workload=spec.workload_kind,
-                            )
-                        record(result)
-            else:
-                for spec in unique:
-                    point_start_ns = clock() if clock is not None else 0
-                    result = evaluate_spec(
-                        spec, telemetry=acct if collect_detail else None
-                    )
-                    if clock is not None:
-                        point_end_ns = clock()
-                        computed_ns += point_end_ns - point_start_ns
-                        acct.span_at(
-                            "sweep.point.evaluate",
-                            point_start_ns,
-                            point_end_ns,
-                            workload=spec.workload_kind,
-                        )
-                    record(result)
+                record(result)
         else:
-            if batch_size > 0:
-                track_label = "batch"
-                tasks: list = group_replications(unique, max_batch_size=batch_size)
-            else:
-                track_label = "chunk"
-                chunk = max(1, int(chunk_size))
-                tasks = [unique[i : i + chunk] for i in range(0, len(unique), chunk)]
             first_error: Exception | None = None
             dispatch_start_ns = clock() if clock is not None else 0
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                # Explicit submit call per task shape: repro-lint R7 needs a
-                # module-level callable named at the submission site.
-                if batch_size > 0:
-                    futures = [
-                        pool.submit(_evaluate_batch, task, collect_detail)
-                        for task in tasks
-                    ]
-                else:
-                    futures = [
-                        pool.submit(_evaluate_chunk, task, collect_detail)
-                        for task in tasks
-                    ]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_evaluate_point, spec, collect_detail) for spec in unique
+                ]
                 # Track labels come from submission order, not completion
                 # order, so merged worker telemetry is stably named.
                 task_index = {future: i for i, future in enumerate(futures)}
-
-                def fail(exc: Exception) -> None:
-                    nonlocal first_error
-                    # Keep draining, and cancel nothing: every other task
-                    # runs to completion and is checkpointed, so a re-run
-                    # only repeats the failed points — whatever the
-                    # executor had or had not started when the error came.
-                    if first_error is None:
-                        first_error = exc
-
                 for future in as_completed(futures):
                     try:
-                        task_results, task_telemetry, task_error = future.result()
+                        result, task_telemetry = future.result()
                     except Exception as exc:
-                        fail(exc)
+                        # Keep draining, and cancel nothing: every other
+                        # point runs to completion and is checkpointed, so a
+                        # re-run only repeats the failed points — whatever
+                        # the executor had or had not started when the
+                        # error came.
+                        if first_error is None:
+                            first_error = exc
                         continue
-                    evaluate_dist = task_telemetry.get("values", {}).get(
-                        "sweep.point.evaluate_ns"
-                    )
-                    if evaluate_dist is not None:
-                        computed_ns += int(evaluate_dist["total"])
-                    acct.merge_child(
-                        task_telemetry, track=f"{track_label}{task_index[future]}"
-                    )
-                    record_all(task_results)
-                    if task_error is not None:
-                        fail(task_error)
+                    evaluate_dist = task_telemetry["values"]["sweep.point.evaluate_ns"]
+                    computed_ns += int(evaluate_dist["total"])
+                    acct.merge_child(task_telemetry, track=f"chunk{task_index[future]}")
+                    record(result)
             if clock is not None:
                 acct.span_at(
                     "sweep.pool.dispatch",
                     dispatch_start_ns,
                     clock(),
-                    chunks=len(tasks),
-                    workers=min(workers, len(tasks)),
+                    points=len(unique),
+                    workers=workers,
                 )
             if first_error is not None:
                 raise first_error

@@ -308,11 +308,9 @@ class ResultStore:
     def put_many(self, results: Sequence[SweepPointResult]) -> list[str]:
         """Append ``results`` under one file handle; returns their keys.
 
-        The batched scheduler checkpoints a whole replication batch with one
-        call so the open/append/close round-trip is paid per batch, not per
-        replication.  Each result still lands under its own content-addressed
-        spec key — warm-cache lookups and merges cannot tell (and do not
-        care) whether a row was written singly or as part of a batch.
+        Each result lands under its own content-addressed spec key, so
+        warm-cache lookups and merges cannot tell whether a row was written
+        singly or as part of a group.
         """
         rows = [self._row(result) for result in results]
         self.append_rows(rows)

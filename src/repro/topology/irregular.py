@@ -196,7 +196,7 @@ class IrregularLatticeGenerator:
             while stack:
                 u = stack.pop()
                 for v in network.neighbors(u):
-                    if v in remaining and v in network.switches() and v not in comp:
+                    if v in remaining and v not in comp:
                         comp.add(v)
                         stack.append(v)
             comp_sorted = sorted(comp)

@@ -23,7 +23,6 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.common import (
     SCALES,
-    build_network_and_routing,
     current_scale,
     paper_config,
     scaled,
@@ -62,11 +61,6 @@ class TestScaling:
         config = paper_config(SMOKE, input_buffer_depth=2)
         assert config.message_length_flits == SMOKE.message_length_flits
         assert config.input_buffer_depth == 2
-
-    def test_build_network_and_routing(self):
-        network, routing = build_network_and_routing(16, seed=1)
-        assert network.num_switches == 16
-        assert routing.network is network
 
     def test_default_destination_counts(self):
         counts = default_destination_counts(128)

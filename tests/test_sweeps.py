@@ -253,58 +253,6 @@ class TestRunSweep:
             run_sweep([bad, good], store=store, workers=2)
         assert ResultStore(tmp_path / "cache").get(good) is not None
 
-    @pytest.mark.slow
-    def test_mid_chunk_failure_checkpoints_earlier_chunk_results(
-        self, tmp_path, monkeypatch
-    ):
-        """A failure mid-chunk must not discard the chunk's earlier results
-        (regression: the worker used to raise the whole chunk away, so a
-        resume recomputed points that had already been evaluated).  The
-        marked spec fails with ZeroDeliveryError *after* the good spec in
-        the same chunk; the good result must still reach the store.  The
-        fork start method propagates the monkeypatched module into the pool
-        workers."""
-        import repro.sweeps.spec as spec_module
-
-        real_run_latencies = spec_module._run_latencies
-
-        def poisoned(network, routing, workload, config, from_creation, telemetry=None):
-            if workload.seed == 99:
-                return []
-            return real_run_latencies(
-                network, routing, workload, config, from_creation, telemetry
-            )
-
-        monkeypatch.setattr(spec_module, "_run_latencies", poisoned)
-        good = BASE_SPEC
-        bad = replace(BASE_SPEC, workload_seed=99)
-        store = ResultStore(tmp_path / "cache")
-        with pytest.raises(ZeroDeliveryError):
-            run_sweep([good, bad], store=store, workers=2, chunk_size=2)
-        assert ResultStore(tmp_path / "cache").get(good) is not None
-
-    def test_mid_chunk_failure_returns_partial_results_in_process(self, monkeypatch):
-        """The worker entry point itself returns the pre-failure results plus
-        the exception instead of raising the chunk away."""
-        import repro.sweeps.spec as spec_module
-        from repro.sweeps.scheduler import _evaluate_chunk
-
-        real_run_latencies = spec_module._run_latencies
-
-        def poisoned(network, routing, workload, config, from_creation, telemetry=None):
-            if workload.seed == 99:
-                return []
-            return real_run_latencies(
-                network, routing, workload, config, from_creation, telemetry
-            )
-
-        monkeypatch.setattr(spec_module, "_run_latencies", poisoned)
-        good = BASE_SPEC
-        bad = replace(BASE_SPEC, workload_seed=99)
-        results, _payload, error = _evaluate_chunk([good, bad])
-        assert [r.spec for r in results] == [good]
-        assert isinstance(error, ZeroDeliveryError)
-
 
 class TestResolveWorkers:
     def test_malformed_env_raises_sweep_error(self, monkeypatch):

@@ -9,10 +9,7 @@ the subsystem's acceptance guarantees:
    than the cold run;
 2. after deleting half the store (simulating an interrupted sweep), a
    ``--resume`` re-run completes exactly the missing points with a nonzero
-   cache-hit count and still reproduces the identical figure;
-3. a batched-replication run (``batch_replications`` > 0, fresh store)
-   computes every point through the batched Monte-Carlo backend and its
-   figure export is byte-identical to the unbatched cold run's.
+   cache-hit count and still reproduces the identical figure.
 
 With ``--shard I/N`` the same guarantees are asserted for one deterministic
 shard of the sweep (the CI sweep-smoke job runs a 2-shard matrix this way;
@@ -121,21 +118,6 @@ def main() -> int:
         status = ResultStore(cache_dir).manifest_status()
         assert status is not None and status.complete, status
         print(f"manifest:   {status.describe()}")
-
-        # Batched Monte-Carlo backend: a fresh store, every point computed
-        # through skeleton-sharing batches, byte-identical figure export.
-        batched = run_sweep(
-            specs,
-            store=ResultStore(Path(tmp) / "batched-cache"),
-            batch_replications=8,
-        )
-        assert batched.computed == len(specs) and batched.cache_hits == 0, (
-            batched.summary()
-        )
-        assert export(config, batched) == cold_export, (
-            "batched-replication export differs from the unbatched cold run"
-        )
-        print(f"batched run: {batched.summary()}  (export byte-identical)")
 
         if args.golden:
             golden_specs = figure3_specs(config)
