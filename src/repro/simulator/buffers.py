@@ -23,7 +23,9 @@ class FlitBuffer:
 
     The buffer deliberately raises on misuse (pushing when full, popping when
     empty) instead of silently dropping flits: wormhole flow control never
-    drops flits, so any such call indicates a simulator bug.
+    drops flits, so any such call indicates a simulator bug.  The engine's
+    per-flit handlers work on ``_slots`` directly and make the same checks
+    inline.
     """
 
     __slots__ = ("capacity", "_slots")

@@ -129,6 +129,16 @@ _COALESCE_BACKOFF_MAX_TICKS = 32
 #: bottlenecks that produce multi-period patterns in practice.
 _K_MAX = 3
 
+# Enum members bound once as module constants for the per-flit handlers
+# (see the note in ``router.py``: on CPython 3.10 and 3.11 an enum member
+# lookup costs 150-220 ns more than a global read).
+_HEAD = FlitKind.HEAD
+_BODY = FlitKind.BODY
+_TAIL = FlitKind.TAIL
+_BUBBLE = FlitKind.BUBBLE
+_ACTIVE = SegmentState.ACTIVE
+_DONE = SegmentState.DONE
+
 #: Probe exit tiers, cheapest first: ``_coalesce_tick`` returns one of these,
 #: and ``_PROBE_TIERS[tier]`` is its telemetry name.  Below
 #: ``_VERIFY_FAILURE`` the probe touched no simulation state; from it on, at
@@ -553,11 +563,11 @@ class WormholeSimulator:
                 return _SCAN_REJECT
             flit = out_slots[0]
             flit_kind = flit.kind
-            if flit_kind is FlitKind.BODY:
+            if flit_kind is _BODY:
                 limit = messages[flit.message_id].length_flits - 2 - flit.seq
                 if flit_cap is None or limit < flit_cap:
                     flit_cap = limit
-            elif flit_kind is not FlitKind.BUBBLE:
+            elif flit_kind is not _BUBBLE:
                 return _SCAN_REJECT
             in_buffer = payload.in_buffer
             if len(in_buffer._slots) >= in_buffer.capacity:
@@ -570,7 +580,7 @@ class WormholeSimulator:
                 # the doomed snapshot.  The worm parked behind an OCRQ wait
                 # or a crawling head looks exactly like this.
                 sink = payload.sink_segment
-                if sink is None or sink.state is not SegmentState.ACTIVE:
+                if sink is None or sink.state is not _ACTIVE:
                     return self._coalesce_drain_bail(t0, latency)
             if len(out_slots) == 1:
                 # -- Drain bail: the wire flit is the last one queued and the
@@ -590,7 +600,7 @@ class WormholeSimulator:
                         # buffer never refills, or the injection finishes and
                         # the NI visibly changes message state mid-window.
                         return self._coalesce_drain_bail(t0, latency)
-                elif feeder.state is SegmentState.DONE or (
+                elif feeder.state is _DONE or (
                     k_limit == 1
                     and not feeder.in_link.busy
                     and not feeder.in_link.in_buffer._slots
@@ -623,7 +633,7 @@ class WormholeSimulator:
             return _SCAN_REJECT
         k_min = 1 if d_max < t0 + latency else (d_max - t0) // latency + 1
         moving = [
-            (entry[0], entry[3], entry[3].out_buffer._slots[0].kind is FlitKind.BUBBLE)
+            (entry[0], entry[3], entry[3].out_buffer._slots[0].kind is _BUBBLE)
             for entry in sorted(events._heap)
             if entry[2]
         ]
@@ -845,7 +855,7 @@ class WormholeSimulator:
                         or mid1 != mid0
                         or delta < 0
                         or delta > k
-                        or (delta and kind1 is not FlitKind.BODY)
+                        or (delta and kind1 is not _BODY)
                     ):
                         return "retry", None
                     if delta:
@@ -1048,7 +1058,8 @@ class WormholeSimulator:
         """Put the head flit of ``link``'s output buffer on the wire if
         possible: the wire must be idle, the output buffer non-empty and the
         receiving input buffer not full.  Written out against the buffer
-        internals because this runs several times per flit hop."""
+        internals because this runs on every flit hop; the per-flit handlers
+        skip the call while ``link.busy`` or the output buffer is empty."""
         if link.busy or not link.out_buffer._slots:
             return
         in_buffer = link.in_buffer
@@ -1060,47 +1071,67 @@ class WormholeSimulator:
         self.events.schedule_transfer(link.latency_ns, link)
 
     def _complete_transfer(self, link: LinkState) -> None:
-        """A flit finishes crossing ``link``: hand it to the receiving side."""
-        flit = link.out_buffer.pop()
+        """A flit finishes crossing ``link``: hand it to the receiving side.
+
+        Runs once per flit hop, so it works on the buffers' deques directly
+        (with :class:`~repro.simulator.buffers.FlitBuffer`'s full/empty
+        checks inline) and calls ``try_advance`` on the receiving segment
+        and on the feeder.
+        """
+        out_slots = link.out_buffer._slots
+        if not out_slots:
+            raise SimulationError("pop from an empty flit buffer")
+        flit = out_slots.popleft()
         link.busy = False
         self.stats.flit_hops += 1
         kind = flit.kind
         if self._collect_stats:
-            if kind is FlitKind.BUBBLE:
+            if kind is _BUBBLE:
                 link.bubble_flits_carried += 1
             else:
                 link.data_flits_carried += 1
             link.mark_utilisation_end(self.events.now)
 
         if link.sink_is_processor:
-            if kind is FlitKind.TAIL:
+            if kind is _TAIL:
                 self._deliver_tail(flit, link.channel.dst)
-        elif kind is FlitKind.BUBBLE and link.sink_segment is None:
-            # A bubble that arrives after its worm segment has already
-            # finished carries no information; absorbing it keeps the
-            # single-flit input buffer available for the next worm.
-            pass
         else:
-            link.in_buffer.push(flit)
-            if kind is FlitKind.HEAD:
-                self._handle_head_at_switch(link, flit, link.channel.dst)
+            segment = link.sink_segment
+            if kind is _BUBBLE and segment is None:
+                # A bubble that arrives after its worm segment has already
+                # finished carries no information; absorbing it keeps the
+                # single-flit input buffer available for the next worm.
+                pass
             else:
-                segment = link.sink_segment
-                if segment is not None:
-                    segment.on_flit_available()
-                elif kind is not FlitKind.BUBBLE:
+                in_buffer = link.in_buffer
+                in_slots = in_buffer._slots
+                if len(in_slots) >= in_buffer.capacity:
+                    raise SimulationError("push into a full flit buffer")
+                in_slots.append(flit)
+                if kind is _HEAD:
+                    # In an input buffer deeper than one flit the header may
+                    # land behind the previous worm's tail; the router sees
+                    # it only when it reaches the front, so the previous
+                    # segment hands it over when it finishes
+                    # (WormSegment._finish).
+                    if segment is None:
+                        self.handle_head_at_switch(link, flit, link.channel.dst)
+                elif segment is not None:
+                    segment.try_advance()
+                elif kind is not _BUBBLE:
                     raise SimulationError(
                         f"flit of message {flit.message_id} arrived at switch "
                         f"{link.channel.dst} with no active segment"
                     )
 
         # The output-buffer slot freed by this transfer lets the feeder (the
-        # upstream segment or the source NI) push its next flit, and possibly
-        # lets this link start its next transfer immediately.
+        # upstream segment or the source NI) push its next flit, which may
+        # already restart this link; otherwise try to restart it here.
         feeder = link.feeder
         if feeder is not None:
-            feeder.on_output_space(link)
-        self.try_start_transfer(link)
+            feeder.try_advance()
+        if not link.busy and link.out_buffer._slots:
+            self.try_start_transfer(link)
 
     def _deliver_tail(self, flit: Flit, processor: int) -> None:
         """A tail flit reached its destination processor: record delivery."""
@@ -1116,8 +1147,9 @@ class WormholeSimulator:
             for callback in self.completion_callbacks:
                 callback(message)
 
-    def _handle_head_at_switch(self, link: LinkState, flit: Flit, switch: int) -> None:
-        """Create the worm segment for a header flit and schedule its decision."""
+    def handle_head_at_switch(self, link: LinkState, flit: Flit, switch: int) -> None:
+        """Create the worm segment for a header flit at the front of
+        ``link``'s input buffer and schedule its decision."""
         message = self.messages[flit.message_id]
         message.hops += 1
         if message.hops > self.config.max_hops:

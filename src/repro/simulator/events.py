@@ -104,21 +104,6 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def pop(self) -> tuple[int, Callable[[], None]]:
-        """Pop the earliest event and advance the clock to its timestamp.
-
-        Compatibility wrapper returning ``(time, callback)``; only valid for
-        generic entries (the engine drains transfer entries through
-        :meth:`pop_entry`).  Refusal happens *before* popping, so a misuse
-        leaves the queue intact.
-        """
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        if self._heap[0][2] == _TRANSFER:
-            raise SimulationError("pop() cannot return a transfer entry; use pop_entry()")
-        time_ns, _seq, _kind, payload = self.pop_entry()
-        return time_ns, payload  # type: ignore[return-value]
-
     def pop_entry(self) -> tuple[int, int, int, object]:
         """Pop the earliest entry ``(time, seq, kind, payload)`` and advance
         the clock to its timestamp."""

@@ -44,6 +44,9 @@ class Flit:
         sequence number of the data flit they were inserted in place of;
         their ordering relative to data flits is irrelevant because they are
         discarded on consumption.
+
+    A flit is never modified after construction, so a replicating segment
+    pushes the same flit object into every output buffer of its fan-out.
     """
 
     __slots__ = ("kind", "message_id", "seq")
@@ -52,26 +55,6 @@ class Flit:
         self.kind = kind
         self.message_id = message_id
         self.seq = seq
-
-    @property
-    def is_head(self) -> bool:
-        """``True`` for header flits."""
-        return self.kind is FlitKind.HEAD
-
-    @property
-    def is_tail(self) -> bool:
-        """``True`` for tail flits."""
-        return self.kind is FlitKind.TAIL
-
-    @property
-    def is_bubble(self) -> bool:
-        """``True`` for bubble flits."""
-        return self.kind is FlitKind.BUBBLE
-
-    @property
-    def is_data(self) -> bool:
-        """``True`` for header, body and tail flits (everything but bubbles)."""
-        return self.kind is not FlitKind.BUBBLE
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Flit({self.kind.name}, msg={self.message_id}, seq={self.seq})"

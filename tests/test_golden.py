@@ -23,7 +23,17 @@ result store.  The batched-vs-per-point and sharded-vs-whole differentials
 then have a stored reference too: CI hashes its merged and batched Figure-3
 exports against the same digest.
 
-Regenerate the corpus only for a change that is *meant* to move results,
+A third corpus, ``tests/golden/fuzz.json``, pins 200 seeded random
+scenarios the hand-built ones do not reach: ``random_irregular_network``
+topologies, mixed unicast/multicast messages of 2–64 flits, an optional
+2× or 3× slow channel, ``run()`` or a ``run_for`` tiling, and input and
+output buffers 1–3 flits deep (:func:`fuzz_scenario`).  Tier-1 checks the
+fixed slice :data:`FUZZ_TIER1` on both paths; CI checks all of them::
+
+    PYTHONPATH=src python tests/test_golden.py --fuzz          # every seed
+    PYTHONPATH=src python tests/test_golden.py --fuzz 37 128   # named seeds
+
+Regenerate the corpora only for a change that is *meant* to move results,
 and say in the commit message why it moved::
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
@@ -36,6 +46,8 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,13 +61,14 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import figure1_network
-from repro.topology.irregular import lattice_irregular_network
+from repro.topology.irregular import lattice_irregular_network, random_irregular_network
 from repro.topology.network import Network
 from repro.traffic.arrivals import NegativeBinomialArrivals, PoissonArrivals
 from repro.traffic.workload import MessageSpec, Workload, mixed_traffic_workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine.json"
 SWEEP_GOLDEN_PATH = Path(__file__).parent / "golden" / "sweeps.json"
+FUZZ_GOLDEN_PATH = Path(__file__).parent / "golden" / "fuzz.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
 
 
@@ -292,10 +305,145 @@ def test_sweep_corpus_covers_exactly_the_exports():
     assert sorted(load_sweep_golden()) == sorted(SWEEP_EXPORTS)
 
 
+#: Seeds of the fuzz corpus, and the fixed slice tier-1 checks: every
+#: fourth seed, about 2 s on both paths on a 2-core container (the whole
+#: corpus takes about 8 s).
+FUZZ_SEEDS = range(200)
+FUZZ_TIER1 = FUZZ_SEEDS[::4]
+
+
+@dataclass
+class FuzzScenario:
+    """One seeded random scenario of ``tests/golden/fuzz.json``."""
+
+    network: Network
+    routing: SpamRouting
+    #: ``(source, destinations, at_ns, length_flits)`` per message.
+    messages: list[tuple[int, tuple[int, ...], int, int]]
+    overrides: dict
+    #: ``None`` for one ``run()``, else ``(window_ns, windows)``: that many
+    #: ``run_for(window_ns)`` calls before the final ``run()``.
+    tiling: tuple[int, int] | None
+
+    def describe(self) -> str:
+        """The scenario's dimensions, on one line."""
+        slow = dict(self.overrides["channel_latency_factors"])
+        return (
+            f"{len(self.network.switches())} switches, "
+            f"{len(self.network.channels())} channels, "
+            f"{len(self.messages)} messages "
+            f"({sum(len(m[1]) == 1 for m in self.messages)} unicast), "
+            f"{min(m[3] for m in self.messages)}-{max(m[3] for m in self.messages)} flits, "
+            f"buffers in/out {self.overrides['input_buffer_depth']}/"
+            f"{self.overrides['output_buffer_depth']}, "
+            f"slow {slow or 'none'}, "
+            + ("run()" if self.tiling is None else "run_for({}) x{} + run()".format(*self.tiling))
+        )
+
+
+def fuzz_scenario(seed: int) -> FuzzScenario:
+    """Draw the scenario of ``seed``.  Append new draws at the end only:
+    reordering them moves every digest."""
+    rng = random.Random(seed)
+    network = random_irregular_network(
+        rng.randint(4, 14), extra_links=rng.randint(0, 10), seed=seed
+    )
+    processors = network.processors()
+    messages = []
+    for _ in range(rng.randint(1, 12)):
+        source = rng.choice(processors)
+        others = [p for p in processors if p != source]
+        count = 1 if rng.random() < 0.4 else rng.randint(2, len(others))
+        destinations = tuple(sorted(rng.sample(others, count)))
+        messages.append((source, destinations, 10 * rng.randrange(1000), rng.randint(2, 64)))
+    slow: tuple[tuple[int, int], ...] = ()
+    if rng.random() < 0.5:
+        slow = ((rng.randrange(len(network.channels())), rng.choice((2, 3))),)
+    tiling = None
+    if rng.random() < 0.5:
+        tiling = (rng.randrange(50, 5000), rng.randint(1, 20))
+    overrides = {
+        "channel_latency_factors": slow,
+        "input_buffer_depth": rng.choice((1, 2, 3)),
+        "output_buffer_depth": rng.choice((1, 2, 3)),
+    }
+    return FuzzScenario(network, SpamRouting.build(network), messages, overrides, tiling)
+
+
+def fuzz_digest(scenario: FuzzScenario, fast_path: bool) -> str:
+    """sha256 of the fingerprint of ``scenario`` on one path."""
+    config = SimulationConfig(
+        trace=True, collect_channel_stats=True, fast_path=fast_path, **scenario.overrides
+    )
+    simulator = WormholeSimulator(scenario.network, scenario.routing, config)
+    for source, destinations, at_ns, length in scenario.messages:
+        simulator.submit_message(source, destinations, at_ns=at_ns, length_flits=length)
+    if scenario.tiling is not None:
+        window_ns, windows = scenario.tiling
+        for _ in range(windows):
+            simulator.run_for(window_ns)
+    stats = simulator.run()
+    return digest(simulator_fingerprint(simulator, stats))
+
+
+def load_fuzz_golden() -> dict[int, str]:
+    digests = json.loads(FUZZ_GOLDEN_PATH.read_text())["digests"]
+    return {int(seed): sha for seed, sha in digests.items()}
+
+
+def fuzz_mismatches(seed: int, golden: dict[int, str]) -> list[str]:
+    """One line per path whose digest moved from the golden, each naming
+    the seed, the scenario and a one-line reproducer."""
+    scenario = fuzz_scenario(seed)
+    lines = []
+    for fast_path in (True, False):
+        observed = fuzz_digest(scenario, fast_path)
+        if observed != golden[seed]:
+            lines.append(
+                f"fuzz seed {seed} moved on the {'fast' if fast_path else 'reference'} path "
+                f"(sha256 {golden[seed][:12]} -> {observed[:12]}): {scenario.describe()}; "
+                f"reproduce: PYTHONPATH=src python tests/test_golden.py --fuzz {seed}"
+            )
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_golden() -> dict[int, str]:
+    return load_fuzz_golden()
+
+
+@pytest.mark.equivalence
+@pytest.mark.parametrize("seed", FUZZ_TIER1)
+def test_fuzz_scenario_matches_golden(seed, fuzz_golden):
+    mismatches = fuzz_mismatches(seed, fuzz_golden)
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_fuzz_corpus_covers_exactly_the_seeds(fuzz_golden):
+    assert sorted(fuzz_golden) == list(FUZZ_SEEDS)
+
+
+def check_fuzz(seeds: list[int]) -> int:
+    """Check ``seeds`` (all of them when empty) on both paths; print one
+    line per moved path and return the number of moved seeds."""
+    golden = load_fuzz_golden()
+    moved = 0
+    for seed in seeds or FUZZ_SEEDS:
+        mismatches = fuzz_mismatches(seed, golden)
+        if seeds:
+            print(f"seed {seed}: {fuzz_scenario(seed).describe()}")
+        for line in mismatches:
+            print(line)
+        moved += bool(mismatches)
+    checked = len(seeds) if seeds else len(FUZZ_SEEDS)
+    print(f"fuzz corpus: {checked - moved} of {checked} seeds match on both paths")
+    return moved
+
+
 def regenerate() -> None:
-    """Rewrite both corpora: the engine scenarios (fast path and reference
-    must agree on every scenario before anything is written) and the sweep
-    export digests."""
+    """Rewrite the three corpora: the engine scenarios and the fuzz
+    scenarios (fast path and reference must agree on every scenario before
+    anything is written) and the sweep export digests."""
     scenarios = {}
     for name, build in SCENARIOS.items():
         fast = observe(build(), fast_path=True)
@@ -315,15 +463,32 @@ def regenerate() -> None:
     document = {"regenerate": REGENERATE, "exports": exports}
     SWEEP_GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {SWEEP_GOLDEN_PATH}")
+    digests = {}
+    for seed in FUZZ_SEEDS:
+        scenario = fuzz_scenario(seed)
+        fast = fuzz_digest(scenario, fast_path=True)
+        if fast != fuzz_digest(scenario, fast_path=False):
+            raise SystemExit(f"fuzz seed {seed}: fast path and reference disagree; not writing")
+        digests[str(seed)] = fast
+    document = {"regenerate": REGENERATE, "digests": digests}
+    FUZZ_GOLDEN_PATH.write_text(json.dumps(document, indent=0) + "\n")
+    print(f"wrote {FUZZ_GOLDEN_PATH} ({len(digests)} scenarios)")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--regenerate", action="store_true",
-        help="rewrite tests/golden/engine.json and tests/golden/sweeps.json",
+        help="rewrite tests/golden/engine.json, sweeps.json and fuzz.json",
     )
-    if parser.parse_args().regenerate:
+    parser.add_argument(
+        "--fuzz", nargs="*", type=int, metavar="SEED",
+        help="check the fuzz corpus on both paths (every seed, or the named ones)",
+    )
+    args = parser.parse_args()
+    if args.regenerate:
         regenerate()
+    elif args.fuzz is not None:
+        sys.exit(1 if check_fuzz(args.fuzz) else 0)
     else:
         parser.print_help()

@@ -10,8 +10,11 @@ from repro.routing.naive import NaiveMinimalRouting
 from repro.routing.updown import UpDownRouting
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
+from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import figure1_network
 from repro.topology.irregular import lattice_irregular_network
+from repro.traffic.arrivals import PoissonArrivals
+from repro.traffic.workload import mixed_traffic_workload
 
 
 def expected_idle_unicast_latency(config: SimulationConfig, hops: int) -> int:
@@ -316,6 +319,42 @@ class TestValidationAndSafety:
         assert not message.is_complete
         simulator.run()
         assert message.is_complete
+
+
+class TestDeepInputBuffers:
+    """With input buffers deeper than one flit, the next worm's header can
+    land behind the previous worm's tail.  It must reach the router only
+    when it gets to the front of the FIFO: handling it on arrival replaced
+    the live segment, which then popped the old worm's tail and raised
+    ``SimulationError: ... arrived at switch 11 with no active segment``
+    (depth 4; depth 8 failed the same way on message 13)."""
+
+    @pytest.mark.parametrize("depth", [2, 4, 8])
+    def test_headers_queued_behind_a_tail_deliver(self, lattice32, lattice32_spam, depth):
+        workload = mixed_traffic_workload(
+            lattice32,
+            rate_per_us=0.03,
+            multicast_destinations=8,
+            num_messages=45,
+            multicast_fraction=0.15,
+            seed=23,
+            arrival_process=PoissonArrivals(0.03),
+        )
+        fingerprints = []
+        for fast_path in (True, False):
+            config = SimulationConfig(
+                message_length_flits=128,
+                input_buffer_depth=depth,
+                fast_path=fast_path,
+                trace=True,
+                collect_channel_stats=True,
+            )
+            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+            workload.submit_to(simulator)
+            stats = simulator.run()
+            assert stats.messages_completed == 45
+            fingerprints.append(simulator_fingerprint(simulator, stats))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestDeterministicSnapshots:

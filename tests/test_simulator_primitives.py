@@ -17,19 +17,11 @@ from repro.simulator.ocrq import OutputChannelRequestQueue
 
 
 class TestFlit:
-    def test_kinds(self):
-        head = Flit(FlitKind.HEAD, 1, 0)
-        tail = Flit(FlitKind.TAIL, 1, 7)
-        bubble = Flit(FlitKind.BUBBLE, 1, 3)
-        assert head.is_head and head.is_data
-        assert tail.is_tail and tail.is_data
-        assert bubble.is_bubble and not bubble.is_data
-
     def test_make_worm_flits(self):
         flits = make_worm_flits(5, 6)
         assert len(flits) == 6
-        assert flits[0].is_head
-        assert flits[-1].is_tail
+        assert flits[0].kind is FlitKind.HEAD
+        assert flits[-1].kind is FlitKind.TAIL
         assert all(f.kind is FlitKind.BODY for f in flits[1:-1])
         assert [f.seq for f in flits] == list(range(6))
         assert all(f.message_id == 5 for f in flits)
@@ -65,7 +57,7 @@ class TestFlitBuffer:
         assert buffer.occupancy == 1
         assert buffer.free_slots == 1
         assert len(buffer) == 1
-        assert buffer.flits()[0].is_head
+        assert buffer.flits()[0].kind is FlitKind.HEAD
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
@@ -126,7 +118,7 @@ class TestEventQueue:
         queue.schedule(10, lambda: seen.append("a"))
         queue.schedule(20, lambda: seen.append("b"))
         while not queue.is_empty:
-            _, callback = queue.pop()
+            _time, _seq, _kind, callback = queue.pop_entry()
             callback()
         assert seen == ["a", "b", "c"]
         assert queue.now == 30
@@ -137,13 +129,13 @@ class TestEventQueue:
         for index in range(5):
             queue.schedule(7, lambda i=index: seen.append(i))
         while not queue.is_empty:
-            queue.pop()[1]()
+            queue.pop_entry()[3]()
         assert seen == [0, 1, 2, 3, 4]
 
     def test_scheduling_in_the_past_rejected(self):
         queue = EventQueue()
         queue.schedule(10, lambda: None)
-        queue.pop()
+        queue.pop_entry()
         with pytest.raises(SimulationError):
             queue.schedule(5, lambda: None)
 
@@ -155,7 +147,7 @@ class TestEventQueue:
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
-            EventQueue().pop()
+            EventQueue().pop_entry()
 
 
 class TestEventQueueTransferEntries:
@@ -175,16 +167,6 @@ class TestEventQueueTransferEntries:
         assert (time_ns, kind) == (10, 1)
         assert payload is marker
         assert queue.transfer_pending == 0
-
-    def test_pop_refuses_transfer_entries_without_consuming(self):
-        queue = EventQueue()
-        queue.schedule_transfer(10, object())
-        with pytest.raises(SimulationError):
-            queue.pop()
-        # The refusal must not have popped the entry or advanced the clock.
-        assert len(queue) == 1
-        assert queue.transfer_pending == 1
-        assert queue.now == 0
 
     def test_advance_to_moves_to_boundary_only(self):
         queue = EventQueue()
