@@ -21,11 +21,10 @@ __all__ = ["FlitBuffer"]
 class FlitBuffer:
     """A FIFO queue of flits with a fixed capacity.
 
-    The buffer deliberately raises on misuse (pushing when full, popping when
-    empty) instead of silently dropping flits: wormhole flow control never
-    drops flits, so any such call indicates a simulator bug.  The engine's
-    per-flit handlers work on ``_slots`` directly and make the same checks
-    inline.
+    The per-flit handlers work on ``_slots`` (a deque, oldest first) directly
+    and check ``capacity`` inline.  Wormhole flow control never drops flits,
+    so a push into a full buffer or a pop from an empty one is a simulator
+    bug, and the engine raises :class:`~repro.errors.SimulationError` on it.
     """
 
     __slots__ = ("capacity", "_slots")
@@ -35,46 +34,6 @@ class FlitBuffer:
             raise SimulationError("buffer capacity must be at least one flit")
         self.capacity = capacity
         self._slots: deque[Flit] = deque()
-
-    # ------------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Number of flits currently held."""
-        return len(self._slots)
-
-    @property
-    def free_slots(self) -> int:
-        """Number of additional flits the buffer can accept."""
-        return self.capacity - len(self._slots)
-
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when no flit is held."""
-        return not self._slots
-
-    @property
-    def is_full(self) -> bool:
-        """``True`` when no more flits can be accepted."""
-        return len(self._slots) >= self.capacity
-
-    # ------------------------------------------------------------------
-    def push(self, flit: Flit) -> None:
-        """Append ``flit``; raises if the buffer is full."""
-        if len(self._slots) >= self.capacity:
-            raise SimulationError("push into a full flit buffer")
-        self._slots.append(flit)
-
-    def peek(self) -> Flit:
-        """The oldest flit without removing it; raises if empty."""
-        if not self._slots:
-            raise SimulationError("peek into an empty flit buffer")
-        return self._slots[0]
-
-    def pop(self) -> Flit:
-        """Remove and return the oldest flit; raises if empty."""
-        if not self._slots:
-            raise SimulationError("pop from an empty flit buffer")
-        return self._slots.popleft()
 
     def flits(self) -> tuple[Flit, ...]:
         """Snapshot of the buffer contents, oldest first (for diagnostics)."""

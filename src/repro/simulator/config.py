@@ -63,18 +63,18 @@ class SimulationConfig:
         streaming phase is ``ACTIVE`` and produces bit-identical timestamps,
         traces and statistics; turn it off to force the reference per-flit
         execution (useful when stepping through the engine, and exercised by
-        the trace-equivalence tests).  ``docs/fast_path.md`` specifies the
-        coalescing contract; the patterns it coalesces have no switches of
-        their own.
+        the trace-equivalence tests).  It verifies and replays one channel
+        period at a time; ``docs/fast_path.md`` specifies the coalescing
+        contract.  The patterns it coalesces have no switches of their own.
     channel_latency_factors:
         Per-channel latency multipliers ``((cid, factor), ...)``: channel
         ``cid`` forwards one flit per ``factor × channel_latency_ns``
         instead of the base period, modelling a degraded or long link in
         an irregular topology.  Factors are positive integers so event
         timestamps stay on the base grid.  A slow channel throttles its
-        whole worm to rate ``1/factor`` — the canonical source of
-        every-k-th-window steady states the fast path's multi-period
-        pattern coalesces.
+        whole worm to rate ``1/factor``; the fast path probes one channel
+        period at a time, so that worm's streaming phases run per flit
+        (results are identical either way).
     telemetry:
         Record wall-clock telemetry (:mod:`repro.obs`) during runs: one
         span per fast-path probe with its exit tier, and the ``coalesce_*``

@@ -31,13 +31,13 @@ When ``SimulationConfig.fast_path`` is enabled (the default), the engine
 detects this situation and coalesces it: it executes one full *period
 window* — every event in ``[t0, t0 + channel_latency_ns)`` — through the
 ordinary per-flit machinery, verifies that the window was *self-similar*,
-and then replays ``k`` further windows arithmetically: flit sequence
+and then replays ``m`` further windows arithmetically: flit sequence
 numbers, source-NI cursors, ``flit_hops``, bubble counters, per-channel
 counters, busy-time accounting, trace records and the pending transfer
-deadlines are all advanced in O(links) instead of O(k × links) heap events.
-``k`` is capped so the batch ends strictly before the first non-transfer
+deadlines are all advanced in O(links) instead of O(m × links) heap events.
+``m`` is capped so the batch ends strictly before the first non-transfer
 event, before any head or tail flit would move, and before a bounded run's
-window boundary.  Four steady-state patterns coalesce, with no switch
+window boundary.  Three steady-state patterns coalesce, with no switch
 beyond ``fast_path`` itself:
 
 * **synchronized body streaming** — every pending transfer completes at the
@@ -53,14 +53,14 @@ beyond ``fast_path`` itself:
   self-similar *including* its bubble signature: bubble buffer contents
   are bit-identical, and the bubble-creation count, per-link bubble
   counters and ``bubble`` trace records advance by the same fixed amount
-  every period;
-* **multi-period streaming** — behind a rate bottleneck such as a slow
-  channel (``SimulationConfig.channel_latency_factors``), links fire every
-  k-th window instead of every window; the probe tries compound periods
-  ``k × channel_latency_ns`` for ``k`` up to ``_K_MAX``, verifying
-  self-similarity over the whole compound window (per-slot sequence
-  advances measured, not assumed) and replaying whole compound periods
-  arithmetically.
+  every period.
+
+The probe window is always one channel period.  On a network whose channels
+share one latency that loses nothing: deadlock-free routing keeps the
+buffer dependencies acyclic, so every moving link fires every period.
+Behind a slow channel (``SimulationConfig.channel_latency_factors``) the
+worm moves every few periods instead, so its windows fail the probe's
+one-period checks and run per flit.
 
 **Equivalence guarantee:** because the verification window *is* the
 reference execution and self-similarity is checked structurally (buffer
@@ -115,19 +115,12 @@ _MIN_BATCH_TICKS = 4
 #: Ticks to wait before re-probing after a failed self-similarity check (or
 #: a drain bail).  Failures cluster in churn phases (head crawls, drains,
 #: bubble storms) where re-snapshotting every tick would cost more than it
-#: saves; repeated failures double the backoff up to the cap below.  PR 5
-#: re-tuned the pair from 8/64 down to 4/32: the drain bails reject most
-#: doomed windows before the snapshot, so retrying sooner is now cheap and
-#: wins ~8-10% end to end on paper-length (128-flit) mixed traffic — see
-#: the ``tuning`` section of ``BENCH_simulator_throughput.json``.
+#: saves; repeated failures double the backoff up to the cap below.  The
+#: pair was re-tuned from 8/64 down to 4/32 once the drain bails rejected
+#: most doomed windows before the snapshot: retrying sooner is then cheap,
+#: and won ~8-10% end to end on paper-length (128-flit) mixed traffic.
 _COALESCE_BACKOFF_TICKS = 4
 _COALESCE_BACKOFF_MAX_TICKS = 32
-
-#: Largest compound period, in channel periods, the probe tries on a network
-#: with slow channels (``K_MAX`` in ``docs/fast_path.md``).  Each extra period
-#: deepens the snapshotted closure by one expansion; 3 covers the 2x and 3x
-#: bottlenecks that produce multi-period patterns in practice.
-_K_MAX = 3
 
 # Enum members bound once as module constants for the per-flit handlers
 # (see the note in ``router.py``: on CPython 3.10 and 3.11 an enum member
@@ -213,18 +206,6 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
-        #: Largest compound period (in channel periods) the probe will try;
-        #: 1 collapses every multi-period code path back to single-window
-        #: probing.  Multi-period patterns require a sub-unit-rate
-        #: bottleneck, and on a homogeneous-latency network there is none:
-        #: deadlock-free wormhole routing keeps the buffer-dependency graph
-        #: acyclic, so in a generic-free window every moving link fires
-        #: every window (rate 1) or not at all.  The probe therefore only
-        #: pays for multi-period candidates when some channel actually has
-        #: a different latency (``channel_latency_factors``).
-        base_latency = self.config.channel_latency_ns
-        heterogeneous = any(link.latency_ns != base_latency for link in self.links)
-        self._coalesce_k_max = _K_MAX if heterogeneous else 1
         # Fast-path bookkeeping: earliest time a coalesce attempt is allowed.
         # Each tick is probed at most once, and an attempt that paid for a
         # snapshot but failed verification backs off for a few ticks (failed
@@ -252,24 +233,14 @@ class WormholeSimulator:
         #: Probes rejected in O(1) because the EventQueue-maintained earliest
         #: generic deadline sat too close for a worthwhile batch — the cheap
         #: exit for churn phases, taken before any heap scan or snapshot.
-        #: Counted at most once per probe, however many compound periods the
-        #: multi-period extension would have tried.
         self.coalesce_generic_bails = 0
         #: Probes rejected during the cheap scan because a pending wire flit
         #: is the last one queued on its link and the feeder provably cannot
         #: refill the output buffer (worm drains: a finished upstream
-        #: segment, an exhausted source NI).  Such a window can never verify
-        #: at any period, so the probe skips the snapshot it would have
-        #: wasted and takes the same backoff a verify failure would.
+        #: segment, an exhausted source NI).  Such a window can never
+        #: verify, so the probe skips the snapshot it would have wasted and
+        #: takes the same backoff a verify failure would.
         self.coalesce_drain_bails = 0
-        #: Of :attr:`coalesce_batches`, how many replayed a compound period
-        #: of two or more channel periods (the multi-period pattern).
-        self.coalesce_multi_period_batches = 0
-        #: Batches by verified period: ``{k: batches}`` where ``k`` is the
-        #: compound period in channel periods.  Homogeneous-latency networks
-        #: under deadlock-free routing only ever record ``k == 1`` (see
-        #: ``docs/fast_path.md``); slow channels produce higher keys.
-        self.coalesce_k_histogram: dict[int, int] = {}
         #: Tail deliveries recorded so far (cheap sentinel the fast-path
         #: verifier compares to prove no destination was reached inside a
         #: probed window; not an observable result).
@@ -457,16 +428,10 @@ class WormholeSimulator:
         2. :meth:`_probe_scan` (one heap pass) — ``_SCAN_REJECT`` or
            ``_DRAIN_BAIL``;
         3. :meth:`_probe_snapshot` (the closure of touchable state);
-        4. :meth:`_probe_execute` (run windows ``[t0, t0 + k·L)`` through the
-           per-flit machinery and examine them for ascending ``k``) —
-           ``_VERIFY_FAILURE``;
+        4. :meth:`_probe_execute` (run the window ``[t0, t0 + L)`` through
+           the per-flit machinery and examine it) — ``_VERIFY_FAILURE``;
         5. :meth:`_probe_replay` — ``_BATCH``, or ``_VERIFY_FAILURE`` when
            the replay would be too short to pay.
-
-        Multi-period candidates (``k > 1``) exist only when
-        ``_coalesce_k_max > 1``; what they need beyond the single-window
-        path sits in the ``_compound_*`` helpers and
-        :meth:`_replay_compound_link_stats`.
         """
         latency = self.config.channel_latency_ns
         # Probe each window at most once (a failed probe closes the gate for
@@ -484,66 +449,37 @@ class WormholeSimulator:
         if t_other is not None and (t_other - 1 - t0) // latency < _MIN_BATCH_TICKS + 1:
             self.coalesce_generic_bails += 1
             return _GENERIC_BAIL
-        k_limit = self._coalesce_k_max
-        if k_limit > 1:
-            k_limit = self._compound_k_limit(t0, t_other, until_ns)
-        window = self._probe_scan(t0, until_ns, t_other, k_limit)
+        window = self._probe_scan(t0, until_ns, t_other)
         if isinstance(window, int):
             return window
-        k_min, off_class, moving = window
-        snapshot = self._probe_snapshot(moving, k_limit)
-        verified = self._probe_execute(t0, k_min, k_limit, snapshot)
-        if isinstance(verified, int):
-            return verified
-        k, plan = verified
-        return self._probe_replay(t0, until_ns, t_other, off_class, snapshot, k, plan)
-
-    def _compound_k_limit(self, t0: int, t_other: int | None, until_ns: int | None) -> int:
-        """Largest compound period worth probing at ``t0``: a k-period batch
-        executes k reference windows and then replays at least one compound
-        window with ``m·k >= _MIN_BATCH_TICKS``, i.e. ``ceil(MIN/k)·k`` more
-        windows, all strictly before the first generic deadline and inside a
-        bounded run's window.  Only probes on networks with slow channels
-        get here."""
-        latency = self.config.channel_latency_ns
-        room: int | None = None
-        if t_other is not None:
-            room = (t_other - 1 - t0) // latency
-        if until_ns is not None:
-            until_room = (until_ns - t0) // latency
-            if room is None or until_room < room:
-                room = until_room
-        k_limit = self._coalesce_k_max
-        if room is not None:
-            while k_limit > 1:
-                replay = ((_MIN_BATCH_TICKS + k_limit - 1) // k_limit) * k_limit
-                if k_limit + replay <= room:
-                    break
-                k_limit -= 1
-        return k_limit
+        off_class, moving = window
+        snapshot = self._probe_snapshot(moving)
+        plan = self._probe_execute(t0, snapshot)
+        if isinstance(plan, int):
+            return plan
+        return self._probe_replay(t0, until_ns, t_other, off_class, snapshot, plan)
 
     def _probe_scan(
-        self, t0: int, until_ns: int | None, t_other: int | None, k_limit: int
-    ) -> int | tuple[int, bool, list[tuple[int, LinkState, bool]]]:
+        self, t0: int, until_ns: int | None, t_other: int | None
+    ) -> int | tuple[bool, list[tuple[int, LinkState, bool]]]:
         """Phase 2: one unsorted pass over the heap.
 
-        Every pending transfer must complete within the probe horizon
-        (``k_limit`` windows), every wire flit must be a body flit or a
-        bubble, and a wire flit that is the last one queued must have a
-        feeder that can still refill the buffer; the replay the window
-        allows must also be worthwhile.  This rejects head crawls and
-        worm-drain phases before paying for a sort or a snapshot.
+        Every pending transfer must complete within the window, every wire
+        flit must be a body flit or a bubble, and a wire flit that is the
+        last one queued must have a feeder that can still refill the
+        buffer; the replay the window allows must also be worthwhile.  This
+        rejects head crawls, worm-drain phases and slow-channel transfers
+        before paying for a sort or a snapshot.
 
         Returns the exit tier (``_SCAN_REJECT`` or ``_DRAIN_BAIL``) when the
-        window is rejected, else ``(k_min, off_class, moving)``: the
-        smallest period covering every pending deadline, whether the
+        window is rejected, else ``(off_class, moving)``: whether the
         transfers span several deadline classes (the phase-staggered
         pattern), and the pending transfers in per-flit completion order as
         ``(deadline, link, wire flit is a bubble)``.
         """
         events = self.events
         latency = self.config.channel_latency_ns
-        horizon = t0 + k_limit * latency
+        horizon = t0 + latency
         messages = self.messages
         d_max = t0
         off_class = False
@@ -554,8 +490,7 @@ class WormholeSimulator:
             if time_ns != t0:
                 if time_ns >= horizon:
                     return _SCAN_REJECT
-                if (time_ns - t0) % latency:
-                    off_class = True
+                off_class = True
                 if time_ns > d_max:
                     d_max = time_ns
             out_slots = payload.out_buffer._slots
@@ -585,10 +520,10 @@ class WormholeSimulator:
             if len(out_slots) == 1:
                 # -- Drain bail: the wire flit is the last one queued and the
                 # feeder provably cannot refill the buffer, so the link goes
-                # idle after this completion and the window can never verify
-                # at any period.  Detecting it here skips the doomed snapshot
-                # (the dominant paid-verify failure during worm drains) but
-                # still takes the verify-failure backoff, because a drain is
+                # idle after this completion and the window can never
+                # verify.  Detecting it here skips the doomed snapshot (the
+                # dominant paid-verify failure during worm drains) but still
+                # takes the verify-failure backoff, because a drain is
                 # exactly the churn the backoff exists to wait out.
                 feeder = payload.feeder
                 if feeder is None:
@@ -601,18 +536,12 @@ class WormholeSimulator:
                         # the NI visibly changes message state mid-window.
                         return self._coalesce_drain_bail(t0, latency)
                 elif feeder.state is _DONE or (
-                    k_limit == 1
-                    and not feeder.in_link.busy
-                    and not feeder.in_link.in_buffer._slots
+                    not feeder.in_link.busy and not feeder.in_link.in_buffer._slots
                 ):
-                    # A finished segment never writes again at any period; an
-                    # idle, empty feed is only a proof for the single-window
-                    # probe (a flit may still arrive in a later sub-window of
-                    # a compound period).
+                    # A finished segment never writes again, and one with an
+                    # idle, empty feed cannot write within the window.
                     return self._coalesce_drain_bail(t0, latency)
-        # -- Economics precheck (exact caps are recomputed per verified
-        # period in the replay; for k > 1 these single-period bounds are
-        # simply conservative).
+        # -- Economics precheck (the exact cap is recomputed in the replay).
         cap = flit_cap
         if t_other is not None:
             # Every replayed window must end strictly before the first
@@ -631,72 +560,33 @@ class WormholeSimulator:
             # feeds the bubbles can only resolve through an event this scan
             # cannot see, so never replay it arithmetically.
             return _SCAN_REJECT
-        k_min = 1 if d_max < t0 + latency else (d_max - t0) // latency + 1
         moving = [
             (entry[0], entry[3], entry[3].out_buffer._slots[0].kind is _BUBBLE)
             for entry in sorted(events._heap)
             if entry[2]
         ]
-        return k_min, off_class, moving
+        return off_class, moving
 
-    def _probe_snapshot(
-        self, moving: list[tuple[int, LinkState, bool]], k_limit: int
-    ) -> _ProbeSnapshot:
-        """Phase 3: snapshot the closure of state the probe can touch.
-
-        One expansion (the moving links plus every buffer their sink
-        segments replicate into and their feeders drain from) covers a
-        single window; each further window can reach one expansion more, so
-        the closure is expanded ``k_limit`` times.
-        """
+    def _probe_snapshot(self, moving: list[tuple[int, LinkState, bool]]) -> _ProbeSnapshot:
+        """Phase 3: snapshot the closure of state the window can touch: the
+        moving links plus every buffer their sink segments replicate into
+        and their feeders drain from."""
         self.coalesce_snapshots += 1
-        closure: dict[LinkState, None] = {}
+        closure = dict.fromkeys(link for _time, link, _bubble in moving)
         segments: dict[WormSegment, None] = {}
         interfaces: dict[SourceInterface, None] = {}
-        frontier: list[LinkState] = []
-        for _time, link, _bubble in moving:
-            if link not in closure:
-                closure[link] = None
-                frontier.append(link)
-        for _depth in range(k_limit):
-            grown: list[LinkState] = []
-            for link in frontier:
-                for party in (link.sink_segment, link.feeder):
-                    if party is None:
-                        continue
-                    if type(party) is SourceInterface:
-                        interfaces[party] = None
-                        continue
-                    if party in segments:
-                        continue
+        for link in list(closure):
+            for party in (link.sink_segment, link.feeder):
+                if party is None:
+                    continue
+                if type(party) is SourceInterface:
+                    interfaces[party] = None
+                elif party not in segments:
                     segments[party] = None
                     for other in (party.in_link, *party.outputs):
-                        if other not in closure:
-                            closure[other] = None
-                            grown.append(other)
-            if not grown:
-                break
-            frontier = grown
+                        closure[other] = None
         stats = self.stats
         trace = self.trace
-        # Per-link statistics baselines, needed only if a multi-period batch
-        # replays (a verified single window implies one flit of the scanned
-        # kind per moving link and continuous wire busyness, so k == 1 keeps
-        # the cheaper closed-form advance).
-        link_stats = (
-            [
-                (
-                    link,
-                    link.data_flits_carried,
-                    link.bubble_flits_carried,
-                    link.busy_total_ns,
-                    link.busy_since_ns,
-                )
-                for link in closure
-            ]
-            if self._collect_stats and k_limit > 1
-            else None
-        )
         return _ProbeSnapshot(
             moving=moving,
             links=[
@@ -718,7 +608,6 @@ class WormholeSimulator:
                 for seg in segments
             ],
             interfaces=[(ni, ni.current, ni.next_seq, len(ni.queue)) for ni in interfaces],
-            link_stats=link_stats,
             flit_hops=stats.flit_hops,
             bubbles=stats.bubbles_created,
             counters=(stats.messages_completed, len(self._segments), self._delivery_count),
@@ -726,17 +615,14 @@ class WormholeSimulator:
             generic_len=len(self.events._generic_times),
         )
 
-    def _probe_execute(
-        self, t0: int, k_min: int, k_limit: int, snapshot: _ProbeSnapshot
-    ) -> int | tuple[int, tuple]:
-        """Phase 4: execute windows through the per-flit machinery, examining
-        the accumulated span against each candidate period in ascending
-        order.
+    def _probe_execute(self, t0: int, snapshot: _ProbeSnapshot) -> int | tuple:
+        """Phase 4: execute the window ``[t0, t0 + L)`` through the per-flit
+        machinery and examine it.
 
         Whatever happens, everything executed here is exactly the reference
-        execution, so a probe that never verifies has simply run the
-        simulation forward.  Returns ``(k, plan)`` for the first period
-        that verifies (see :meth:`_probe_examine`), else ends the probe with
+        execution, so a probe that does not verify has simply run the
+        simulation forward.  Returns the plan of a self-similar window (see
+        :meth:`_probe_examine`), else ends the probe with
         ``_VERIFY_FAILURE``.
         """
         events = self.events
@@ -744,56 +630,48 @@ class WormholeSimulator:
         heap = events._heap
         pop_entry = events.pop_entry
         complete_transfer = self._complete_transfer
-        k = k_min
-        while True:
-            exec_end = t0 + k * latency
-            executed_generic = False
-            while heap and heap[0][0] < exec_end:
-                entry = pop_entry()
-                if entry[2]:
-                    complete_transfer(entry[3])
-                else:
-                    # Unreachable while the k_limit room caps hold (no
-                    # generic deadline fits inside the probed span), but a
-                    # generic that does fire ran as reference and simply
-                    # disqualifies the probe.
-                    executed_generic = True
-                    entry[3]()
-            if executed_generic:
-                return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
-            verdict, plan = self._probe_examine(snapshot, k)
-            if verdict == "ok":
-                return k, plan
-            if verdict == "abort" or k >= k_limit:
-                return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
-            k += 1
+        exec_end = t0 + latency
+        executed_generic = False
+        while heap and heap[0][0] < exec_end:
+            entry = pop_entry()
+            if entry[2]:
+                complete_transfer(entry[3])
+            else:
+                # Unreachable after the generic bail (no generic deadline
+                # fits inside the window), but a generic that does fire ran
+                # as reference and simply disqualifies the probe.
+                executed_generic = True
+                entry[3]()
+        if not executed_generic:
+            plan = self._probe_examine(snapshot)
+            if plan is not None:
+                return plan
+        return self._coalesce_backoff(t0, latency)
 
-    def _probe_examine(self, snapshot: _ProbeSnapshot, k: int) -> tuple[str, tuple | None]:
-        """Compare the current state against the snapshot shifted by ``k``
-        periods.  Returns ``("ok", plan)`` when self-similar,
-        ``("retry", None)`` for mismatches a longer compound period could
-        still close (mid-pattern sub-windows), and ``("abort", None)`` for
-        permanent transitions (segment lifecycle, NI message changes,
-        generics, deliveries) that no period can make periodic.
+    def _probe_examine(self, snapshot: _ProbeSnapshot) -> tuple | None:
+        """Compare the current state against the snapshot shifted by one
+        period.  Returns the replay plan when the window was self-similar,
+        else ``None``.
 
-        ``plan`` is ``(shifting, ni_deltas, bound, bubble_rate)``: the
+        The plan is ``(shifting, pushing, bound, bubble_rate)``: the
         buffers whose slots advance with each slot's per-period ``seq``
-        delta, the NIs whose ``next_seq`` advances, the number of further
-        periods before any body flit would become a tail (``None`` for a
-        pure fixed point), and the bubbles created per period.
+        delta (0 or 1), the NIs whose ``next_seq`` advances by one, the
+        number of further periods before any body flit would become a tail
+        (``None`` for a pure fixed point), and the bubbles created per
+        period.
         """
         stats = self.stats
         events = self.events
         messages = self.messages
-        shift = k * self.config.channel_latency_ns
+        shift = self.config.channel_latency_ns
         if (
             stats.messages_completed,
             len(self._segments),
             self._delivery_count,
         ) != snapshot.counters:
-            return "abort", None
+            return None
         if len(events._generic_times) != snapshot.generic_len:
-            return "abort", None
+            return None
         for seg, state, head_replicated, outputs, required in snapshot.segments:
             if (
                 seg.state is not state
@@ -801,27 +679,27 @@ class WormholeSimulator:
                 or tuple(seg.outputs) != outputs
                 or tuple(seg.required) != required
             ):
-                return "abort", None
+                return None
         moving = snapshot.moving
         if events._transfer_pending != len(moving):
-            return "retry", None
+            return None
         post_transfers = sorted(entry for entry in events._heap if entry[2])
         for entry, (pre_time, link, _bubble) in zip(post_transfers, moving):
             if entry[0] != pre_time + shift or entry[3] is not link:
-                return "retry", None
+                return None
         bound: int | None = None
-        ni_deltas: list[tuple[SourceInterface, int]] = []
+        pushing: list[SourceInterface] = []
         for ni, current, next_seq, backlog in snapshot.interfaces:
             if ni.current is not current or len(ni.queue) != backlog:
-                return "abort", None
+                return None
             delta = ni.next_seq - next_seq
             if delta:
-                if current is None or delta < 0 or delta > k:
-                    return "abort", None
-                limit = (current.length_flits - 1 - ni.next_seq) // delta
+                if current is None or delta != 1:
+                    return None
+                limit = current.length_flits - 1 - ni.next_seq
                 if bound is None or limit < bound:
                     bound = limit
-                ni_deltas.append((ni, delta))
+                pushing.append(ni)
         shifting: list[tuple[object, tuple, list[int]]] = []
         for link, snap in snapshot.links:
             busy, reserved_by, feeder, sink, out_flits, in_flits = snap
@@ -829,10 +707,9 @@ class WormholeSimulator:
                 link.reserved_by != reserved_by
                 or link.feeder is not feeder
                 or link.sink_segment is not sink
+                or link.busy != busy
             ):
-                return "abort", None
-            if link.busy != busy:
-                return "retry", None
+                return None
             for pre_flits, buffer in (
                 (out_flits, link.out_buffer),
                 (in_flits, link.in_buffer),
@@ -846,7 +723,7 @@ class WormholeSimulator:
                     # stream is a fixed point here).
                     continue
                 if len(post_flits) != len(pre_flits):
-                    return "retry", None
+                    return None
                 deltas: list[int] = []
                 for (kind0, mid0, seq0), (kind1, mid1, seq1) in zip(pre_flits, post_flits):
                     delta = seq1 - seq0
@@ -854,36 +731,18 @@ class WormholeSimulator:
                         kind1 is not kind0
                         or mid1 != mid0
                         or delta < 0
-                        or delta > k
+                        or delta > 1
                         or (delta and kind1 is not _BODY)
                     ):
-                        return "retry", None
+                        return None
                     if delta:
-                        limit = (messages[mid1].length_flits - 2 - seq1) // delta
+                        limit = messages[mid1].length_flits - 2 - seq1
                         if bound is None or limit < bound:
                             bound = limit
                     deltas.append(delta)
                 shifting.append((buffer, post_flits, deltas))
-        if k > 1 and snapshot.link_stats is not None:
-            if not self._compound_busy_periods_slid(snapshot.link_stats, shift):
-                return "retry", None
         bubble_rate = stats.bubbles_created - snapshot.bubbles
-        return "ok", (shifting, ni_deltas, bound, bubble_rate)
-
-    @staticmethod
-    def _compound_busy_periods_slid(link_stats: list[tuple], shift: int) -> bool:
-        """Busy-period bookkeeping is part of multi-period self-similarity:
-        every open period must have slid forward by exactly one compound
-        period (the single-window case is implied by the transfer-set
-        check)."""
-        for link, _data0, _bubble0, _busy0, since0 in link_stats:
-            post_since = link.busy_since_ns
-            if since0 is None:
-                if post_since is not None:
-                    return False
-            elif post_since != since0 + shift:
-                return False
-        return True
+        return shifting, pushing, bound, bubble_rate
 
     def _probe_replay(
         self,
@@ -892,92 +751,65 @@ class WormholeSimulator:
         t_other: int | None,
         off_class: bool,
         snapshot: _ProbeSnapshot,
-        k: int,
         plan: tuple,
     ) -> int:
-        """Phase 5: replay ``m`` further compound windows of the verified
-        period ``k`` arithmetically and return ``_BATCH`` — or end the probe
-        with ``_VERIFY_FAILURE`` when no worthwhile ``m`` fits."""
+        """Phase 5: replay ``m`` further windows arithmetically and return
+        ``_BATCH`` — or end the probe with ``_VERIFY_FAILURE`` when no
+        worthwhile ``m`` fits."""
         events = self.events
         latency = self.config.channel_latency_ns
-        shifting, ni_deltas, bound, bubble_rate = plan
-        shift = k * latency
+        shifting, pushing, bound, bubble_rate = plan
         now_ns = events.now
         m = bound
         if t_other is not None:
             # The last replayed event must land strictly before the first
             # generic deadline.
-            limit = (t_other - 1 - now_ns) // shift
+            limit = (t_other - 1 - now_ns) // latency
             if m is None or limit < m:
                 m = limit
         if until_ns is not None:
-            limit = (until_ns - now_ns) // shift
+            limit = (until_ns - now_ns) // latency
             if m is None or limit < m:
                 m = limit
         # m is None for a pure fixed point (no advancing flit or NI cursor)
         # with no bounding event: it cannot be replayed a finite number of
         # times.
-        if m is None or m < 1 or m * k < _MIN_BATCH_TICKS:
-            return self._coalesce_backoff(t0 + (k - 1) * latency, latency)
-        advance = m * shift
+        if m is None or m < _MIN_BATCH_TICKS:
+            return self._coalesce_backoff(t0, latency)
+        advance = m * latency
         stats = self.stats
         stats.flit_hops += m * (stats.flit_hops - snapshot.flit_hops)
         stats.bubbles_created += m * bubble_rate
         if self._collect_stats:
-            if k == 1:
-                for _time, link, bubble in snapshot.moving:
-                    link.fast_forward(m, advance, bubble)
-            else:
-                self._replay_compound_link_stats(snapshot.link_stats, m, advance)
+            for _time, link, bubble in snapshot.moving:
+                link.fast_forward(m, advance, bubble)
         for buffer, post_flits, deltas in shifting:
             buffer.replace_contents(
                 Flit(kind, mid, seq + m * delta)
                 for (kind, mid, seq), delta in zip(post_flits, deltas)
             )
-        for ni, delta in ni_deltas:
-            ni.next_seq += m * delta
+        for ni in pushing:
+            ni.next_seq += m
         trace = self.trace
         if trace is not None and len(trace.events) != snapshot.trace_len:
-            # A self-similar compound window records the identical trace
-            # events every period (bubble records carry only message/switch
-            # fields), so the replayed windows' records are the window's
-            # shifted in time.
+            # A self-similar window records the identical trace events every
+            # period (bubble records carry only message/switch fields), so
+            # the replayed windows' records are the window's shifted in time.
             window_records = trace.events[snapshot.trace_len :]
             append = trace.events.append
             for tick in range(1, m + 1):
-                delta = tick * shift
+                delta = tick * latency
                 for record in window_records:
                     append(TraceEvent(record.time_ns + delta, record.kind, record.fields))
         events.shift_transfers(now_ns + advance, advance)
         self._coalesce_fail_streak = 0
         self.coalesce_batches += 1
-        ticks = m * k
-        self.coalesced_ticks += ticks
+        self.coalesced_ticks += m
         if off_class:
-            self.coalesced_stagger_ticks += ticks
+            self.coalesced_stagger_ticks += m
         if bubble_rate:
-            self.coalesced_bubble_ticks += ticks
-        histogram = self.coalesce_k_histogram
-        histogram[k] = histogram.get(k, 0) + 1
-        if k > 1:
-            self.coalesce_multi_period_batches += 1
+            self.coalesced_bubble_ticks += m
         return _BATCH
-
-    @staticmethod
-    def _replay_compound_link_stats(link_stats: list[tuple], m: int, advance: int) -> None:
-        """Advance per-link statistics over ``m`` compound periods by each
-        link's measured per-period deltas (bottlenecked links carry fewer
-        flits per compound period and idle between firings)."""
-        for link, data0, bubble0, busy0, _since0 in link_stats:
-            d_data = link.data_flits_carried - data0
-            d_bubble = link.bubble_flits_carried - bubble0
-            d_busy = link.busy_total_ns - busy0
-            if d_data or d_bubble or d_busy:
-                link.data_flits_carried += m * d_data
-                link.bubble_flits_carried += m * d_bubble
-                link.busy_total_ns += m * d_busy
-            if link.busy_since_ns is not None:
-                link.busy_since_ns += advance
 
     def _coalesce_pause(self, t0: int, latency: int) -> None:
         """Shared churn backoff: bump the failure streak and close the probe
@@ -992,11 +824,10 @@ class WormholeSimulator:
 
     def _coalesce_backoff(self, t0: int, latency: int) -> int:
         """An executed probe paid for a snapshot without batching — the
-        self-similarity check failed at every candidate period, or the
-        verified pattern had no worthwhile replay.  The system is in a
-        churn phase, so pause probing.  Counted once per probe, however
-        many periods were tried.  Returns ``_VERIFY_FAILURE`` (the probed
-        windows themselves ran through the reference machinery)."""
+        self-similarity check failed, or the verified pattern had no
+        worthwhile replay.  The system is in a churn phase, so pause
+        probing.  Returns ``_VERIFY_FAILURE`` (the probed window itself ran
+        through the reference machinery)."""
         self.coalesce_verify_failures += 1
         self._coalesce_pause(t0, latency)
         return _VERIFY_FAILURE
@@ -1045,11 +876,6 @@ class WormholeSimulator:
         tel.gauge("engine.coalesce_verify_failures", self.coalesce_verify_failures)
         tel.gauge("engine.coalesce_generic_bails", self.coalesce_generic_bails)
         tel.gauge("engine.coalesce_drain_bails", self.coalesce_drain_bails)
-        tel.gauge(
-            "engine.coalesce_multi_period_batches", self.coalesce_multi_period_batches
-        )
-        for k, batches in sorted(self.coalesce_k_histogram.items()):
-            tel.gauge(f"engine.coalesce_k_histogram.{k}", batches)
 
     # ------------------------------------------------------------------
     # Link machinery
@@ -1244,9 +1070,6 @@ class _ProbeSnapshot(NamedTuple):
     segments: list[tuple]
     #: ``(ni, current message, next_seq, backlog)``.
     interfaces: list[tuple]
-    #: ``(link, data, bubbles, busy_total, busy_since)`` baselines; only on
-    #: multi-period probes with channel statistics on, else ``None``.
-    link_stats: list[tuple] | None
     flit_hops: int
     bubbles: int
     #: ``(messages_completed, live segments, deliveries)``.

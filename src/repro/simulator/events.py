@@ -28,10 +28,8 @@ during churn phases; the bail is counted at most once per probe), and uses
 the tag in each entry to bound surviving batches strictly before the next
 generic event.
 After a verified batch the engine retimes the surviving transfer entries in
-bulk with :meth:`EventQueue.shift_transfers` by a whole number of verified
-periods — the compound period ``k × channel period`` for a multi-period
-batch, of which a synchronized single-deadline window is the simplest
-special case; every entry keeps its congruence class modulo that period.
+bulk with :meth:`EventQueue.shift_transfers` by a whole number of channel
+periods; every entry keeps its congruence class modulo the period.
 The coalescing contract this upholds is specified in ``docs/fast_path.md``.
 """
 
@@ -172,14 +170,12 @@ class EventQueue:
         Generic entries are untouched.
 
         The engine calls this after arithmetically replaying ``m`` identical
-        steady-state windows of a verified period ``P`` (``delta_ns = m·P``;
-        ``P`` is the channel period for the single-period patterns and the
-        compound period ``k × channel period`` for multi-period batches):
-        transfers that were pending at staggered deadlines ``d`` — possibly
-        spread across the ``k`` sub-windows of a compound period — must land
-        at ``d + m·P``, exactly where the per-flit execution would have
-        rescheduled them (a synchronized single-period window is simply the
-        special case where every deadline is the same).
+        steady-state windows of the channel period ``P`` (``delta_ns =
+        m·P``): transfers that were pending at staggered deadlines ``d``
+        within the window must land at ``d + m·P``, exactly where the
+        per-flit execution would have rescheduled them (a synchronized
+        window is simply the special case where every deadline is the
+        same).
         """
         if delta_ns < 0 or now_ns < self.now:
             raise SimulationError("transfer shift would move time backwards")

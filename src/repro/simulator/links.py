@@ -82,16 +82,6 @@ class LinkState:
         return self.channel.cid
 
     @property
-    def is_consumption(self) -> bool:
-        """``True`` for switch-to-processor channels."""
-        return self.channel.role is LinkRole.CONSUMPTION
-
-    @property
-    def is_injection(self) -> bool:
-        """``True`` for processor-to-switch channels."""
-        return self.channel.role is LinkRole.INJECTION
-
-    @property
     def is_free(self) -> bool:
         """``True`` when no message holds the channel."""
         return self.reserved_by is None
@@ -108,11 +98,7 @@ class LinkState:
         ticks (``advance_ns == k * latency_ns``): the wire carried one flit of
         the same kind per tick and stayed continuously busy, so the open busy
         period simply slides forward with the clock (channel-statistics mode
-        only; the engine's fast path is the single caller, and only for
-        single-period batches — multi-period batches advance each link by
-        per-compound-window deltas measured during the reference execution,
-        because links behind a bottleneck carry fewer flits per compound
-        period and are not continuously busy)."""
+        only; the engine's fast path is the single caller)."""
         if bubble:
             self.bubble_flits_carried += k
         else:

@@ -317,16 +317,6 @@ class SourceInterface:
         self.next_seq = 0
 
     # ------------------------------------------------------------------
-    @property
-    def is_idle(self) -> bool:
-        """``True`` when no message is being started up or injected."""
-        return self.current is None
-
-    @property
-    def backlog(self) -> int:
-        """Number of messages waiting behind the one currently being sent."""
-        return len(self.queue)
-
     def submit(self, message: Message) -> None:
         """Queue ``message`` for transmission."""
         self.queue.append(message)

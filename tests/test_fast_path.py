@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.spam import SpamRouting
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import _K_MAX, _PROBE_TIERS, WormholeSimulator
+from repro.simulator.engine import _PROBE_TIERS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import two_switch_network
 from repro.topology.irregular import lattice_irregular_network
@@ -493,165 +493,32 @@ class TestFastPathSafety:
 
 
 @pytest.mark.equivalence
-class TestMultiPeriodCoalescing:
-    """Multi-period (every-k-th-window) coalescing.
+@pytest.mark.parametrize("bounded", [False, True], ids=["run", "run_for"])
+@pytest.mark.parametrize("factor", [2, 3])
+def test_slow_channel_phases_run_per_flit(lattice32, lattice32_spam, factor, bounded):
+    """Behind a slow injection channel the worm moves every ``factor``-th
+    period, so no one-period window is self-similar: the probe must never
+    batch there, and the run must match the reference bit for bit, with
+    ``run()`` and with ``run_for`` windows that are not a period multiple."""
+    processors = lattice32.processors()
 
-    On a homogeneous-latency network multi-period steady states cannot
-    occur — deadlock-free wormhole routing keeps the buffer-dependency
-    graph acyclic, so every moving link in a generic-free window fires
-    every window — and the engine proves it at runtime: the k-histogram
-    only ever records ``k == 1`` there.  A slow channel
-    (``channel_latency_factors``) is the canonical bottleneck that makes
-    its worm's whole region fire every k-th window; these scenarios
-    engineer the every-2nd- and every-3rd-window patterns through a slow
-    injection channel and assert both bit-identity and that the
-    multi-period machinery actually engaged (via the k-histogram), so the
-    equivalence claims are not vacuous.
-    """
+    def run(sim):
+        stats = sim.stats
+        while sim.pending_messages:
+            stats = sim.run_for(997)
+        return stats
 
-    def _slow_injection(self, network, processor, factor):
-        return ((network.injection_channel(processor).cid, factor),)
-
-    def test_every_2nd_window_pattern(self, lattice32, lattice32_spam):
-        """A 2x-slow injection channel throttles the worm to one flit per
-        two windows everywhere; the probe must verify the compound period
-        2L and replay it, bit-identically."""
-        processors = lattice32.processors()
-
-        def submit(sim):
-            sim.submit_message(processors[0], [processors[11]])
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, expect_coalesced=True,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 2),
-        )
-        assert fast_sim.coalesce_multi_period_batches > 0
-        assert 2 in fast_sim.coalesce_k_histogram
-
-    def test_every_3rd_window_pattern(self, lattice32, lattice32_spam):
-        processors = lattice32.processors()
-
-        def submit(sim):
-            sim.submit_message(processors[0], [processors[11]])
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, expect_coalesced=True,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 3),
-        )
-        assert fast_sim.coalesce_multi_period_batches > 0
-        assert 3 in fast_sim.coalesce_k_histogram
-
-    def test_mixed_periods_in_one_run(self, lattice32, lattice32_spam):
-        """Two worms behind different bottlenecks (2x and 3x injections)
-        coalesce at their own compound periods within the same run."""
-        processors = lattice32.processors()
-        factors = self._slow_injection(lattice32, processors[0], 2) + self._slow_injection(
-            lattice32, processors[1], 3
-        )
-
-        def submit(sim):
-            sim.submit_message(processors[0], [processors[11]], at_ns=0)
-            sim.submit_message(processors[1], [processors[14]], at_ns=0)
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, expect_coalesced=True,
-            channel_latency_factors=factors,
-        )
-        assert 2 in fast_sim.coalesce_k_histogram
-        assert 3 in fast_sim.coalesce_k_histogram
-
-    def test_slow_channel_multicast(self, lattice32, lattice32_spam):
-        """Replication forks and their bubbles behind a slow injection must
-        verify and replay over the compound period too."""
-        processors = lattice32.processors()
-
-        def submit(sim):
-            sim.submit_message(processors[0], processors[8:20])
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, expect_coalesced=True,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 2),
-        )
-        assert fast_sim.coalesce_multi_period_batches > 0
-
-    def test_bounded_windows_with_slow_channel(self, lattice32, lattice32_spam):
-        """``run_for`` windows that cut compound-period batches short must
-        still tile time exactly and stay bit-identical."""
-        processors = lattice32.processors()
-
-        def submit(sim):
-            sim.submit_message(processors[0], [processors[11]])
-
-        def run(sim):
-            stats = sim.stats
-            while sim.pending_messages:
-                stats = sim.run_for(997)  # deliberately not a period multiple
-            return stats
-
-        fast_sim = _run_pair(
-            lattice32, lattice32_spam, submit, flits=256, run=run,
-            expect_coalesced=True,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 2),
-        )
-        assert fast_sim.coalesce_multi_period_batches > 0
-
-    def test_period_beyond_k_max_is_never_batched(self, lattice32, lattice32_spam):
-        """A bottleneck one step slower than ``_K_MAX`` needs a compound
-        period the probe never tries: it must give up bit-identically
-        rather than batch a longer period."""
-        processors = lattice32.processors()
-
-        fast_sim = _run_pair(
-            lattice32,
-            lattice32_spam,
-            lambda sim: sim.submit_message(processors[0], [processors[11]]),
-            flits=256,
-            channel_latency_factors=self._slow_injection(
-                lattice32, processors[0], _K_MAX + 1
-            ),
-        )
-        assert max(fast_sim.coalesce_k_histogram, default=1) <= _K_MAX
-        assert fast_sim.coalesce_multi_period_batches == 0
-
-    def test_homogeneous_network_records_only_k1(self, lattice32, lattice32_spam):
-        """The k-histogram regression for paper-length mixed traffic: on a
-        homogeneous-latency network the probe must never find (nor pay to
-        look for) a compound period — deadlock-freedom makes the
-        buffer-dependency graph acyclic, so k >= 2 patterns cannot exist."""
-        workload = mixed_traffic_workload(
-            lattice32,
-            rate_per_us=0.03,
-            multicast_destinations=8,
-            num_messages=36,
-            multicast_fraction=0.15,
-            seed=23,
-            arrival_process=NegativeBinomialArrivals(0.03),
-        )
-        config = SimulationConfig(message_length_flits=128)
-        simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-        workload.submit_to(simulator)
-        simulator.run()
-        assert simulator.coalesced_ticks > 0
-        assert set(simulator.coalesce_k_histogram) == {1}
-        assert simulator.coalesce_multi_period_batches == 0
-        # The histogram is consistent with the batch counter.
-        assert (
-            sum(simulator.coalesce_k_histogram.values()) == simulator.coalesce_batches
-        )
-
-    def test_reference_engine_records_nothing(self, lattice32, lattice32_spam):
-        processors = lattice32.processors()
-        config = SimulationConfig(
-            message_length_flits=128,
-            fast_path=False,
-            channel_latency_factors=self._slow_injection(lattice32, processors[0], 2),
-        )
-        simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-        simulator.submit_message(processors[0], [processors[11]])
-        simulator.run()
-        assert simulator.coalesce_multi_period_batches == 0
-        assert simulator.coalesce_k_histogram == {}
-        assert simulator.coalesce_drain_bails == 0
+    fast_sim = _run_pair(
+        lattice32,
+        lattice32_spam,
+        lambda sim: sim.submit_message(processors[0], [processors[11]]),
+        flits=256,
+        run=run if bounded else None,
+        channel_latency_factors=(
+            (lattice32.injection_channel(processors[0]).cid, factor),
+        ),
+    )
+    assert fast_sim.coalesce_batches == 0
 
 
 @pytest.mark.equivalence

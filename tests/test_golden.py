@@ -12,8 +12,8 @@ digest makes a failure say what moved.
 The scenarios are the engine equivalence regimes: the Figure-1 multicast
 with replication bubbles, a lattice broadcast, contended OCRQ multicasts,
 cross-traffic unicasts, 128-flit mixed traffic under both arrival
-processes, single and compound slow-channel periods, and a bounded run
-window cut mid-stream.
+processes, one and two slow injection channels (2x, and 2x beside 3x),
+and a bounded run window cut mid-stream.
 
 The sweep layer is pinned the same way: ``tests/golden/sweeps.json`` holds
 the sha256 of the exact bytes ``repro-spam sweep ... --export`` writes for
@@ -157,8 +157,10 @@ def _mixed_traffic(arrival_cls) -> Callable[[], Scenario]:
 
 def _slow_channels(*factors: int) -> Callable[[], Scenario]:
     """Unicasts from the first processors, each behind a slow injection
-    channel: one factor is the every-2nd-window multi-period pattern,
-    two factors the compound 2x + 3x pattern."""
+    channel of the given factor (one 2x channel, or a 2x and a 3x side by
+    side).  A slow worm moves every ``factor``-th period, so the fast path
+    runs its streaming phases per flit; both paths must still match the
+    stored digest."""
 
     def build() -> Scenario:
         network, spam = _lattice()

@@ -283,7 +283,7 @@ def _scenario_workloads(lattice32):
             {},
         ),
         (
-            "slow_channel_multi_period",
+            "slow_channel_2x",
             slow,
             96,
             {"channel_latency_factors": ((slow_cid, 2),)},
@@ -318,9 +318,7 @@ class TestTelemetryOnOffEquivalence:
             # saw, and the tier counters agree with the probe span count.
             probes = tel.span_count("engine.probe")
             tier_total = sum(
-                count
-                for key, count in tel.counters.items()
-                if key.startswith("engine.probe.") and not key.startswith("engine.probe.k.")
+                count for key, count in tel.counters.items() if key.startswith("engine.probe.")
             )
             assert probes > 0, f"{name!r} never engaged the fast path probe"
             assert probes == tier_total, name

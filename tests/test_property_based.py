@@ -398,8 +398,8 @@ def test_fast_path_matches_reference_with_slow_channels(
 ):
     """The fast path is bit-identical to the per-flit reference engine on
     every observable, on random irregular networks with and without a slow
-    channel, so both the homogeneous single-window probe and the
-    multi-period probe are exercised."""
+    channel: windows the slow channel throttles must be rejected by the
+    one-period probe, and the rest may still coalesce."""
     import numpy as np
 
     network, spam = build_spam(params)

@@ -27,10 +27,6 @@ ROW_SCENARIOS: dict[tuple[str, str], tuple[str, ...]] = {
     ("Figure-3 mixed traffic, neg.-binomial", "128"): (
         "figure3_mixed_128sw_128f_negative-binomial",
     ),
-    ("Slow-channel unicast (2×/3× bottleneck)", "512"): (
-        "slow_channel_x2_64sw_512f",
-        "slow_channel_x3_64sw_512f",
-    ),
 }
 
 

@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.simulator.buffers import FlitBuffer
 from repro.simulator.config import PAPER_CONFIG, SimulationConfig
 from repro.simulator.events import EventQueue
-from repro.simulator.flit import Flit, FlitKind, make_worm_flits
+from repro.simulator.flit import FlitKind, make_worm_flits
 from repro.simulator.message import Message, MessageKind
 from repro.simulator.ocrq import OutputChannelRequestQueue
 
@@ -28,37 +28,6 @@ class TestFlit:
 
 
 class TestFlitBuffer:
-    def test_fifo_order(self):
-        buffer = FlitBuffer(3)
-        flits = make_worm_flits(0, 3)
-        for flit in flits:
-            buffer.push(flit)
-        assert buffer.is_full
-        assert [buffer.pop().seq for _ in range(3)] == [0, 1, 2]
-        assert buffer.is_empty
-
-    def test_capacity_enforced(self):
-        buffer = FlitBuffer(1)
-        buffer.push(Flit(FlitKind.HEAD, 0, 0))
-        with pytest.raises(SimulationError):
-            buffer.push(Flit(FlitKind.BODY, 0, 1))
-
-    def test_pop_and_peek_empty_raise(self):
-        buffer = FlitBuffer(1)
-        with pytest.raises(SimulationError):
-            buffer.pop()
-        with pytest.raises(SimulationError):
-            buffer.peek()
-
-    def test_occupancy_accounting(self):
-        buffer = FlitBuffer(2)
-        assert buffer.free_slots == 2
-        buffer.push(Flit(FlitKind.HEAD, 0, 0))
-        assert buffer.occupancy == 1
-        assert buffer.free_slots == 1
-        assert len(buffer) == 1
-        assert buffer.flits()[0].kind is FlitKind.HEAD
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
             FlitBuffer(0)
@@ -275,7 +244,7 @@ class TestSimulationConfig:
         assert config.trace
         assert PAPER_CONFIG.message_length_flits == 128  # original untouched
 
-    def test_multi_period_defaults(self):
+    def test_fast_path_defaults(self):
         # Homogeneous channels, and the fast path's patterns have no
         # switches beyond ``fast_path`` itself.
         assert PAPER_CONFIG.channel_latency_factors == ()
