@@ -16,9 +16,8 @@ Four kinds of scenario are exercised:
   multicast, Poisson and negative-binomial arrivals) — the workloads that
   motivated the phase-staggered and bubble-periodic coalescing patterns, the
   profile used to tune ``_MIN_BATCH_TICKS`` and the probe backoff, and (at
-  the paper's 128-flit length) the churn regime whose probe-economics
-  counters (verify failures, drain bails, generic bails) the snapshot
-  records,
+  the paper's 128-flit length) the churn regime whose per-tier probe tally
+  (``coalesce_exits``, keyed by tier name) the snapshot records,
 * an explicit fast-path vs. reference comparison that asserts bit-identical
   delivery timestamps and records the measured speedups to
   ``benchmarks/results/simulator_throughput.json`` (the committed
@@ -39,7 +38,7 @@ from repro.core.spam import SpamRouting
 from repro.obs import Telemetry, summarize_snapshot
 from repro.obs.export import snapshot_dict
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import WormholeSimulator
+from repro.simulator.engine import PROBE_TIERS, WormholeSimulator
 from repro.topology.irregular import lattice_irregular_network
 from repro.traffic.arrivals import make_arrival_process
 from repro.traffic.workload import mixed_traffic_workload
@@ -246,7 +245,7 @@ def test_fast_path_speedup_and_equivalence(
     # Figure-3 mixed traffic: the workloads the phase-staggered and
     # bubble-periodic patterns matter for.  The 512-flit variants are where
     # streaming dominates; the paper-length 128-flit runs are
-    # churn-dominated — their probe-economics counters are recorded so the
+    # churn-dominated — their per-tier probe tally is recorded so the
     # churn-regime trajectory (verify failures down, drain bails engaged,
     # speedup vs reference up) stays visible across PRs.
     network, routing, workloads, base_config = figure3_setup
@@ -279,11 +278,7 @@ def test_fast_path_speedup_and_equivalence(
                     "coalesced_ticks": fast_sim.coalesced_ticks,
                     "coalesced_stagger_ticks": fast_sim.coalesced_stagger_ticks,
                     "coalesced_bubble_ticks": fast_sim.coalesced_bubble_ticks,
-                    "coalesce_snapshots": fast_sim.coalesce_snapshots,
-                    "coalesce_batches": fast_sim.coalesce_batches,
-                    "coalesce_verify_failures": fast_sim.coalesce_verify_failures,
-                    "coalesce_generic_bails": fast_sim.coalesce_generic_bails,
-                    "coalesce_drain_bails": fast_sim.coalesce_drain_bails,
+                    "coalesce_exits": dict(zip(PROBE_TIERS, fast_sim.coalesce_exits)),
                 }
             )
 

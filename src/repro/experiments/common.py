@@ -2,11 +2,12 @@
 
 Every experiment driver follows the same pattern: build a paper-style
 irregular network, build SPAM on it, run a workload on the flit-level
-simulator, and aggregate per-message latencies.  This module hosts those
-shared steps plus the *scaling* machinery: flit-level simulation in pure
-Python cannot re-run the paper's full sample counts in a benchmark-friendly
-time budget, so each experiment has a default reduced configuration and
-reads environment variables to scale back up:
+simulator, and aggregate per-message latencies; :mod:`repro.sweeps.spec`
+runs those steps.  This module hosts the paper's simulation configuration
+and the *scaling* machinery: flit-level simulation in pure Python cannot
+re-run the paper's full sample counts in a benchmark-friendly time budget,
+so each experiment has a default reduced configuration and reads
+environment variables to scale back up:
 
 ``REPRO_SCALE``
     ``"smoke"`` (fastest, CI-sized), ``"default"`` or ``"paper"``.
@@ -25,15 +26,11 @@ import os
 from dataclasses import dataclass
 
 from ..simulator.config import SimulationConfig
-from ..simulator.engine import WormholeSimulator
-from ..topology.network import Network
-from ..traffic.workload import Workload
 
 __all__ = [
     "ExperimentScale",
     "current_scale",
     "scaled",
-    "run_workload_collect_latencies",
     "paper_config",
 ]
 
@@ -93,17 +90,3 @@ def paper_config(scale: ExperimentScale, **overrides) -> SimulationConfig:
         config = config.with_overrides(**overrides)
     return config
 
-
-def run_workload_collect_latencies(
-    network: Network,
-    routing,
-    workload: Workload,
-    config: SimulationConfig,
-    from_creation: bool = True,
-    kind: str | None = None,
-) -> list[float]:
-    """Run ``workload`` on a fresh simulator and return per-message latencies (µs)."""
-    simulator = WormholeSimulator(network, routing, config)
-    workload.submit_to(simulator)
-    stats = simulator.run()
-    return stats.latencies_us(kind=kind, from_creation=from_creation)

@@ -3,9 +3,9 @@
 The engine's normative observability surface (``coalesce_*`` counters,
 ``docs/engine_counters.md``) is *deterministic*: facts about how a
 run executed that are pure functions of the inputs.  This package is the
-complementary *wall-clock* surface — spans, counters and value
-distributions measured on the host's monotonic clock — used to see where
-engine and sweep time actually goes.
+complementary *wall-clock* surface — spans and value distributions
+measured on the host's monotonic clock — used to see where engine and
+sweep time actually goes.
 
 Wall-clock readings are nondeterministic by nature, so everything here
 lives behind the **observables firewall** (``docs/observability.md``,
@@ -18,9 +18,8 @@ the standard library, never the simulator or sweep layers.
 
 Public surface:
 
-* :class:`~repro.obs.telemetry.Telemetry` — the span/metric recorder, and
-  :data:`~repro.obs.telemetry.NULL_TELEMETRY`, the module-level no-op
-  singleton every consumer holds when telemetry is off.
+* :class:`~repro.obs.telemetry.Telemetry` — the span/value recorder;
+  consumers hold ``None`` when telemetry is off.
 * :mod:`repro.obs.export` — the schema-versioned JSON snapshot, the
   Chrome-trace/Perfetto ``trace_event`` exporter, and the snapshot
   validator used by tests and CI.
@@ -41,12 +40,10 @@ from .export import (
     write_snapshot,
 )
 from .runtime import env_knob
-from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
+from .telemetry import Telemetry
 
 __all__ = [
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
     "SNAPSHOT_SCHEMA_ID",
     "SNAPSHOT_SCHEMA_VERSION",
     "chrome_trace_events",

@@ -2,11 +2,9 @@
 
 Two renderings of one :class:`~repro.obs.telemetry.Telemetry`:
 
-* :func:`write_snapshot` — the *unified* structured JSON snapshot
-  (``snapshot.schema.json``, schema-versioned): wall-clock spans, counters
-  and value distributions side by side with whatever deterministic gauge
-  values the engine published (``engine.coalesce_*``).  This is the
-  machine-readable artifact CI validates and
+* :func:`write_snapshot` — the structured JSON snapshot
+  (``snapshot.schema.json``, schema-versioned): wall-clock spans and value
+  distributions.  This is the machine-readable artifact CI validates and
   ``repro-spam obs summarize`` reads.
 * :func:`write_chrome_trace` — Chrome ``trace_event`` JSON (the
   ``{"traceEvents": [...]}`` object form), loadable in Perfetto /
@@ -27,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-from .telemetry import NullTelemetry, Telemetry
+from .telemetry import Telemetry
 
 __all__ = [
     "SNAPSHOT_SCHEMA_ID",
@@ -43,7 +41,7 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA_ID = "repro.obs/snapshot"
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 _SCHEMA_PATH = Path(__file__).with_name("snapshot.schema.json")
 
@@ -51,7 +49,7 @@ _SCHEMA_PATH = Path(__file__).with_name("snapshot.schema.json")
 # ----------------------------------------------------------------------
 # Snapshot
 # ----------------------------------------------------------------------
-def snapshot_dict(telemetry: "Telemetry | NullTelemetry") -> dict[str, Any]:
+def snapshot_dict(telemetry: Telemetry) -> dict[str, Any]:
     """The schema-versioned snapshot rendering of ``telemetry``."""
     return {
         "schema": SNAPSHOT_SCHEMA_ID,
@@ -59,15 +57,13 @@ def snapshot_dict(telemetry: "Telemetry | NullTelemetry") -> dict[str, Any]:
         "track": telemetry.track,
         "spans": [dict(span) for span in telemetry.spans],
         "spans_dropped": telemetry.spans_dropped,
-        "counters": dict(sorted(telemetry.counters.items())),
-        "gauges": dict(sorted(telemetry.gauges.items())),
         "values": {
             name: dict(dist) for name, dist in sorted(telemetry.values.items())
         },
     }
 
 
-def write_snapshot(telemetry: "Telemetry | NullTelemetry", path: "str | Path") -> Path:
+def write_snapshot(telemetry: Telemetry, path: "str | Path") -> Path:
     """Write the snapshot JSON to ``path`` (parents created) and return it."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -81,7 +77,7 @@ def write_snapshot(telemetry: "Telemetry | NullTelemetry", path: "str | Path") -
 # ----------------------------------------------------------------------
 # Chrome trace / Perfetto
 # ----------------------------------------------------------------------
-def chrome_trace_events(telemetry: "Telemetry | NullTelemetry") -> list[dict[str, Any]]:
+def chrome_trace_events(telemetry: Telemetry) -> list[dict[str, Any]]:
     """``trace_event`` list: one complete event per span, one named thread
     per track (child tracks keep process-local clocks, so cross-track
     alignment is per-thread, not global — exactly how Perfetto renders
@@ -118,7 +114,7 @@ def chrome_trace_events(telemetry: "Telemetry | NullTelemetry") -> list[dict[str
     return events
 
 
-def write_chrome_trace(telemetry: "Telemetry | NullTelemetry", path: "str | Path") -> Path:
+def write_chrome_trace(telemetry: Telemetry, path: "str | Path") -> Path:
     """Write the Chrome-trace JSON to ``path`` and return it."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -75,15 +75,6 @@ class SimulationConfig:
         whole worm to rate ``1/factor``; the fast path probes one channel
         period at a time, so that worm's streaming phases run per flit
         (results are identical either way).
-    telemetry:
-        Record wall-clock telemetry (:mod:`repro.obs`) during runs: one
-        span per fast-path probe with its exit tier, and the ``coalesce_*``
-        counters re-published as gauges.
-        Telemetry is observability-only — every observable result stays
-        bit-identical with it on or off (the observables firewall,
-        ``docs/observability.md``) — but the per-probe instrumentation
-        costs wall-clock, so it is off by default.  When off the engine
-        holds the no-op recorder and pays nothing per event.
     """
 
     startup_latency_ns: int = 10_000
@@ -98,7 +89,6 @@ class SimulationConfig:
     trace: bool = False
     fast_path: bool = True
     channel_latency_factors: tuple[tuple[int, int], ...] = ()
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         if self.startup_latency_ns < 0:

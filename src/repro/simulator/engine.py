@@ -76,7 +76,8 @@ bounded ``run_for`` windows.  Anything the verifier cannot prove
 self-similar simply runs on the per-flit substrate.  ``docs/fast_path.md``
 specifies the contract in full, including the probe's phases and exit
 tiers and how to add a new coalescible pattern safely; every
-``coalesce_*`` observability counter the engine exposes is documented in
+``coalesce*`` observability counter the engine exposes, including the
+per-tier probe tally ``coalesce_exits``, is documented in
 ``docs/engine_counters.md``.
 """
 
@@ -89,7 +90,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from ..core.interface import RoutingAlgorithm
 from ..core.multicast import normalize_destinations
 from ..errors import ConfigurationError, DeadlockError, LivelockError, SimulationError
-from ..obs import NULL_TELEMETRY, NullTelemetry, Telemetry
+from ..obs import Telemetry
 from ..topology.network import Network
 from .config import SimulationConfig
 from .deadlock import DeadlockReport, diagnose
@@ -101,7 +102,7 @@ from .router import SegmentState, SourceInterface, WormSegment
 from .stats import ChannelRecord, SimulationStats
 from .trace import Trace, TraceEvent
 
-__all__ = ["WormholeSimulator"]
+__all__ = ["PROBE_TIERS", "WormholeSimulator"]
 
 #: Signature of a per-destination delivery callback.
 DeliveryCallback = Callable[[Message, int, int], None]
@@ -133,11 +134,11 @@ _ACTIVE = SegmentState.ACTIVE
 _DONE = SegmentState.DONE
 
 #: Probe exit tiers, cheapest first: ``_coalesce_tick`` returns one of these,
-#: and ``_PROBE_TIERS[tier]`` is its telemetry name.  Below
-#: ``_VERIFY_FAILURE`` the probe touched no simulation state; from it on, at
-#: least one window ran through the per-flit machinery.
+#: and ``PROBE_TIERS[tier]`` names its ``coalesce_exits`` slot and its
+#: telemetry.  Below ``_VERIFY_FAILURE`` the probe touched no simulation
+#: state; from it on, at least one window ran through the per-flit machinery.
 _GENERIC_BAIL, _SCAN_REJECT, _DRAIN_BAIL, _VERIFY_FAILURE, _BATCH = range(5)
-_PROBE_TIERS = ("generic_bail", "scan_reject", "drain_bail", "verify_failure", "batch")
+PROBE_TIERS = ("generic_bail", "scan_reject", "drain_bail", "verify_failure", "batch")
 
 
 class WormholeSimulator:
@@ -170,7 +171,7 @@ class WormholeSimulator:
         network: Network,
         routing: RoutingAlgorithm,
         config: SimulationConfig | None = None,
-        telemetry: "Telemetry | NullTelemetry | None" = None,
+        telemetry: Telemetry | None = None,
     ) -> None:
         network.require_connected()
         self.network = network
@@ -224,38 +225,17 @@ class WormholeSimulator:
         self.coalesced_stagger_ticks = 0
         self.coalesced_bubble_ticks = 0
         #: Probe economics (observability for tuning ``_MIN_BATCH_TICKS`` and
-        #: the backoff): windows that passed the cheap scan and paid for a
-        #: snapshot, batches that actually advanced, and snapshots wasted on
-        #: a failed self-similarity check.
-        self.coalesce_snapshots = 0
-        self.coalesce_batches = 0
-        self.coalesce_verify_failures = 0
-        #: Probes rejected in O(1) because the EventQueue-maintained earliest
-        #: generic deadline sat too close for a worthwhile batch — the cheap
-        #: exit for churn phases, taken before any heap scan or snapshot.
-        self.coalesce_generic_bails = 0
-        #: Probes rejected during the cheap scan because a pending wire flit
-        #: is the last one queued on its link and the feeder provably cannot
-        #: refill the output buffer (worm drains: a finished upstream
-        #: segment, an exhausted source NI).  Such a window can never
-        #: verify, so the probe skips the snapshot it would have wasted and
-        #: takes the same backoff a verify failure would.
-        self.coalesce_drain_bails = 0
+        #: the backoff): ``coalesce_exits[tier]`` counts the probes that
+        #: exited through each tier, indexed like :data:`PROBE_TIERS`.
+        self.coalesce_exits = [0] * len(PROBE_TIERS)
         #: Tail deliveries recorded so far (cheap sentinel the fast-path
         #: verifier compares to prove no destination was reached inside a
         #: probed window; not an observable result).
         self._delivery_count = 0
-        #: Wall-clock telemetry recorder (``repro.obs``).  An explicit
-        #: ``telemetry`` argument wins (a sweep's pool workers pass their own track);
-        #: otherwise ``config.telemetry`` selects between a fresh recorder
-        #: and the shared no-op singleton.  Everything written
-        #: here is observability-only — the observables firewall (repro-lint
-        #: R9) keeps it out of ``stats``/``trace``/results.
-        self.telemetry: Telemetry | NullTelemetry = (
-            telemetry
-            if telemetry is not None
-            else (Telemetry(track="engine") if self.config.telemetry else NULL_TELEMETRY)
-        )
+        #: Wall-clock telemetry recorder (``repro.obs``), ``None`` when off.
+        #: Everything written here is observability-only — the observables
+        #: firewall (repro-lint R9) keeps it out of ``stats``/``trace``/results.
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Time and scheduling helpers
@@ -310,7 +290,9 @@ class WormholeSimulator:
             mid=self._next_mid,
             source=source,
             destinations=dests,
-            length_flits=length_flits or self.config.message_length_flits,
+            length_flits=(
+                self.config.message_length_flits if length_flits is None else length_flits
+            ),
             created_ns=at,
         )
         self._next_mid += 1
@@ -346,15 +328,14 @@ class WormholeSimulator:
         fast = self.config.fast_path
         complete_transfer = self._complete_transfer
         # Telemetry selects the probe entry point once, outside the loop:
-        # disabled runs call the raw probe and pay zero per-event overhead
-        # (``telemetry is NULL_TELEMETRY``); enabled runs go through the
-        # timing wrapper, which labels one span with the tier the probe
-        # returned.
+        # without a recorder the loop calls the raw probe and pays nothing
+        # per event; with one it goes through the timing wrapper, which
+        # labels one span with the tier the probe returned.
         telemetry = self.telemetry
-        instrumented = telemetry.enabled
-        coalesce = self._coalesce_tick_timed if instrumented else self._coalesce_tick
+        coalesce = self._coalesce_tick if telemetry is None else self._coalesce_tick_timed
+        exits = self.coalesce_exits
         executed = _VERIFY_FAILURE
-        run_start_ns = telemetry.clock() if instrumented else 0
+        run_start_ns = 0 if telemetry is None else telemetry.clock()
         # The loop body below is ``pop_entry()`` unrolled by hand: this is the
         # hottest loop in the repository and method/property calls per event
         # are measurable.  ``heap`` aliases the live heap list (batch retimes
@@ -372,7 +353,9 @@ class WormholeSimulator:
             # would be too small, and otherwise ends every batch strictly
             # before the first of them fires.
             if fast and heap[0][2] and t0 >= self._coalesce_gate_ns:
-                if coalesce(t0, until_ns) >= executed:
+                tier = coalesce(t0, until_ns)
+                exits[tier] += 1
+                if tier >= executed:
                     continue
             entry = heappop(heap)
             events.now = entry[0]
@@ -387,7 +370,7 @@ class WormholeSimulator:
             # boundary even if the last event fired earlier (or none did).
             events.advance_to(until_ns)
         self.stats.end_time_ns = self.now
-        if instrumented:
+        if telemetry is not None:
             telemetry.span_at(
                 "engine.run",
                 run_start_ns,
@@ -395,7 +378,6 @@ class WormholeSimulator:
                 bounded=until_ns is not None,
                 end_time_ns=self.now,
             )
-            self._publish_telemetry_gauges(telemetry)
         if until_ns is None and self.config.deadlock_detection:
             incomplete = [m for m in self.messages.values() if not m.is_complete]
             if incomplete:
@@ -447,7 +429,6 @@ class WormholeSimulator:
         generic_times = self.events._generic_times
         t_other: int | None = generic_times[0] if generic_times else None
         if t_other is not None and (t_other - 1 - t0) // latency < _MIN_BATCH_TICKS + 1:
-            self.coalesce_generic_bails += 1
             return _GENERIC_BAIL
         window = self._probe_scan(t0, until_ns, t_other)
         if isinstance(window, int):
@@ -516,7 +497,7 @@ class WormholeSimulator:
                 # or a crawling head looks exactly like this.
                 sink = payload.sink_segment
                 if sink is None or sink.state is not _ACTIVE:
-                    return self._coalesce_drain_bail(t0, latency)
+                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
             if len(out_slots) == 1:
                 # -- Drain bail: the wire flit is the last one queued and the
                 # feeder provably cannot refill the buffer, so the link goes
@@ -527,20 +508,20 @@ class WormholeSimulator:
                 # exactly the churn the backoff exists to wait out.
                 feeder = payload.feeder
                 if feeder is None:
-                    return self._coalesce_drain_bail(t0, latency)
+                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
                 if type(feeder) is SourceInterface:
                     current = feeder.current
                     if current is None or feeder.next_seq >= current.length_flits - 1:
                         # Nothing, or only the tail, left to pump: either the
                         # buffer never refills, or the injection finishes and
                         # the NI visibly changes message state mid-window.
-                        return self._coalesce_drain_bail(t0, latency)
+                        return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
                 elif feeder.state is _DONE or (
                     not feeder.in_link.busy and not feeder.in_link.in_buffer._slots
                 ):
                     # A finished segment never writes again, and one with an
                     # idle, empty feed cannot write within the window.
-                    return self._coalesce_drain_bail(t0, latency)
+                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
         # -- Economics precheck (the exact cap is recomputed in the replay).
         cap = flit_cap
         if t_other is not None:
@@ -571,7 +552,6 @@ class WormholeSimulator:
         """Phase 3: snapshot the closure of state the window can touch: the
         moving links plus every buffer their sink segments replicate into
         and their feeders drain from."""
-        self.coalesce_snapshots += 1
         closure = dict.fromkeys(link for _time, link, _bubble in moving)
         segments: dict[WormSegment, None] = {}
         interfaces: dict[SourceInterface, None] = {}
@@ -646,7 +626,7 @@ class WormholeSimulator:
             plan = self._probe_examine(snapshot)
             if plan is not None:
                 return plan
-        return self._coalesce_backoff(t0, latency)
+        return self._coalesce_pause(t0, latency, _VERIFY_FAILURE)
 
     def _probe_examine(self, snapshot: _ProbeSnapshot) -> tuple | None:
         """Compare the current state against the snapshot shifted by one
@@ -775,7 +755,7 @@ class WormholeSimulator:
         # with no bounding event: it cannot be replayed a finite number of
         # times.
         if m is None or m < _MIN_BATCH_TICKS:
-            return self._coalesce_backoff(t0, latency)
+            return self._coalesce_pause(t0, latency, _VERIFY_FAILURE)
         advance = m * latency
         stats = self.stats
         stats.flit_hops += m * (stats.flit_hops - snapshot.flit_hops)
@@ -803,7 +783,6 @@ class WormholeSimulator:
                     append(TraceEvent(record.time_ns + delta, record.kind, record.fields))
         events.shift_transfers(now_ns + advance, advance)
         self._coalesce_fail_streak = 0
-        self.coalesce_batches += 1
         self.coalesced_ticks += m
         if off_class:
             self.coalesced_stagger_ticks += m
@@ -811,37 +790,26 @@ class WormholeSimulator:
             self.coalesced_bubble_ticks += m
         return _BATCH
 
-    def _coalesce_pause(self, t0: int, latency: int) -> None:
-        """Shared churn backoff: bump the failure streak and close the probe
-        gate exponentially longer while the failures keep coming (e.g. a
-        long bubble storm on a big multicast tree)."""
+    def _coalesce_pause(self, t0: int, latency: int, tier: int) -> int:
+        """Churn backoff for the two tiers that signal churn; returns
+        ``tier``.
+
+        ``_VERIFY_FAILURE``: a probe paid for a snapshot without batching
+        (the window was not self-similar, or its replay was too short to
+        pay); the window itself ran through the reference machinery.
+        ``_DRAIN_BAIL``: the cheap scan proved the window can never verify
+        (a draining link whose feeder cannot refill it), so nothing ran and
+        no snapshot was wasted.  Either way the system is in a churn phase:
+        bump the failure streak and close the probe gate exponentially
+        longer while the failures keep coming (e.g. a long bubble storm on
+        a big multicast tree)."""
         streak = self._coalesce_fail_streak
         self._coalesce_fail_streak = streak + 1
         # min() the shift amount, not just the result: an unbounded shift
         # would build ever-larger big-ints over a long churn-heavy run.
         ticks = min(_COALESCE_BACKOFF_TICKS << min(streak, 3), _COALESCE_BACKOFF_MAX_TICKS)
         self._coalesce_gate_ns = t0 + ticks * latency
-
-    def _coalesce_backoff(self, t0: int, latency: int) -> int:
-        """An executed probe paid for a snapshot without batching — the
-        self-similarity check failed, or the verified pattern had no
-        worthwhile replay.  The system is in a churn phase, so pause
-        probing.  Returns ``_VERIFY_FAILURE`` (the probed window itself ran
-        through the reference machinery)."""
-        self.coalesce_verify_failures += 1
-        self._coalesce_pause(t0, latency)
-        return _VERIFY_FAILURE
-
-    def _coalesce_drain_bail(self, t0: int, latency: int) -> int:
-        """The cheap scan proved the window can never verify (a draining
-        link whose feeder cannot refill it): take the same exponential
-        backoff a paid verify failure would — a drain is churn — but
-        without having wasted a snapshot, and without counting a verify
-        failure.  Returns ``_DRAIN_BAIL``: nothing was executed, the caller
-        pops events normally."""
-        self.coalesce_drain_bails += 1
-        self._coalesce_pause(t0, latency)
-        return _DRAIN_BAIL
+        return tier
 
     # ------------------------------------------------------------------
     # Wall-clock telemetry (observability only; see docs/observability.md)
@@ -850,32 +818,18 @@ class WormholeSimulator:
         """Instrumented twin of :meth:`_coalesce_tick`: one ``engine.probe``
         span around one call, labelled with the tier the probe returned.
 
-        ``run()`` binds this instead of the raw probe when telemetry is
-        enabled; the probe itself never reads the clock.
+        ``run()`` binds this instead of the raw probe when it holds a
+        recorder; the probe itself never reads the clock.
         """
         tel = self.telemetry
         clock = tel.clock
         start_ns = clock()
         tier = self._coalesce_tick(t0, until_ns)
         end_ns = clock()
-        name = _PROBE_TIERS[tier]
-        tel.counter(f"engine.probe.{name}")
+        name = PROBE_TIERS[tier]
         tel.value(f"engine.probe.{name}_ns", end_ns - start_ns)
         tel.span_at("engine.probe", start_ns, end_ns, tier=name)
         return tier
-
-    def _publish_telemetry_gauges(self, tel: "Telemetry | NullTelemetry") -> None:
-        """Re-publish the deterministic ``coalesce_*`` counters as gauges so
-        one snapshot unifies wall-clock spans with the normative counters.
-        Last-write-wins, so repeated ``run_for`` windows stay idempotent."""
-        tel.gauge("engine.coalesced_ticks", self.coalesced_ticks)
-        tel.gauge("engine.coalesced_stagger_ticks", self.coalesced_stagger_ticks)
-        tel.gauge("engine.coalesced_bubble_ticks", self.coalesced_bubble_ticks)
-        tel.gauge("engine.coalesce_snapshots", self.coalesce_snapshots)
-        tel.gauge("engine.coalesce_batches", self.coalesce_batches)
-        tel.gauge("engine.coalesce_verify_failures", self.coalesce_verify_failures)
-        tel.gauge("engine.coalesce_generic_bails", self.coalesce_generic_bails)
-        tel.gauge("engine.coalesce_drain_bails", self.coalesce_drain_bails)
 
     # ------------------------------------------------------------------
     # Link machinery

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import SweepError
-from ..obs import NullTelemetry, Telemetry, env_knob
+from ..obs import Telemetry, env_knob
 from .spec import SweepPointResult, SweepPointSpec, evaluate_spec, shard_specs
 from .store import ResultStore
 
@@ -61,8 +61,7 @@ class SweepOutcome:
     results: list[SweepPointResult]
     cache_hits: int
     computed: int
-    #: Wall-clock seconds the whole :func:`run_sweep` call took (telemetry
-    #: accounting; 0.0 when the caller supplied a disabled recorder).
+    #: Wall-clock seconds the whole :func:`run_sweep` call took.
     elapsed_seconds: float = 0.0
     #: Wall-clock seconds spent evaluating points, summed across workers
     #: (exceeds ``elapsed_seconds`` under real parallelism).
@@ -140,7 +139,7 @@ def run_sweep(
     resume: bool = True,
     progress: ProgressCallback | None = None,
     shard: tuple[int, int] | None = None,
-    telemetry: Telemetry | NullTelemetry | None = None,
+    telemetry: Telemetry | None = None,
 ) -> SweepOutcome:
     """Evaluate ``specs``, reusing and checkpointing results via ``store``.
 
@@ -183,12 +182,10 @@ def run_sweep(
     """
     # Accounting always runs on *some* recorder: the caller's, or a private
     # one whose spans are discarded with the outcome's timing extracted.
-    acct: Telemetry | NullTelemetry = (
-        telemetry if telemetry is not None else Telemetry(track="sweep")
-    )
-    collect_detail = telemetry is not None and acct.enabled
-    clock = acct.clock if acct.enabled else None
-    run_start_ns = clock() if clock is not None else 0
+    acct = telemetry if telemetry is not None else Telemetry(track="sweep")
+    collect_detail = telemetry is not None
+    clock = acct.clock
+    run_start_ns = clock()
     computed_ns = 0
     hit_ns = 0
 
@@ -204,21 +201,20 @@ def run_sweep(
     results: list[SweepPointResult | None] = [None] * len(specs)
     cache_hits = 0
     if store is not None and resume:
-        scan_start_ns = clock() if clock is not None else 0
+        scan_start_ns = clock()
         for index, spec in enumerate(specs):
             cached = store.get(spec)
             if cached is not None:
                 results[index] = cached
                 cache_hits += 1
-        if clock is not None:
-            hit_ns = clock() - scan_start_ns
-            acct.span_at(
-                "sweep.cache.scan",
-                scan_start_ns,
-                scan_start_ns + hit_ns,
-                points=len(specs),
-                hits=cache_hits,
-            )
+        hit_ns = clock() - scan_start_ns
+        acct.span_at(
+            "sweep.cache.scan",
+            scan_start_ns,
+            scan_start_ns + hit_ns,
+            points=len(specs),
+            hits=cache_hits,
+        )
 
     # Unique missing specs, in first-appearance order (determinism).
     pending: dict[SweepPointSpec, list[int]] = {}
@@ -244,21 +240,20 @@ def run_sweep(
     try:
         if workers <= 1:
             for spec in unique:
-                point_start_ns = clock() if clock is not None else 0
+                point_start_ns = clock()
                 result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
-                if clock is not None:
-                    point_end_ns = clock()
-                    computed_ns += point_end_ns - point_start_ns
-                    acct.span_at(
-                        "sweep.point.evaluate",
-                        point_start_ns,
-                        point_end_ns,
-                        workload=spec.workload_kind,
-                    )
+                point_end_ns = clock()
+                computed_ns += point_end_ns - point_start_ns
+                acct.span_at(
+                    "sweep.point.evaluate",
+                    point_start_ns,
+                    point_end_ns,
+                    workload=spec.workload_kind,
+                )
                 record(result)
         else:
             first_error: Exception | None = None
-            dispatch_start_ns = clock() if clock is not None else 0
+            dispatch_start_ns = clock()
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_evaluate_point, spec, collect_detail) for spec in unique
@@ -282,31 +277,28 @@ def run_sweep(
                     computed_ns += int(evaluate_dist["total"])
                     acct.merge_child(task_telemetry, track=f"chunk{task_index[future]}")
                     record(result)
-            if clock is not None:
-                acct.span_at(
-                    "sweep.pool.dispatch",
-                    dispatch_start_ns,
-                    clock(),
-                    points=len(unique),
-                    workers=workers,
-                )
+            acct.span_at(
+                "sweep.pool.dispatch",
+                dispatch_start_ns,
+                clock(),
+                points=len(unique),
+                workers=workers,
+            )
             if first_error is not None:
                 raise first_error
     finally:
         if store is not None:
             store.flush_index()
 
-    elapsed_ns = 0
-    if clock is not None:
-        elapsed_ns = clock() - run_start_ns
-        acct.span_at(
-            "sweep.run",
-            run_start_ns,
-            run_start_ns + elapsed_ns,
-            points=len(specs),
-            computed=len(unique),
-            cache_hits=cache_hits,
-        )
+    elapsed_ns = clock() - run_start_ns
+    acct.span_at(
+        "sweep.run",
+        run_start_ns,
+        run_start_ns + elapsed_ns,
+        points=len(specs),
+        computed=len(unique),
+        cache_hits=cache_hits,
+    )
     return SweepOutcome(
         results=[result for result in results if result is not None],
         cache_hits=cache_hits,

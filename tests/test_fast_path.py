@@ -19,12 +19,17 @@ import pytest
 
 from repro.core.spam import SpamRouting
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import _PROBE_TIERS, WormholeSimulator
+from repro.simulator.engine import PROBE_TIERS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import two_switch_network
 from repro.topology.irregular import lattice_irregular_network
 from repro.traffic.arrivals import NegativeBinomialArrivals, PoissonArrivals
 from repro.traffic.workload import mixed_traffic_workload
+
+
+def _exits(simulator):
+    """The simulator's ``coalesce_exits`` tally keyed by tier name."""
+    return dict(zip(PROBE_TIERS, simulator.coalesce_exits))
 
 
 def _run_pair(
@@ -518,12 +523,12 @@ def test_slow_channel_phases_run_per_flit(lattice32, lattice32_spam, factor, bou
             (lattice32.injection_channel(processors[0]).cid, factor),
         ),
     )
-    assert fast_sim.coalesce_batches == 0
+    assert _exits(fast_sim)["batch"] == 0
 
 
 @pytest.mark.equivalence
 class TestDrainBails:
-    """The cheap-scan drain bail (``coalesce_drain_bails``): windows that
+    """The cheap-scan drain bail (the ``drain_bail`` tier): windows that
     provably cannot verify at any period (a last-flit wire whose feeder is
     done, a blocked not-yet-active receiver) skip the doomed snapshot and
     take the verify-failure backoff instead."""
@@ -547,8 +552,8 @@ class TestDrainBails:
             flits=128,
             expect_coalesced=True,
         )
-        assert fast_sim.coalesce_drain_bails > 0, (
-            "no probe exited through the drain bail; the counter (and the "
+        assert _exits(fast_sim)["drain_bail"] > 0, (
+            "no probe exited through the drain bail; the tier (and the "
             "churn-phase economiser) never engaged — test is vacuous"
         )
 
@@ -557,14 +562,14 @@ class TestDrainBails:
         simulator = WormholeSimulator(lattice32, lattice32_spam, config)
         simulator.submit_broadcast(lattice32.processors()[0])
         simulator.run()
-        assert simulator.coalesce_drain_bails == 0
+        assert _exits(simulator)["drain_bail"] == 0
 
 
 @pytest.mark.equivalence
 class TestChurnPhaseBackoff:
     """Paper-length mixed traffic is churn-dominated: most paid fast-path
     snapshots fail the self-similarity check and take the exponential
-    backoff (``_coalesce_backoff``).  The ROADMAP names this regime as the
+    backoff (``_coalesce_pause``).  The ROADMAP names this regime as the
     next engine bottleneck; these tests pin its contract *before* anyone
     attacks it — however the backoff paces its probes, traces and stats
     must stay bit-identical to the reference engine."""
@@ -598,14 +603,15 @@ class TestChurnPhaseBackoff:
             flits=128,
             expect_coalesced=True,
         )
-        assert fast_sim.coalesce_verify_failures > 0, (
+        exits = _exits(fast_sim)
+        assert exits["verify_failure"] > 0, (
             "no paid snapshot failed verification; the churn regime (and "
             "the backoff under test) never engaged — test is vacuous"
         )
         # The backoff is a real economiser here, not a one-off: failures
         # recur across the run, so a regression in its bookkeeping would
         # have many chances to corrupt state.
-        assert fast_sim.coalesce_snapshots > fast_sim.coalesce_batches
+        assert exits["verify_failure"] > 1
 
     def test_reference_engine_counts_no_verify_failures(
         self, lattice32, lattice32_spam
@@ -617,8 +623,8 @@ class TestChurnPhaseBackoff:
         simulator = WormholeSimulator(lattice32, lattice32_spam, config)
         workload.submit_to(simulator)
         simulator.run()
-        assert simulator.coalesce_verify_failures == 0
-        assert simulator.coalesce_snapshots == 0
+        assert _exits(simulator)["verify_failure"] == 0
+        assert _exits(simulator)["batch"] == 0
 
 
 @pytest.mark.equivalence
@@ -647,9 +653,9 @@ class TestGenericDeadlineBail:
             flits=64,
             expect_coalesced=True,
         )
-        assert fast_sim.coalesce_generic_bails > 0, (
+        assert _exits(fast_sim)["generic_bail"] > 0, (
             "no probe exited through the O(1) generic-deadline bail; "
-            "the counter (and the optimisation) never engaged"
+            "the tier (and the optimisation) never engaged"
         )
 
     def test_reference_engine_never_bails(self, lattice32, lattice32_spam):
@@ -657,41 +663,26 @@ class TestGenericDeadlineBail:
         simulator = WormholeSimulator(lattice32, lattice32_spam, config)
         simulator.submit_broadcast(lattice32.processors()[0])
         simulator.run()
-        assert simulator.coalesce_generic_bails == 0
+        assert _exits(simulator)["generic_bail"] == 0
 
 
 @pytest.mark.equivalence
 class TestProbeTiers:
-    """``_coalesce_tick`` returns its exit tier.  The tier must name the one
-    counter the probe moved, and only the executing tiers (a verify failure
-    or a batch) may have run any event."""
-
-    #: Tier -> the counter a probe of that tier increments (``None``: none).
-    TIER_COUNTERS = {
-        "generic_bail": "coalesce_generic_bails",
-        "scan_reject": None,
-        "drain_bail": "coalesce_drain_bails",
-        "verify_failure": "coalesce_verify_failures",
-        "batch": "coalesce_batches",
-    }
+    """``_coalesce_tick`` returns its exit tier and ``run()`` counts it in
+    ``coalesce_exits``.  The tally must equal the tiers the probe returned,
+    and only the executing tiers (a verify failure or a batch) may have run
+    any event."""
 
     def _probe_log(self, simulator):
         """Wrap the instance's probe; return the list it appends
-        ``(tier name, counters moved, flit hops moved)`` to per probe."""
-        counters = [name for name in self.TIER_COUNTERS.values() if name]
+        ``(tier name, flit hops moved)`` to per probe."""
         probe = simulator._coalesce_tick
         log = []
 
         def recording_probe(t0, until_ns):
-            before = [getattr(simulator, name) for name in counters]
             hops = simulator.stats.flit_hops
             tier = probe(t0, until_ns)
-            moved = {
-                name
-                for name, value in zip(counters, before)
-                if getattr(simulator, name) != value
-            }
-            log.append((_PROBE_TIERS[tier], moved, simulator.stats.flit_hops != hops))
+            log.append((PROBE_TIERS[tier], simulator.stats.flit_hops != hops))
             return tier
 
         simulator._coalesce_tick = recording_probe
@@ -722,9 +713,9 @@ class TestProbeTiers:
             log = self._probe_log(simulator)
             submit(simulator)
             simulator.run()
-            for tier, moved, executed in log:
-                counter = self.TIER_COUNTERS[tier]
-                assert moved == ({counter} if counter else set()), (tier, moved)
+            returned = [tier for tier, _executed in log]
+            assert simulator.coalesce_exits == [returned.count(tier) for tier in PROBE_TIERS]
+            for tier, executed in log:
                 assert executed == (tier in ("verify_failure", "batch")), tier
-            seen.update(tier for tier, _moved, _executed in log)
-        assert seen == set(_PROBE_TIERS), f"tiers never taken: {set(_PROBE_TIERS) - seen}"
+            seen.update(returned)
+        assert seen == set(PROBE_TIERS), f"tiers never taken: {set(PROBE_TIERS) - seen}"

@@ -8,9 +8,10 @@ contract the sanction rests on:
 
 * recording telemetry never changes any observable — every equivalence
   regime (the engine's fast path, bounded windows, sweep evaluation with
-  and without a real process pool) fingerprints identically with
-  ``config.telemetry`` on and off;
-* the disabled path really is the no-op singleton (zero per-event cost);
+  and without a real process pool) fingerprints identically with and
+  without a recorder;
+* telemetry off is ``None`` and the engine then calls the raw probe (zero
+  per-event cost);
 * the exporters are deterministic given an injected clock, produce
   schema-valid snapshots and loadable Chrome traces, and the summary
   tables ``repro-spam obs summarize`` prints add up.
@@ -24,8 +25,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    NULL_TELEMETRY,
-    NullTelemetry,
     Telemetry,
     chrome_trace_events,
     summarize_snapshot,
@@ -36,7 +35,7 @@ from repro.obs import (
 )
 from repro.obs.export import snapshot_dict
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import WormholeSimulator
+from repro.simulator.engine import PROBE_TIERS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.sweeps import run_sweep
 from repro.sweeps.spec import SweepPointSpec
@@ -61,6 +60,11 @@ class _FakeClock:
         return self.now_ns
 
 
+def _span_count(telemetry: Telemetry, name: str) -> int:
+    """Number of recorded spans called ``name``."""
+    return sum(1 for span in telemetry.spans if span["name"] == name)
+
+
 # ----------------------------------------------------------------------
 # The recorder
 # ----------------------------------------------------------------------
@@ -76,39 +80,22 @@ class TestTelemetryRecorder:
         assert span["dur_ns"] == 50
         assert span["attrs"] == {"shard": 3}
 
-    def test_begin_end_nest_and_annotate(self):
-        tel = Telemetry(clock=_FakeClock())
-        tel.begin("outer")
-        tel.begin("inner")
-        tel.annotate(detail=7)
-        tel.end()
-        tel.end(clean=True)
-        names = [span["name"] for span in tel.spans]
-        assert names == ["inner", "outer"]  # innermost closes first
-        inner, outer = tel.spans
-        assert inner["attrs"] == {"detail": 7}
-        assert outer["attrs"] == {"clean": True}
-        assert outer["start_ns"] < inner["start_ns"]
-        assert outer["start_ns"] + outer["dur_ns"] > inner["start_ns"] + inner["dur_ns"]
-
     def test_span_at_clamps_negative_durations(self):
         tel = Telemetry(clock=_FakeClock())
         tel.span_at("backwards", 100, 40)
         assert tel.spans[0]["dur_ns"] == 0
 
     def test_counters_gauges_and_value_distributions(self):
+        # Values are the only scalar family: a count is a distribution's
+        # ``count``, and the payload carries no counters or gauges
+        # (snapshot schema version 2).
         tel = Telemetry(clock=_FakeClock())
-        tel.counter("hits")
-        tel.counter("hits", 4)
-        tel.gauge("depth", 2.0)
-        tel.gauge("depth", 5.0)
         for observation in (30.0, 10.0, 20.0):
             tel.value("probe_ns", observation)
-        assert tel.counters == {"hits": 5}
-        assert tel.gauges == {"depth": 5.0}  # last write wins
         assert tel.values == {
             "probe_ns": {"count": 3, "total": 60.0, "min": 10.0, "max": 30.0}
         }
+        assert set(tel.to_payload()) == {"track", "spans", "spans_dropped", "values"}
 
     def test_span_list_is_bounded(self):
         tel = Telemetry(clock=_FakeClock(), max_spans=2)
@@ -117,20 +104,9 @@ class TestTelemetryRecorder:
         assert len(tel.spans) == 2
         assert tel.spans_dropped == 3
 
-    def test_aggregation_helpers(self):
-        tel = Telemetry(clock=_FakeClock())
-        tel.span_at("a", 0, 10)
-        tel.span_at("b", 10, 30)
-        tel.span_at("a", 30, 35)
-        assert tel.span_total_ns("a") == 15
-        assert tel.span_count("a") == 2
-        assert [span["dur_ns"] for span in tel.iter_spans("a")] == [10, 5]
-
     def test_payload_roundtrip_and_child_merge(self):
         child = Telemetry(track="worker", clock=_FakeClock())
         child.span_at("evaluate", 0, 100)
-        child.counter("points", 3)
-        child.gauge("chunk", 1.0)
         child.value("evaluate_ns", 100.0)
         payload = child.to_payload()
         # The payload must survive JSON (the pickling boundary is at least
@@ -138,12 +114,11 @@ class TestTelemetryRecorder:
         payload = json.loads(json.dumps(payload))
 
         parent = Telemetry(track="main", clock=_FakeClock())
-        parent.counter("points", 1)
+        parent.value("evaluate_ns", 50.0)
         parent.merge_child(payload, track="chunk0")
         (span,) = parent.spans
         assert span["track"] == "chunk0"  # re-labelled on the way in
-        assert parent.counters == {"points": 1, "chunk0/points": 3}
-        assert parent.gauges == {"chunk0/chunk": 1.0}
+        assert parent.values["evaluate_ns"]["count"] == 1
         assert parent.values["chunk0/evaluate_ns"]["count"] == 1
 
     def test_merge_child_folds_distributions_and_dropped_counts(self):
@@ -180,41 +155,12 @@ class TestTelemetryRecorder:
         assert parent.spans_dropped == 1
 
 
-class TestNullTelemetry:
-    def test_module_singleton_is_disabled(self):
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
-        assert NULL_TELEMETRY.enabled is False
-        assert Telemetry().enabled is True
+class TestTelemetryOff:
+    """Telemetry off is ``None``."""
 
-    def test_every_recording_method_is_stateless(self):
-        tel = NULL_TELEMETRY
-        tel.begin("x")
-        tel.end()
-        tel.span_at("x", 0, 10)
-        tel.counter("c")
-        tel.gauge("g", 1.0)
-        tel.value("v", 1.0)
-        tel.annotate(a=1)
-        tel.merge_child({"spans": [], "counters": {"c": 1}}, track="w")
-        assert tel.spans == ()
-        assert tel.counters == {}
-        assert tel.span_total_ns("x") == 0
-        assert tel.span_count("x") == 0
-        assert list(tel.iter_spans("x")) == []
-        assert tel.to_payload()["spans"] == []
-
-    def test_span_hands_back_one_shared_context_manager(self):
-        # The no-op overhead contract: a disabled ``with telemetry.span()``
-        # allocates nothing — every call returns the same inert object.
-        first = NULL_TELEMETRY.span("a", attr=1)
-        second = NULL_TELEMETRY.span("b")
-        assert first is second
-        with first:
-            pass
-
-    def test_disabled_engine_holds_the_singleton_and_raw_probe(self):
-        # Telemetry off must select the shared no-op recorder and leave the
-        # fast path's probe entry un-instrumented (zero per-event overhead).
+    def test_disabled_engine_holds_none_and_raw_probe(self):
+        # Without a recorder the engine holds ``None`` and leaves the fast
+        # path's probe entry un-instrumented (zero per-event overhead).
         from repro.topology.examples import two_switch_network
 
         net = two_switch_network()
@@ -223,7 +169,7 @@ class TestNullTelemetry:
         simulator = WormholeSimulator(
             net, SpamRouting.build(net), SimulationConfig(message_length_flits=256)
         )
-        assert simulator.telemetry is NULL_TELEMETRY
+        assert simulator.telemetry is None
 
         def instrumented_probe(t0, until_ns):
             raise AssertionError("telemetry-off run called the instrumented probe")
@@ -293,7 +239,7 @@ def _scenario_workloads(lattice32):
 
 @pytest.mark.equivalence
 class TestTelemetryOnOffEquivalence:
-    """``config.telemetry`` may never change a fingerprint, anywhere."""
+    """A telemetry recorder may never change a fingerprint, anywhere."""
 
     def test_engine_scenarios_bit_identical(self, lattice32, lattice32_spam):
         for name, workload, flits, overrides in _scenario_workloads(lattice32):
@@ -304,36 +250,23 @@ class TestTelemetryOnOffEquivalence:
                 **overrides,
             )
             off, _ = _engine_fingerprint(lattice32, lattice32_spam, workload, base)
+            tel = Telemetry(track="engine")
             on, simulator = _engine_fingerprint(
-                lattice32,
-                lattice32_spam,
-                workload,
-                base.with_overrides(telemetry=True),
+                lattice32, lattice32_spam, workload, base, telemetry=tel
             )
             assert on == off, f"telemetry changed observables in {name!r}"
-            tel = simulator.telemetry
-            assert tel.enabled, name
-            assert tel.span_count("engine.run") == 1, name
-            # Non-vacuity: the instrumented probe classified every window it
-            # saw, and the tier counters agree with the probe span count.
-            probes = tel.span_count("engine.probe")
-            tier_total = sum(
-                count for key, count in tel.counters.items() if key.startswith("engine.probe.")
-            )
-            assert probes > 0, f"{name!r} never engaged the fast path probe"
-            assert probes == tier_total, name
-            # Each probe's span tier is the tier it returned, which moved
-            # exactly the matching deterministic counter.
-            for tier, counter in (
-                ("batch", "coalesce_batches"),
-                ("verify_failure", "coalesce_verify_failures"),
-                ("drain_bail", "coalesce_drain_bails"),
-                ("generic_bail", "coalesce_generic_bails"),
-            ):
-                assert tel.counters.get(f"engine.probe.{tier}", 0) == getattr(
-                    simulator, counter
-                ), (name, tier)
-            assert tel.gauges["engine.coalesce_snapshots"] == simulator.coalesce_snapshots
+            assert _span_count(tel, "engine.run") == 1, name
+            # Non-vacuity: the instrumented probe timed every probe, and each
+            # tier's duration distribution counts exactly the probes the
+            # deterministic tally counted for that tier.
+            exits = simulator.coalesce_exits
+            assert sum(exits) > 0, f"{name!r} never engaged the fast path probe"
+            assert _span_count(tel, "engine.probe") == sum(exits), name
+            timed = [
+                tel.values.get(f"engine.probe.{tier}_ns", {"count": 0})["count"]
+                for tier in PROBE_TIERS
+            ]
+            assert timed == exits, name
 
     def test_bounded_windows_bit_identical(self, lattice32, lattice32_spam):
         workload = mixed_traffic_workload(
@@ -344,9 +277,10 @@ class TestTelemetryOnOffEquivalence:
             message_length_flits=64, trace=True, collect_channel_stats=True
         )
         fingerprints = []
-        for telemetry_on in (False, True):
-            config = base.with_overrides(telemetry=telemetry_on)
-            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+        for telemetry in (None, Telemetry()):
+            simulator = WormholeSimulator(
+                lattice32, lattice32_spam, base, telemetry=telemetry
+            )
             workload.submit_to(simulator)
             while not all(m.is_complete for m in simulator.messages.values()):
                 simulator.run_for(25_000)
@@ -369,7 +303,7 @@ class TestTelemetryOnOffEquivalence:
         tel = Telemetry(track="sweep")
         observed = run_sweep(list(specs), telemetry=tel)
         assert observed.results == plain.results
-        assert tel.span_count("sweep.point.evaluate") == len(specs)
+        assert _span_count(tel, "sweep.point.evaluate") == len(specs)
         assert observed.computed_seconds > 0.0
         assert observed.elapsed_seconds > 0.0
 
@@ -383,7 +317,7 @@ class TestTelemetryOnOffEquivalence:
             if span["track"].startswith("chunk")
         }
         assert chunk_tracks, "no worker telemetry shipped back"
-        assert pooled_tel.span_count("sweep.pool.dispatch") == 1
+        assert _span_count(pooled_tel, "sweep.pool.dispatch") == 1
         assert pooled.computed_seconds > 0.0
 
     def test_sweep_time_accounting_without_caller_recorder(self, tmp_path):
@@ -419,8 +353,6 @@ def _golden_telemetry() -> Telemetry:
     tel = Telemetry(track="main", clock=_FakeClock(step_ns=1000))
     with tel.span("engine.run", bounded=False):
         tel.span_at("engine.probe", 1500, 2500, tier="batch", k=2, ticks=40)
-    tel.counter("engine.probe.batch", 1)
-    tel.gauge("engine.coalesce_batches", 1)
     tel.value("engine.probe.batch_ns", 1000.0)
     tel.merge_child(
         {
@@ -433,7 +365,6 @@ def _golden_telemetry() -> Telemetry:
                     "attrs": {"workload": "mixed"},
                 }
             ],
-            "counters": {"engine.probe.scan_reject": 3},
             "values": {
                 "engine.probe.scan_reject_ns": {
                     "count": 3, "total": 300.0, "min": 50.0, "max": 150.0,
@@ -450,7 +381,7 @@ class TestExporters:
         document = snapshot_dict(_golden_telemetry())
         assert document == {
             "schema": "repro.obs/snapshot",
-            "version": 1,
+            "version": 2,
             "track": "main",
             "spans": [
                 {
@@ -476,11 +407,6 @@ class TestExporters:
                 },
             ],
             "spans_dropped": 0,
-            "counters": {
-                "engine.probe.batch": 1,
-                "chunk0/engine.probe.scan_reject": 3,
-            },
-            "gauges": {"engine.coalesce_batches": 1},
             "values": {
                 "engine.probe.batch_ns": {
                     "count": 1, "total": 1000.0, "min": 1000.0, "max": 1000.0,
@@ -504,8 +430,14 @@ class TestExporters:
         assert any("expected" in error for error in validate_snapshot(wrong_schema))
 
         missing = dict(good)
-        del missing["counters"]
-        assert any("counters" in error for error in validate_snapshot(missing))
+        del missing["values"]
+        assert any("values" in error for error in validate_snapshot(missing))
+
+        # Version 1 carried counters and gauges; the version-2 schema rejects it.
+        old = dict(good, version=1, counters={}, gauges={})
+        errors = validate_snapshot(old)
+        assert any("expected 2" in error for error in errors)
+        assert any("counters" in error for error in errors)
 
         bad_span = json.loads(json.dumps(good))
         bad_span["spans"][0]["dur_ns"] = -5

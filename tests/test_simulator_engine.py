@@ -270,6 +270,19 @@ class TestValidationAndSafety:
         with pytest.raises(WorkloadError):
             simulator.submit_message(figure1.source, [figure1.nodes[4]])
 
+    def test_submit_rejects_explicit_zero_length(self, figure1, short_config):
+        # Only an omitted length falls back to the configured one; an
+        # explicit 0 is as invalid as 1.
+        spam = SpamRouting.build(figure1.network, root=figure1.root)
+        simulator = WormholeSimulator(figure1.network, spam, short_config)
+        for length in (0, 1):
+            with pytest.raises(WorkloadError):
+                simulator.submit_message(
+                    figure1.source, figure1.destinations, length_flits=length
+                )
+        message = simulator.submit_message(figure1.source, figure1.destinations)
+        assert message.length_flits == short_config.message_length_flits
+
     def test_channel_stats_collection(self, figure1):
         config = SimulationConfig(message_length_flits=8, collect_channel_stats=True)
         spam = SpamRouting.build(figure1.network, root=figure1.root)
