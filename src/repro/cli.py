@@ -10,23 +10,28 @@ exposes the library's main entry points without writing any Python:
     Regenerate the paper's figures at a chosen scale and print the series.
 ``compare``
     SPAM vs. software-multicast comparison (the §4 six-fold-difference claim).
+``merge``
+    ``merge --into DIR SRC...`` combines per-shard result stores into one,
+    after which an unsharded run is a pure warm-cache export.
 ``verify``
     Run the deadlock/livelock verification suite on a generated topology.
 ``hotspot``
     Static root-hot-spot analysis (§5) for growing destination counts.
-``sweep``
-    Cached, resumable, parallel execution of any experiment through the
-    :mod:`repro.sweeps` orchestrator (``--workers``, ``--resume``,
-    ``--no-cache``, ``--export``).  ``--shard I/N`` restricts a run to one
-    deterministic shard of the sweep so several hosts can split it;
-    ``sweep merge --into DIR SRC...`` combines the per-shard stores back
-    into one, after which an unsharded run is a pure warm-cache export.
 ``obs``
     Inspect wall-clock telemetry snapshots (:mod:`repro.obs`): validate
     them against the checked-in schema and print per-tier time-attribution
-    tables.  Snapshots come from ``--telemetry OUT`` on the figure/compare/
-    sweep commands, which also writes a Chrome-trace/Perfetto sibling
-    (``OUT`` with a ``.trace.json`` suffix).
+    tables.
+
+The experiment verbs (``figure2``, ``figure3``, ``compare``) run their
+points through the :mod:`repro.sweeps` orchestrator and share its run
+flags: results are content-addressed in ``--cache-dir`` (default
+``.sweep-cache/``; ``--no-cache`` bypasses the store), an interrupted run
+resumes from what it already computed (``--no-resume`` recomputes), points
+spread over ``--workers`` processes, ``--export`` writes the assembled
+figure or rows as JSON, ``--shard I/N`` runs one deterministic shard of the
+points so several hosts can split a run, and ``--telemetry OUT`` writes a
+telemetry snapshot plus a Chrome-trace/Perfetto sibling (``OUT`` with a
+``.trace.json`` suffix).
 """
 
 from __future__ import annotations
@@ -48,14 +53,9 @@ from .experiments.figure2 import (
     default_destination_counts,
     figure2_result_from_points,
     figure2_specs,
-    run_figure2,
 )
-from .experiments.figure3 import Figure3Config, figure3_result_from_points, figure3_specs, run_figure3
-from .experiments.software_comparison import (
-    SoftwareComparisonConfig,
-    run_software_comparison,
-    software_comparison_specs,
-)
+from .experiments.figure3 import Figure3Config, figure3_result_from_points, figure3_specs
+from .experiments.software_comparison import SoftwareComparisonConfig, software_comparison_specs
 from .obs import (
     Telemetry,
     summarize_snapshot,
@@ -73,6 +73,42 @@ from .verification.harness import stress_test_deadlock_freedom
 from .verification.reachability import check_unicast_reachability
 
 __all__ = ["build_parser", "main"]
+
+
+def _shard(text: str) -> tuple[int, int]:
+    """``--shard I/N`` as the 0-based ``(index, count)`` pair of ``run_sweep``."""
+    try:
+        return parse_shard(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_run_flags(command: argparse.ArgumentParser) -> None:
+    """The run flags every experiment verb shares: store, resume, workers,
+    export, shard and telemetry."""
+    command.add_argument("--workers", type=int, default=None,
+                         help="worker processes (default: $REPRO_SWEEP_WORKERS or sequential; "
+                              "0 = one per CPU)")
+    command.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
+                         help="reuse stored results and compute only missing points "
+                              "(--no-resume recomputes everything)")
+    command.add_argument("--no-cache", action="store_true",
+                         help="bypass the result store entirely (no reads, no writes)")
+    command.add_argument("--cache-dir", default=DEFAULT_STORE_DIR,
+                         help="result store directory (default: %(default)s)")
+    command.add_argument("--export", default=None, metavar="PATH",
+                         help="write the assembled figure/rows as JSON to PATH")
+    command.add_argument("--shard", type=_shard, default=None, metavar="I/N",
+                         help="run only shard I of N (1-based, e.g. 2/4): a "
+                              "deterministic content-addressed slice of the points, "
+                              "disjoint from every other shard")
+    command.add_argument(
+        "--telemetry", default=None, metavar="OUT",
+        help="record wall-clock telemetry (repro.obs) and write the JSON "
+             "snapshot to OUT plus a Chrome-trace/Perfetto sibling "
+             "(OUT with a .trace.json suffix); results are bit-identical "
+             "with or without this flag",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,19 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--seed", type=int, default=0)
     topology.add_argument("--save", type=str, default=None, help="write the network to a JSON file")
 
-    def add_telemetry_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--telemetry", default=None, metavar="OUT",
-            help="record wall-clock telemetry (repro.obs) and write the JSON "
-                 "snapshot to OUT plus a Chrome-trace/Perfetto sibling "
-                 "(OUT with a .trace.json suffix); results are bit-identical "
-                 "with or without this flag",
-        )
-
     figure2 = subparsers.add_parser("figure2", help="latency vs number of destinations")
     figure2.add_argument("--network-sizes", type=int, nargs="+", default=[64])
     figure2.add_argument("--seed", type=int, default=7)
-    add_telemetry_flag(figure2)
+    _add_run_flags(figure2)
 
     figure3 = subparsers.add_parser("figure3", help="latency vs arrival rate (mixed traffic)")
     figure3.add_argument("--network-size", type=int, default=64)
@@ -121,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival process at every processor (paper: negative-binomial)",
     )
     figure3.add_argument("--seed", type=int, default=7)
-    add_telemetry_flag(figure3)
+    _add_run_flags(figure3)
 
     compare = subparsers.add_parser("compare", help="SPAM vs software multicast")
     compare.add_argument("--network-size", type=int, default=64)
@@ -131,63 +158,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound-only", action="store_true",
         help="skip executing the binomial software baseline (faster)",
     )
-    add_telemetry_flag(compare)
+    _add_run_flags(compare)
 
-    sweep = subparsers.add_parser(
-        "sweep",
-        help="cached, resumable, parallel experiment sweeps (repro.sweeps)",
+    merge = subparsers.add_parser(
+        "merge", help="combine per-shard result stores",
         description=(
-            "Run an experiment through the sweep orchestrator: results are "
-            "content-addressed in the cache directory, an interrupted sweep "
-            "resumes from what it already computed, and points spread over "
-            "worker processes.  '--shard I/N' runs one deterministic shard "
-            "of the sweep (split across hosts, one cache dir each); "
-            "'sweep merge --into DIR SRC...' combines per-shard stores "
-            "conflict-free and reports the points a shard still owes."
+            "Combine the stores of sharded runs (--shard I/N, one cache dir "
+            "each) conflict-free into DIR, and report the points a shard "
+            "still owes."
         ),
     )
-    sweep.add_argument(
-        "experiment",
-        choices=["figure2", "figure3", "compare", "merge"],
-        help="experiment to sweep, or 'merge' to combine per-shard stores",
-    )
-    sweep.add_argument("sources", nargs="*", default=[], metavar="SRC",
-                       help="[merge] source store directories to merge")
-    sweep.add_argument("--into", default=None, metavar="DIR",
-                       help="[merge] destination store directory")
-    sweep.add_argument("--shard", default=None, metavar="I/N",
-                       help="run only shard I of N (1-based, e.g. 2/4): a "
-                            "deterministic content-addressed slice of the sweep, "
-                            "disjoint from every other shard")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: $REPRO_SWEEP_WORKERS or sequential; "
-                            "0 = one per CPU)")
-    sweep.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
-                       help="reuse stored results and compute only missing points "
-                            "(--no-resume recomputes everything)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the result store entirely (no reads, no writes)")
-    sweep.add_argument("--cache-dir", default=DEFAULT_STORE_DIR,
-                       help="result store directory (default: %(default)s)")
-    sweep.add_argument("--export", default=None, metavar="PATH",
-                       help="write the assembled figure/rows as JSON to PATH")
-    # Experiment knobs (union of the figure2/figure3/compare options).
-    sweep.add_argument("--network-sizes", type=int, nargs="+", default=[64],
-                       help="[figure2] network sizes to sweep")
-    sweep.add_argument("--network-size", type=int, default=64,
-                       help="[figure3/compare] network size")
-    sweep.add_argument("--degrees", type=int, nargs="+", default=[8, 16],
-                       help="[figure3] multicast degrees")
-    sweep.add_argument("--rates", type=float, nargs="+", default=[0.005, 0.02, 0.04],
-                       help="[figure3] per-processor arrival rates (messages/us)")
-    sweep.add_argument("--arrival", choices=["negative-binomial", "poisson"],
-                       default="negative-binomial", help="[figure3] arrival process")
-    sweep.add_argument("--destinations", type=int, nargs="+", default=[8, 32, 63],
-                       help="[compare] destination counts")
-    sweep.add_argument("--bound-only", action="store_true",
-                       help="[compare] skip the executable software baseline")
-    sweep.add_argument("--seed", type=int, default=7)
-    add_telemetry_flag(sweep)
+    merge.add_argument("--into", required=True, metavar="DIR",
+                       help="destination store directory")
+    merge.add_argument("sources", nargs="+", metavar="SRC",
+                       help="source store directories to merge")
 
     obs = subparsers.add_parser(
         "obs", help="inspect repro.obs telemetry snapshots",
@@ -237,167 +221,27 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def _make_telemetry(args) -> Telemetry | None:
-    """A live recorder when ``--telemetry OUT`` was given, else ``None``."""
-    return Telemetry(track="main") if getattr(args, "telemetry", None) else None
-
-
-def _write_telemetry(telemetry: Telemetry, out: str) -> None:
-    snapshot_path = write_snapshot(telemetry, out)
-    trace_path = write_chrome_trace(telemetry, Path(out).with_suffix(".trace.json"))
-    print(f"telemetry written to {snapshot_path} (trace: {trace_path})")
-
-
-def _cmd_figure2(args, scale) -> int:
-    config = Figure2Config(
-        network_sizes=tuple(args.network_sizes),
-        destination_counts={
-            size: default_destination_counts(size, points=6) for size in args.network_sizes
-        },
-        scale=scale,
-        topology_seed=args.seed,
-    )
-    telemetry = _make_telemetry(args)
-    result = run_figure2(config, telemetry=telemetry)
-    print(series_side_by_side(result))
-    if telemetry is not None:
-        _write_telemetry(telemetry, args.telemetry)
-    return 0
-
-
-def _cmd_figure3(args, scale) -> int:
-    config = Figure3Config(
-        network_size=args.network_size,
-        multicast_degrees=tuple(args.degrees),
-        arrival_rates_per_us=tuple(args.rates),
-        arrival=args.arrival,
-        scale=scale,
-        topology_seed=args.seed,
-    )
-    telemetry = _make_telemetry(args)
-    result = run_figure3(config, telemetry=telemetry)
-    print(series_side_by_side(result))
-    if telemetry is not None:
-        _write_telemetry(telemetry, args.telemetry)
-    return 0
-
-
-def _cmd_compare(args, scale) -> int:
-    config = SoftwareComparisonConfig(
-        network_size=args.network_size,
-        destination_counts=tuple(args.destinations),
-        scale=scale,
-        topology_seed=args.seed,
-        run_software_baseline=not args.bound_only,
-    )
-    telemetry = _make_telemetry(args)
-    rows = run_software_comparison(config, telemetry=telemetry)
-    print(format_table(rows))
-    if telemetry is not None:
-        _write_telemetry(telemetry, args.telemetry)
-    return 0
-
-
-def _cmd_merge(args) -> int:
-    if not args.into:
-        print("sweep merge: --into DIR is required", file=sys.stderr)
-        return 2
-    if not args.sources:
-        print("sweep merge: at least one source store is required", file=sys.stderr)
-        return 2
-    for source in args.sources:
-        status = ResultStore(source).manifest_status()
-        if status is not None:
-            print(f"  {source}: {status.describe()}")
-    try:
-        report = merge_stores(args.into, *args.sources)
-    except (SweepError, ValueError) as exc:
-        print(f"sweep merge: {exc}", file=sys.stderr)
-        return 1
-    print(f"sweep merge: {report.summary()}  (store: {args.into})")
-    if report.missing:
-        print(f"  still missing {len(report.missing)} expected point(s); "
-              f"re-run the owing shard(s) and merge again")
-    return 0
-
-
-def _sweep_universe(experiment: str, args, scale):
-    """The specs of one sweep experiment and the assembler that turns their
-    results into a figure (``None`` for the row-table comparison)."""
-    if experiment == "figure2":
-        config = Figure2Config(
-            network_sizes=tuple(args.network_sizes),
-            destination_counts={
-                size: default_destination_counts(size, points=6) for size in args.network_sizes
-            },
-            scale=scale,
-            topology_seed=args.seed,
-        )
-        specs = figure2_specs(config)
-        assemble = lambda points: figure2_result_from_points(config, points)  # noqa: E731
-    elif experiment == "figure3":
-        config = Figure3Config(
-            network_size=args.network_size,
-            multicast_degrees=tuple(args.degrees),
-            arrival_rates_per_us=tuple(args.rates),
-            arrival=args.arrival,
-            scale=scale,
-            topology_seed=args.seed,
-        )
-        specs = figure3_specs(config)
-        assemble = lambda points: figure3_result_from_points(config, points)  # noqa: E731
-    else:
-        config = SoftwareComparisonConfig(
-            network_size=args.network_size,
-            destination_counts=tuple(args.destinations),
-            scale=scale,
-            topology_seed=args.seed,
-            run_software_baseline=not args.bound_only,
-        )
-        specs = software_comparison_specs(config)
-        assemble = None
-    return specs, assemble
-
-
-def _cmd_sweep(args, scale) -> int:
-    if args.experiment == "merge":
-        return _cmd_merge(args)
-    if args.sources or args.into:
-        print("sweep: SRC.../--into are only valid with the 'merge' experiment",
-              file=sys.stderr)
-        return 2
-    shard = None
-    if args.shard is not None:
-        try:
-            shard = parse_shard(args.shard)
-        except ValueError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-    specs, assemble = _sweep_universe(args.experiment, args, scale)
-
+def _run_experiment(args, specs, render) -> int:
+    """Run an experiment verb: evaluate ``specs`` under the run flags, print
+    the table of ``render(results)``, a ``(table, export document)`` pair,
+    and the sweep summary, and write the document to ``--export``."""
     store = None if args.no_cache else ResultStore(args.cache_dir)
+    telemetry = Telemetry(track="main") if args.telemetry else None
 
     def progress(done, total, spec):
         print(f"  [{done}/{total}] {spec.label} x={spec.x}", flush=True)
 
-    telemetry = _make_telemetry(args)
     outcome = run_sweep(
         specs, store=store, workers=args.workers, resume=args.resume,
-        progress=progress, shard=shard, telemetry=telemetry,
+        progress=progress, shard=args.shard, telemetry=telemetry,
     )
-    if assemble is not None:
-        result = assemble(outcome.results)
-        print(series_side_by_side(result))
-        exported = result.as_dict()
-    else:
-        rows = [point.metrics_dict() for point in outcome.results]
-        print(format_table(rows))
-        exported = {"experiment": args.experiment, "rows": rows}
+    table, exported = render(outcome.results)
+    print(table)
     shard_note = ""
-    if shard is not None:
+    if args.shard is not None:
         coverage = sweep_coverage(specs, outcome.results)
-        shard_note = f"  [shard {shard[0] + 1}/{shard[1]}: {coverage.summary()}]"
-    print(f"sweep: {outcome.summary()}"
+        shard_note = f"  [shard {args.shard[0] + 1}/{args.shard[1]}: {coverage.summary()}]"
+    print(f"{args.command}: {outcome.summary()}"
           + ("" if store is None else f"  (store: {store.root})")
           + shard_note)
     if args.export:
@@ -406,7 +250,77 @@ def _cmd_sweep(args, scale) -> int:
             handle.write("\n")
         print(f"exported to {args.export}")
     if telemetry is not None:
-        _write_telemetry(telemetry, args.telemetry)
+        snapshot_path = write_snapshot(telemetry, args.telemetry)
+        trace_path = write_chrome_trace(telemetry, Path(args.telemetry).with_suffix(".trace.json"))
+        print(f"telemetry written to {snapshot_path} (trace: {trace_path})")
+    return 0
+
+
+def _figure(result) -> tuple[str, dict]:
+    """A figure's printed series and its export document."""
+    return series_side_by_side(result), result.as_dict()
+
+
+def _cmd_figure2(args) -> int:
+    config = Figure2Config(
+        network_sizes=tuple(args.network_sizes),
+        destination_counts={
+            size: default_destination_counts(size, points=6) for size in args.network_sizes
+        },
+        scale=SCALES[args.scale],
+        topology_seed=args.seed,
+    )
+    return _run_experiment(
+        args, figure2_specs(config),
+        lambda points: _figure(figure2_result_from_points(config, points)),
+    )
+
+
+def _cmd_figure3(args) -> int:
+    config = Figure3Config(
+        network_size=args.network_size,
+        multicast_degrees=tuple(args.degrees),
+        arrival_rates_per_us=tuple(args.rates),
+        arrival=args.arrival,
+        scale=SCALES[args.scale],
+        topology_seed=args.seed,
+    )
+    return _run_experiment(
+        args, figure3_specs(config),
+        lambda points: _figure(figure3_result_from_points(config, points)),
+    )
+
+
+def _cmd_compare(args) -> int:
+    config = SoftwareComparisonConfig(
+        network_size=args.network_size,
+        destination_counts=tuple(args.destinations),
+        scale=SCALES[args.scale],
+        topology_seed=args.seed,
+        run_software_baseline=not args.bound_only,
+    )
+
+    def render(points):
+        rows = [point.metrics_dict() for point in points]
+        return format_table(rows), {"experiment": "compare", "rows": rows}
+
+    return _run_experiment(args, software_comparison_specs(config), render)
+
+
+def _cmd_merge(args) -> int:
+    for source in args.sources:
+        status = ResultStore(source).manifest_status()
+        if status is not None:
+            print(f"  {source}: {status.describe()}")
+    try:
+        report = merge_stores(args.into, *args.sources)
+    except (SweepError, ValueError) as exc:
+        print(f"merge: {exc}", file=sys.stderr)
+        return 1
+    print(f"merge: {report.summary()}  (store: {args.into})")
+    if report.missing:
+        print(f"  still missing {len(report.missing)} expected point(s); "
+              f"re-run the owing shard(s) and merge again")
     return 0
 
 
@@ -500,39 +414,18 @@ def _cmd_hotspot(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    # argparse cannot place a SRC... positional after "--into DIR" once the
-    # experiment positional is consumed ("sweep merge --into DIR SRC..."),
-    # so merge sources left unconsumed are collected here.
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        if (
-            args.command == "sweep"
-            and getattr(args, "experiment", None) == "merge"
-            and not any(extra.startswith("-") for extra in extras)
-        ):
-            args.sources = list(args.sources) + extras
-        else:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    scale = SCALES[args.scale]
-    if args.command == "topology":
-        return _cmd_topology(args)
-    if args.command == "figure2":
-        return _cmd_figure2(args, scale)
-    if args.command == "figure3":
-        return _cmd_figure3(args, scale)
-    if args.command == "compare":
-        return _cmd_compare(args, scale)
-    if args.command == "sweep":
-        return _cmd_sweep(args, scale)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "hotspot":
-        return _cmd_hotspot(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    handlers = {
+        "topology": _cmd_topology,
+        "figure2": _cmd_figure2,
+        "figure3": _cmd_figure3,
+        "compare": _cmd_compare,
+        "merge": _cmd_merge,
+        "obs": _cmd_obs,
+        "verify": _cmd_verify,
+        "hotspot": _cmd_hotspot,
+    }
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -115,10 +115,6 @@ class MulticastPlan:
         """Switches at which the worm splits into more than one head."""
         return sorted(s for s, outs in self.branch_outputs.items() if len(outs) > 1)
 
-    def outputs_at(self, switch: int) -> tuple[Channel, ...]:
-        """Down tree channels acquired at ``switch`` (empty if not on the tree)."""
-        return self.branch_outputs.get(switch, ())
-
 
 def build_multicast_plan(
     network: Network,

@@ -27,7 +27,7 @@ from ..errors import RoutingError
 from ..spanning.ancestry import Ancestry
 from ..spanning.labeling import ChannelLabeling
 from ..topology.channels import Channel
-from .phases import Phase, phase_of_label
+from .phases import Phase
 
 __all__ = ["RoutingOption", "unicast_options", "legal_next_channels"]
 
@@ -123,10 +123,3 @@ def legal_next_channels(
             f"(phase {incoming_phase.value}) towards {target}"
         )
     return options
-
-
-def incoming_phase_from_channel(labeling: ChannelLabeling, channel: Channel | None) -> Phase:
-    """Phase implied by the incoming channel (``None`` means freshly injected)."""
-    if channel is None:
-        return Phase.UP
-    return phase_of_label(labeling.label(channel))

@@ -13,9 +13,11 @@ discussions.
   root selection and destination partitioning.
 
 Every driver routes through the :mod:`repro.sweeps` orchestrator: each data
-point is a :class:`~repro.sweeps.spec.SweepPointSpec`, and the drivers
-accept ``store=`` / ``workers=`` / ``resume=`` to cache, parallelise and
-resume sweeps (see ``docs/sweeps.md``).
+point is a :class:`~repro.sweeps.spec.SweepPointSpec`.  A cached, resumable
+or parallel run passes an experiment's specs (:func:`figure2_specs`,
+:func:`figure3_specs`, :func:`software_comparison_specs`) to
+``run_sweep(specs, store=..., workers=...)``, as the ``repro-spam`` verbs
+do (see ``docs/sweeps.md``).
 """
 
 from .ablations import (

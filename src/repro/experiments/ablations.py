@@ -10,15 +10,15 @@ Each variant is one sweep point (the knobs map onto
 :class:`~repro.sweeps.spec.SweepPointSpec` fields: ``sim_overrides`` for
 buffer depths, ``selection``/``selection_seed`` and ``root_strategy`` for
 the routing knobs, the ``"partitioned-multicast"`` workload kind for §5's
-extension), so the ablations cache, resume and parallelise through
-:func:`repro.sweeps.run_sweep` like every other experiment.
+extension), evaluated by :func:`repro.sweeps.run_sweep` on the same path
+as every other experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sweeps import ResultStore, SweepPointSpec, run_sweep
+from ..sweeps import SweepPointSpec, run_sweep
 from .common import ExperimentScale, current_scale
 
 __all__ = [
@@ -81,9 +81,6 @@ def _ablation_spec(
 def run_buffer_depth_ablation(
     depths: tuple[int, ...] = (1, 2, 4, 8),
     config: AblationConfig | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
 ) -> list[dict]:
     """Effect of input/output buffer depth on single-multicast latency.
 
@@ -104,12 +101,7 @@ def run_buffer_depth_ablation(
         )
         for depth in depths
     ]
-    outcome = run_sweep(
-        specs,
-        store=store,
-        workers=workers,
-        resume=resume,
-    )
+    outcome = run_sweep(specs)
     return [
         {"buffer_depth": depth, "latency_us": result.mean_us}
         for depth, result in zip(depths, outcome.results)
@@ -119,9 +111,6 @@ def run_buffer_depth_ablation(
 def run_selection_ablation(
     strategies: tuple[str, ...] = ("distance-to-lca", "first-allowed", "random"),
     config: AblationConfig | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
 ) -> list[dict]:
     """Effect of the selection function on single-multicast latency."""
     config = config or AblationConfig()
@@ -135,12 +124,7 @@ def run_selection_ablation(
         )
         for index, strategy in enumerate(strategies)
     ]
-    outcome = run_sweep(
-        specs,
-        store=store,
-        workers=workers,
-        resume=resume,
-    )
+    outcome = run_sweep(specs)
     return [
         {"selection": strategy, "latency_us": result.mean_us}
         for strategy, result in zip(strategies, outcome.results)
@@ -150,9 +134,6 @@ def run_selection_ablation(
 def run_root_ablation(
     strategies: tuple[str, ...] = ("center", "max-degree", "first"),
     config: AblationConfig | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
 ) -> list[dict]:
     """Effect of the spanning-tree root choice on single-multicast latency."""
     config = config or AblationConfig()
@@ -165,12 +146,7 @@ def run_root_ablation(
         )
         for index, strategy in enumerate(strategies)
     ]
-    outcome = run_sweep(
-        specs,
-        store=store,
-        workers=workers,
-        resume=resume,
-    )
+    outcome = run_sweep(specs)
     return [
         {
             "root_strategy": strategy,
@@ -186,9 +162,6 @@ def run_partition_ablation(
     group_counts: tuple[int, ...] = (1, 2, 4),
     strategy: str = "contiguous",
     config: AblationConfig | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
 ) -> list[dict]:
     """The paper's §5 destination-partitioning extension.
 
@@ -215,12 +188,7 @@ def run_partition_ablation(
         )
         for groups in group_counts
     ]
-    outcome = run_sweep(
-        specs,
-        store=store,
-        workers=workers,
-        resume=resume,
-    )
+    outcome = run_sweep(specs)
     return [
         {
             "groups": result.metric("groups"),

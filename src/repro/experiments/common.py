@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ..errors import ConfigurationError
 from ..simulator.config import SimulationConfig
 
 __all__ = [
@@ -46,8 +47,8 @@ class ExperimentScale:
 
     def with_env_overrides(self) -> "ExperimentScale":
         """Apply ``REPRO_FLITS`` / ``REPRO_SAMPLES`` overrides if present."""
-        flits = int(os.environ.get("REPRO_FLITS", self.message_length_flits))  # repro-lint: disable=R4 -- documented scale knob; affects scope, not per-seed determinism
-        samples = int(os.environ.get("REPRO_SAMPLES", self.samples_per_point))  # repro-lint: disable=R4 -- documented scale knob; affects scope, not per-seed determinism
+        flits = _int_env("REPRO_FLITS", self.message_length_flits)
+        samples = _int_env("REPRO_SAMPLES", self.samples_per_point)
         return ExperimentScale(
             name=self.name,
             message_length_flits=flits,
@@ -69,11 +70,25 @@ SCALES = {
 }
 
 
+def _int_env(name: str, default: int) -> int:
+    """The integer environment variable ``name``, or ``default`` when unset."""
+    raw = os.environ.get(name)  # repro-lint: disable=R4 -- documented scale knob; affects scope, not per-seed determinism
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"${name} must be an integer, got {raw!r}") from None
+
+
 def current_scale() -> ExperimentScale:
     """The scale selected by ``REPRO_SCALE`` (default ``"default"``)."""
     name = os.environ.get("REPRO_SCALE", "default")  # repro-lint: disable=R4 -- documented scale knob; affects scope, not per-seed determinism
-    scale = SCALES.get(name, SCALES["default"])
-    return scale.with_env_overrides()
+    if name not in SCALES:
+        raise ConfigurationError(
+            f"$REPRO_SCALE must be one of {', '.join(sorted(SCALES))}, got {name!r}"
+        )
+    return SCALES[name].with_env_overrides()
 
 
 def scaled(name: str | None = None) -> ExperimentScale:

@@ -15,10 +15,11 @@ destination.
 
 Execution routes through :mod:`repro.sweeps`: :func:`figure2_specs` turns
 the configuration into one :class:`~repro.sweeps.spec.SweepPointSpec` per
-data point, the orchestrator evaluates them (optionally in parallel and
-against a content-addressed result store), and
-:func:`~repro.analysis.sweeps.sweep_result_from_points` reassembles the
-figure from the point results.
+data point, :func:`~repro.sweeps.run_sweep` evaluates them (in parallel and
+against a content-addressed result store when given ``workers=`` and
+``store=``, as the ``figure2`` CLI verb does), and
+:func:`figure2_result_from_points` reassembles the figure from the point
+results.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.sweeps import SweepResult, sweep_result_from_points
-from ..sweeps import ResultStore, SweepPointSpec, run_sweep
+from ..sweeps import SweepPointSpec, run_sweep
 from .common import ExperimentScale, current_scale
 
 __all__ = [
@@ -122,24 +123,7 @@ def figure2_result_from_points(config: Figure2Config, points) -> SweepResult:
     )
 
 
-def run_figure2(
-    config: Figure2Config | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
-    telemetry=None,
-) -> SweepResult:
-    """Regenerate Figure 2 and return its sweep data.
-
-    ``telemetry`` is an optional ``repro.obs`` recorder threaded through the
-    sweep into every point's engine (wall-clock observability only).
-    """
+def run_figure2(config: Figure2Config | None = None) -> SweepResult:
+    """Regenerate Figure 2 and return its sweep data."""
     config = config or Figure2Config()
-    outcome = run_sweep(
-        figure2_specs(config),
-        store=store,
-        workers=workers,
-        resume=resume,
-        telemetry=telemetry,
-    )
-    return figure2_result_from_points(config, outcome.results)
+    return figure2_result_from_points(config, run_sweep(figure2_specs(config)).results)

@@ -14,9 +14,9 @@ degree.  Latency is measured from message creation (so source queueing under
 load is included, which is what produces the saturation behaviour).
 
 Execution routes through :mod:`repro.sweeps` (see
-:func:`~repro.experiments.figure2.run_figure2` for the pattern):
-:func:`figure3_specs` builds one spec per (degree, rate) point and the
-orchestrator handles caching, resumption and process-level parallelism.
+:mod:`repro.experiments.figure2` for the pattern): :func:`figure3_specs`
+builds one spec per (degree, rate) point and the orchestrator handles
+caching, resumption and process-level parallelism.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.sweeps import SweepResult, sweep_result_from_points
-from ..sweeps import ResultStore, SweepPointSpec, run_sweep
+from ..sweeps import SweepPointSpec, run_sweep
 from .common import ExperimentScale, current_scale
 
 __all__ = ["Figure3Config", "figure3_specs", "figure3_result_from_points", "run_figure3"]
@@ -112,24 +112,7 @@ def figure3_result_from_points(config: Figure3Config, points) -> SweepResult:
     )
 
 
-def run_figure3(
-    config: Figure3Config | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
-    telemetry=None,
-) -> SweepResult:
-    """Regenerate Figure 3 and return its sweep data.
-
-    ``telemetry`` is an optional ``repro.obs`` recorder threaded through the
-    sweep into every point's engine (wall-clock observability only).
-    """
+def run_figure3(config: Figure3Config | None = None) -> SweepResult:
+    """Regenerate Figure 3 and return its sweep data."""
     config = config or Figure3Config()
-    outcome = run_sweep(
-        figure3_specs(config),
-        store=store,
-        workers=workers,
-        resume=resume,
-        telemetry=telemetry,
-    )
-    return figure3_result_from_points(config, outcome.results)
+    return figure3_result_from_points(config, run_sweep(figure3_specs(config)).results)

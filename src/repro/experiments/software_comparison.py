@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sweeps import ResultStore, SweepPointSpec, run_software_multicast_once, run_sweep
+from ..sweeps import SweepPointSpec, run_software_multicast_once, run_sweep
 from .common import ExperimentScale, current_scale
 
 __all__ = [
@@ -79,26 +79,13 @@ def software_comparison_specs(
     return specs
 
 
-def run_software_comparison(
-    config: SoftwareComparisonConfig | None = None,
-    store: ResultStore | None = None,
-    workers: int | None = None,
-    resume: bool = True,
-    telemetry=None,
-) -> list[dict]:
+def run_software_comparison(config: SoftwareComparisonConfig | None = None) -> list[dict]:
     """Run the comparison and return one result row per destination count.
 
     Each row contains the measured SPAM latency, the software lower bound,
     the measured software (binomial) latency when enabled, and the resulting
-    speedup factors.  ``telemetry`` is an optional ``repro.obs`` recorder
-    threaded through the sweep (wall-clock observability only).
+    speedup factors.
     """
     config = config or SoftwareComparisonConfig()
-    outcome = run_sweep(
-        software_comparison_specs(config),
-        store=store,
-        workers=workers,
-        resume=resume,
-        telemetry=telemetry,
-    )
+    outcome = run_sweep(software_comparison_specs(config))
     return [result.metrics_dict() for result in outcome.results]

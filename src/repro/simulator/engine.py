@@ -93,7 +93,7 @@ from ..errors import ConfigurationError, DeadlockError, LivelockError, Simulatio
 from ..obs import Telemetry
 from ..topology.network import Network
 from .config import SimulationConfig
-from .deadlock import DeadlockReport, diagnose
+from .deadlock import diagnose
 from .events import EventQueue
 from .flit import Flit, FlitKind
 from .links import LinkState
@@ -968,10 +968,6 @@ class WormholeSimulator:
         return sorted(  # repro-lint: disable=R1 -- (mid, switch) is unique per live segment, so sorted(key=...) has no encounter-order ties
             self._segments, key=lambda seg: (seg.message.mid, seg.switch)
         )
-
-    def diagnose_deadlock(self) -> DeadlockReport:
-        """Build a deadlock report from the current engine state."""
-        return diagnose(self)
 
     # ------------------------------------------------------------------
     # Statistics helpers

@@ -46,10 +46,6 @@ class Trace:
         wanted = set(kinds)
         return [event for event in self.events if event.kind in wanted]
 
-    def for_message(self, mid: int) -> list[TraceEvent]:
-        """Events that mention message ``mid``."""
-        return [event for event in self.events if event.fields.get("message") == mid]
-
     def signature(self) -> list[tuple[int, str, dict]]:
         """Equality-comparable rendering of the whole trace.
 

@@ -23,8 +23,9 @@ runs:
   sweep across hosts.
 
 The experiment drivers in :mod:`repro.experiments` build specs and route
-through :func:`run_sweep`; ``repro-spam sweep`` exposes the same machinery
-on the command line (including ``--shard I/N`` and ``sweep merge``).
+through :func:`run_sweep`; the ``repro-spam figure2``/``figure3``/``compare``
+commands expose the same machinery on the command line (including
+``--shard I/N``), and ``repro-spam merge`` combines per-shard stores.
 ``docs/sweeps.md`` documents the store layout, the hashing contract, the
 resume semantics and the sharding workflow.
 """

@@ -30,7 +30,7 @@ overridable via ``REPRO_SWEEP_CACHE``) in two files:
     "shard": [index, count] | null, "expected": [<sha256>, ...]}`` — the
     spec keys a sweep was *asked* to produce, independent of what has been
     computed so far.  ``done``/``missing`` are derived by intersecting
-    ``expected`` with the data file, so ``sweep merge`` can report which
+    ``expected`` with the data file, so ``repro-spam merge`` can report which
     shards still owe points (:meth:`ResultStore.manifest_status`).
     Re-recording unions the expected keys while the salt matches; a salt
     change (code upgrade) resets the manifest.

@@ -290,13 +290,6 @@ class Network:
     # ------------------------------------------------------------------
     # Graph-level queries
     # ------------------------------------------------------------------
-    def switch_adjacency(self) -> dict[int, list[int]]:
-        """Adjacency restricted to switches (sorted neighbour lists)."""
-        adj: dict[int, list[int]] = {}
-        for s in self.switches():
-            adj[s] = [n for n in sorted(self._adjacency[s]) if self._kinds[n] is NodeKind.SWITCH]
-        return adj
-
     def is_connected(self) -> bool:
         """``True`` if the full graph (switches and processors) is connected."""
         if self.num_nodes == 0:

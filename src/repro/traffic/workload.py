@@ -17,7 +17,6 @@ Two builders cover the paper's experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,11 +62,6 @@ class Workload:
     def num_multicasts(self) -> int:
         """Number of multicast specs."""
         return sum(1 for spec in self.specs if spec.is_multicast)
-
-    @property
-    def num_unicasts(self) -> int:
-        """Number of unicast specs."""
-        return len(self.specs) - self.num_multicasts
 
     def submit_to(self, simulator) -> list:
         """Submit every spec to a simulator; returns the created messages."""

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sweeps import SweepPointSpec, evaluate_spec
+from repro.sweeps import DEFAULT_STORE_DIR, SweepPointSpec, evaluate_spec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -13,6 +19,26 @@ class TestCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+    def test_console_script_is_the_parser_prog(self):
+        """The installed script is the command the docs and ``--help`` name.
+        Read as text: ``tomllib`` is missing on Python 3.10."""
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+        entry = scripts.strip().splitlines()[0]
+        assert entry == f'{build_parser().prog} = "repro.cli:main"'
+
+    def test_experiment_verbs_share_the_run_flags(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sweep", "figure2"])
+        for verb in ("figure2", "figure3", "compare"):
+            args = parser.parse_args([verb])
+            assert args.workers is None and args.resume and not args.no_cache
+            assert args.cache_dir == DEFAULT_STORE_DIR
+            assert args.export is None and args.shard is None and args.telemetry is None
+            assert parser.parse_args([verb, "--shard", "2/4", "--no-resume"]).shard == (1, 4)
+        args = parser.parse_args(["merge", "--into", "dst", "a", "b"])
+        assert args.into == "dst" and args.sources == ["a", "b"]
 
     def test_topology_command(self, capsys, tmp_path):
         rc = main(["topology", "--switches", "12", "--seed", "3",
@@ -23,7 +49,7 @@ class TestCli:
         assert (tmp_path / "net.json").exists()
 
     def test_figure2_command(self, capsys):
-        rc = main(["--scale", "smoke", "figure2", "--network-sizes", "16"])
+        rc = main(["--scale", "smoke", "figure2", "--network-sizes", "16", "--no-cache"])
         assert rc == 0
         output = capsys.readouterr().out
         assert "destinations" in output
@@ -32,7 +58,7 @@ class TestCli:
     def test_figure3_command(self, capsys):
         rc = main([
             "--scale", "smoke", "figure3", "--network-size", "16",
-            "--degrees", "4", "--rates", "0.01",
+            "--degrees", "4", "--rates", "0.01", "--no-cache",
         ])
         assert rc == 0
         output = capsys.readouterr().out
@@ -41,7 +67,7 @@ class TestCli:
     def test_compare_command_bound_only(self, capsys):
         rc = main([
             "--scale", "smoke", "compare", "--network-size", "16",
-            "--destinations", "8", "--bound-only",
+            "--destinations", "8", "--bound-only", "--no-cache",
         ])
         assert rc == 0
         output = capsys.readouterr().out
@@ -59,6 +85,38 @@ class TestCli:
         assert rc == 0
         output = capsys.readouterr().out
         assert "P(LCA is root)" in output
+
+
+#: A command line: optional ``VAR=value`` prefixes, then the program.
+_COMMAND = re.compile(r"^\s*(?:\w+=\S*\s+)*(?:python -m repro\.cli|repro-spam)(?=\s|$)")
+
+
+def documented_commands() -> list[tuple[str, list[str]]]:
+    """``(where, argv)`` for every ``python -m repro.cli`` and ``repro-spam``
+    command in a fenced code block of README.md and ``docs/*.md``, with
+    ``\\`` continuations joined and the program name dropped from ``argv``."""
+    commands = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", path.read_text(), re.M | re.S)
+        for block in blocks:
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                match = _COMMAND.match(line)
+                if match:
+                    where = f"{path.relative_to(ROOT)}: {' '.join(line.split())}"
+                    commands.append((where, shlex.split(line[match.end():], comments=True)))
+    return commands
+
+
+DOCUMENTED_COMMANDS = documented_commands()
+
+
+def test_docs_show_cli_commands():
+    assert len(DOCUMENTED_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("where, argv", DOCUMENTED_COMMANDS, ids=[w for w, _ in DOCUMENTED_COMMANDS])
+def test_documented_command_parses(where, argv):
+    build_parser().parse_args(argv)
 
 
 class TestEvaluateSpec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
     AblationConfig,
     run_buffer_depth_ablation,
@@ -56,6 +57,18 @@ class TestScaling:
         assert scale.name == "smoke"
         assert scale.message_length_flits == 16
         assert scale.samples_per_point == 3
+
+    def test_unknown_scale_name_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "papr")
+        with pytest.raises(ConfigurationError, match=r"REPRO_SCALE.*default, paper, smoke.*'papr'"):
+            current_scale()
+
+    @pytest.mark.parametrize("variable", ["REPRO_FLITS", "REPRO_SAMPLES"])
+    def test_non_integer_override_names_its_variable(self, monkeypatch, variable):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv(variable, "1.5")
+        with pytest.raises(ConfigurationError, match=variable):
+            current_scale()
 
     def test_paper_config_from_scale(self):
         config = paper_config(SMOKE, input_buffer_depth=2)

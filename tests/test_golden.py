@@ -15,13 +15,14 @@ cross-traffic unicasts, 128-flit mixed traffic under both arrival
 processes, one and two slow injection channels (2x, and 2x beside 3x),
 and a bounded run window cut mid-stream.
 
-The sweep layer is pinned the same way: ``tests/golden/sweeps.json`` holds
-the sha256 of the exact bytes ``repro-spam sweep ... --export`` writes for
-three smoke-scale sweeps (Figure 2, the software comparison, and the
-Figure-3 grid of the CI sweep-smoke job), each computed in-process with no
-result store.  The batched-vs-per-point and sharded-vs-whole differentials
-then have a stored reference too: CI hashes its merged and batched Figure-3
-exports against the same digest.
+The experiments are pinned the same way: ``tests/golden/sweeps.json`` holds
+the sha256 of the exact bytes ``repro-spam <experiment> ... --export``
+writes for three smoke-scale runs (Figure 2, the software comparison, and
+the Figure-3 grid of the CI sweep-smoke job), each computed in-process with
+no result store, and of the rows of the four ablation drivers at smoke
+scale with their default variants.  The sharded-vs-whole differential then
+has a stored reference too: CI hashes its merged Figure-3 export against
+the same digest.
 
 A third corpus, ``tests/golden/fuzz.json``, pins 200 seeded random
 scenarios the hand-built ones do not reach: ``random_irregular_network``
@@ -57,6 +58,14 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.spam import SpamRouting
+from repro.experiments.ablations import (
+    AblationConfig,
+    run_buffer_depth_ablation,
+    run_partition_ablation,
+    run_root_ablation,
+    run_selection_ablation,
+)
+from repro.experiments.common import SCALES
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
@@ -269,13 +278,13 @@ def test_single_channel_perturbation_fails_the_comparison(golden):
         compare(name, mutated, golden)
 
 
-#: Export name -> ``repro-spam`` arguments of the sweep whose ``--export``
+#: Export name -> ``repro-spam`` arguments of the run whose ``--export``
 #: bytes are pinned.  Names key ``tests/golden/sweeps.json``.
 SWEEP_EXPORTS: dict[str, list[str]] = {
-    "figure2": ["--scale", "smoke", "sweep", "figure2"],
-    "compare": ["--scale", "smoke", "sweep", "compare"],
+    "figure2": ["--scale", "smoke", "figure2"],
+    "compare": ["--scale", "smoke", "compare"],
     "figure3": [
-        "--scale", "smoke", "sweep", "figure3",
+        "--scale", "smoke", "figure3",
         "--network-size", "32", "--degrees", "4", "8", "--rates", "0.005", "0.02",
     ],
 }
@@ -290,8 +299,8 @@ def sweep_export_digest(argv: list[str]) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def load_sweep_golden() -> dict:
-    return json.loads(SWEEP_GOLDEN_PATH.read_text())["exports"]
+def load_sweep_golden(section: str = "exports") -> dict:
+    return json.loads(SWEEP_GOLDEN_PATH.read_text())[section]
 
 
 @pytest.mark.parametrize("name", list(SWEEP_EXPORTS))
@@ -303,8 +312,33 @@ def test_sweep_export_matches_golden(name):
     )
 
 
+#: Ablation name -> driver, run at smoke scale with its default variants.
+#: Names key the ``ablations`` section of ``tests/golden/sweeps.json``.
+ABLATIONS: dict[str, Callable[..., list[dict]]] = {
+    "buffer_depth": run_buffer_depth_ablation,
+    "selection": run_selection_ablation,
+    "root": run_root_ablation,
+    "partition": run_partition_ablation,
+}
+
+
+def ablation_digest(driver: Callable[..., list[dict]]) -> str:
+    """sha256 of the driver's rows, rendered like an ``--export`` file."""
+    rows = driver(config=AblationConfig(scale=SCALES["smoke"]))
+    text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(ABLATIONS))
+def test_ablation_rows_match_golden(name):
+    assert ablation_digest(ABLATIONS[name]) == load_sweep_golden("ablations")[name]["sha256"], (
+        f"ablation {name!r} moved from its golden digest"
+    )
+
+
 def test_sweep_corpus_covers_exactly_the_exports():
     assert sorted(load_sweep_golden()) == sorted(SWEEP_EXPORTS)
+    assert sorted(load_sweep_golden("ablations")) == sorted(ABLATIONS)
 
 
 #: Seeds of the fuzz corpus, and the fixed slice tier-1 checks: every
@@ -445,7 +479,7 @@ def check_fuzz(seeds: list[int]) -> int:
 def regenerate() -> None:
     """Rewrite the three corpora: the engine scenarios and the fuzz
     scenarios (fast path and reference must agree on every scenario before
-    anything is written) and the sweep export digests."""
+    anything is written), and the experiment export and ablation digests."""
     scenarios = {}
     for name, build in SCENARIOS.items():
         fast = observe(build(), fast_path=True)
@@ -462,7 +496,11 @@ def regenerate() -> None:
     for name, argv in SWEEP_EXPORTS.items():
         exports[name] = {"argv": argv, "sha256": sweep_export_digest(argv)}
         print(f"{name}: {exports[name]['sha256']}")
-    document = {"regenerate": REGENERATE, "exports": exports}
+    ablations = {}
+    for name, driver in ABLATIONS.items():
+        ablations[name] = {"sha256": ablation_digest(driver)}
+        print(f"{name}: {ablations[name]['sha256']}")
+    document = {"regenerate": REGENERATE, "exports": exports, "ablations": ablations}
     SWEEP_GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {SWEEP_GOLDEN_PATH}")
     digests = {}

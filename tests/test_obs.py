@@ -502,7 +502,7 @@ class TestObsCli:
     def test_figure2_telemetry_artifacts_validate_end_to_end(self, capsys, tmp_path):
         out = tmp_path / "fig2.obs.json"
         rc = main([
-            "--scale", "smoke", "figure2", "--network-sizes", "16",
+            "--scale", "smoke", "figure2", "--network-sizes", "16", "--no-cache",
             "--telemetry", str(out),
         ])
         assert rc == 0

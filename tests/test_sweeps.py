@@ -576,7 +576,7 @@ class TestSweepCli:
         from repro.cli import main
 
         argv = [
-            "--scale", "smoke", "sweep", "figure2", "--network-sizes", "16",
+            "--scale", "smoke", "figure2", "--network-sizes", "16",
             "--cache-dir", str(tmp_path / "cache"),
         ]
         rc = main(argv + ["--export", str(tmp_path / "cold.json")])
@@ -586,18 +586,18 @@ class TestSweepCli:
         rc = main(argv + ["--export", str(tmp_path / "warm.json")])
         assert rc == 0
         warm_out = capsys.readouterr().out
-        assert "0 computed" in warm_out
+        assert " 0 computed" in warm_out
         assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
 
     def test_sweep_shard_and_merge_roundtrip(self, tmp_path, capsys):
         """CLI end-to-end: two sharded runs on disjoint cache dirs, a
-        ``sweep merge`` (sources trail ``--into``, the argparse-hostile
-        shape), then an unsharded warm run off the merged store that
-        computes nothing and exports byte-identically."""
+        ``merge`` (sources trail ``--into``), then an unsharded warm run off
+        the merged store that computes nothing and exports
+        byte-identically."""
         from repro.cli import main
 
         base = [
-            "--scale", "smoke", "sweep", "figure2", "--network-sizes", "16",
+            "--scale", "smoke", "figure2", "--network-sizes", "16",
         ]
         rc = main(base + ["--cache-dir", str(tmp_path / "whole"),
                           "--export", str(tmp_path / "whole.json")])
@@ -608,31 +608,54 @@ class TestSweepCli:
                               "--cache-dir", str(tmp_path / f"shard{index}")])
             assert rc == 0
             assert f"[shard {index}/2:" in capsys.readouterr().out
-        rc = main(["sweep", "merge", "--into", str(tmp_path / "merged"),
+        rc = main(["merge", "--into", str(tmp_path / "merged"),
                    str(tmp_path / "shard1"), str(tmp_path / "shard2")])
         assert rc == 0
         assert "still missing" not in capsys.readouterr().out
         rc = main(base + ["--cache-dir", str(tmp_path / "merged"),
                           "--export", str(tmp_path / "merged.json")])
         assert rc == 0
-        assert "0 computed" in capsys.readouterr().out
+        assert " 0 computed" in capsys.readouterr().out
         assert (tmp_path / "merged.json").read_bytes() == (
             tmp_path / "whole.json"
         ).read_bytes()
 
-    def test_sweep_merge_requires_into_and_sources(self, tmp_path, capsys):
+    def test_sweep_merge_requires_into_and_sources(self, capsys):
         from repro.cli import main
 
-        assert main(["sweep", "merge", str(tmp_path / "src")]) == 2
-        assert main(["sweep", "merge", "--into", str(tmp_path / "dst")]) == 2
-        assert main(["--scale", "smoke", "sweep", "figure2",
-                     "--into", str(tmp_path / "dst")]) == 2
+        for argv in (
+            ["merge", "SRC"],
+            ["merge", "--into", "DST"],
+            ["--scale", "smoke", "figure2", "--into", "DST"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--rates", "0.01"],
+        ["compare", "--degrees", "8"],
+        ["merge", "--into", "DST", "SRC", "--export", "x.json"],
+    ])
+    def test_flags_of_other_verbs_are_rejected(self, argv, tmp_path, capsys, monkeypatch):
+        """Each verb takes only its own flags; a flag of another verb is a
+        usage error rather than silently dropped."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_invalid_shard_designator(self, capsys):
         from repro.cli import main
 
-        assert main(["--scale", "smoke", "sweep", "figure2", "--shard", "9/4"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--scale", "smoke", "figure2", "--shard", "9/4"])
+        assert exit_info.value.code == 2
         assert "shard" in capsys.readouterr().err
 
     def test_sweep_command_no_cache(self, tmp_path, capsys, monkeypatch):
@@ -640,7 +663,7 @@ class TestSweepCli:
 
         monkeypatch.chdir(tmp_path)  # the default store is CWD-relative
         rc = main([
-            "--scale", "smoke", "sweep", "compare", "--network-size", "16",
+            "--scale", "smoke", "compare", "--network-size", "16",
             "--destinations", "8", "--bound-only", "--no-cache",
         ])
         assert rc == 0

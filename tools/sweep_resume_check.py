@@ -16,7 +16,7 @@ shard of the sweep (the CI sweep-smoke job runs a 2-shard matrix this way;
 an assembly step then merges the shard stores and compares the warm-cache
 export against the unsharded golden).  ``--golden PATH`` additionally runs
 the *full, unsharded* sweep into a throwaway store and writes its figure
-export to PATH, byte-compatible with ``repro-spam sweep ... --export``.
+export to PATH, byte-compatible with ``repro-spam figure3 ... --export``.
 
 Usage::
 
@@ -47,7 +47,7 @@ from repro.sweeps import ResultStore, parse_shard, run_sweep, shard_specs  # noq
 
 def export(config, outcome) -> bytes:
     figure = figure3_result_from_points(config, outcome.results)
-    # Matches the bytes `repro-spam sweep ... --export` writes.
+    # Matches the bytes `repro-spam figure3 ... --export` writes.
     return (json.dumps(figure.as_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -81,7 +81,7 @@ def main() -> int:
 
         # Timing comes from the scheduler's own wall-time accounting
         # (SweepOutcome.elapsed_seconds and friends), so what we assert on is
-        # exactly what `repro-spam sweep` prints in its summary line.
+        # exactly what `repro-spam figure3` prints in its summary line.
         cold = run_sweep(specs, store=ResultStore(cache_dir))
         assert cold.computed == len(specs) and cold.cache_hits == 0, cold.summary()
         cold_export = export(config, cold)
