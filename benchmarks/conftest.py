@@ -8,8 +8,7 @@ ablation) and
   pytest-benchmark is the cost of regenerating that figure at the selected
   scale, and
 * writes the regenerated rows/series to ``benchmarks/results/<name>.txt`` so
-  the numbers can be inspected (and pasted into EXPERIMENTS.md) without
-  re-running anything.
+  the numbers can be inspected without re-running anything.
 
 The scale is controlled by the ``REPRO_SCALE`` environment variable exactly
 like the experiment drivers (``smoke`` / ``default`` / ``paper``); benchmarks

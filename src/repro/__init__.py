@@ -25,7 +25,7 @@ True
 Sub-packages
 ------------
 ``repro.topology``
-    Network model and topology generators (irregular lattice, mesh, torus,
+    Network model and topology generators (irregular lattice, mesh,
     hypercube, the paper's Figure 1).
 ``repro.spanning``
     Spanning trees, up/down channel labelling, ancestor relations, root
@@ -35,7 +35,7 @@ Sub-packages
     destination partitioning.
 ``repro.routing``
     Baselines: classic up*/down* unicast, unicast-based software multicast,
-    naive minimal routing (deadlock demonstration), routing tables.
+    naive minimal routing (deadlock demonstration).
 ``repro.simulator``
     The flit-level wormhole simulator.
 ``repro.traffic``
@@ -76,7 +76,7 @@ from .sweeps import ResultStore, SweepPointResult, SweepPointSpec, run_sweep
 from .topology.examples import figure1_network
 from .topology.irregular import lattice_irregular_network, random_irregular_network
 from .topology.network import Network
-from .topology.regular import hypercube_network, mesh_network, torus_network
+from .topology.regular import hypercube_network, mesh_network
 from .traffic.workload import mixed_traffic_workload, single_multicast_workload
 
 __version__ = "1.0.0"
@@ -94,7 +94,6 @@ __all__ = [
     "lattice_irregular_network",
     "random_irregular_network",
     "mesh_network",
-    "torus_network",
     "hypercube_network",
     "figure1_network",
     "bfs_spanning_tree",

@@ -8,7 +8,7 @@ from .bounds import (
     software_multicast_latency_model,
     software_multicast_lower_bound_us,
 )
-from .report import format_markdown_table, format_sweep, format_table, series_side_by_side
+from .report import format_table, series_side_by_side
 from .stats import SampleSummary, confidence_interval, relative_half_width, summarize_samples
 from .sweeps import SweepPoint, SweepResult, SweepSeries, sweep_result_from_points
 
@@ -29,7 +29,5 @@ __all__ = [
     "analyze_multicast_load",
     "root_traversal_probability",
     "format_table",
-    "format_markdown_table",
-    "format_sweep",
     "series_side_by_side",
 ]

@@ -57,25 +57,6 @@ class HotspotReport:
             return 0.0
         return self.root_traversals / self.multicasts
 
-    def hottest_channels(self, count: int = 5) -> list[tuple[int, int]]:
-        """The ``count`` most-used channels as ``(cid, load)`` pairs."""
-        ranked = sorted(self.channel_load.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:count]
-
-    def hottest_switches(self, count: int = 5) -> list[tuple[int, int]]:
-        """The ``count`` most-used switches as ``(switch, load)`` pairs."""
-        ranked = sorted(self.switch_load.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:count]
-
-    def load_imbalance(self) -> float:
-        """Max-to-mean ratio of the per-channel load (1.0 = perfectly even)."""
-        if not self.channel_load:
-            return 0.0
-        loads = list(self.channel_load.values())
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean else 0.0
-
-
 def analyze_multicast_load(
     routing: SpamRouting,
     multicasts: Iterable[tuple[int, Sequence[int]]],

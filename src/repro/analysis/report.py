@@ -1,8 +1,8 @@
-"""Plain-text and Markdown report formatting.
+"""Plain-text report formatting.
 
 The benchmark harnesses print the same rows/series the paper's figures show;
-these helpers render them as aligned text tables (for terminal output and
-for ``EXPERIMENTS.md``) without pulling in any plotting dependency.
+these helpers render them as aligned text tables for terminal output without
+pulling in any plotting dependency.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .sweeps import SweepResult
 
-__all__ = ["format_table", "format_sweep", "format_markdown_table", "series_side_by_side"]
+__all__ = ["format_table", "series_side_by_side"]
 
 
 def _stringify(value) -> str:
@@ -40,28 +40,6 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str] | 
     for rendered in rendered_rows:
         lines.append("  ".join(rendered[col].ljust(widths[col]) for col in columns))
     return "\n".join(lines)
-
-
-def format_markdown_table(
-    rows: Sequence[Mapping[str, object]], columns: Sequence[str] | None = None
-) -> str:
-    """Render dictionaries as a GitHub-flavoured Markdown table."""
-    rows = list(rows)
-    if not rows:
-        return "(no data)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    lines = ["| " + " | ".join(columns) + " |", "|" + "|".join("---" for _ in columns) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_stringify(row.get(col, "")) for col in columns) + " |")
-    return "\n".join(lines)
-
-
-def format_sweep(result: SweepResult) -> str:
-    """Render a sweep result as a text table preceded by a title line."""
-    title = f"{result.name}   ({result.x_label} vs {result.y_label})"
-    table = format_table(list(result.rows()))
-    return f"{title}\n{table}"
 
 
 def series_side_by_side(result: SweepResult, precision: int = 2) -> str:

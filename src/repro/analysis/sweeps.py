@@ -99,13 +99,6 @@ class SweepResult:
         self.series.append(series)
         return series
 
-    def get_series(self, label: str) -> SweepSeries:
-        """Series with the given label (raises ``KeyError`` if missing)."""
-        for series in self.series:
-            if series.label == label:
-                return series
-        raise KeyError(f"no series labelled {label!r} in sweep {self.name!r}")
-
     def labels(self) -> list[str]:
         """Labels of every series."""
         return [series.label for series in self.series]

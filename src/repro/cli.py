@@ -324,9 +324,25 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _read_json(path: str, label: str) -> tuple[bool, object]:
+    """``(True, document)`` for the JSON file at ``path``; ``(False, None)``
+    after printing ``<label>: <path>: <reason>`` to stderr when the file is
+    missing, unreadable or not JSON."""
+    try:
+        with open(path) as handle:
+            return True, json.load(handle)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        reason = f"not JSON ({exc})"
+    print(f"{label}: {path}: {reason}", file=sys.stderr)
+    return False, None
+
+
 def _cmd_obs(args) -> int:
-    with open(args.file) as handle:
-        document = json.load(handle)
+    read, document = _read_json(args.file, "snapshot")
+    if not read:
+        return 1
     errors = validate_snapshot(document)
     if args.obs_command == "summarize":
         if errors:
@@ -363,15 +379,16 @@ def _cmd_obs(args) -> int:
     if trace_path is None:
         sibling = Path(args.file).with_suffix(".trace.json")
         trace_path = str(sibling) if sibling.exists() else None
-    trace_errors: list[str] = []
+    trace_read, trace_errors = True, []
     if trace_path is not None:
-        with open(trace_path) as handle:
-            trace_errors = validate_chrome_trace(json.load(handle))
+        trace_read, trace = _read_json(trace_path, "trace")
+        if trace_read:
+            trace_errors = validate_chrome_trace(trace)
     for error in errors:
         print(f"snapshot: {error}", file=sys.stderr)
     for error in trace_errors:
         print(f"trace: {error}", file=sys.stderr)
-    if errors or trace_errors:
+    if errors or trace_errors or not trace_read:
         return 1
     print(f"obs validate: {args.file} ok"
           + ("" if trace_path is None else f"; {trace_path} ok"))

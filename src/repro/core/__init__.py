@@ -28,7 +28,7 @@ from .partition import (
     partition_destinations,
     partition_random,
 )
-from .phases import Phase, may_follow, phase_of_label
+from .phases import Phase, may_follow
 from .selection import (
     SELECTION_STRATEGIES,
     DistanceToTargetSelection,
@@ -49,7 +49,6 @@ __all__ = [
     "one_of",
     "all_of",
     "Phase",
-    "phase_of_label",
     "may_follow",
     "RoutingOption",
     "unicast_options",

@@ -64,11 +64,6 @@ class RoutingDecision:
                 raise RoutingError("an all-of decision may not repeat a channel")
 
     @property
-    def is_adaptive(self) -> bool:
-        """``True`` for one-of decisions with more than one candidate."""
-        return self.mode is DecisionMode.ONE_OF and len(self.channels) > 1
-
-    @property
     def channel_ids(self) -> tuple[int, ...]:
         """The ``cid`` values of the decision's channels, in order."""
         return tuple(c.cid for c in self.channels)

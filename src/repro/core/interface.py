@@ -88,36 +88,3 @@ class RoutingAlgorithm(abc.ABC):
             raise NotImplementedError(
                 f"{self.name} does not support multi-destination messages"
             )
-
-    # ------------------------------------------------------------------
-    # Static path enumeration (used by tests, examples and baselines)
-    # ------------------------------------------------------------------
-    def greedy_unicast_path(
-        self,
-        message: MessageLike,
-        start_switch: int,
-        max_hops: int = 10_000,
-    ) -> list[Channel]:
-        """Follow the algorithm's most-preferred choice hop by hop.
-
-        This produces the path a worm would take through an otherwise idle
-        network (no contention): at every switch the first channel of the
-        decision is taken.  Useful for path-length analyses and tests; the
-        simulator itself never calls this.
-        """
-        from ..errors import LivelockError  # local import to avoid cycles
-
-        path: list[Channel] = []
-        switch = start_switch
-        in_channel: Channel | None = None
-        for _ in range(max_hops):
-            decision = self.decide(message, switch, in_channel)
-            channel = decision.channels[0]
-            path.append(channel)
-            if channel.dst in message.destinations:
-                return path
-            in_channel = channel
-            switch = channel.dst
-        raise LivelockError(
-            f"{self.name} did not reach {message.destinations} within {max_hops} hops"
-        )

@@ -9,7 +9,7 @@ down tree channels.
 The phase of a worm at a router is fully determined by the label of the
 channel on which its header entered the router, so the simulator does not
 need to carry any additional per-worm phase state; this module provides the
-mapping and the legality relation between phases for documentation,
+phases and the legality relation between them for documentation,
 verification and testing purposes.
 """
 
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import enum
 
-from ..topology.channels import ChannelLabel
-
-__all__ = ["Phase", "phase_of_label", "may_follow"]
+__all__ = ["Phase", "may_follow"]
 
 
 class Phase(enum.Enum):
@@ -38,15 +36,6 @@ class Phase(enum.Enum):
 
 #: Phase ordering used by :func:`may_follow`.
 _ORDER = {Phase.UP: 0, Phase.DOWN_CROSS: 1, Phase.DOWN_TREE: 2}
-
-
-def phase_of_label(label: ChannelLabel) -> Phase:
-    """Phase implied by the label of the most recently used channel."""
-    if label.is_up:
-        return Phase.UP
-    if label.is_down_cross:
-        return Phase.DOWN_CROSS
-    return Phase.DOWN_TREE
 
 
 def may_follow(current: Phase, nxt: Phase) -> bool:

@@ -36,7 +36,7 @@ from .interface import MessageLike, RoutingAlgorithm
 from .multicast import MulticastPlan, build_multicast_plan, downtree_outputs
 from .phases import Phase
 from .selection import DistanceToTargetSelection, SelectionFunction
-from .unicast import legal_next_channels, unicast_options
+from .unicast import legal_next_channels
 
 __all__ = ["SpamRouting"]
 
@@ -224,10 +224,6 @@ class SpamRouting(RoutingAlgorithm):
         raise RoutingError(
             f"unicast route from {source} to {destination} did not terminate"
         )
-
-    def allowed_options(self, switch: int, incoming_phase: Phase, target: int):
-        """Raw routing-function output (used by verification and tests)."""
-        return unicast_options(self.labeling, self.ancestry, switch, incoming_phase, target)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -27,7 +27,7 @@ from .ablations import (
     run_root_ablation,
     run_selection_ablation,
 )
-from .common import ExperimentScale, SCALES, current_scale, paper_config
+from .common import ExperimentScale, SCALES, current_scale
 from .figure2 import (
     Figure2Config,
     default_destination_counts,
@@ -46,7 +46,6 @@ __all__ = [
     "ExperimentScale",
     "SCALES",
     "current_scale",
-    "paper_config",
     "Figure2Config",
     "default_destination_counts",
     "figure2_specs",

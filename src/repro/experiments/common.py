@@ -3,11 +3,10 @@
 Every experiment driver follows the same pattern: build a paper-style
 irregular network, build SPAM on it, run a workload on the flit-level
 simulator, and aggregate per-message latencies; :mod:`repro.sweeps.spec`
-runs those steps.  This module hosts the paper's simulation configuration
-and the *scaling* machinery: flit-level simulation in pure Python cannot
-re-run the paper's full sample counts in a benchmark-friendly time budget,
-so each experiment has a default reduced configuration and reads
-environment variables to scale back up:
+runs those steps.  This module hosts the *scaling* machinery: flit-level
+simulation in pure Python cannot re-run the paper's full sample counts in a
+benchmark-friendly time budget, so each experiment has a default reduced
+configuration and reads environment variables to scale back up:
 
 ``REPRO_SCALE``
     ``"smoke"`` (fastest, CI-sized), ``"default"`` or ``"paper"``.
@@ -26,13 +25,10 @@ import os
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..simulator.config import SimulationConfig
 
 __all__ = [
     "ExperimentScale",
     "current_scale",
-    "scaled",
-    "paper_config",
 ]
 
 
@@ -89,19 +85,3 @@ def current_scale() -> ExperimentScale:
             f"$REPRO_SCALE must be one of {', '.join(sorted(SCALES))}, got {name!r}"
         )
     return SCALES[name].with_env_overrides()
-
-
-def scaled(name: str | None = None) -> ExperimentScale:
-    """Scale by explicit name, or the environment-selected one."""
-    if name is None:
-        return current_scale()
-    return SCALES[name].with_env_overrides()
-
-
-def paper_config(scale: ExperimentScale, **overrides) -> SimulationConfig:
-    """The paper's simulation configuration at the given scale."""
-    config = SimulationConfig(message_length_flits=scale.message_length_flits)
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config
-

@@ -1,6 +1,7 @@
 """Routing algorithms: the abstract interface consumed by the simulator,
-the classic up*/down* unicast baseline, the software (unicast-based)
-multicast baseline and routing-table materialisation utilities.
+the classic up*/down* unicast baseline, the naive minimal baseline (the
+deadlock demonstration) and the software (unicast-based) multicast
+baseline.
 
 SPAM itself lives in :mod:`repro.core`; this package hosts everything the
 paper compares against or builds upon.
@@ -8,7 +9,6 @@ paper compares against or builds upon.
 
 from .base import MessageLike, RoutingAlgorithm
 from .naive import NaiveMinimalRouting
-from .tables import RoutingTable, RoutingTableEntry, build_unicast_table
 from .unicast_multicast import (
     ForwardingStep,
     UnicastMulticastScheduler,
@@ -26,7 +26,4 @@ __all__ = [
     "ForwardingStep",
     "binomial_schedule",
     "minimum_phases",
-    "RoutingTable",
-    "RoutingTableEntry",
-    "build_unicast_table",
 ]

@@ -132,11 +132,6 @@ class UnicastMulticastScheduler:
             self._sends_by_sender.setdefault(step.sender, []).append(step)
 
     # ------------------------------------------------------------------
-    @property
-    def num_phases(self) -> int:
-        """Number of communication phases in the schedule."""
-        return max((step.phase for step in self.steps), default=-1) + 1
-
     def initial_sends(self) -> list[ForwardingStep]:
         """Unicasts the source itself must inject (one per phase)."""
         return list(self._sends_by_sender.get(self.source, []))

@@ -20,7 +20,7 @@ from .config import PAPER_CONFIG, SimulationConfig
 from .deadlock import DeadlockReport, diagnose
 from .engine import WormholeSimulator
 from .events import EventQueue
-from .flit import Flit, FlitKind, make_worm_flits
+from .flit import Flit, FlitKind
 from .links import LinkState
 from .message import Message, MessageKind
 from .ocrq import OutputChannelRequestQueue
@@ -39,7 +39,6 @@ __all__ = [
     "ChannelRecord",
     "Flit",
     "FlitKind",
-    "make_worm_flits",
     "FlitBuffer",
     "LinkState",
     "OutputChannelRequestQueue",

@@ -32,9 +32,10 @@ class SimulationConfig:
         Latency between the header flit arriving at a switch and the routing
         decision / output-channel requests being made (paper: 40 ns).
     channel_latency_ns:
-        Propagation latency of one flit across one channel; also the channel
-        cycle time, i.e. a channel forwards at most one flit per
-        ``channel_latency_ns`` (paper: 10 ns).
+        Propagation latency of one flit across a channel, the same on every
+        channel; also the channel cycle time, i.e. a channel forwards at most
+        one flit per ``channel_latency_ns`` (paper: 10 ns).  It is the one
+        period the fast path probes.
     message_length_flits:
         Number of flits per message including header and tail (paper: 128).
     input_buffer_depth:
@@ -66,15 +67,6 @@ class SimulationConfig:
         the trace-equivalence tests).  It verifies and replays one channel
         period at a time; ``docs/fast_path.md`` specifies the coalescing
         contract.  The patterns it coalesces have no switches of their own.
-    channel_latency_factors:
-        Per-channel latency multipliers ``((cid, factor), ...)``: channel
-        ``cid`` forwards one flit per ``factor × channel_latency_ns``
-        instead of the base period, modelling a degraded or long link in
-        an irregular topology.  Factors are positive integers so event
-        timestamps stay on the base grid.  A slow channel throttles its
-        whole worm to rate ``1/factor``; the fast path probes one channel
-        period at a time, so that worm's streaming phases run per flit
-        (results are identical either way).
     """
 
     startup_latency_ns: int = 10_000
@@ -88,7 +80,6 @@ class SimulationConfig:
     collect_channel_stats: bool = False
     trace: bool = False
     fast_path: bool = True
-    channel_latency_factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.startup_latency_ns < 0:
@@ -103,39 +94,10 @@ class SimulationConfig:
             raise ConfigurationError("buffer depths must be at least one flit")
         if self.max_hops < 2:
             raise ConfigurationError("max_hops must be at least 2")
-        seen_cids: set[int] = set()
-        for entry in self.channel_latency_factors:
-            try:
-                cid, factor = entry
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    "channel_latency_factors entries must be (cid, factor) pairs"
-                ) from None
-            if cid != int(cid) or cid < 0:
-                raise ConfigurationError(
-                    f"channel id {cid!r} must be a non-negative integer"
-                )
-            if factor != int(factor) or factor < 1:
-                # Integral factors keep every event timestamp on the base
-                # channel-period grid (the invariant the fast path's modular
-                # arithmetic relies on).
-                raise ConfigurationError(
-                    f"latency factor for channel {cid} must be an integer >= 1"
-                )
-            if cid in seen_cids:
-                raise ConfigurationError(
-                    f"channel id {cid} appears more than once in channel_latency_factors"
-                )
-            seen_cids.add(cid)
 
     def with_overrides(self, **kwargs: Any) -> "SimulationConfig":
         """A copy of the configuration with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @property
-    def serialization_latency_ns(self) -> int:
-        """Time to push a whole message across one channel back to back."""
-        return self.message_length_flits * self.channel_latency_ns
 
 
 #: The exact configuration used in the paper's experiments.

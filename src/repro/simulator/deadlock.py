@@ -45,11 +45,6 @@ class DeadlockReport:
     wait_for_edges: list[tuple[int, int]] = field(default_factory=list)
     cycles: list[list[int]] = field(default_factory=list)
 
-    @property
-    def has_circular_wait(self) -> bool:
-        """``True`` when the wait-for graph contains a cycle."""
-        return bool(self.cycles)
-
     def describe(self) -> str:
         """Multi-line human-readable report."""
         lines = [

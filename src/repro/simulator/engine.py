@@ -55,12 +55,10 @@ beyond ``fast_path`` itself:
   counters and ``bubble`` trace records advance by the same fixed amount
   every period.
 
-The probe window is always one channel period.  On a network whose channels
-share one latency that loses nothing: deadlock-free routing keeps the
-buffer dependencies acyclic, so every moving link fires every period.
-Behind a slow channel (``SimulationConfig.channel_latency_factors``) the
-worm moves every few periods instead, so its windows fail the probe's
-one-period checks and run per flit.
+The probe window is always one channel period, and that loses nothing:
+every channel shares one latency (``SimulationConfig.channel_latency_ns``),
+and deadlock-free routing keeps the buffer dependencies acyclic, so every
+moving link fires every period.
 
 **Equivalence guarantee:** because the verification window *is* the
 reference execution and self-similarity is checked structurally (buffer
@@ -71,14 +69,13 @@ bit-identical to a run with ``fast_path=False``.  The trace-equivalence
 tests in ``tests/test_fast_path.py`` assert this on the Figure 1 network and
 on irregular lattice networks, including scenarios with
 asynchronous-replication bubbles, OCRQ contention, Poisson and
-negative-binomial arrivals, phase-staggered worms, slow channels and
-bounded ``run_for`` windows.  Anything the verifier cannot prove
-self-similar simply runs on the per-flit substrate.  ``docs/fast_path.md``
-specifies the contract in full, including the probe's phases and exit
-tiers and how to add a new coalescible pattern safely; every
-``coalesce*`` observability counter the engine exposes, including the
-per-tier probe tally ``coalesce_exits``, is documented in
-``docs/engine_counters.md``.
+negative-binomial arrivals, phase-staggered worms and bounded ``run_for``
+windows.  Anything the verifier cannot prove self-similar simply runs on
+the per-flit substrate.  ``docs/fast_path.md`` specifies the contract in
+full, including the probe's phases and exit tiers and how to add a new
+coalescible pattern safely; every ``coalesce*`` observability counter the
+engine exposes, including the per-tier probe tally ``coalesce_exits``, is
+documented in ``docs/engine_counters.md``.
 """
 
 from __future__ import annotations
@@ -178,22 +175,14 @@ class WormholeSimulator:
         self.routing = routing
         self.config = config or SimulationConfig()
         self.events = EventQueue()
-        latency_factors = dict(self.config.channel_latency_factors)
         self.links: list[LinkState] = [
             LinkState(
                 channel,
-                latency_ns=self.config.channel_latency_ns
-                * int(latency_factors.get(channel.cid, 1)),
                 output_depth=self.config.output_buffer_depth,
                 input_depth=self.config.input_buffer_depth,
             )
             for channel in network.channels()
         ]
-        unknown = [cid for cid in latency_factors if not 0 <= cid < len(self.links)]
-        if unknown:
-            raise ConfigurationError(
-                f"channel_latency_factors name unknown channel ids {sorted(unknown)}"
-            )
         self.sources: dict[int, SourceInterface] = {}
         for processor in network.processors():
             injection = self.links[network.injection_channel(processor).cid]
@@ -207,6 +196,7 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
+        self._channel_latency_ns = self.config.channel_latency_ns
         # Fast-path bookkeeping: earliest time a coalesce attempt is allowed.
         # Each tick is probed at most once, and an attempt that paid for a
         # snapshot but failed verification backs off for a few ticks (failed
@@ -449,8 +439,8 @@ class WormholeSimulator:
         flit must be a body flit or a bubble, and a wire flit that is the
         last one queued must have a feeder that can still refill the
         buffer; the replay the window allows must also be worthwhile.  This
-        rejects head crawls, worm-drain phases and slow-channel transfers
-        before paying for a sort or a snapshot.
+        rejects head crawls and worm-drain phases before paying for a sort
+        or a snapshot.
 
         Returns the exit tier (``_SCAN_REJECT`` or ``_DRAIN_BAIL``) when the
         window is rejected, else ``(off_class, moving)``: whether the
@@ -848,7 +838,7 @@ class WormholeSimulator:
         link.busy = True
         if self._collect_stats and link.busy_since_ns is None:
             link.busy_since_ns = self.events.now
-        self.events.schedule_transfer(link.latency_ns, link)
+        self.events.schedule_transfer(self._channel_latency_ns, link)
 
     def _complete_transfer(self, link: LinkState) -> None:
         """A flit finishes crossing ``link``: hand it to the receiving side.

@@ -17,8 +17,8 @@ never allocates a closure per flit transfer:
   ``functools.partial`` is built on the hot path.
 
 The queue additionally tracks how many pending entries are transfer events
-(``transfer_pending``) and maintains the *earliest generic deadline* — a
-min-heap of the pending generic entries' timestamps (``next_generic_time``).
+(``_transfer_pending``) and maintains the *earliest generic deadline* — a
+min-heap of the pending generic entries' timestamps (``_generic_times``).
 When the *earliest* pending entry is a transfer the simulator may be in a
 steady-state streaming phase; the engine's fast path
 (``WormholeSimulator._coalesce_tick``) probes that case, consults the
@@ -115,34 +115,8 @@ class EventQueue:
             heapq.heappop(self._generic_times)
         return entry
 
-    # ------------------------------------------------------------------
-    # Introspection used by the engine's fast path
-    # ------------------------------------------------------------------
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when no events are pending."""
-        return not self._heap
-
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def transfer_pending(self) -> int:
-        """Number of pending transfer entries."""
-        return self._transfer_pending
-
-    def next_time(self) -> int | None:
-        """Timestamp of the earliest pending event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def next_generic_time(self) -> int | None:
-        """Deadline of the earliest pending *generic* event, or ``None``.
-
-        Maintained incrementally (O(1) to read), so the engine's fast path
-        can reject windows bounded by a nearby generic event — the dominant
-        probe-failure mode during churn phases — without scanning the heap.
-        """
-        return self._generic_times[0] if self._generic_times else None
 
     # ------------------------------------------------------------------
     # Fast-path mutation

@@ -58,12 +58,3 @@ class Flit:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Flit({self.kind.name}, msg={self.message_id}, seq={self.seq})"
-
-
-def make_worm_flits(message_id: int, length: int) -> list[Flit]:
-    """Build the flit sequence of a message: HEAD, BODY*, TAIL."""
-    flits = [Flit(FlitKind.HEAD, message_id, 0)]
-    for seq in range(1, length - 1):
-        flits.append(Flit(FlitKind.BODY, message_id, seq))
-    flits.append(Flit(FlitKind.TAIL, message_id, length - 1))
-    return flits

@@ -30,7 +30,6 @@ class LinkState:
         "channel",
         "out_buffer",
         "in_buffer",
-        "latency_ns",
         "ocrq",
         "reserved_by",
         "busy",
@@ -46,14 +45,12 @@ class LinkState:
     def __init__(
         self,
         channel: Channel,
-        latency_ns: int,
         output_depth: int,
         input_depth: int,
     ) -> None:
         self.channel = channel
         self.out_buffer = FlitBuffer(output_depth)
         self.in_buffer = FlitBuffer(input_depth)
-        self.latency_ns = latency_ns
         self.ocrq = OutputChannelRequestQueue()
         #: Message id currently holding the channel, or ``None``.
         self.reserved_by: int | None = None
@@ -95,10 +92,11 @@ class LinkState:
 
     def fast_forward(self, k: int, advance_ns: int, bubble: bool) -> None:
         """Advance the utilisation counters by ``k`` coalesced steady-state
-        ticks (``advance_ns == k * latency_ns``): the wire carried one flit of
-        the same kind per tick and stayed continuously busy, so the open busy
-        period simply slides forward with the clock (channel-statistics mode
-        only; the engine's fast path is the single caller)."""
+        ticks (``advance_ns`` is ``k`` channel periods): the wire carried one
+        flit of the same kind per tick and stayed continuously busy, so the
+        open busy period simply slides forward with the clock
+        (channel-statistics mode only; the engine's fast path is the single
+        caller)."""
         if bubble:
             self.bubble_flits_carried += k
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-from .message import Message, MessageKind
+from .message import Message
 
 __all__ = ["MessageRecord", "ChannelRecord", "SimulationStats"]
 
@@ -132,21 +132,6 @@ class SimulationStats:
         """Mean latency in microseconds (``nan`` if no matching messages)."""
         values = self.latencies_us(kind, from_creation)
         return mean(values) if values else float("nan")
-
-    def multicast_records(self) -> list[MessageRecord]:
-        """Records of multicast messages only."""
-        return [r for r in self.records if r.kind == MessageKind.MULTICAST.value]
-
-    def unicast_records(self) -> list[MessageRecord]:
-        """Records of unicast messages only."""
-        return [r for r in self.records if r.kind == MessageKind.UNICAST.value]
-
-    @property
-    def completion_ratio(self) -> float:
-        """Fraction of submitted messages that completed."""
-        if self.messages_submitted == 0:
-            return 1.0
-        return self.messages_completed / self.messages_submitted
 
     def summary(self) -> dict[str, float | int]:
         """Compact dictionary summary used by experiment reports."""

@@ -18,12 +18,11 @@ from .roots import (
     random_root,
     select_root,
 )
-from .tree import SpanningTree, bfs_spanning_tree, dfs_spanning_tree
+from .tree import SpanningTree, bfs_spanning_tree
 
 __all__ = [
     "SpanningTree",
     "bfs_spanning_tree",
-    "dfs_spanning_tree",
     "ChannelLabeling",
     "label_channels",
     "Ancestry",

@@ -7,9 +7,9 @@ this tree because they have degree one.
 
 The default construction is breadth-first search with deterministic
 neighbour ordering (ascending node id), which reproduces the paper's
-Figure 1 tree when rooted at vertex 1.  Depth-first construction and
-explicit parent maps are also supported so that the effect of spanning-tree
-choice (a future-work item of the paper) can be studied.
+Figure 1 tree when rooted at vertex 1.  Explicit parent maps are also
+supported so that the effect of spanning-tree choice (a future-work item of
+the paper) can be studied.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from ..errors import SpanningTreeError
 from ..topology.network import Network
 
-__all__ = ["SpanningTree", "bfs_spanning_tree", "dfs_spanning_tree"]
+__all__ = ["SpanningTree", "bfs_spanning_tree"]
 
 
 class SpanningTree:
@@ -118,15 +118,6 @@ class SpanningTree:
         """``True`` if the undirected edge ``{a, b}`` belongs to the tree."""
         return self._parent.get(a) == b or self._parent.get(b) == a
 
-    def nodes_by_depth(self) -> dict[int, list[int]]:
-        """Nodes grouped by depth, each group sorted by node id."""
-        groups: dict[int, list[int]] = {}
-        for node, depth in self._depth.items():
-            groups.setdefault(depth, []).append(node)
-        for group in groups.values():
-            group.sort()
-        return dict(sorted(groups.items()))
-
     def path_to_root(self, node: int) -> list[int]:
         """The node sequence from ``node`` up to (and including) the root."""
         path = [node]
@@ -176,20 +167,6 @@ class SpanningTree:
             b = self._parent[b]
         return a
 
-    def subtree_nodes(self, node: int) -> list[int]:
-        """All nodes in the subtree rooted at ``node`` (including ``node``)."""
-        result = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            result.append(u)
-            stack.extend(self._children[u])
-        return sorted(result)
-
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """All tree edges as ``(parent, child)`` pairs."""
-        return sorted((parent, child) for child, parent in self._parent.items())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SpanningTree(root={self.root}, nodes={self.network.num_nodes})"
 
@@ -211,29 +188,4 @@ def bfs_spanning_tree(network: Network, root: int) -> SpanningTree:
                 visited.add(v)
                 parent[v] = u
                 queue.append(v)
-    return SpanningTree(network, root, parent)
-
-
-def dfs_spanning_tree(network: Network, root: int) -> SpanningTree:
-    """Depth-first spanning tree rooted at ``root`` (deterministic order).
-
-    DFS trees tend to be much deeper than BFS trees; they are provided for
-    the spanning-tree-choice ablation study (paper §5).
-    """
-    network.require_connected()
-    parent: dict[int, int] = {}
-    visited = {root}
-    stack = [(root, iter(network.neighbors(root)))]
-    while stack:
-        node, iterator = stack[-1]
-        advanced = False
-        for v in iterator:
-            if v not in visited:
-                visited.add(v)
-                parent[v] = node
-                stack.append((v, iter(network.neighbors(v))))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
     return SpanningTree(network, root, parent)

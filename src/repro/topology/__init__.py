@@ -5,17 +5,16 @@ validation / property helpers.
 Public entry points
 -------------------
 * :class:`~repro.topology.network.Network` — the graph model.
-* :class:`~repro.topology.builder.NetworkBuilder` and
-  :func:`~repro.topology.builder.network_from_edges` — hand construction.
+* :class:`~repro.topology.builder.NetworkBuilder` — hand construction.
 * :func:`~repro.topology.irregular.lattice_irregular_network` — the paper's
   random-lattice irregular networks.
 * :func:`~repro.topology.regular.mesh_network`,
-  :func:`~repro.topology.regular.torus_network`,
-  :func:`~repro.topology.regular.hypercube_network` — regular topologies.
+  :func:`~repro.topology.regular.hypercube_network` and
+  :func:`~repro.topology.regular.ring_network` — regular topologies.
 * :func:`~repro.topology.examples.figure1_network` — the paper's Figure 1.
 """
 
-from .builder import NetworkBuilder, network_from_edges
+from .builder import NetworkBuilder
 from .channels import (
     DOWN_CROSS,
     DOWN_TREE,
@@ -38,13 +37,12 @@ from .network import Network
 from .properties import (
     TopologySummary,
     average_switch_distance,
-    degree_histogram,
     graph_center_switches,
     summarize,
     switch_diameter,
     switch_eccentricities,
 )
-from .regular import hypercube_network, mesh_network, ring_network, star_network, torus_network
+from .regular import hypercube_network, mesh_network, ring_network
 from .serialization import load_network, network_from_dict, network_to_dict, save_network
 from .validate import ValidationReport, validate_network
 
@@ -61,7 +59,6 @@ __all__ = [
     "DOWN_CROSS",
     "Network",
     "NetworkBuilder",
-    "network_from_edges",
     "Figure1Fixture",
     "figure1_network",
     "two_switch_network",
@@ -70,16 +67,13 @@ __all__ = [
     "lattice_irregular_network",
     "random_irregular_network",
     "mesh_network",
-    "torus_network",
     "hypercube_network",
-    "star_network",
     "ring_network",
     "TopologySummary",
     "summarize",
     "switch_diameter",
     "switch_eccentricities",
     "graph_center_switches",
-    "degree_histogram",
     "average_switch_distance",
     "ValidationReport",
     "validate_network",

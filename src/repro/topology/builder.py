@@ -8,12 +8,10 @@ switch fabric descriptions).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
-
 from ..errors import TopologyError
 from .network import Network
 
-__all__ = ["NetworkBuilder", "network_from_edges"]
+__all__ = ["NetworkBuilder"]
 
 
 class NetworkBuilder:
@@ -75,12 +73,6 @@ class NetworkBuilder:
         self._network.connect(na, nb)
         return self
 
-    def links(self, pairs: Iterable[tuple[str, str]]) -> "NetworkBuilder":
-        """Add several bidirectional links."""
-        for a, b in pairs:
-            self.link(a, b)
-        return self
-
     def build(self, require_connected: bool = True) -> Network:
         """Finish construction and return the network."""
         self._check_not_built()
@@ -88,40 +80,3 @@ class NetworkBuilder:
         if require_connected:
             self._network.require_connected()
         return self._network
-
-
-def network_from_edges(
-    switch_labels: Sequence[str],
-    edges: Iterable[tuple[str, str]],
-    processors: Mapping[str, str] | None = None,
-    ports_per_switch: int | None = 8,
-    name: str = "network",
-    attach_processor_per_switch: bool = False,
-) -> Network:
-    """Build a network from a flat edge list.
-
-    Parameters
-    ----------
-    switch_labels:
-        Labels of the switches, added in order (the order determines the
-        node ids and therefore the same-level cross-channel orientation
-        tie-break).
-    edges:
-        Undirected switch-to-switch links as label pairs.
-    processors:
-        Optional mapping ``processor_label -> switch_label``.
-    ports_per_switch:
-        Port budget per switch, or ``None`` to disable the check.
-    attach_processor_per_switch:
-        If ``True``, additionally attach one processor per switch (labelled
-        ``"p_" + switch_label``), after any explicitly listed processors.
-    """
-    builder = NetworkBuilder(ports_per_switch=ports_per_switch, name=name)
-    builder.switches(*switch_labels)
-    builder.links(edges)
-    if processors:
-        for proc_label, switch_label in processors.items():
-            builder.processor(proc_label, on=switch_label)
-    if attach_processor_per_switch:
-        builder.processors_everywhere()
-    return builder.build()

@@ -15,9 +15,7 @@ simulator can use flat arrays and integer bitmasks in their hot paths.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import Iterator, Sequence
 
 from ..errors import ConnectivityError, TopologyError
 from .channels import Channel, LinkRole, NodeKind
@@ -219,19 +217,6 @@ class Network:
             n for n in self._adjacency[switch] if self._kinds[n] is NodeKind.PROCESSOR
         )
 
-    def attached_processor(self, switch: int) -> int | None:
-        """The single attached processor, or ``None``.
-
-        Convenience accessor for the paper's configuration of exactly one
-        processor per switch; raises if more than one is attached.
-        """
-        procs = self.processors_of(switch)
-        if not procs:
-            return None
-        if len(procs) > 1:
-            raise TopologyError(f"switch {switch} has {len(procs)} processors attached")
-        return procs[0]
-
     # ------------------------------------------------------------------
     # Channel queries
     # ------------------------------------------------------------------
@@ -264,14 +249,6 @@ class Network:
         """Outgoing channels of ``node``, sorted by destination id."""
         self._require_node(node)
         return [self._channels[self._adjacency[node][nbr]] for nbr in sorted(self._adjacency[node])]
-
-    def channels_into(self, node: int) -> list[Channel]:
-        """Incoming channels of ``node``, sorted by source id."""
-        self._require_node(node)
-        return [
-            self._channels[self._channels[self._adjacency[node][nbr]].reverse_cid]
-            for nbr in sorted(self._adjacency[node])
-        ]
 
     def injection_channel(self, processor: int) -> Channel:
         """The processor-to-switch channel of ``processor``."""
@@ -309,19 +286,6 @@ class Network:
         if not self.is_connected():
             raise ConnectivityError(f"network {self.name!r} is not connected")
 
-    def shortest_distances_from(self, source: int) -> dict[int, int]:
-        """Unweighted shortest hop distance from ``source`` to every node."""
-        self._require_node(source)
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self._adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
     def switch_distance_matrix(self) -> dict[int, dict[int, int]]:
         """All-pairs unweighted distances over the switch-only subgraph.
 
@@ -342,24 +306,6 @@ class Network:
             matrix[s] = dist
         return matrix
 
-    def to_networkx(self) -> nx.Graph:
-        """Export the undirected topology as a :class:`networkx.Graph`.
-
-        Node attributes: ``kind`` and ``label``.  Edge attribute: ``cids``
-        with the pair of unidirectional channel ids.
-        """
-        graph = nx.Graph(name=self.name)
-        for node in self.nodes():
-            graph.add_node(node, kind=self._kinds[node].value, label=self._labels[node])
-        seen: set[tuple[int, int]] = set()
-        for chan in self._channels:
-            key = (min(chan.src, chan.dst), max(chan.src, chan.dst))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(chan.src, chan.dst, cids=(chan.cid, chan.reverse_cid))
-        return graph
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Network(name={self.name!r}, switches={self.num_switches}, "
@@ -374,9 +320,3 @@ class Network:
         for chan in self._channels:
             if chan.src < chan.dst:
                 yield chan.src, chan.dst
-
-    def subgraph_switch_edges(self) -> Iterable[tuple[int, int]]:
-        """Yield each switch-to-switch undirected link once."""
-        for a, b in self.iter_bidirectional_links():
-            if self._kinds[a] is NodeKind.SWITCH and self._kinds[b] is NodeKind.SWITCH:
-                yield a, b

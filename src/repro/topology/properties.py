@@ -17,7 +17,6 @@ __all__ = [
     "switch_eccentricities",
     "switch_diameter",
     "graph_center_switches",
-    "degree_histogram",
     "average_switch_distance",
     "TopologySummary",
     "summarize",
@@ -67,16 +66,6 @@ def graph_center_switches(network: Network) -> list[int]:
         return []
     minimum = min(ecc.values())
     return sorted(s for s, e in ecc.items() if e == minimum)
-
-
-def degree_histogram(network: Network, switches_only: bool = True) -> dict[int, int]:
-    """Histogram mapping degree -> number of nodes with that degree."""
-    nodes = network.switches() if switches_only else list(network.nodes())
-    histogram: dict[int, int] = {}
-    for node in nodes:
-        d = network.degree(node)
-        histogram[d] = histogram.get(d, 0) + 1
-    return dict(sorted(histogram.items()))
 
 
 def average_switch_distance(network: Network) -> float:

@@ -1,4 +1,4 @@
-"""Regular topology generators (meshes, tori, hypercubes).
+"""Regular topology generators (meshes, hypercubes, rings).
 
 The paper's algorithm applies to *any* direct network; its future-work
 section (§5) observes that "for regular topologies such as meshes and
@@ -18,7 +18,7 @@ from itertools import product
 from ..errors import ConfigurationError
 from .network import Network
 
-__all__ = ["mesh_network", "torus_network", "hypercube_network", "star_network", "ring_network"]
+__all__ = ["mesh_network", "hypercube_network", "ring_network"]
 
 
 def _attach_processors(network: Network, per_switch: int = 1) -> None:
@@ -50,26 +50,6 @@ def mesh_network(rows: int, cols: int, processors_per_switch: int = 1) -> Networ
     return network
 
 
-def torus_network(rows: int, cols: int, processors_per_switch: int = 1) -> Network:
-    """A ``rows x cols`` 2-D torus (mesh with wrap-around links)."""
-    if rows < 3 or cols < 3:
-        raise ConfigurationError("torus dimensions must be at least 3 to avoid parallel links")
-    ports = 4 + processors_per_switch
-    network = Network(ports_per_switch=ports, name=f"torus-{rows}x{cols}")
-    ids: dict[tuple[int, int], int] = {}
-    for r, c in product(range(rows), range(cols)):
-        ids[(r, c)] = network.add_switch(f"s{r}_{c}")
-    for r, c in product(range(rows), range(cols)):
-        right = ids[(r, (c + 1) % cols)]
-        down = ids[((r + 1) % rows, c)]
-        if not network.has_channel(ids[(r, c)], right):
-            network.connect(ids[(r, c)], right)
-        if not network.has_channel(ids[(r, c)], down):
-            network.connect(ids[(r, c)], down)
-    _attach_processors(network, processors_per_switch)
-    return network
-
-
 def hypercube_network(dimension: int, processors_per_switch: int = 1) -> Network:
     """An ``n``-dimensional binary hypercube of switches."""
     if dimension < 1:
@@ -86,23 +66,6 @@ def hypercube_network(dimension: int, processors_per_switch: int = 1) -> Network
             j = i ^ (1 << bit)
             if j > i:
                 network.connect(i, j)
-    _attach_processors(network, processors_per_switch)
-    return network
-
-
-def star_network(leaves: int, processors_per_switch: int = 1) -> Network:
-    """A star: one hub switch connected to ``leaves`` leaf switches.
-
-    Useful as a worst-case topology for root hot-spot studies: the hub is on
-    every path.
-    """
-    if leaves < 1:
-        raise ConfigurationError("star needs at least one leaf")
-    network = Network(ports_per_switch=leaves + processors_per_switch, name=f"star-{leaves}")
-    hub = network.add_switch("hub")
-    for i in range(leaves):
-        leaf = network.add_switch(f"leaf{i}")
-        network.connect(hub, leaf)
     _attach_processors(network, processors_per_switch)
     return network
 

@@ -3,8 +3,7 @@
 The builders here reproduce the paper's two experimental workloads — single
 multicasts with a varying number of destinations (Figure 2) and mixed 90 %
 unicast / 10 % multicast traffic with negative-binomial arrivals (Figure 3) —
-and add clustered-destination and broadcast patterns used by the extension
-studies.
+and add the broadcast pattern used by the extension studies.
 """
 
 from .arrivals import (
@@ -16,7 +15,6 @@ from .arrivals import (
 )
 from .patterns import (
     broadcast_destinations,
-    clustered_destinations,
     uniform_destinations,
     uniform_source,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "make_arrival_process",
     "uniform_source",
     "uniform_destinations",
-    "clustered_destinations",
     "broadcast_destinations",
     "MessageSpec",
     "Workload",

@@ -41,23 +41,6 @@ class ArrivalProcess(abc.ABC):
     def next_interarrival_ns(self, rng: np.random.Generator) -> int:
         """Draw the next inter-arrival time (nanoseconds, at least 1)."""
 
-    def arrival_times_ns(
-        self, rng: np.random.Generator, count: int, start_ns: int = 0
-    ) -> list[int]:
-        """Absolute arrival times of the next ``count`` messages."""
-        times = []
-        current = start_ns
-        for _ in range(count):
-            current += self.next_interarrival_ns(rng)
-            times.append(current)
-        return times
-
-    @property
-    def average_rate_per_us(self) -> float:
-        """Average arrival rate in messages per microsecond."""
-        return _NS_PER_US / self.mean_interarrival_ns
-
-
 def _mean_from_rate(rate_per_us: float) -> float:
     if rate_per_us <= 0:
         raise ConfigurationError("arrival rate must be positive")

@@ -1,9 +1,8 @@
 """Destination-set selection patterns.
 
 The paper's experiments pick multicast destinations uniformly at random
-among the processors; the partitioning extension additionally motivates a
-*clustered* pattern (destinations contiguous in the spanning-tree order).
-Sources are likewise drawn uniformly among processors.
+among the processors.  Sources are likewise drawn uniformly among
+processors.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import WorkloadError
-from ..spanning.tree import SpanningTree
 from ..topology.network import Network
 
 __all__ = [
     "uniform_destinations",
-    "clustered_destinations",
     "broadcast_destinations",
     "uniform_source",
 ]
@@ -48,30 +45,6 @@ def uniform_destinations(
         )
     chosen = rng.choice(len(candidates), size=count, replace=False)
     return sorted(int(candidates[i]) for i in chosen)
-
-
-def clustered_destinations(
-    network: Network,
-    tree: SpanningTree,
-    source: int,
-    count: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """``count`` processors contiguous in the spanning tree's DFS order.
-
-    A random window of the DFS ordering of processors is selected (excluding
-    the source).  Clustered destination sets have deep LCAs and therefore
-    exercise the destination-partitioning extension.
-    """
-    from ..core.partition import dfs_order  # local import to avoid a package cycle
-
-    candidates = [p for p in network.processors() if p != source]
-    if count < 1 or count > len(candidates):
-        raise WorkloadError("invalid clustered destination count")
-    order = dfs_order(tree)
-    ranked = sorted(candidates, key=lambda node: order[node])
-    start = int(rng.integers(0, len(ranked) - count + 1))
-    return sorted(ranked[start : start + count])
 
 
 def broadcast_destinations(network: Network, source: int) -> list[int]:

@@ -11,12 +11,7 @@ from repro.analysis.bounds import (
     software_multicast_latency_model,
     software_multicast_lower_bound_us,
 )
-from repro.analysis.report import (
-    format_markdown_table,
-    format_sweep,
-    format_table,
-    series_side_by_side,
-)
+from repro.analysis.report import format_table, series_side_by_side
 from repro.analysis.stats import confidence_interval, relative_half_width, summarize_samples
 from repro.analysis.sweeps import SweepResult, SweepSeries
 
@@ -101,13 +96,11 @@ class TestSweeps:
     def test_series_accessors(self):
         result = self.build_sweep()
         assert result.labels() == ["a", "b"]
-        series = result.get_series("a")
+        series = result.series[0]
         assert series.xs() == [1, 2]
         assert series.means() == [10.5, 11.0]
         assert series.spread() == pytest.approx(0.5)
         assert series.max_mean() == pytest.approx(11.0)
-        with pytest.raises(KeyError):
-            result.get_series("missing")
 
     def test_rows_flatten_points(self):
         result = self.build_sweep()
@@ -134,16 +127,8 @@ class TestReportFormatting:
     def test_format_table_empty(self):
         assert format_table([]) == "(no data)"
 
-    def test_markdown_table(self):
-        rows = [{"a": 1, "b": 2}]
-        text = format_markdown_table(rows)
-        assert text.splitlines()[0] == "| a | b |"
-        assert "|---|---|" in text
-
-    def test_format_sweep_and_side_by_side(self):
+    def test_series_side_by_side(self):
         result = TestSweeps().build_sweep()
-        text = format_sweep(result)
-        assert "demo" in text
         side = series_side_by_side(result)
         lines = side.splitlines()
         assert lines[0].split()[0] == "x"

@@ -5,24 +5,33 @@ from __future__ import annotations
 import pytest
 
 from repro.core.decision import DecisionMode, RoutingDecision, all_of, one_of
-from repro.core.phases import Phase, may_follow, phase_of_label
+from repro.core.phases import Phase, may_follow
 from repro.core.selection import (
     DistanceToTargetSelection,
     FirstAllowedSelection,
     RandomSelection,
     make_selection,
 )
-from repro.core.unicast import RoutingOption
+from repro.core.unicast import RoutingOption, unicast_options
 from repro.errors import RoutingError, SelectionError
 from repro.topology.channels import DOWN_CROSS, DOWN_TREE, UP_CROSS, UP_TREE
 
 
 class TestPhases:
-    def test_phase_of_label(self):
-        assert phase_of_label(UP_TREE) is Phase.UP
-        assert phase_of_label(UP_CROSS) is Phase.UP
-        assert phase_of_label(DOWN_CROSS) is Phase.DOWN_CROSS
-        assert phase_of_label(DOWN_TREE) is Phase.DOWN_TREE
+    def test_phase_of_label(self, figure1_spam):
+        # SPAM reads a worm's phase off the label of the channel it came in on.
+        expected = {
+            UP_TREE: Phase.UP,
+            UP_CROSS: Phase.UP,
+            DOWN_CROSS: Phase.DOWN_CROSS,
+            DOWN_TREE: Phase.DOWN_TREE,
+        }
+        seen = set()
+        for channel in figure1_spam.network.channels():
+            label = figure1_spam.labeling.label(channel)
+            assert figure1_spam._phase_of(channel) is expected[label]
+            seen.add(label)
+        assert seen == set(expected)
 
     def test_may_follow_is_monotone(self):
         assert may_follow(Phase.UP, Phase.UP)
@@ -40,12 +49,10 @@ class TestRoutingDecision:
         channels = net.channels_from(figure1.nodes[4])
         decision = one_of(channels[:2])
         assert decision.mode is DecisionMode.ONE_OF
-        assert decision.is_adaptive
         assert len(decision) == 2
 
         allof = all_of(channels[:3])
         assert allof.mode is DecisionMode.ALL_OF
-        assert not allof.is_adaptive
         assert allof.channel_ids == tuple(c.cid for c in channels[:3])
 
     def test_empty_decision_rejected(self):
@@ -68,7 +75,9 @@ class TestSelectionFunctions:
         selection = DistanceToTargetSelection(figure1.network)
         # At node 2 heading for LCA node 4: down-cross to 3 (distance 1) beats
         # up to 1 (distance 1) only via the phase tie-break; both beat nothing.
-        options = figure1_spam.allowed_options(nodes[2], Phase.UP, nodes[4])
+        options = unicast_options(
+            figure1_spam.labeling, figure1_spam.ancestry, nodes[2], Phase.UP, nodes[4]
+        )
         ordered = selection.order(options, nodes[4])
         assert ordered[0].channel.dst == nodes[3]
 

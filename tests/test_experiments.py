@@ -22,12 +22,7 @@ from repro.experiments.ablations import (
     run_root_ablation,
     run_selection_ablation,
 )
-from repro.experiments.common import (
-    SCALES,
-    current_scale,
-    paper_config,
-    scaled,
-)
+from repro.experiments.common import SCALES, current_scale
 from repro.experiments.figure2 import Figure2Config, default_destination_counts, run_figure2
 from repro.experiments.figure3 import Figure3Config, run_figure3
 from repro.experiments.software_comparison import (
@@ -46,7 +41,6 @@ def tiny_ablation_config():
 class TestScaling:
     def test_named_scales(self):
         assert SCALES["paper"].message_length_flits == 128
-        assert scaled("smoke").name == "smoke"
         assert current_scale().name in SCALES
 
     def test_env_overrides(self, monkeypatch):
@@ -69,11 +63,6 @@ class TestScaling:
         monkeypatch.setenv(variable, "1.5")
         with pytest.raises(ConfigurationError, match=variable):
             current_scale()
-
-    def test_paper_config_from_scale(self):
-        config = paper_config(SMOKE, input_buffer_depth=2)
-        assert config.message_length_flits == SMOKE.message_length_flits
-        assert config.input_buffer_depth == 2
 
     def test_default_destination_counts(self):
         counts = default_destination_counts(128)

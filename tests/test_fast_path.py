@@ -48,7 +48,7 @@ def _run_pair(
     ``submit`` receives the simulator and schedules the workload; ``run``
     (default: one unbounded ``run()``) drives the simulation and returns the
     final stats.  ``overrides`` are extra :class:`SimulationConfig` fields
-    (e.g. ``channel_latency_factors``).  Returns the fast-path simulator for
+    (e.g. ``channel_latency_ns``).  Returns the fast-path simulator for
     extra assertions.
     """
     results = []
@@ -497,14 +497,20 @@ class TestFastPathSafety:
         assert results[0] == results[1]
 
 
+#: ``(channel_latency_ns, router_setup_ns)`` pairs off the paper's 10 ns /
+#: 40 ns grid: a shorter and a longer period, a setup that is no multiple of
+#: the period, and no setup at all.
+OFF_GRID_TIMINGS = [(7, 40), (20, 40), (13, 45), (13, 0)]
+
+
 @pytest.mark.equivalence
 @pytest.mark.parametrize("bounded", [False, True], ids=["run", "run_for"])
-@pytest.mark.parametrize("factor", [2, 3])
-def test_slow_channel_phases_run_per_flit(lattice32, lattice32_spam, factor, bounded):
-    """Behind a slow injection channel the worm moves every ``factor``-th
-    period, so no one-period window is self-similar: the probe must never
-    batch there, and the run must match the reference bit for bit, with
-    ``run()`` and with ``run_for`` windows that are not a period multiple."""
+@pytest.mark.parametrize("period, setup", OFF_GRID_TIMINGS)
+def test_phases_batch_at_any_channel_period(lattice32, lattice32_spam, period, setup, bounded):
+    """Every channel shares the one period, so a streaming worm's window is
+    self-similar at any ``channel_latency_ns``: the probe batches, and the
+    run matches the reference bit for bit, with ``run()`` and with
+    ``run_for`` windows that are not a period multiple."""
     processors = lattice32.processors()
 
     def run(sim):
@@ -519,11 +525,29 @@ def test_slow_channel_phases_run_per_flit(lattice32, lattice32_spam, factor, bou
         lambda sim: sim.submit_message(processors[0], [processors[11]]),
         flits=256,
         run=run if bounded else None,
-        channel_latency_factors=(
-            (lattice32.injection_channel(processors[0]).cid, factor),
-        ),
+        expect_coalesced=True,
+        channel_latency_ns=period,
+        router_setup_ns=setup,
     )
-    assert _exits(fast_sim)["batch"] == 0
+    assert _exits(fast_sim)["batch"] > 0
+
+
+@pytest.mark.equivalence
+@pytest.mark.parametrize("period", [7, 13, 20])
+def test_broadcast_coalesces_at_any_channel_period(lattice32, lattice32_spam, period):
+    """A broadcast replicates at every switch and leaves bubbles behind its
+    slowest branches; off the 10 ns grid the fast path still coalesces its
+    streaming phase and stays bit-identical."""
+    source = lattice32.processors()[0]
+    fast_sim = _run_pair(
+        lattice32,
+        lattice32_spam,
+        lambda sim: sim.submit_broadcast(source),
+        flits=128,
+        expect_coalesced=True,
+        channel_latency_ns=period,
+    )
+    assert fast_sim.stats.bubbles_created > 0
 
 
 @pytest.mark.equivalence
@@ -689,7 +713,6 @@ class TestProbeTiers:
         return log
 
     def test_returned_tier_names_the_counter_it_moved(self, lattice32, lattice32_spam):
-        processors = lattice32.processors()
         poisson = mixed_traffic_workload(
             lattice32,
             rate_per_us=0.03,
@@ -699,23 +722,15 @@ class TestProbeTiers:
             seed=23,
             arrival_process=PoissonArrivals(0.03),
         )
-        slow = ((lattice32.injection_channel(processors[0]).cid, 2),)
-        runs = [
-            (poisson.submit_to, SimulationConfig(message_length_flits=128)),
-            (
-                lambda sim: sim.submit_message(processors[0], processors[8:20]),
-                SimulationConfig(message_length_flits=256, channel_latency_factors=slow),
-            ),
-        ]
-        seen = set()
-        for submit, config in runs:
-            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-            log = self._probe_log(simulator)
-            submit(simulator)
-            simulator.run()
-            returned = [tier for tier, _executed in log]
-            assert simulator.coalesce_exits == [returned.count(tier) for tier in PROBE_TIERS]
-            for tier, executed in log:
-                assert executed == (tier in ("verify_failure", "batch")), tier
-            seen.update(returned)
+        simulator = WormholeSimulator(
+            lattice32, lattice32_spam, SimulationConfig(message_length_flits=128)
+        )
+        log = self._probe_log(simulator)
+        poisson.submit_to(simulator)
+        simulator.run()
+        returned = [tier for tier, _executed in log]
+        assert simulator.coalesce_exits == [returned.count(tier) for tier in PROBE_TIERS]
+        for tier, executed in log:
+            assert executed == (tier in ("verify_failure", "batch")), tier
+        seen = set(returned)
         assert seen == set(PROBE_TIERS), f"tiers never taken: {set(PROBE_TIERS) - seen}"

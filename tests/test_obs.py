@@ -201,8 +201,7 @@ def _scenario_workloads(lattice32):
         contended.specs.append(
             MessageSpec(processors[index], tuple(processors[8:16]), index * 30)
         )
-    slow = single_multicast_workload(lattice32, num_destinations=6, samples=2, seed=5)
-    slow_cid = lattice32.injection_channel(processors[0]).cid
+    single = single_multicast_workload(lattice32, num_destinations=6, samples=2, seed=5)
     return [
         ("broadcast", broadcast, 64, {}),
         ("contended_multicasts", contended, 32, {}),
@@ -228,12 +227,7 @@ def _scenario_workloads(lattice32):
             128,
             {},
         ),
-        (
-            "slow_channel_2x",
-            slow,
-            96,
-            {"channel_latency_factors": ((slow_cid, 2),)},
-        ),
+        ("channel_period_7ns", single, 96, {"channel_latency_ns": 7}),
     ]
 
 
@@ -533,6 +527,34 @@ class TestObsCli:
         bad.write_text(json.dumps({"schema": "repro.obs/snapshot"}))
         assert main(["obs", "validate", str(bad)]) == 1
         assert "missing required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "summarize"])
+    def test_missing_snapshot_is_reported_not_raised(self, capsys, tmp_path, verb):
+        missing = tmp_path / "nope.json"
+        assert main(["obs", verb, str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"snapshot: {missing}: ")
+
+    @pytest.mark.parametrize("verb", ["validate", "summarize"])
+    def test_non_json_snapshot_is_reported_not_raised(self, capsys, tmp_path, verb):
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json {")
+        assert main(["obs", verb, str(garbage)]) == 1
+        assert capsys.readouterr().err.startswith(f"snapshot: {garbage}: not JSON")
+
+    def test_missing_trace_file_is_reported_not_raised(self, capsys, tmp_path):
+        snap = write_snapshot(_golden_telemetry(), tmp_path / "snap.json")
+        missing = tmp_path / "nope.trace.json"
+        assert main(["obs", "validate", str(snap), "--trace", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"trace: {missing}: ")
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "sibling"])
+    def test_non_json_trace_is_reported_not_raised(self, capsys, tmp_path, explicit):
+        snap = write_snapshot(_golden_telemetry(), tmp_path / "snap.json")
+        garbage = tmp_path / "snap.trace.json"  # the sibling ``validate`` finds on its own
+        garbage.write_text("not json {")
+        argv = ["obs", "validate", str(snap)] + (["--trace", str(garbage)] if explicit else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"trace: {garbage}: not JSON")
 
     def test_obs_validate_checks_an_explicit_trace_file(self, capsys, tmp_path):
         snap = write_snapshot(_golden_telemetry(), tmp_path / "snap.json")

@@ -70,7 +70,7 @@ class TestHotspotAnalysis:
         assert report.multicasts == 1
         # The LCA of {8,9,10,11} is node 4, not the root, so no root traversal.
         assert report.root_traversals == 0
-        assert fixture.nodes[4] in dict(report.hottest_switches(10))
+        assert report.switch_load[fixture.nodes[4]] > 0
 
     def test_channel_load_counts_trees(self, lattice32_spam, lattice32):
         processors = lattice32.processors()
@@ -82,8 +82,7 @@ class TestHotspotAnalysis:
         report = analyze_multicast_load(lattice32_spam, multicasts)
         assert report.multicasts == 3
         assert max(report.channel_load.values()) <= 3
-        assert report.load_imbalance() >= 1.0
-        assert len(report.hottest_channels(3)) == 3
+        assert len(report.channel_load) >= 3
 
     def test_root_probability_grows_with_destination_count(self, lattice32_spam):
         small = root_traversal_probability(lattice32_spam, 2, samples=60, seed=1)
@@ -98,5 +97,4 @@ class TestHotspotAnalysis:
 
         report = HotspotReport()
         assert report.root_traversal_fraction == 0.0
-        assert report.load_imbalance() == 0.0
-        assert report.hottest_channels() == []
+        assert report.channel_load == {} and report.switch_load == {}

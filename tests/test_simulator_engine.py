@@ -203,60 +203,46 @@ class TestContention:
         summary = stats.summary()
         assert summary["messages_submitted"] == 2
         assert summary["messages_completed"] == 2
-        assert stats.completion_ratio == 1.0
-        assert len(stats.unicast_records()) == 1
-        assert len(stats.multicast_records()) == 1
+        assert sorted(record.kind for record in stats.records) == ["multicast", "unicast"]
 
 
-class TestSlowChannels:
-    """Per-channel latency factors (``channel_latency_factors``) in the
-    reference engine: a slow channel is the worm's rate bottleneck."""
+class TestChannelPeriod:
+    """Every channel forwards one flit per ``channel_latency_ns``, whatever
+    its value: the closed-form timings hold off the paper's 10 ns grid, on
+    the reference engine and on the fast path alike."""
 
-    def _latency_with_factor(self, network, factor, length=64):
-        spam = SpamRouting.build(network)
-        source, dest = network.processors()
-        cid = network.injection_channel(source).cid
+    # Off the paper's 10 ns / 40 ns grid: a shorter and a longer period, a
+    # setup that is no multiple of the period, and no setup at all.
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize("period, setup", [(7, 40), (20, 40), (13, 45), (13, 0)])
+    def test_idle_unicast_latency_matches_closed_form(self, line5, period, setup, fast_path):
+        spam = SpamRouting.build(line5, root=line5.node_by_label("s0"))
         config = SimulationConfig(
-            message_length_flits=length,
-            channel_latency_factors=((cid, factor),) if factor > 1 else (),
+            message_length_flits=64,
+            channel_latency_ns=period,
+            router_setup_ns=setup,
+            fast_path=fast_path,
         )
-        simulator = WormholeSimulator(network, spam, config)
+        source, dest = line5.processors()[0], line5.processors()[-1]
+        simulator = WormholeSimulator(line5, spam, config)
         message = simulator.submit_message(source, [dest])
         simulator.run()
-        return message.latency_from_startup_ns
+        path = spam.unicast_route(source, dest)
+        assert len(path) == 6  # injection, four switch hops, consumption
+        assert message.latency_from_startup_ns == expected_idle_unicast_latency(config, len(path))
 
-    def test_slow_injection_throttles_streaming(self, two_switch):
-        """A factor-f injection channel makes the worm stream at one flit
-        per f channel cycles: each extra factor costs (length-2) extra
-        cycles at the bottleneck (head and tail crossings overlap with the
-        downstream pipeline)."""
-        base = self._latency_with_factor(two_switch, 1)
-        slow2 = self._latency_with_factor(two_switch, 2)
-        slow3 = self._latency_with_factor(two_switch, 3)
-        config = SimulationConfig()
-        per_factor = (64 - 2) * config.channel_latency_ns
-        assert slow2 - base == per_factor
-        assert slow3 - base == 2 * per_factor
-
-    def test_factor_one_is_a_no_op(self, lattice32, lattice32_spam):
-        processors = lattice32.processors()
-        cid = lattice32.injection_channel(processors[0]).cid
-        deliveries = []
-        for factors in ((), ((cid, 1),)):
-            config = SimulationConfig(
-                message_length_flits=32, channel_latency_factors=factors
-            )
-            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-            message = simulator.submit_message(processors[0], [processors[9]])
-            simulator.run()
-            deliveries.append(dict(message.delivered_ns))
-        assert deliveries[0] == deliveries[1]
-
-    def test_unknown_channel_id_rejected(self, two_switch):
+    @pytest.mark.parametrize("period", [7, 13, 20])
+    def test_each_extra_flit_costs_one_period(self, two_switch, period):
         spam = SpamRouting.build(two_switch)
-        config = SimulationConfig(channel_latency_factors=((10_000, 2),))
-        with pytest.raises(ConfigurationError):
-            WormholeSimulator(two_switch, spam, config)
+        source, dest = two_switch.processors()
+        latencies = []
+        for length in (8, 64):
+            config = SimulationConfig(message_length_flits=length, channel_latency_ns=period)
+            simulator = WormholeSimulator(two_switch, spam, config)
+            message = simulator.submit_message(source, [dest])
+            simulator.run()
+            latencies.append(message.latency_from_startup_ns)
+        assert latencies[1] - latencies[0] == 56 * period
 
 
 class TestValidationAndSafety:
@@ -309,7 +295,7 @@ class TestValidationAndSafety:
             simulator.run()
         report = excinfo.value.report
         assert report.stalled_messages
-        assert report.has_circular_wait
+        assert report.cycles
 
     def test_spam_does_not_deadlock_on_same_pressure(self, ring8):
         spam = SpamRouting.build(ring8)

@@ -11,20 +11,9 @@ from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.simulator.buffers import FlitBuffer
 from repro.simulator.config import PAPER_CONFIG, SimulationConfig
 from repro.simulator.events import EventQueue
-from repro.simulator.flit import FlitKind, make_worm_flits
+from repro.simulator.links import LinkState
 from repro.simulator.message import Message, MessageKind
 from repro.simulator.ocrq import OutputChannelRequestQueue
-
-
-class TestFlit:
-    def test_make_worm_flits(self):
-        flits = make_worm_flits(5, 6)
-        assert len(flits) == 6
-        assert flits[0].kind is FlitKind.HEAD
-        assert flits[-1].kind is FlitKind.TAIL
-        assert all(f.kind is FlitKind.BODY for f in flits[1:-1])
-        assert [f.seq for f in flits] == list(range(6))
-        assert all(f.message_id == 5 for f in flits)
 
 
 class TestFlitBuffer:
@@ -86,7 +75,7 @@ class TestEventQueue:
         queue.schedule(30, lambda: seen.append("c"))
         queue.schedule(10, lambda: seen.append("a"))
         queue.schedule(20, lambda: seen.append("b"))
-        while not queue.is_empty:
+        while len(queue):
             _time, _seq, _kind, callback = queue.pop_entry()
             callback()
         assert seen == ["a", "b", "c"]
@@ -97,7 +86,7 @@ class TestEventQueue:
         seen = []
         for index in range(5):
             queue.schedule(7, lambda i=index: seen.append(i))
-        while not queue.is_empty:
+        while len(queue):
             queue.pop_entry()[3]()
         assert seen == [0, 1, 2, 3, 4]
 
@@ -111,8 +100,8 @@ class TestEventQueue:
     def test_schedule_after_and_next_time(self):
         queue = EventQueue(start_ns=100)
         queue.schedule_after(50, lambda: None)
-        assert queue.next_time() == 150
         assert len(queue) == 1
+        assert queue.pop_entry()[0] == 150
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
@@ -126,16 +115,16 @@ class TestEventQueueTransferEntries:
         queue = EventQueue()
         marker = object()
         queue.schedule(5, lambda: None)
-        assert queue.transfer_pending == 0
+        assert queue._transfer_pending == 0
         queue.schedule_transfer(10, marker)
-        assert queue.transfer_pending == 1
+        assert queue._transfer_pending == 1
         time_ns, _seq, kind, payload = queue.pop_entry()
         assert (time_ns, kind) == (5, 0)
-        assert queue.transfer_pending == 1
+        assert queue._transfer_pending == 1
         time_ns, _seq, kind, payload = queue.pop_entry()
         assert (time_ns, kind) == (10, 1)
         assert payload is marker
-        assert queue.transfer_pending == 0
+        assert queue._transfer_pending == 0
 
     def test_advance_to_moves_to_boundary_only(self):
         queue = EventQueue()
@@ -195,20 +184,22 @@ class TestEventQueueTransferEntries:
         with pytest.raises(SimulationError):
             queue.shift_transfers(25, 30)
 
+    # ``_generic_times`` is the side heap the probe's generic bail reads: its
+    # head is the earliest pending generic deadline.
     def test_next_generic_time_tracks_generic_entries_only(self):
         queue = EventQueue()
-        assert queue.next_generic_time() is None
+        assert not queue._generic_times
         queue.schedule_transfer(5, object())
-        assert queue.next_generic_time() is None  # transfers don't count
+        assert not queue._generic_times  # transfers don't count
         queue.schedule(30, lambda: None)
         queue.schedule(10, lambda: None)
-        assert queue.next_generic_time() == 10
+        assert queue._generic_times[0] == 10
         queue.pop_entry()  # transfer at 5
-        assert queue.next_generic_time() == 10
+        assert queue._generic_times[0] == 10
         queue.pop_entry()  # generic at 10
-        assert queue.next_generic_time() == 30
+        assert queue._generic_times[0] == 30
         queue.pop_entry()  # generic at 30
-        assert queue.next_generic_time() is None
+        assert not queue._generic_times
 
     def test_next_generic_time_survives_transfer_shift(self):
         queue = EventQueue()
@@ -216,7 +207,7 @@ class TestEventQueueTransferEntries:
         queue.schedule_transfer(10, object())
         queue.shift_transfers(10, 40)
         # The shift retimes transfers only; the generic deadline is exact.
-        assert queue.next_generic_time() == 100
+        assert queue._generic_times[0] == 100
 
     def test_next_generic_time_handles_equal_deadlines(self):
         queue = EventQueue()
@@ -224,9 +215,9 @@ class TestEventQueueTransferEntries:
             queue.schedule(50, lambda: None)
         queue.pop_entry()
         queue.pop_entry()
-        assert queue.next_generic_time() == 50
+        assert queue._generic_times[0] == 50
         queue.pop_entry()
-        assert queue.next_generic_time() is None
+        assert not queue._generic_times
 
 
 class TestSimulationConfig:
@@ -236,7 +227,6 @@ class TestSimulationConfig:
         assert PAPER_CONFIG.channel_latency_ns == 10
         assert PAPER_CONFIG.message_length_flits == 128
         assert PAPER_CONFIG.input_buffer_depth == 1
-        assert PAPER_CONFIG.serialization_latency_ns == 1280
 
     def test_with_overrides(self):
         config = PAPER_CONFIG.with_overrides(message_length_flits=16, trace=True)
@@ -245,11 +235,17 @@ class TestSimulationConfig:
         assert PAPER_CONFIG.message_length_flits == 128  # original untouched
 
     def test_fast_path_defaults(self):
-        # Homogeneous channels, and the fast path's patterns have no
-        # switches beyond ``fast_path`` itself.
-        assert PAPER_CONFIG.channel_latency_factors == ()
+        # The fast path's patterns have no switches beyond ``fast_path``
+        # itself.
         assert PAPER_CONFIG.fast_path
         assert not [f.name for f in fields(SimulationConfig) if f.name.startswith("coalesce")]
+
+    def test_one_channel_period(self):
+        # Every channel runs at ``channel_latency_ns``: neither the
+        # configuration nor a link carries a latency of its own.
+        latencies = [f.name for f in fields(SimulationConfig) if "latency" in f.name]
+        assert latencies == ["startup_latency_ns", "channel_latency_ns"]
+        assert not [slot for slot in LinkState.__slots__ if "latency" in slot]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -261,12 +257,14 @@ class TestSimulationConfig:
             {"max_hops": 1},
             {"router_setup_ns": -5},
             {"output_buffer_depth": 0},
-            {"channel_latency_factors": ((0, 0),)},
-            {"channel_latency_factors": ((-1, 2),)},
-            {"channel_latency_factors": ((0, 2, 3),)},
-            {"channel_latency_factors": (0, 2)},
-            {"channel_latency_factors": ((0, 2.5),)},
-            {"channel_latency_factors": ((0, 2), (0, 3))},
+            # One boundary past each check: a negative period, a worm of no
+            # flits, either buffer empty while the other is deep, no hops.
+            {"channel_latency_ns": -7},
+            {"message_length_flits": 0},
+            {"input_buffer_depth": 0, "output_buffer_depth": 3},
+            {"input_buffer_depth": 3, "output_buffer_depth": 0},
+            {"max_hops": 0},
+            {"startup_latency_ns": -10_000, "router_setup_ns": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -13,7 +13,7 @@ from repro.spanning.roots import (
     random_root,
     select_root,
 )
-from repro.spanning.tree import SpanningTree, bfs_spanning_tree, dfs_spanning_tree
+from repro.spanning.tree import SpanningTree, bfs_spanning_tree
 from repro.topology.channels import ChannelKind, Orientation
 from repro.topology.examples import figure1_network, line_network
 from repro.topology.irregular import random_irregular_network
@@ -45,14 +45,6 @@ class TestSpanningTreeConstruction:
         depths = [tree.depth(node) for node in small_irregular.nodes()]
         assert len(depths) == small_irregular.num_nodes
 
-    def test_dfs_tree_is_valid_and_usually_deeper(self, small_irregular):
-        root = small_irregular.switches()[0]
-        bfs = bfs_spanning_tree(small_irregular, root)
-        dfs = dfs_spanning_tree(small_irregular, root)
-        assert dfs.height() >= bfs.height()
-        # Both must be valid spanning trees of the same node set.
-        assert sorted(dfs.tree_edges()) != [] and len(dfs.tree_edges()) == len(bfs.tree_edges())
-
     def test_root_must_be_switch(self, figure1):
         with pytest.raises(SpanningTreeError):
             bfs_spanning_tree(figure1.network, figure1.nodes[5])
@@ -74,7 +66,7 @@ class TestSpanningTreeConstruction:
         tree = bfs_spanning_tree(figure1.network, figure1.root)
         nodes = figure1.nodes
         assert tree.path_to_root(nodes[8]) == [nodes[8], nodes[6], nodes[4], nodes[1]]
-        assert set(tree.subtree_nodes(nodes[4])) == {
+        assert {n for n in figure1.network.nodes() if tree.is_ancestor(nodes[4], n)} == {
             nodes[4], nodes[6], nodes[7], nodes[8], nodes[9], nodes[10], nodes[11]
         }
         assert tree.is_ancestor(nodes[4], nodes[11])
@@ -90,12 +82,6 @@ class TestSpanningTreeConstruction:
         assert tree.lowest_common_ancestor([nodes[9]]) == nodes[9]
         with pytest.raises(SpanningTreeError):
             tree.lowest_common_ancestor([])
-
-    def test_nodes_by_depth(self, figure1):
-        tree = bfs_spanning_tree(figure1.network, figure1.root)
-        groups = tree.nodes_by_depth()
-        assert groups[0] == [figure1.root]
-        assert len(groups) == tree.height() + 1
 
 
 class TestChannelLabeling:

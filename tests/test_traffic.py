@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.spanning.tree import bfs_spanning_tree
 from repro.traffic.arrivals import (
     DeterministicArrivals,
     NegativeBinomialArrivals,
@@ -15,7 +14,6 @@ from repro.traffic.arrivals import (
 )
 from repro.traffic.patterns import (
     broadcast_destinations,
-    clustered_destinations,
     uniform_destinations,
     uniform_source,
 )
@@ -51,14 +49,19 @@ class TestArrivalProcesses:
         samples = [nb.next_interarrival_ns(rng) for _ in range(2000)]
         assert np.std(samples) > 0
 
-    def test_arrival_times_are_cumulative(self):
-        process = DeterministicArrivals(rate_per_us=0.001)
-        times = process.arrival_times_ns(np.random.default_rng(0), count=3, start_ns=50)
-        assert times == [1_000_050, 2_000_050, 3_000_050]
-
-    def test_average_rate_property(self):
-        process = PoissonArrivals(rate_per_us=0.02)
-        assert process.average_rate_per_us == pytest.approx(0.02)
+    def test_arrival_times_are_cumulative(self, lattice32):
+        # A workload's per-processor clock adds one interarrival per message:
+        # at a fixed 1 ms gap every processor sends at 1, 2 and 3 ms.
+        workload = mixed_traffic_workload(
+            lattice32,
+            0.001,
+            4,
+            num_messages=3 * lattice32.num_processors,
+            arrival_process=DeterministicArrivals(rate_per_us=0.001),
+        )
+        for processor in lattice32.processors():
+            times = [spec.at_ns for spec in workload if spec.source == processor]
+            assert times == [1_000_000, 2_000_000, 3_000_000]
 
     def test_factory_and_errors(self):
         assert isinstance(make_arrival_process("poisson", 0.01), PoissonArrivals)
@@ -94,14 +97,6 @@ class TestPatterns:
             uniform_destinations(lattice32, source, 0, rng)
         with pytest.raises(WorkloadError):
             uniform_destinations(lattice32, source, lattice32.num_processors, rng)
-
-    def test_clustered_destinations_are_tree_contiguous(self, lattice32):
-        rng = np.random.default_rng(3)
-        tree = bfs_spanning_tree(lattice32, lattice32.switches()[0])
-        source = lattice32.processors()[0]
-        destinations = clustered_destinations(lattice32, tree, source, 6, rng)
-        assert len(destinations) == 6
-        assert source not in destinations
 
     def test_broadcast_destinations(self, lattice32):
         source = lattice32.processors()[3]
