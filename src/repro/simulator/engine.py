@@ -21,8 +21,9 @@ tests) all run on the same substrate.
 Steady-state fast path
 ----------------------
 
-The dominant cost of a run is one heap event per flit per hop.  Most of
-those events occur during *steady-state streaming*: every worm segment is
+The dominant cost of a run is one transfer event per flit per hop (a FIFO
+append and pop, see :mod:`repro.simulator.events`).  Most of those events
+occur during *steady-state streaming*: every worm segment is
 ``ACTIVE`` with all output channels acquired, every busy link completes one
 flit per ``channel_latency_ns``, and the system state repeats period after
 period except that each data-flit sequence number advances by one.
@@ -34,7 +35,7 @@ ordinary per-flit machinery, verifies that the window was *self-similar*,
 and then replays ``m`` further windows arithmetically: flit sequence
 numbers, source-NI cursors, ``flit_hops``, bubble counters, per-channel
 counters, busy-time accounting, trace records and the pending transfer
-deadlines are all advanced in O(links) instead of O(m × links) heap events.
+deadlines are all advanced in O(links) instead of O(m × links) events.
 ``m`` is capped so the batch ends strictly before the first non-transfer
 event, before any head or tail flit would move, and before a bounded run's
 window boundary.  Three steady-state patterns coalesce, with no switch
@@ -107,7 +108,7 @@ DeliveryCallback = Callable[[Message, int, int], None]
 CompletionCallback = Callable[[Message], None]
 
 #: Minimum number of coalescible ticks for a batch advance to be worthwhile;
-#: below this the snapshot/verify overhead exceeds the saved heap traffic.
+#: below this the snapshot/verify overhead exceeds the saved event traffic.
 _MIN_BATCH_TICKS = 4
 
 #: Ticks to wait before re-probing after a failed self-similarity check (or
@@ -174,7 +175,7 @@ class WormholeSimulator:
         self.network = network
         self.routing = routing
         self.config = config or SimulationConfig()
-        self.events = EventQueue()
+        self.events = EventQueue(self.config.channel_latency_ns)
         self.links: list[LinkState] = [
             LinkState(
                 channel,
@@ -196,7 +197,6 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
-        self._channel_latency_ns = self.config.channel_latency_ns
         # Fast-path bookkeeping: earliest time a coalesce attempt is allowed.
         # Each tick is probed at most once, and an attempt that paid for a
         # snapshot but failed verification backs off for a few ticks (failed
@@ -313,8 +313,13 @@ class WormholeSimulator:
         When the queue drains while messages are still incomplete and
         deadlock detection is enabled, a :class:`~repro.errors.DeadlockError`
         is raised carrying a :class:`~repro.simulator.deadlock.DeadlockReport`.
+        A bound already in the past raises :class:`~repro.errors.SimulationError`.
         """
         events = self.events
+        if until_ns is not None and until_ns < events.now:
+            raise SimulationError(
+                f"cannot run until {until_ns} ns, current time is {events.now} ns"
+            )
         fast = self.config.fast_path
         complete_transfer = self._complete_transfer
         # Telemetry selects the probe entry point once, outside the loop:
@@ -328,33 +333,41 @@ class WormholeSimulator:
         run_start_ns = 0 if telemetry is None else telemetry.clock()
         # The loop body below is ``pop_entry()`` unrolled by hand: this is the
         # hottest loop in the repository and method/property calls per event
-        # are measurable.  ``heap`` aliases the live heap list (batch retimes
-        # are in-place), so pushes from callbacks remain visible.
+        # are measurable.  ``heap`` and ``lane`` alias the live queues (batch
+        # retimes are in-place), so pushes from callbacks remain visible.
         heap = events._heap
-        generic_times = events._generic_times
-        while heap:
-            t0 = heap[0][0]
-            if until_ns is not None and t0 > until_ns:
-                break
-            # Probe whenever the earliest event is a flit transfer; generic
-            # events pending further out (queued submits, a later startup)
-            # only cap the batch length — _coalesce_tick bails in O(1) on
-            # the queue-maintained earliest generic deadline when the cap
-            # would be too small, and otherwise ends every batch strictly
-            # before the first of them fires.
-            if fast and heap[0][2] and t0 >= self._coalesce_gate_ns:
-                tier = coalesce(t0, until_ns)
-                exits[tier] += 1
-                if tier >= executed:
+        lane = events._lane
+        popleft = lane.popleft
+        while True:
+            if lane:
+                entry = lane[0]
+                if not heap or entry < heap[0]:
+                    t0 = entry[0]
+                    if until_ns is not None and t0 > until_ns:
+                        break
+                    # Probe whenever the earliest event is a flit transfer;
+                    # generic events pending further out (queued submits, a
+                    # later startup) only cap the batch length —
+                    # _coalesce_tick bails in O(1) on the generic heap's head
+                    # when the cap would be too small, and otherwise ends
+                    # every batch strictly before the first of them fires.
+                    if fast and t0 >= self._coalesce_gate_ns:
+                        tier = coalesce(t0, until_ns)
+                        exits[tier] += 1
+                        if tier >= executed:
+                            continue
+                    popleft()
+                    events.now = t0
+                    complete_transfer(entry[3])
                     continue
-            entry = heappop(heap)
+            elif not heap:
+                break
+            entry = heap[0]
+            if until_ns is not None and entry[0] > until_ns:
+                break
+            heappop(heap)
             events.now = entry[0]
-            if entry[2]:
-                events._transfer_pending -= 1
-                complete_transfer(entry[3])
-            else:
-                heappop(generic_times)
-                entry[3]()
+            entry[3]()
         if until_ns is not None:
             # A bounded run owns the whole window: land exactly on the
             # boundary even if the last event fired earlier (or none did).
@@ -397,8 +410,8 @@ class WormholeSimulator:
 
         1. bail (here, O(1) on the earliest generic deadline) —
            ``_GENERIC_BAIL``;
-        2. :meth:`_probe_scan` (one heap pass) — ``_SCAN_REJECT`` or
-           ``_DRAIN_BAIL``;
+        2. :meth:`_probe_scan` (one pass over the transfer lane) —
+           ``_SCAN_REJECT`` or ``_DRAIN_BAIL``;
         3. :meth:`_probe_snapshot` (the closure of touchable state);
         4. :meth:`_probe_execute` (run the window ``[t0, t0 + L)`` through
            the per-flit machinery and examine it) — ``_VERIFY_FAILURE``;
@@ -409,15 +422,15 @@ class WormholeSimulator:
         # Probe each window at most once (a failed probe closes the gate for
         # longer; see _coalesce_pause).
         self._coalesce_gate_ns = t0 + latency
-        # -- Bail: the queue maintains the earliest pending generic deadline.
-        # Every batch must end strictly before it, so even in the best case
-        # (all transfers at t0) the batch length is bounded by
+        # -- Bail: the generic heap's head is the earliest pending generic
+        # deadline.  Every batch must end strictly before it, so even in the
+        # best case (all transfers at t0) the batch length is bounded by
         # (t_other - 1 - t0) // latency; when that optimistic bound is
         # already below the worthwhile minimum — the dominant rejection in
         # churn phases, where submits/decisions/acquisitions queue close by —
-        # the probe exits before paying for any heap scan or snapshot.
-        generic_times = self.events._generic_times
-        t_other: int | None = generic_times[0] if generic_times else None
+        # the probe exits before paying for any scan or snapshot.
+        heap = self.events._heap
+        t_other: int | None = heap[0][0] if heap else None
         if t_other is not None and (t_other - 1 - t0) // latency < _MIN_BATCH_TICKS + 1:
             return _GENERIC_BAIL
         window = self._probe_scan(t0, until_ns, t_other)
@@ -433,14 +446,14 @@ class WormholeSimulator:
     def _probe_scan(
         self, t0: int, until_ns: int | None, t_other: int | None
     ) -> int | tuple[bool, list[tuple[int, LinkState, bool]]]:
-        """Phase 2: one unsorted pass over the heap.
+        """Phase 2: one pass over the transfer lane, in completion order.
 
         Every pending transfer must complete within the window, every wire
         flit must be a body flit or a bubble, and a wire flit that is the
         last one queued must have a feeder that can still refill the
         buffer; the replay the window allows must also be worthwhile.  This
-        rejects head crawls and worm-drain phases before paying for a sort
-        or a snapshot.
+        rejects head crawls and worm-drain phases before paying for a
+        snapshot.
 
         Returns the exit tier (``_SCAN_REJECT`` or ``_DRAIN_BAIL``) when the
         window is rejected, else ``(off_class, moving)``: whether the
@@ -455,9 +468,7 @@ class WormholeSimulator:
         d_max = t0
         off_class = False
         flit_cap: int | None = None
-        for time_ns, _seq, kind, payload in events._heap:
-            if not kind:
-                continue
+        for time_ns, _seq, _kind, payload in events._lane:
             if time_ns != t0:
                 if time_ns >= horizon:
                     return _SCAN_REJECT
@@ -532,9 +543,8 @@ class WormholeSimulator:
             # cannot see, so never replay it arithmetically.
             return _SCAN_REJECT
         moving = [
-            (entry[0], entry[3], entry[3].out_buffer._slots[0].kind is _BUBBLE)
-            for entry in sorted(events._heap)
-            if entry[2]
+            (time_ns, link, link.out_buffer._slots[0].kind is _BUBBLE)
+            for time_ns, _seq, _kind, link in events._lane
         ]
         return off_class, moving
 
@@ -582,7 +592,7 @@ class WormholeSimulator:
             bubbles=stats.bubbles_created,
             counters=(stats.messages_completed, len(self._segments), self._delivery_count),
             trace_len=len(trace.events) if trace is not None else 0,
-            generic_len=len(self.events._generic_times),
+            generic_len=len(self.events._heap),
         )
 
     def _probe_execute(self, t0: int, snapshot: _ProbeSnapshot) -> int | tuple:
@@ -598,11 +608,12 @@ class WormholeSimulator:
         events = self.events
         latency = self.config.channel_latency_ns
         heap = events._heap
+        lane = events._lane
         pop_entry = events.pop_entry
         complete_transfer = self._complete_transfer
         exec_end = t0 + latency
         executed_generic = False
-        while heap and heap[0][0] < exec_end:
+        while (lane and lane[0][0] < exec_end) or (heap and heap[0][0] < exec_end):
             entry = pop_entry()
             if entry[2]:
                 complete_transfer(entry[3])
@@ -640,7 +651,7 @@ class WormholeSimulator:
             self._delivery_count,
         ) != snapshot.counters:
             return None
-        if len(events._generic_times) != snapshot.generic_len:
+        if len(events._heap) != snapshot.generic_len:
             return None
         for seg, state, head_replicated, outputs, required in snapshot.segments:
             if (
@@ -651,10 +662,9 @@ class WormholeSimulator:
             ):
                 return None
         moving = snapshot.moving
-        if events._transfer_pending != len(moving):
+        if len(events._lane) != len(moving):
             return None
-        post_transfers = sorted(entry for entry in events._heap if entry[2])
-        for entry, (pre_time, link, _bubble) in zip(post_transfers, moving):
+        for entry, (pre_time, link, _bubble) in zip(events._lane, moving):
             if entry[0] != pre_time + shift or entry[3] is not link:
                 return None
         bound: int | None = None
@@ -771,7 +781,7 @@ class WormholeSimulator:
                 delta = tick * latency
                 for record in window_records:
                     append(TraceEvent(record.time_ns + delta, record.kind, record.fields))
-        events.shift_transfers(now_ns + advance, advance)
+        events.shift_transfers(advance)
         self._coalesce_fail_streak = 0
         self.coalesced_ticks += m
         if off_class:
@@ -838,7 +848,7 @@ class WormholeSimulator:
         link.busy = True
         if self._collect_stats and link.busy_since_ns is None:
             link.busy_since_ns = self.events.now
-        self.events.schedule_transfer(self._channel_latency_ns, link)
+        self.events.schedule_transfer(link)
 
     def _complete_transfer(self, link: LinkState) -> None:
         """A flit finishes crossing ``link``: hand it to the receiving side.

@@ -6,29 +6,26 @@ are processed in scheduling order (FIFO), which both makes runs perfectly
 reproducible and provides the atomicity the OCRQ protocol relies on (a
 message enqueues all of its channel requests within a single event).
 
-Entries come in two kinds, distinguished by an integer tag so the engine
-never allocates a closure per flit transfer:
+Entries are ``(time, seq, kind, payload)`` tuples of two kinds, kept in two
+lanes that share one ``seq`` counter:
 
 * **generic events** (``kind == 0``) carry an arbitrary zero-argument
-  callback, exactly like the original ``(time, seq, callback)`` design;
+  callback and live in a binary heap, so the earliest generic deadline is
+  simply the heap's head;
 * **transfer events** (``kind == 1``) carry the :class:`~repro.simulator.links.LinkState`
-  whose in-flight flit completes at the timestamp.  The engine dispatches
-  these directly to ``WormholeSimulator._complete_transfer`` — no
-  ``functools.partial`` is built on the hot path.
+  whose in-flight flit completes at the timestamp.  Every channel moves one
+  flit per period, so a transfer always completes one period after it is
+  scheduled: transfers arrive in ``(time, seq)`` order and live in a FIFO
+  lane (a ``deque``) with no heap operation per flit hop.  The engine
+  dispatches them directly to ``WormholeSimulator._complete_transfer``.
 
-The queue additionally tracks how many pending entries are transfer events
-(``_transfer_pending``) and maintains the *earliest generic deadline* — a
-min-heap of the pending generic entries' timestamps (``_generic_times``).
-When the *earliest* pending entry is a transfer the simulator may be in a
-steady-state streaming phase; the engine's fast path
-(``WormholeSimulator._coalesce_tick``) probes that case, consults the
-earliest generic deadline in O(1) to bail out of windows whose batches a
-nearby generic event would cut below the worthwhile minimum (the common case
-during churn phases; the bail is counted at most once per probe), and uses
-the tag in each entry to bound surviving batches strictly before the next
-generic event.
-After a verified batch the engine retimes the surviving transfer entries in
-bulk with :meth:`EventQueue.shift_transfers` by a whole number of channel
+Popping takes whichever lane head is smaller on ``(time, seq)``, which is
+exactly the order one heap of both kinds would give.  The engine's fast path
+(``WormholeSimulator._coalesce_tick``) probes when the transfer lane's head
+comes first, reads the earliest generic deadline from the heap's head to
+bound (or bail out of) a batch, and walks the lane in completion order.
+After a verified batch the engine retimes every pending transfer in bulk
+with :meth:`EventQueue.shift_transfers` by a whole number of channel
 periods; every entry keeps its congruence class modulo the period.
 The coalescing contract this upholds is specified in ``docs/fast_path.md``.
 """
@@ -36,6 +33,7 @@ The coalescing contract this upholds is specified in ``docs/fast_path.md``.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Callable
 
 from ..errors import SimulationError
@@ -48,20 +46,19 @@ _TRANSFER = 1
 
 
 class EventQueue:
-    """A binary-heap priority queue of ``(time, seq, kind, payload)`` events."""
+    """A heap of generic events plus a FIFO lane of flit transfers that
+    complete ``period_ns`` after they are scheduled."""
 
-    __slots__ = ("_heap", "_seq", "_transfer_pending", "_generic_times", "now")
+    __slots__ = ("_heap", "_lane", "_period", "_seq", "now")
 
-    def __init__(self, start_ns: int = 0) -> None:
+    def __init__(self, period_ns: int, start_ns: int = 0) -> None:
         self._heap: list[tuple[int, int, int, object]] = []
+        # Transfer entries in (time, seq) order: each is scheduled one
+        # period after a clock that never moves backwards, and a shift moves
+        # the clock and every transfer by the same amount.
+        self._lane: deque[tuple[int, int, int, object]] = deque()
+        self._period = period_ns
         self._seq = 0
-        self._transfer_pending = 0
-        # Min-heap of pending generic entries' timestamps.  Because the main
-        # heap pops in global (time, seq) order, generic entries leave in
-        # nondecreasing-time order too, so popping this heap alongside keeps
-        # it exact — giving the engine's fast path the earliest generic
-        # deadline in O(1) without scanning the heap.
-        self._generic_times: list[int] = []
         #: Current simulation time (time of the most recently popped event).
         self.now = start_ns
 
@@ -76,28 +73,22 @@ class EventQueue:
                 f"cannot schedule an event at {time_ns} ns, current time is {self.now} ns"
             )
         heapq.heappush(self._heap, (time_ns, self._seq, _GENERIC, callback))
-        heapq.heappush(self._generic_times, time_ns)
         self._seq += 1
 
     def schedule_after(self, delay_ns: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay_ns`` nanoseconds from now."""
         self.schedule(self.now + delay_ns, callback)
 
-    def schedule_transfer(self, delay_ns: int, link) -> None:
-        """Schedule the completion of a flit transfer on ``link``.
+    def schedule_transfer(self, link) -> None:
+        """Schedule the completion of a flit transfer on ``link`` one channel
+        period from now.
 
         Stored as a tagged entry carrying the link itself, so completing a
         transfer costs no closure allocation and the engine's fast path can
         inspect pending transfers without executing them.
         """
-        time_ns = self.now + delay_ns
-        if delay_ns < 0:
-            raise SimulationError(
-                f"cannot schedule an event at {time_ns} ns, current time is {self.now} ns"
-            )
-        heapq.heappush(self._heap, (time_ns, self._seq, _TRANSFER, link))
+        self._lane.append((self.now + self._period, self._seq, _TRANSFER, link))
         self._seq += 1
-        self._transfer_pending += 1
 
     # ------------------------------------------------------------------
     # Draining
@@ -105,18 +96,19 @@ class EventQueue:
     def pop_entry(self) -> tuple[int, int, int, object]:
         """Pop the earliest entry ``(time, seq, kind, payload)`` and advance
         the clock to its timestamp."""
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        entry = heapq.heappop(self._heap)
-        self.now = entry[0]
-        if entry[2] == _TRANSFER:
-            self._transfer_pending -= 1
+        heap = self._heap
+        lane = self._lane
+        if lane and (not heap or lane[0] < heap[0]):
+            entry = lane.popleft()
+        elif heap:
+            entry = heapq.heappop(heap)
         else:
-            heapq.heappop(self._generic_times)
+            raise SimulationError("pop from an empty event queue")
+        self.now = entry[0]
         return entry
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     # ------------------------------------------------------------------
     # Fast-path mutation
@@ -129,19 +121,18 @@ class EventQueue:
         """
         if time_ns <= self.now:
             return
-        head = self._heap[0][0] if self._heap else None
+        head = min((queue[0][0] for queue in (self._heap, self._lane) if queue), default=None)
         if head is not None and head < time_ns:
             raise SimulationError(
                 f"cannot advance the clock to {time_ns} ns past a pending event at {head} ns"
             )
         self.now = time_ns
 
-    def shift_transfers(self, now_ns: int, delta_ns: int) -> None:
-        """Batch-advance: move the clock to ``now_ns`` and push every pending
-        transfer deadline ``delta_ns`` into the future, preserving both each
-        entry's congruence class (deadline mod any period dividing
-        ``delta_ns``) and the relative (time, FIFO) order of the transfers.
-        Generic entries are untouched.
+    def shift_transfers(self, delta_ns: int) -> None:
+        """Batch-advance: move the clock and every pending transfer deadline
+        ``delta_ns`` into the future, preserving both each transfer's
+        congruence class (deadline mod any period dividing ``delta_ns``) and
+        the transfers' FIFO order.  Generic entries are untouched.
 
         The engine calls this after arithmetically replaying ``m`` identical
         steady-state windows of the channel period ``P`` (``delta_ns =
@@ -151,28 +142,22 @@ class EventQueue:
         window is simply the special case where every deadline is the
         same).
         """
-        if delta_ns < 0 or now_ns < self.now:
+        now_ns = self.now + delta_ns
+        if delta_ns < 0:
             raise SimulationError("transfer shift would move time backwards")
-        entries = sorted(self._heap)
-        rebased = []
-        # Generic entries keep their deadlines and receive the smaller fresh
-        # sequence numbers: any generic event still pending was scheduled
-        # before the transfers were (re)scheduled, so on a timestamp tie the
-        # per-flit execution would run it first.
-        for entry in entries:
-            if entry[2] != _TRANSFER:
-                if entry[0] < now_ns:
-                    raise SimulationError(
-                        "transfer shift would overtake a pending generic event"
-                    )
-                rebased.append((entry[0], self._seq, entry[2], entry[3]))
-                self._seq += 1
-        for entry in entries:
-            if entry[2] == _TRANSFER:
-                rebased.append((entry[0] + delta_ns, self._seq, _TRANSFER, entry[3]))
-                self._seq += 1
-        rebased.sort()
-        # In-place so aliases of the heap list (the engine's run loop holds
-        # one) stay valid; a sorted list is a valid heap.
-        self._heap[:] = rebased
+        if self._heap and self._heap[0][0] < now_ns:
+            raise SimulationError("transfer shift would overtake a pending generic event")
+        # The shifted transfers take fresh sequence numbers, after every
+        # pending generic event's: each of those was scheduled before the
+        # transfers were (re)scheduled, so on a timestamp tie the per-flit
+        # execution would run it first.
+        lane = self._lane
+        shifted = [
+            (time_ns + delta_ns, seq, _TRANSFER, link)
+            for seq, (time_ns, _seq, _kind, link) in enumerate(lane, self._seq)
+        ]
+        self._seq += len(shifted)
+        # In place, so the engine's run loop can keep its alias of the lane.
+        lane.clear()
+        lane.extend(shifted)
         self.now = now_ns

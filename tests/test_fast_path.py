@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.spam import SpamRouting
+from repro.errors import SimulationError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import PROBE_TIERS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
@@ -337,6 +338,23 @@ class TestPartialRunClock:
         assert stats.end_time_ns == 500
         simulator.run_for(250)
         assert simulator.now == 750
+
+    def test_bound_in_the_past_raises(self, two_switch, short_config):
+        """A bounded run that would end before ``now`` names both times
+        instead of returning without running anything; an empty window is
+        still a valid run."""
+        spam = SpamRouting.build(two_switch)
+        simulator = WormholeSimulator(two_switch, spam, short_config)
+        source, dest = two_switch.processors()
+        message = simulator.submit_message(source, [dest], at_ns=6_000)
+        simulator.run_for(5_000)
+        with pytest.raises(SimulationError, match="until 4900 ns.*current time is 5000 ns"):
+            simulator.run_for(-100)
+        with pytest.raises(SimulationError, match="until 1000 ns.*current time is 5000 ns"):
+            simulator.run(until_ns=1_000)
+        assert simulator.run_for(0).end_time_ns == 5_000
+        simulator.run()
+        assert message.is_complete
 
     def test_back_to_back_windows_tile_time(self, two_switch, short_config):
         spam = SpamRouting.build(two_switch)

@@ -16,25 +16,29 @@ on:
   idempotent, order-insensitive for disjoint stores, last-row-wins on key
   collisions, rejects rows computed under a different code salt, and
   recovers a source store's truncated tail (a shard host killed
-  mid-append).
+  mid-append);
+* the two-lane event queue (:class:`repro.simulator.events.EventQueue`)
+  pops, ticks and fails exactly like one heap of every entry.
 """
 
 from __future__ import annotations
 
+import heapq
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.multicast import build_multicast_plan
 from repro.core.spam import SpamRouting
-from repro.errors import SweepError
+from repro.errors import SimulationError, SweepError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
+from repro.simulator.events import EventQueue
 from repro.spanning.ancestry import Ancestry, node_mask
 from repro.spanning.labeling import label_channels
 from repro.spanning.tree import bfs_spanning_tree
@@ -478,3 +482,118 @@ def test_fast_path_matches_reference_at_any_channel_period(
             )
         )
     assert fingerprints[0] == fingerprints[1]
+
+
+# ---------------------------------------------------------------------------
+# The two-lane event queue against one heap of every entry
+# ---------------------------------------------------------------------------
+class _OneHeapQueue:
+    """Reference model of :class:`EventQueue`: one ``heapq`` of generic and
+    transfer entries.  A shift sorts the heap and renumbers it, every
+    pending generic entry first, then every transfer, so on a timestamp tie
+    a generic event pending across a shift fires before a shifted
+    transfer."""
+
+    def __init__(self, period_ns: int) -> None:
+        self.heap: list = []
+        self.seq = 0
+        self.period = period_ns
+        self.now = 0
+
+    def _push(self, time_ns, kind, payload):
+        heapq.heappush(self.heap, (time_ns, self.seq, kind, payload))
+        self.seq += 1
+
+    def schedule(self, time_ns, payload):
+        if time_ns < self.now:
+            raise SimulationError(
+                f"cannot schedule an event at {time_ns} ns, current time is {self.now} ns"
+            )
+        self._push(time_ns, 0, payload)
+
+    def schedule_transfer(self, payload):
+        self._push(self.now + self.period, 1, payload)
+
+    def pop_entry(self):
+        if not self.heap:
+            raise SimulationError("pop from an empty event queue")
+        entry = heapq.heappop(self.heap)
+        self.now = entry[0]
+        return entry
+
+    def advance_to(self, time_ns):
+        if time_ns <= self.now:
+            return
+        if self.heap and self.heap[0][0] < time_ns:
+            raise SimulationError(
+                f"cannot advance the clock to {time_ns} ns past a pending event "
+                f"at {self.heap[0][0]} ns"
+            )
+        self.now = time_ns
+
+    def shift_transfers(self, delta_ns):
+        now_ns = self.now + delta_ns
+        if delta_ns < 0:
+            raise SimulationError("transfer shift would move time backwards")
+        entries = sorted(self.heap)
+        if any(kind == 0 and time_ns < now_ns for time_ns, _seq, kind, _p in entries):
+            raise SimulationError("transfer shift would overtake a pending generic event")
+        self.heap = []
+        for wanted in (0, 1):
+            for time_ns, _seq, kind, payload in entries:
+                if kind == wanted:
+                    self._push(time_ns + delta_ns * kind, kind, payload)
+        self.now = now_ns
+
+
+#: An operation and its time argument as ``(periods, nudge)``: the offset
+#: from the clock (the shift for ``shift_transfers``) is ``periods`` channel
+#: periods plus ``nudge`` ns, so most times land on the transfers' grid and
+#: ties between the two lanes are common.
+queue_operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["schedule", "schedule_transfer", "pop_entry", "shift_transfers", "advance_to"]
+        ),
+        st.integers(min_value=-1, max_value=4),
+        st.sampled_from([0, 0, 0, -1, 1]),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(period_ns=st.sampled_from([2, 7, 10, 13]), operations=queue_operations)
+# A transfer shifted onto the deadline of a generic event scheduled after it.
+@example(
+    period_ns=10,
+    operations=[("schedule_transfer", 0, 0), ("schedule", 2, 0), ("shift_transfers", 1, 0)]
+    + [("pop_entry", 0, 0)] * 2,
+)
+def test_two_lane_queue_matches_one_heap(period_ns, operations):
+    """Random interleavings of scheduling, popping, transfer shifts and clock
+    advances give the same pop order, clock and errors as one heap of every
+    entry."""
+    queue, model = EventQueue(period_ns), _OneHeapQueue(period_ns)
+    for payload, (name, periods, nudge) in enumerate(operations):
+        offset = periods * period_ns + nudge
+        outcomes = []
+        for subject in (queue, model):
+            try:
+                if name == "schedule":
+                    result = subject.schedule(subject.now + offset, payload)
+                elif name == "schedule_transfer":
+                    result = subject.schedule_transfer(payload)
+                elif name == "pop_entry":
+                    time_ns, _seq, kind, popped = subject.pop_entry()
+                    result = (time_ns, kind, popped)
+                elif name == "shift_transfers":
+                    result = subject.shift_transfers(offset)
+                else:
+                    result = subject.advance_to(subject.now + offset)
+            except SimulationError as error:
+                result = ("error", str(error))
+            outcomes.append((result, subject.now))
+        assert outcomes[0] == outcomes[1], (name, offset)
+        assert len(queue) == len(model.heap)

@@ -70,7 +70,7 @@ class TestOcrq:
 
 class TestEventQueue:
     def test_events_fire_in_time_order(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         seen = []
         queue.schedule(30, lambda: seen.append("c"))
         queue.schedule(10, lambda: seen.append("a"))
@@ -82,7 +82,7 @@ class TestEventQueue:
         assert queue.now == 30
 
     def test_same_time_fifo(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         seen = []
         for index in range(5):
             queue.schedule(7, lambda i=index: seen.append(i))
@@ -91,43 +91,46 @@ class TestEventQueue:
         assert seen == [0, 1, 2, 3, 4]
 
     def test_scheduling_in_the_past_rejected(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         queue.schedule(10, lambda: None)
         queue.pop_entry()
         with pytest.raises(SimulationError):
             queue.schedule(5, lambda: None)
 
     def test_schedule_after_and_next_time(self):
-        queue = EventQueue(start_ns=100)
+        queue = EventQueue(10, start_ns=100)
         queue.schedule_after(50, lambda: None)
         assert len(queue) == 1
         assert queue.pop_entry()[0] == 150
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
-            EventQueue().pop_entry()
+            EventQueue(10).pop_entry()
 
 
 class TestEventQueueTransferEntries:
-    """The tagged transfer entries backing the engine's fast path."""
+    """The FIFO lane of transfer entries backing the engine's fast path:
+    every transfer completes one channel period (here 10 ns) after it is
+    scheduled, and pops interleave with generic events in ``(time, seq)``
+    order."""
 
     def test_transfer_entries_are_counted(self):
-        queue = EventQueue()
-        marker = object()
+        queue = EventQueue(10)
+        marker, later = object(), object()
         queue.schedule(5, lambda: None)
-        assert queue._transfer_pending == 0
-        queue.schedule_transfer(10, marker)
-        assert queue._transfer_pending == 1
+        queue.schedule_transfer(marker)
+        assert len(queue) == 2
         time_ns, _seq, kind, payload = queue.pop_entry()
         assert (time_ns, kind) == (5, 0)
-        assert queue._transfer_pending == 1
-        time_ns, _seq, kind, payload = queue.pop_entry()
-        assert (time_ns, kind) == (10, 1)
-        assert payload is marker
-        assert queue._transfer_pending == 0
+        queue.schedule_transfer(later)  # one period after the new clock
+        assert len(queue) == 2
+        entries = [queue.pop_entry() for _ in range(2)]
+        assert [(entry[0], entry[2]) for entry in entries] == [(10, 1), (15, 1)]
+        assert entries[0][3] is marker and entries[1][3] is later
+        assert len(queue) == 0
 
     def test_advance_to_moves_to_boundary_only(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         queue.advance_to(100)
         assert queue.now == 100
         queue.advance_to(50)  # never backwards
@@ -138,86 +141,101 @@ class TestEventQueueTransferEntries:
         queue.schedule(180, lambda: None)
         with pytest.raises(SimulationError):
             queue.advance_to(200)  # never past a pending event
+        queue = EventQueue(10, start_ns=150)
+        queue.schedule(180, lambda: None)
+        queue.schedule_transfer(object())  # completes at 160
+        with pytest.raises(SimulationError, match="pending event at 160 ns"):
+            queue.advance_to(170)  # nor past a pending transfer
+        queue.advance_to(160)
+        assert queue.now == 160
 
     def test_shift_preserves_congruence_classes_and_order(self):
         """The phase-staggered batch advance: every transfer deadline moves
         by the same delta, so staggered deadlines keep their spacing (and
         congruence class modulo the period) and their relative order."""
-        queue = EventQueue()
+        queue = EventQueue(10)
         early, late_first, late_second = object(), object(), object()
-        queue.schedule_transfer(13, early)
-        queue.schedule_transfer(17, late_first)
-        queue.schedule_transfer(17, late_second)
-        queue.shift_transfers(16, 50)
-        assert queue.now == 16
+        queue.advance_to(3)
+        queue.schedule_transfer(early)
+        queue.advance_to(7)
+        queue.schedule_transfer(late_first)
+        queue.schedule_transfer(late_second)
+        queue.shift_transfers(50)
+        assert queue.now == 57
         entries = [queue.pop_entry() for _ in range(3)]
         assert [entry[0] for entry in entries] == [63, 67, 67]
         assert entries[0][3] is early
         assert entries[1][3] is late_first and entries[2][3] is late_second
 
     def test_shift_keeps_generic_priority_on_ties(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         transfer = object()
+        queue.schedule_transfer(transfer)
         queue.schedule(40, lambda: None)
-        queue.schedule_transfer(10, transfer)
-        queue.shift_transfers(10, 30)
-        # The transfer lands on the generic event's timestamp; the generic
-        # (scheduled before the batch began) must still fire first.
+        queue.shift_transfers(30)
+        # The transfer lands on the generic event's timestamp.  It was
+        # scheduled first, but the shift reschedules it after every pending
+        # generic event, so on the tie the generic must fire first, as the
+        # per-flit execution would have run it.
         entries = [queue.pop_entry() for _ in range(2)]
         assert [entry[0] for entry in entries] == [40, 40]
         assert [entry[2] for entry in entries] == [0, 1]
         assert entries[1][3] is transfer
 
     def test_shift_rejects_moving_backwards(self):
-        queue = EventQueue()
-        queue.schedule_transfer(10, object())
-        queue.pop_entry()
-        with pytest.raises(SimulationError):
-            queue.shift_transfers(5, 10)
-        with pytest.raises(SimulationError):
-            queue.shift_transfers(15, -1)
+        queue = EventQueue(10)
+        queue.schedule_transfer(object())
+        with pytest.raises(SimulationError, match="backwards"):
+            queue.shift_transfers(-1)
+        assert queue.now == 0
+        assert queue.pop_entry()[0] == 10
 
     def test_shift_refuses_to_overtake_generic_events(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         queue.schedule(20, lambda: None)
-        queue.schedule_transfer(10, object())
-        with pytest.raises(SimulationError):
-            queue.shift_transfers(25, 30)
+        queue.schedule_transfer(object())
+        with pytest.raises(SimulationError, match="overtake"):
+            queue.shift_transfers(30)
+        # Nothing moved; landing the clock on the generic deadline is fine.
+        assert queue.now == 0
+        queue.shift_transfers(20)
+        assert [queue.pop_entry()[:3:2] for _ in range(2)] == [(20, 0), (30, 1)]
 
-    # ``_generic_times`` is the side heap the probe's generic bail reads: its
-    # head is the earliest pending generic deadline.
+    # The generic heap's head is what the probe's generic bail reads: the
+    # earliest pending generic deadline.
     def test_next_generic_time_tracks_generic_entries_only(self):
-        queue = EventQueue()
-        assert not queue._generic_times
-        queue.schedule_transfer(5, object())
-        assert not queue._generic_times  # transfers don't count
+        queue = EventQueue(10)
+        assert not queue._heap
+        queue.schedule_transfer(object())
+        assert not queue._heap  # transfers don't count
         queue.schedule(30, lambda: None)
-        queue.schedule(10, lambda: None)
-        assert queue._generic_times[0] == 10
-        queue.pop_entry()  # transfer at 5
-        assert queue._generic_times[0] == 10
-        queue.pop_entry()  # generic at 10
-        assert queue._generic_times[0] == 30
+        queue.schedule(20, lambda: None)
+        assert queue._heap[0][0] == 20
+        queue.pop_entry()  # transfer at 10
+        assert queue._heap[0][0] == 20
+        queue.pop_entry()  # generic at 20
+        assert queue._heap[0][0] == 30
         queue.pop_entry()  # generic at 30
-        assert not queue._generic_times
+        assert not queue._heap
 
     def test_next_generic_time_survives_transfer_shift(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         queue.schedule(100, lambda: None)
-        queue.schedule_transfer(10, object())
-        queue.shift_transfers(10, 40)
+        queue.schedule_transfer(object())
+        queue.shift_transfers(40)
         # The shift retimes transfers only; the generic deadline is exact.
-        assert queue._generic_times[0] == 100
+        assert queue._heap[0][0] == 100
+        assert queue._lane[0][0] == 50
 
     def test_next_generic_time_handles_equal_deadlines(self):
-        queue = EventQueue()
+        queue = EventQueue(10)
         for _ in range(3):
             queue.schedule(50, lambda: None)
         queue.pop_entry()
         queue.pop_entry()
-        assert queue._generic_times[0] == 50
+        assert queue._heap[0][0] == 50
         queue.pop_entry()
-        assert not queue._generic_times
+        assert not queue._heap
 
 
 class TestSimulationConfig:
