@@ -10,14 +10,14 @@ Four kinds of scenario are exercised:
 
 * the seed scenarios (64 switches, 64-flit worms) kept verbatim so numbers
   stay comparable across PRs,
-* scale scenarios (256 switches and/or 512-flit worms) where steady-state
-  streaming dominates and the engine's event-coalescing fast path pays off,
+* scale scenarios (256 switches and/or 512-flit worms) where streaming
+  worms dominate and the engine's worm-token fast path pays off,
 * Figure-3-style mixed-traffic scenarios (128 switches, 90 % unicast / 10 %
-  multicast, Poisson and negative-binomial arrivals) — the workloads that
-  motivated the phase-staggered and bubble-periodic coalescing patterns, the
-  profile used to tune ``_MIN_BATCH_TICKS`` and the probe backoff, and (at
-  the paper's 128-flit length) the churn regime whose per-tier probe tally
-  (``coalesce_exits``, keyed by tier name) the snapshot records,
+  multicast, Poisson and negative-binomial arrivals): worms streaming in
+  different phases of the channel period next to blocked multicast
+  branches, and (at the paper's 128-flit length) the churn regime whose
+  token verification tally (``coalesce_exits``, keyed by tier name) the
+  snapshot records,
 * an explicit fast-path vs. reference comparison that asserts bit-identical
   delivery timestamps and records the measured speedups to
   ``benchmarks/results/simulator_throughput.json`` (the committed
@@ -242,12 +242,12 @@ def test_fast_path_speedup_and_equivalence(
         if os.environ.get("REPRO_BENCH_STRICT"):
             assert speedup >= floor, f"{name}: fast path speedup {speedup:.2f}x < {floor}x"
 
-    # Figure-3 mixed traffic: the workloads the phase-staggered and
-    # bubble-periodic patterns matter for.  The 512-flit variants are where
+    # Figure-3 mixed traffic: many worms streaming at once, in different
+    # phases of the channel period.  The 512-flit variants are where
     # streaming dominates; the paper-length 128-flit runs are
-    # churn-dominated — their per-tier probe tally is recorded so the
-    # churn-regime trajectory (verify failures down, drain bails engaged,
-    # speedup vs reference up) stays visible across PRs.
+    # churn-dominated — their token verification tally is recorded so the
+    # churn-regime trajectory (verify failures, tokens, speedup vs
+    # reference) stays visible across PRs.
     network, routing, workloads, base_config = figure3_setup
     for arrival, workload in workloads.items():
         for flits in (base_config.message_length_flits, 512):
@@ -276,16 +276,14 @@ def test_fast_path_speedup_and_equivalence(
                     "reference_flit_hops_per_sec": round(hops / ref_s),
                     "speedup": round(ref_s / fast_s, 2),
                     "coalesced_ticks": fast_sim.coalesced_ticks,
-                    "coalesced_stagger_ticks": fast_sim.coalesced_stagger_ticks,
-                    "coalesced_bubble_ticks": fast_sim.coalesced_bubble_ticks,
                     "coalesce_exits": dict(zip(PROBE_TIERS, fast_sim.coalesce_exits)),
                 }
             )
 
     # Telemetry-sourced time attribution: where the wall clock actually goes.
     # The Figure-3 poisson workload is re-run with a ``repro.obs`` recorder
-    # attached, so the instrumented probe attributes every coalescing window
-    # to its exit tier — the same per-tier table ``repro-spam obs summarize``
+    # attached, so every token verification is timed and attributed to its
+    # outcome tier — the same per-tier table ``repro-spam obs summarize``
     # prints.  Telemetry is observability-only (lint rule R9 keeps it out of
     # every fingerprinted result), so the instrumented run's observables are
     # bit-identical to the timed runs above.

@@ -103,20 +103,6 @@ class SweepResult:
         """Labels of every series."""
         return [series.label for series in self.series]
 
-    def rows(self) -> Iterable[dict]:
-        """Flat row view (one row per point) for tabular reports."""
-        for series in self.series:
-            for point in series.points:
-                row = {
-                    "series": series.label,
-                    self.x_label: point.x,
-                    self.y_label: point.summary.mean,
-                    "ci_low": point.summary.ci_low,
-                    "ci_high": point.summary.ci_high,
-                    "samples": point.summary.count,
-                }
-                yield row
-
     def as_dict(self) -> dict:
         """JSON-serialisable view of the whole figure.
 

@@ -42,8 +42,8 @@ class FlitBuffer:
     def replace_contents(self, flits) -> None:
         """Replace the whole buffer contents, oldest first.
 
-        Used by the engine's steady-state fast path to substitute the flits
-        that a batch of coalesced ticks would have left here; fresh flit
+        Used by the engine's fast path to substitute the flits that the
+        periods a worm token skipped would have left here; fresh flit
         objects avoid any aliasing with flits held elsewhere.
         """
         slots = deque(flits)

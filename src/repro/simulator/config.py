@@ -34,8 +34,8 @@ class SimulationConfig:
     channel_latency_ns:
         Propagation latency of one flit across a channel, the same on every
         channel; also the channel cycle time, i.e. a channel forwards at most
-        one flit per ``channel_latency_ns`` (paper: 10 ns).  It is the one
-        period the fast path probes.
+        one flit per ``channel_latency_ns`` (paper: 10 ns).  It is the
+        period a worm token advances by.
     message_length_flits:
         Number of flits per message including header and tail (paper: 128).
     input_buffer_depth:
@@ -59,14 +59,15 @@ class SimulationConfig:
         Record a structured event trace (for debugging and for the Figure 1
         walk-through example).  Expensive; never enable for sweeps.
     fast_path:
-        Enable the steady-state event-coalescing fast path (default on).
-        The fast path batch-advances body flits once every worm segment in a
-        streaming phase is ``ACTIVE`` and produces bit-identical timestamps,
-        traces and statistics; turn it off to force the reference per-flit
-        execution (useful when stepping through the engine, and exercised by
-        the trace-equivalence tests).  It verifies and replays one channel
-        period at a time; ``docs/fast_path.md`` specifies the coalescing
-        contract.  The patterns it coalesces have no switches of their own.
+        Enable the worm-token fast path (default on).  Once a worm's header
+        has reached every destination, the worm's transfers due at one
+        period fold into one lane entry that advances one period per pop
+        with no per-flit work, verified against one period of the reference
+        execution first; timestamps, traces and statistics stay
+        bit-identical.  Turn it off to force the reference per-flit
+        execution (useful when stepping through the engine, and exercised
+        by the trace-equivalence tests).  ``docs/fast_path.md`` specifies
+        the contract; the fast path has no other switch.
     """
 
     startup_latency_ns: int = 10_000

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 __all__ = ["DeadlockReport", "diagnose"]
 
 
@@ -70,6 +68,10 @@ def diagnose(engine) -> DeadlockReport:
         The :class:`~repro.simulator.engine.WormholeSimulator` whose event
         queue has drained with undelivered messages.
     """
+    # networkx is imported here, not at module level: a run that never
+    # stalls (and every import of ``repro``) does not pay for loading it.
+    import networkx as nx
+
     report = DeadlockReport()
     report.stalled_messages = [
         message.mid for message in engine.messages.values() if not message.is_complete

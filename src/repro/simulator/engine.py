@@ -18,64 +18,43 @@ The engine is deliberately policy-free: all routing behaviour comes from the
 the up*/down* baseline and deliberately broken algorithms (for the deadlock
 tests) all run on the same substrate.
 
-Steady-state fast path
-----------------------
+Worm-token fast path
+--------------------
 
 The dominant cost of a run is one transfer event per flit per hop (a FIFO
 append and pop, see :mod:`repro.simulator.events`).  Most of those events
-occur during *steady-state streaming*: every worm segment is
-``ACTIVE`` with all output channels acquired, every busy link completes one
-flit per ``channel_latency_ns``, and the system state repeats period after
-period except that each data-flit sequence number advances by one.
+belong to worms in their *streaming phase*: the header has reached every
+destination, the worm holds every channel it acquired until its tail
+passes (paper §3.2), and it repeats period after period except that each
+body flit's sequence number advances by one.
 
-When ``SimulationConfig.fast_path`` is enabled (the default), the engine
-detects this situation and coalesces it: it executes one full *period
-window* — every event in ``[t0, t0 + channel_latency_ns)`` — through the
-ordinary per-flit machinery, verifies that the window was *self-similar*,
-and then replays ``m`` further windows arithmetically: flit sequence
-numbers, source-NI cursors, ``flit_hops``, bubble counters, per-channel
-counters, busy-time accounting, trace records and the pending transfer
-deadlines are all advanced in O(links) instead of O(m × links) events.
-``m`` is capped so the batch ends strictly before the first non-transfer
-event, before any head or tail flit would move, and before a bounded run's
-window boundary.  Three steady-state patterns coalesce, with no switch
-beyond ``fast_path`` itself:
+When ``SimulationConfig.fast_path`` is on (the default), such a worm costs
+one lane entry per period instead of one ``_complete_transfer`` per link.
+Each time the source NI pushes a body flit of a message whose header has
+reached every destination, :meth:`WormholeSimulator.form_token` checks
+that every link of the worm is busy and that the lane's tail holds exactly
+those links, due one period ahead, and swaps them for one *worm token*
+(:class:`_WormToken`).
+The token's first pop runs the block through ``_complete_transfer`` as the
+reference would and verifies that it repeated itself shifted by one
+period; from then on every pop advances the worm one period with no
+per-flit work and re-appends the token one period later.  Before the NI
+would push the tail, and before a bounded run returns, the token
+materialises the skipped periods (flit sequence numbers, the NI cursor,
+``flit_hops``, ``bubbles_created`` and channel statistics) and the worm
+runs per flit again.
 
-* **synchronized body streaming** — every pending transfer completes at the
-  same deadline and every wire flit is a body flit shifted by exactly one
-  sequence number per tick;
-* **phase-staggered streaming** — pending transfers sit at several
-  deadlines (congruence classes modulo the channel period) within one
-  window, as happens when concurrently-active worms started on different
-  cycles (e.g. Poisson arrivals); each class advances by the period
-  independently;
-* **bubble-periodic streaming** — blocked multicast branches emit a fixed
-  set of bubbles per period (asynchronous replication); the window is
-  self-similar *including* its bubble signature: bubble buffer contents
-  are bit-identical, and the bubble-creation count, per-link bubble
-  counters and ``bubble`` trace records advance by the same fixed amount
-  every period.
-
-The probe window is always one channel period, and that loses nothing:
-every channel shares one latency (``SimulationConfig.channel_latency_ns``),
-and deadlock-free routing keeps the buffer dependencies acyclic, so every
-moving link fires every period.
-
-**Equivalence guarantee:** because the verification window *is* the
-reference execution and self-similarity is checked structurally (buffer
-contents, segment states, event order), every observable quantity —
-delivery timestamps, :class:`~repro.simulator.trace.Trace` records, message
-records, ``flit_hops``, bubble counts and per-channel statistics — is
-bit-identical to a run with ``fast_path=False``.  The trace-equivalence
-tests in ``tests/test_fast_path.py`` assert this on the Figure 1 network and
-on irregular lattice networks, including scenarios with
-asynchronous-replication bubbles, OCRQ contention, Poisson and
-negative-binomial arrivals, phase-staggered worms and bounded ``run_for``
-windows.  Anything the verifier cannot prove self-similar simply runs on
-the per-flit substrate.  ``docs/fast_path.md`` specifies the contract in
-full, including the probe's phases and exit tiers and how to add a new
-coalescible pattern safely; every ``coalesce*`` observability counter the
-engine exposes, including the per-tier probe tally ``coalesce_exits``, is
+**Equivalence guarantee:** the token keeps the place of the transfers it
+stands for in the lane, so every ``(time, seq)`` comparison against other
+transfers and generic events comes out as in the per-flit engine; and until
+the tail is injected nothing outside the worm reads or writes its buffers,
+segments or NI cursor.  Every observable — delivery timestamps,
+:class:`~repro.simulator.trace.Trace` records, message records,
+``flit_hops``, bubble counts and per-channel statistics — is therefore
+bit-identical to a run with ``fast_path=False`` at the end of every
+``run()`` and ``run_for()``.  ``docs/fast_path.md`` gives both arguments,
+the verification checks and the bound in full; the fast path's counters
+(``coalesced_ticks`` and the verification tally ``coalesce_exits``) are
 documented in ``docs/engine_counters.md``.
 """
 
@@ -83,22 +62,24 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from ..core.interface import RoutingAlgorithm
 from ..core.multicast import normalize_destinations
 from ..errors import ConfigurationError, DeadlockError, LivelockError, SimulationError
 from ..obs import Telemetry
 from ..topology.network import Network
+from .buffers import FlitBuffer
 from .config import SimulationConfig
 from .deadlock import diagnose
-from .events import EventQueue
+from .events import _TRANSFER, EventQueue
 from .flit import Flit, FlitKind
 from .links import LinkState
 from .message import Message
-from .router import SegmentState, SourceInterface, WormSegment
+from .router import SourceInterface, WormSegment
 from .stats import ChannelRecord, SimulationStats
-from .trace import Trace, TraceEvent
+from .trace import Trace
 
 __all__ = ["PROBE_TIERS", "WormholeSimulator"]
 
@@ -107,19 +88,11 @@ DeliveryCallback = Callable[[Message, int, int], None]
 #: Signature of a message-completion callback.
 CompletionCallback = Callable[[Message], None]
 
-#: Minimum number of coalescible ticks for a batch advance to be worthwhile;
-#: below this the snapshot/verify overhead exceeds the saved event traffic.
-_MIN_BATCH_TICKS = 4
-
-#: Ticks to wait before re-probing after a failed self-similarity check (or
-#: a drain bail).  Failures cluster in churn phases (head crawls, drains,
-#: bubble storms) where re-snapshotting every tick would cost more than it
-#: saves; repeated failures double the backoff up to the cap below.  The
-#: pair was re-tuned from 8/64 down to 4/32 once the drain bails rejected
-#: most doomed windows before the snapshot: retrying sooner is then cheap,
-#: and won ~8-10% end to end on paper-length (128-flit) mixed traffic.
-_COALESCE_BACKOFF_TICKS = 4
-_COALESCE_BACKOFF_MAX_TICKS = 32
+#: Periods a source NI waits before offering its worm again after the
+#: lane's tail did not hold the worm's block or a token failed verification.
+_TOKEN_RETRY_PERIODS = 4
+#: ``SourceInterface.token_gate_ns`` while the NI's worm is a live token.
+_NEVER = 1 << 62
 
 # Enum members bound once as module constants for the per-flit handlers
 # (see the note in ``router.py``: on CPython 3.10 and 3.11 an enum member
@@ -128,15 +101,13 @@ _HEAD = FlitKind.HEAD
 _BODY = FlitKind.BODY
 _TAIL = FlitKind.TAIL
 _BUBBLE = FlitKind.BUBBLE
-_ACTIVE = SegmentState.ACTIVE
-_DONE = SegmentState.DONE
 
-#: Probe exit tiers, cheapest first: ``_coalesce_tick`` returns one of these,
+#: Token verification outcomes: ``_verify_token`` returns one of these,
 #: and ``PROBE_TIERS[tier]`` names its ``coalesce_exits`` slot and its
-#: telemetry.  Below ``_VERIFY_FAILURE`` the probe touched no simulation
-#: state; from it on, at least one window ran through the per-flit machinery.
-_GENERIC_BAIL, _SCAN_REJECT, _DRAIN_BAIL, _VERIFY_FAILURE, _BATCH = range(5)
-PROBE_TIERS = ("generic_bail", "scan_reject", "drain_bail", "verify_failure", "batch")
+#: telemetry.  Either way the verified period ran through the per-flit
+#: machinery.
+_VERIFY_FAILURE, _BATCH = range(2)
+PROBE_TIERS = ("verify_failure", "batch")
 
 
 class WormholeSimulator:
@@ -197,30 +168,18 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
-        # Fast-path bookkeeping: earliest time a coalesce attempt is allowed.
-        # Each tick is probed at most once, and an attempt that paid for a
-        # snapshot but failed verification backs off for a few ticks (failed
-        # verifications cluster in churn phases such as worm drains).
-        self._coalesce_gate_ns = 0
-        self._coalesce_fail_streak = 0
-        #: Number of ticks replayed arithmetically by the fast path (an
-        #: engine-side observability counter; not part of the simulation's
-        #: observable results, which are identical with the fast path off).
+        #: Worm-periods the fast path advanced with no per-flit work, one
+        #: per token pop that skipped its block (an engine-side
+        #: observability counter; not part of the simulation's observable
+        #: results, which are identical with the fast path off).
         self.coalesced_ticks = 0
-        #: Of :attr:`coalesced_ticks`, how many were replayed from a window
-        #: whose transfers were pending at more than one deadline (the
-        #: phase-staggered pattern), and from a window that carried a
-        #: per-tick bubble signature (the bubble-periodic pattern).  The two
-        #: overlap when a staggered window also emits bubbles.
-        self.coalesced_stagger_ticks = 0
-        self.coalesced_bubble_ticks = 0
-        #: Probe economics (observability for tuning ``_MIN_BATCH_TICKS`` and
-        #: the backoff): ``coalesce_exits[tier]`` counts the probes that
-        #: exited through each tier, indexed like :data:`PROBE_TIERS`.
+        #: Token verifications by outcome: ``coalesce_exits[tier]`` counts
+        #: the verifications that ended in each tier, indexed like
+        #: :data:`PROBE_TIERS` (failed, then passed).
         self.coalesce_exits = [0] * len(PROBE_TIERS)
-        #: Tail deliveries recorded so far (cheap sentinel the fast-path
-        #: verifier compares to prove no destination was reached inside a
-        #: probed window; not an observable result).
+        #: Tail deliveries recorded so far (cheap sentinel the token
+        #: verification compares to prove no destination was reached inside
+        #: the verified period; not an observable result).
         self._delivery_count = 0
         #: Wall-clock telemetry recorder (``repro.obs``), ``None`` when off.
         #: Everything written here is observability-only — the observables
@@ -265,17 +224,24 @@ class WormholeSimulator:
             One or more destination processor node ids.
         at_ns:
             Arrival time of the send request at the source network interface
-            (defaults to the current simulation time).
+            (defaults to the current simulation time).  A time before
+            ``now`` raises :class:`~repro.errors.SimulationError`: the
+            message's creation time would otherwise be rewritten and its
+            ``latency_from_creation_ns`` understated.
         length_flits:
             Worm length; defaults to the configuration's message length.
         metadata:
             Free-form annotations copied onto the message.
         """
+        at = self.now if at_ns is None else at_ns
+        if at < self.now:
+            raise SimulationError(
+                f"cannot submit a message at {at} ns, current time is {self.now} ns"
+            )
         if not self.network.is_processor(source):
             raise ConfigurationError(f"source {source} is not a processor")
         dests = normalize_destinations(self.network, source, destinations)
         self.routing.validate_destinations(_DestinationView(source, dests))
-        at = self.now if at_ns is None else max(at_ns, self.now)
         message = Message(
             mid=self._next_mid,
             source=source,
@@ -306,9 +272,10 @@ class WormholeSimulator:
     def run(self, until_ns: int | None = None) -> SimulationStats:
         """Process events until the queue drains (or ``until_ns`` is reached).
 
-        Bounded runs advance the clock to the window boundary on return, so
-        that back-to-back ``run_for`` windows tile time exactly and
-        time-based rates divide by the intended duration.
+        Bounded runs materialise every live worm token and advance the
+        clock to the window boundary on return, so that back-to-back
+        ``run_for`` windows tile time exactly, time-based rates divide by
+        the intended duration, and the caller sees the reference state.
 
         When the queue drains while messages are still incomplete and
         deadlock detection is enabled, a :class:`~repro.errors.DeadlockError`
@@ -320,21 +287,15 @@ class WormholeSimulator:
             raise SimulationError(
                 f"cannot run until {until_ns} ns, current time is {events.now} ns"
             )
-        fast = self.config.fast_path
         complete_transfer = self._complete_transfer
-        # Telemetry selects the probe entry point once, outside the loop:
-        # without a recorder the loop calls the raw probe and pays nothing
-        # per event; with one it goes through the timing wrapper, which
-        # labels one span with the tier the probe returned.
+        pop_token = self._pop_token
+        transfer = _TRANSFER
         telemetry = self.telemetry
-        coalesce = self._coalesce_tick if telemetry is None else self._coalesce_tick_timed
-        exits = self.coalesce_exits
-        executed = _VERIFY_FAILURE
         run_start_ns = 0 if telemetry is None else telemetry.clock()
         # The loop body below is ``pop_entry()`` unrolled by hand: this is the
         # hottest loop in the repository and method/property calls per event
-        # are measurable.  ``heap`` and ``lane`` alias the live queues (batch
-        # retimes are in-place), so pushes from callbacks remain visible.
+        # are measurable.  ``heap`` and ``lane`` alias the live queues (folds
+        # and unfolds are in place), so pushes from callbacks remain visible.
         heap = events._heap
         lane = events._lane
         popleft = lane.popleft
@@ -345,20 +306,12 @@ class WormholeSimulator:
                     t0 = entry[0]
                     if until_ns is not None and t0 > until_ns:
                         break
-                    # Probe whenever the earliest event is a flit transfer;
-                    # generic events pending further out (queued submits, a
-                    # later startup) only cap the batch length —
-                    # _coalesce_tick bails in O(1) on the generic heap's head
-                    # when the cap would be too small, and otherwise ends
-                    # every batch strictly before the first of them fires.
-                    if fast and t0 >= self._coalesce_gate_ns:
-                        tier = coalesce(t0, until_ns)
-                        exits[tier] += 1
-                        if tier >= executed:
-                            continue
                     popleft()
                     events.now = t0
-                    complete_transfer(entry[3])
+                    if entry[2] == transfer:
+                        complete_transfer(entry[3])
+                    else:
+                        pop_token(entry[3])
                     continue
             elif not heap:
                 break
@@ -369,8 +322,12 @@ class WormholeSimulator:
             events.now = entry[0]
             entry[3]()
         if until_ns is not None:
-            # A bounded run owns the whole window: land exactly on the
-            # boundary even if the last event fired earlier (or none did).
+            # A bounded run hands back per-flit state: every live token
+            # materialises its skipped periods and turns back into its
+            # transfers.  Then the run owns the whole window: land exactly
+            # on the boundary even if the last event fired earlier (or none
+            # did).
+            events.unfold_tokens(self._thaw)
             events.advance_to(until_ns)
         self.stats.end_time_ns = self.now
         if telemetry is not None:
@@ -399,432 +356,185 @@ class WormholeSimulator:
         return self.run(until_ns=self.now + duration_ns)
 
     # ------------------------------------------------------------------
-    # Steady-state coalescing fast path
+    # Worm tokens: the fast path
     # ------------------------------------------------------------------
-    def _coalesce_tick(self, t0: int, until_ns: int | None) -> int:
-        """Probe the steady-state pattern starting at ``t0``; return the
-        probe's exit tier.
+    def form_token(self, ni: SourceInterface) -> None:
+        """Fold the block of transfers ``ni``'s worm just scheduled into one
+        worm token.
 
-        Phases, cheapest first; the first that rules out a batch ends the
-        probe with its tier (``docs/fast_path.md`` has the table):
-
-        1. bail (here, O(1) on the earliest generic deadline) —
-           ``_GENERIC_BAIL``;
-        2. :meth:`_probe_scan` (one pass over the transfer lane) —
-           ``_SCAN_REJECT`` or ``_DRAIN_BAIL``;
-        3. :meth:`_probe_snapshot` (the closure of touchable state);
-        4. :meth:`_probe_execute` (run the window ``[t0, t0 + L)`` through
-           the per-flit machinery and examine it) — ``_VERIFY_FAILURE``;
-        5. :meth:`_probe_replay` — ``_BATCH``, or ``_VERIFY_FAILURE`` when
-           the replay would be too short to pay.
-        """
-        latency = self.config.channel_latency_ns
-        # Probe each window at most once (a failed probe closes the gate for
-        # longer; see _coalesce_pause).
-        self._coalesce_gate_ns = t0 + latency
-        # -- Bail: the generic heap's head is the earliest pending generic
-        # deadline.  Every batch must end strictly before it, so even in the
-        # best case (all transfers at t0) the batch length is bounded by
-        # (t_other - 1 - t0) // latency; when that optimistic bound is
-        # already below the worthwhile minimum — the dominant rejection in
-        # churn phases, where submits/decisions/acquisitions queue close by —
-        # the probe exits before paying for any scan or snapshot.
-        heap = self.events._heap
-        t_other: int | None = heap[0][0] if heap else None
-        if t_other is not None and (t_other - 1 - t0) // latency < _MIN_BATCH_TICKS + 1:
-            return _GENERIC_BAIL
-        window = self._probe_scan(t0, until_ns, t_other)
-        if isinstance(window, int):
-            return window
-        off_class, moving = window
-        snapshot = self._probe_snapshot(moving)
-        plan = self._probe_execute(t0, snapshot)
-        if isinstance(plan, int):
-            return plan
-        return self._probe_replay(t0, until_ns, t_other, off_class, snapshot, plan)
-
-    def _probe_scan(
-        self, t0: int, until_ns: int | None, t_other: int | None
-    ) -> int | tuple[bool, list[tuple[int, LinkState, bool]]]:
-        """Phase 2: one pass over the transfer lane, in completion order.
-
-        Every pending transfer must complete within the window, every wire
-        flit must be a body flit or a bubble, and a wire flit that is the
-        last one queued must have a feeder that can still refill the
-        buffer; the replay the window allows must also be worthwhile.  This
-        rejects head crawls and worm-drain phases before paying for a
-        snapshot.
-
-        Returns the exit tier (``_SCAN_REJECT`` or ``_DRAIN_BAIL``) when the
-        window is rejected, else ``(off_class, moving)``: whether the
-        transfers span several deadline classes (the phase-staggered
-        pattern), and the pending transfers in per-flit completion order as
-        ``(deadline, link, wire flit is a bubble)``.
+        The source NI calls this right after it pushed a body flit of a
+        message whose header has reached every destination.  The per-flit
+        engine schedules each transfer of such a worm from the completion
+        just upstream of it, and the injection link last, so the worm's
+        transfers due one period from now sit at the lane's tail.  The fold
+        happens only when every link the worm holds is busy and the lane's
+        tail holds exactly those links, due one period ahead, with
+        consecutive ``seq`` values (no other entry was scheduled among
+        them); otherwise the NI offers the worm again a few periods later.
         """
         events = self.events
-        latency = self.config.channel_latency_ns
-        horizon = t0 + latency
-        messages = self.messages
-        d_max = t0
-        off_class = False
-        flit_cap: int | None = None
-        for time_ns, _seq, _kind, payload in events._lane:
-            if time_ns != t0:
-                if time_ns >= horizon:
-                    return _SCAN_REJECT
-                off_class = True
-                if time_ns > d_max:
-                    d_max = time_ns
-            out_slots = payload.out_buffer._slots
-            if not out_slots:
-                return _SCAN_REJECT
-            flit = out_slots[0]
-            flit_kind = flit.kind
-            if flit_kind is _BODY:
-                limit = messages[flit.message_id].length_flits - 2 - flit.seq
-                if flit_cap is None or limit < flit_cap:
-                    flit_cap = limit
-            elif flit_kind is not _BUBBLE:
-                return _SCAN_REJECT
-            in_buffer = payload.in_buffer
-            if len(in_buffer._slots) >= in_buffer.capacity:
-                # -- Drain bail (blocked receiver): the receiving input
-                # buffer is full and its segment cannot drain it (it is
-                # still waiting on router setup or channel acquisition), so
-                # the wire cannot restart after this completion.  The only
-                # escape is an acquisition, which changes segment state and
-                # fails verification just as surely — so the probe skips
-                # the doomed snapshot.  The worm parked behind an OCRQ wait
-                # or a crawling head looks exactly like this.
-                sink = payload.sink_segment
-                if sink is None or sink.state is not _ACTIVE:
-                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
-            if len(out_slots) == 1:
-                # -- Drain bail: the wire flit is the last one queued and the
-                # feeder provably cannot refill the buffer, so the link goes
-                # idle after this completion and the window can never
-                # verify.  Detecting it here skips the doomed snapshot (the
-                # dominant paid-verify failure during worm drains) but still
-                # takes the verify-failure backoff, because a drain is
-                # exactly the churn the backoff exists to wait out.
-                feeder = payload.feeder
-                if feeder is None:
-                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
-                if type(feeder) is SourceInterface:
-                    current = feeder.current
-                    if current is None or feeder.next_seq >= current.length_flits - 1:
-                        # Nothing, or only the tail, left to pump: either the
-                        # buffer never refills, or the injection finishes and
-                        # the NI visibly changes message state mid-window.
-                        return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
-                elif feeder.state is _DONE or (
-                    not feeder.in_link.busy and not feeder.in_link.in_buffer._slots
-                ):
-                    # A finished segment never writes again, and one with an
-                    # idle, empty feed cannot write within the window.
-                    return self._coalesce_pause(t0, latency, _DRAIN_BAIL)
-        # -- Economics precheck (the exact cap is recomputed in the replay).
-        cap = flit_cap
-        if t_other is not None:
-            # Every replayed window must end strictly before the first
-            # generic event; the window's latest deadline is the binding one.
-            other_cap = (t_other - 1 - d_max) // latency
-            if cap is None or other_cap < cap:
-                cap = other_cap
-        if until_ns is not None:
-            cap_until = (until_ns - d_max) // latency
-            if cap is None or cap_until < cap:
-                cap = cap_until
-        if cap is not None and cap < _MIN_BATCH_TICKS + 1:
-            return _SCAN_REJECT
-        if flit_cap is None and cap is None:
-            # A pure-bubble window with no bounding event: the stall that
-            # feeds the bubbles can only resolve through an event this scan
-            # cannot see, so never replay it arithmetically.
-            return _SCAN_REJECT
-        moving = [
-            (time_ns, link, link.out_buffer._slots[0].kind is _BUBBLE)
-            for time_ns, _seq, _kind, link in events._lane
-        ]
-        return off_class, moving
-
-    def _probe_snapshot(self, moving: list[tuple[int, LinkState, bool]]) -> _ProbeSnapshot:
-        """Phase 3: snapshot the closure of state the window can touch: the
-        moving links plus every buffer their sink segments replicate into
-        and their feeders drain from."""
-        closure = dict.fromkeys(link for _time, link, _bubble in moving)
-        segments: dict[WormSegment, None] = {}
-        interfaces: dict[SourceInterface, None] = {}
-        for link in list(closure):
-            for party in (link.sink_segment, link.feeder):
-                if party is None:
-                    continue
-                if type(party) is SourceInterface:
-                    interfaces[party] = None
-                elif party not in segments:
-                    segments[party] = None
-                    for other in (party.in_link, *party.outputs):
-                        closure[other] = None
-        stats = self.stats
-        trace = self.trace
-        return _ProbeSnapshot(
-            moving=moving,
-            links=[
-                (
-                    link,
-                    (
-                        link.busy,
-                        link.reserved_by,
-                        link.feeder,
-                        link.sink_segment,
-                        _buffer_signature(link.out_buffer),
-                        _buffer_signature(link.in_buffer),
-                    ),
-                )
-                for link in closure
-            ],
-            segments=[
-                (seg, seg.state, seg.head_replicated, tuple(seg.outputs), tuple(seg.required))
-                for seg in segments
-            ],
-            interfaces=[(ni, ni.current, ni.next_seq, len(ni.queue)) for ni in interfaces],
-            flit_hops=stats.flit_hops,
-            bubbles=stats.bubbles_created,
-            counters=(stats.messages_completed, len(self._segments), self._delivery_count),
-            trace_len=len(trace.events) if trace is not None else 0,
-            generic_len=len(self.events._heap),
-        )
-
-    def _probe_execute(self, t0: int, snapshot: _ProbeSnapshot) -> int | tuple:
-        """Phase 4: execute the window ``[t0, t0 + L)`` through the per-flit
-        machinery and examine it.
-
-        Whatever happens, everything executed here is exactly the reference
-        execution, so a probe that does not verify has simply run the
-        simulation forward.  Returns the plan of a self-similar window (see
-        :meth:`_probe_examine`), else ends the probe with
-        ``_VERIFY_FAILURE``.
-        """
-        events = self.events
-        latency = self.config.channel_latency_ns
-        heap = events._heap
-        lane = events._lane
-        pop_entry = events.pop_entry
-        complete_transfer = self._complete_transfer
-        exec_end = t0 + latency
-        executed_generic = False
-        while (lane and lane[0][0] < exec_end) or (heap and heap[0][0] < exec_end):
-            entry = pop_entry()
-            if entry[2]:
-                complete_transfer(entry[3])
-            else:
-                # Unreachable after the generic bail (no generic deadline
-                # fits inside the window), but a generic that does fire ran
-                # as reference and simply disqualifies the probe.
-                executed_generic = True
-                entry[3]()
-        if not executed_generic:
-            plan = self._probe_examine(snapshot)
-            if plan is not None:
-                return plan
-        return self._coalesce_pause(t0, latency, _VERIFY_FAILURE)
-
-    def _probe_examine(self, snapshot: _ProbeSnapshot) -> tuple | None:
-        """Compare the current state against the snapshot shifted by one
-        period.  Returns the replay plan when the window was self-similar,
-        else ``None``.
-
-        The plan is ``(shifting, pushing, bound, bubble_rate)``: the
-        buffers whose slots advance with each slot's per-period ``seq``
-        delta (0 or 1), the NIs whose ``next_seq`` advances by one, the
-        number of further periods before any body flit would become a tail
-        (``None`` for a pure fixed point), and the bubbles created per
-        period.
-        """
-        stats = self.stats
-        events = self.events
-        messages = self.messages
-        shift = self.config.channel_latency_ns
+        period = self.config.channel_latency_ns
+        message = ni.current
+        if ni.next_seq > message.length_flits - 3:
+            # Verifying would leave no period to skip before the tail.
+            ni.token_gate_ns = _NEVER
+            return
+        ni.token_gate_ns = events.now + _TOKEN_RETRY_PERIODS * period
+        # Walk the worm from its injection link down its tree (each switch
+        # it reaches has the worm's segment, since the header has reached
+        # every destination).  A streaming worm moves a flit over every one
+        # of its links each period; an idle link is a hole the header's
+        # crawl left behind, still travelling up towards the source.
+        links: list[LinkState] = []
+        stack = [ni.injection]
+        while stack:
+            link = stack.pop()
+            if not link.busy:
+                return
+            links.append(link)
+            if not link.sink_is_processor:
+                stack.extend(link.sink_segment.outputs)
+        count = len(links)
+        block = list(islice(reversed(events._lane), count))
+        block.reverse()
+        due = events.now + period
+        mid = message.mid
         if (
-            stats.messages_completed,
-            len(self._segments),
-            self._delivery_count,
-        ) != snapshot.counters:
-            return None
-        if len(events._heap) != snapshot.generic_len:
-            return None
-        for seg, state, head_replicated, outputs, required in snapshot.segments:
-            if (
-                seg.state is not state
-                or seg.head_replicated != head_replicated
-                or tuple(seg.outputs) != outputs
-                or tuple(seg.required) != required
-            ):
-                return None
-        moving = snapshot.moving
-        if len(events._lane) != len(moving):
-            return None
-        for entry, (pre_time, link, _bubble) in zip(events._lane, moving):
-            if entry[0] != pre_time + shift or entry[3] is not link:
-                return None
-        bound: int | None = None
-        pushing: list[SourceInterface] = []
-        for ni, current, next_seq, backlog in snapshot.interfaces:
-            if ni.current is not current or len(ni.queue) != backlog:
-                return None
-            delta = ni.next_seq - next_seq
-            if delta:
-                if current is None or delta != 1:
-                    return None
-                limit = current.length_flits - 1 - ni.next_seq
-                if bound is None or limit < bound:
-                    bound = limit
-                pushing.append(ni)
-        shifting: list[tuple[object, tuple, list[int]]] = []
-        for link, snap in snapshot.links:
-            busy, reserved_by, feeder, sink, out_flits, in_flits = snap
-            if (
-                link.reserved_by != reserved_by
-                or link.feeder is not feeder
-                or link.sink_segment is not sink
-                or link.busy != busy
-            ):
-                return None
-            for pre_flits, buffer in (
-                (out_flits, link.out_buffer),
-                (in_flits, link.in_buffer),
-            ):
-                post_flits = _buffer_signature(buffer)
-                if post_flits == pre_flits:
-                    # Unchanged contents: either the buffer was not
-                    # touched, or a bubble was re-emitted with the
-                    # identical signature (bubbles reuse the stalled
-                    # data flit's sequence number, so a periodic bubble
-                    # stream is a fixed point here).
-                    continue
-                if len(post_flits) != len(pre_flits):
-                    return None
-                deltas: list[int] = []
-                for (kind0, mid0, seq0), (kind1, mid1, seq1) in zip(pre_flits, post_flits):
-                    delta = seq1 - seq0
-                    if (
-                        kind1 is not kind0
-                        or mid1 != mid0
-                        or delta < 0
-                        or delta > 1
-                        or (delta and kind1 is not _BODY)
-                    ):
-                        return None
-                    if delta:
-                        limit = messages[mid1].length_flits - 2 - seq1
-                        if bound is None or limit < bound:
-                            bound = limit
-                    deltas.append(delta)
-                shifting.append((buffer, post_flits, deltas))
-        bubble_rate = stats.bubbles_created - snapshot.bubbles
-        return shifting, pushing, bound, bubble_rate
-
-    def _probe_replay(
-        self,
-        t0: int,
-        until_ns: int | None,
-        t_other: int | None,
-        off_class: bool,
-        snapshot: _ProbeSnapshot,
-        plan: tuple,
-    ) -> int:
-        """Phase 5: replay ``m`` further windows arithmetically and return
-        ``_BATCH`` — or end the probe with ``_VERIFY_FAILURE`` when no
-        worthwhile ``m`` fits."""
-        events = self.events
-        latency = self.config.channel_latency_ns
-        shifting, pushing, bound, bubble_rate = plan
-        now_ns = events.now
-        m = bound
-        if t_other is not None:
-            # The last replayed event must land strictly before the first
-            # generic deadline.
-            limit = (t_other - 1 - now_ns) // latency
-            if m is None or limit < m:
-                m = limit
-        if until_ns is not None:
-            limit = (until_ns - now_ns) // latency
-            if m is None or limit < m:
-                m = limit
-        # m is None for a pure fixed point (no advancing flit or NI cursor)
-        # with no bounding event: it cannot be replayed a finite number of
-        # times.
-        if m is None or m < _MIN_BATCH_TICKS:
-            return self._coalesce_pause(t0, latency, _VERIFY_FAILURE)
-        advance = m * latency
-        stats = self.stats
-        stats.flit_hops += m * (stats.flit_hops - snapshot.flit_hops)
-        stats.bubbles_created += m * bubble_rate
-        if self._collect_stats:
-            for _time, link, bubble in snapshot.moving:
-                link.fast_forward(m, advance, bubble)
-        for buffer, post_flits, deltas in shifting:
-            buffer.replace_contents(
-                Flit(kind, mid, seq + m * delta)
-                for (kind, mid, seq), delta in zip(post_flits, deltas)
+            len(block) == count
+            and block[-1][1] - block[0][1] == count - 1
+            and all(
+                time_ns == due and kind == _TRANSFER and link.reserved_by == mid
+                for time_ns, _seq, kind, link in block
             )
-        for ni in pushing:
-            ni.next_seq += m
-        trace = self.trace
-        if trace is not None and len(trace.events) != snapshot.trace_len:
-            # A self-similar window records the identical trace events every
-            # period (bubble records carry only message/switch fields), so
-            # the replayed windows' records are the window's shifted in time.
-            window_records = trace.events[snapshot.trace_len :]
-            append = trace.events.append
-            for tick in range(1, m + 1):
-                delta = tick * latency
-                for record in window_records:
-                    append(TraceEvent(record.time_ns + delta, record.kind, record.fields))
-        events.shift_transfers(advance)
-        self._coalesce_fail_streak = 0
-        self.coalesced_ticks += m
-        if off_class:
-            self.coalesced_stagger_ticks += m
-        if bubble_rate:
-            self.coalesced_bubble_ticks += m
+        ):
+            events.fold_transfers(count, _WormToken(ni, [entry[3] for entry in block]))
+            ni.token_gate_ns = _NEVER
+
+    def _pop_token(self, token: _WormToken) -> None:
+        """A worm token is due: verify it (its first pop), skip its block
+        for one period, or, at its bound, materialise it and run the block
+        per flit (the NI is about to push the tail)."""
+        if token.shifting is None:
+            if self.telemetry is None:
+                tier = self._verify_token(token)
+            else:
+                tier = self._verify_token_timed(token)
+            self.coalesce_exits[tier] += 1
+        elif token.skipped < token.bound:
+            token.skipped += 1
+            self.coalesced_ticks += 1
+            self.events.schedule_token(token)
+        else:
+            complete_transfer = self._complete_transfer
+            for link in self._thaw(token):
+                complete_transfer(link)
+
+    def _verify_token(self, token: _WormToken) -> int:
+        """Run the token's block through the per-flit machinery, exactly as
+        the reference would, and check that it repeated itself one period
+        later; return the outcome tier.
+
+        ``_BATCH``: the block rescheduled the same links in the same order,
+        scheduled no generic event, recorded no trace event, delivered no
+        tail, completed no message, created or finished no segment, every
+        buffer the worm holds shifted each slot by 0 or 1 body seq, and the
+        NI cursor moved by one.  The rescheduled block folds back into the
+        token, which from now on skips its block once per pop.
+        ``_VERIFY_FAILURE``: the rescheduled transfers stay in the lane (the
+        block already was the reference execution, so nothing is undone),
+        and the NI offers the worm again a few periods later.
+        """
+        events = self.events
+        lane = events._lane
+        stats = self.stats
+        ni = token.ni
+        message = ni.current
+        links = token.links
+        count = len(links)
+        buffers = [buffer for link in links for buffer in (link.out_buffer, link.in_buffer)]
+        before = [tuple(buffer._slots) for buffer in buffers]
+        counters = self._token_counters()
+        next_seq = ni.next_seq
+        bubbles = stats.bubbles_created
+        carried = [link.out_buffer._slots[0].kind is _BUBBLE for link in links]
+        depth = len(lane)
+        complete_transfer = self._complete_transfer
+        for link in links:
+            complete_transfer(link)
+        ni.token_gate_ns = events.now + _TOKEN_RETRY_PERIODS * self.config.channel_latency_ns
+        if (
+            len(lane) != depth + count
+            or self._token_counters() != counters
+            or ni.current is not message
+            or ni.next_seq != next_seq + 1
+            or any(
+                entry[3] is not link
+                for entry, link in zip(islice(reversed(lane), count), reversed(links))
+            )
+        ):
+            return _VERIFY_FAILURE
+        plan = _shift_plan(message, ni.next_seq, buffers, before)
+        if plan is None:
+            return _VERIFY_FAILURE
+        token.shifting, token.bound = plan
+        token.carried = carried
+        token.bubbles = stats.bubbles_created - bubbles
+        events.fold_transfers(count, token)
+        ni.token_gate_ns = _NEVER
         return _BATCH
 
-    def _coalesce_pause(self, t0: int, latency: int, tier: int) -> int:
-        """Churn backoff for the two tiers that signal churn; returns
-        ``tier``.
+    def _token_counters(self) -> tuple[int, int, int, int, int]:
+        """What a verified block may not change: pending generic events,
+        trace records, completed messages, live segments and deliveries."""
+        trace = self.trace
+        return (
+            len(self.events._heap),
+            0 if trace is None else len(trace.events),
+            self.stats.messages_completed,
+            len(self._segments),
+            self._delivery_count,
+        )
 
-        ``_VERIFY_FAILURE``: a probe paid for a snapshot without batching
-        (the window was not self-similar, or its replay was too short to
-        pay); the window itself ran through the reference machinery.
-        ``_DRAIN_BAIL``: the cheap scan proved the window can never verify
-        (a draining link whose feeder cannot refill it), so nothing ran and
-        no snapshot was wasted.  Either way the system is in a churn phase:
-        bump the failure streak and close the probe gate exponentially
-        longer while the failures keep coming (e.g. a long bubble storm on
-        a big multicast tree)."""
-        streak = self._coalesce_fail_streak
-        self._coalesce_fail_streak = streak + 1
-        # min() the shift amount, not just the result: an unbounded shift
-        # would build ever-larger big-ints over a long churn-heavy run.
-        ticks = min(_COALESCE_BACKOFF_TICKS << min(streak, 3), _COALESCE_BACKOFF_MAX_TICKS)
-        self._coalesce_gate_ns = t0 + ticks * latency
-        return tier
+    def _thaw(self, token: _WormToken) -> list[LinkState]:
+        """Materialise the periods ``token`` skipped and end it.
+
+        Flit seqs, the NI cursor, ``flit_hops``, ``bubbles_created`` and the
+        channel statistics catch up with the per-flit engine.  Returns the
+        block's links in lane order: the transfers the token stood for.
+        """
+        periods = token.skipped
+        if periods:
+            for buffer, deltas in token.shifting:
+                buffer.replace_contents(
+                    Flit(flit.kind, flit.message_id, flit.seq + periods * delta)
+                    for flit, delta in zip(buffer._slots, deltas)
+                )
+            token.ni.next_seq += periods
+            stats = self.stats
+            stats.flit_hops += periods * len(token.links)
+            stats.bubbles_created += periods * token.bubbles
+            if self._collect_stats:
+                advance = periods * self.config.channel_latency_ns
+                for link, bubble in zip(token.links, token.carried):
+                    link.fast_forward(periods, advance, bubble)
+        token.ni.token_gate_ns = 0
+        return token.links
 
     # ------------------------------------------------------------------
     # Wall-clock telemetry (observability only; see docs/observability.md)
     # ------------------------------------------------------------------
-    def _coalesce_tick_timed(self, t0: int, until_ns: int | None) -> int:
-        """Instrumented twin of :meth:`_coalesce_tick`: one ``engine.probe``
-        span around one call, labelled with the tier the probe returned.
+    def _verify_token_timed(self, token: _WormToken) -> int:
+        """Instrumented twin of :meth:`_verify_token`: one ``engine.probe``
+        span around one verification, labelled with its outcome tier.
 
-        ``run()`` binds this instead of the raw probe when it holds a
-        recorder; the probe itself never reads the clock.
+        ``_pop_token`` calls this instead of the raw verification when the
+        engine holds a recorder; the verification itself never reads the
+        clock.
         """
         tel = self.telemetry
         clock = tel.clock
         start_ns = clock()
-        tier = self._coalesce_tick(t0, until_ns)
+        tier = self._verify_token(token)
         end_ns = clock()
         name = PROBE_TIERS[tier]
         tel.value(f"engine.probe.{name}_ns", end_ns - start_ns)
@@ -875,6 +585,8 @@ class WormholeSimulator:
         if link.sink_is_processor:
             if kind is _TAIL:
                 self._deliver_tail(flit, link.channel.dst)
+            elif kind is _HEAD:
+                self._header_delivered(flit)
         else:
             segment = link.sink_segment
             if kind is _BUBBLE and segment is None:
@@ -912,6 +624,16 @@ class WormholeSimulator:
             feeder.try_advance()
         if not link.busy and link.out_buffer._slots:
             self.try_start_transfer(link)
+
+    def _header_delivered(self, flit: Flit) -> None:
+        """A header reached one of its destinations: count it against its
+        source NI, which offers the worm to the fast path once every
+        destination has the header."""
+        if self.config.fast_path:
+            message = self.messages[flit.message_id]
+            ni = self.sources[message.source]
+            if ni.current is message:
+                ni.heads_pending -= 1
 
     def _deliver_tail(self, flit: Flit, processor: int) -> None:
         """A tail flit reached its destination processor: record delivery."""
@@ -1001,31 +723,73 @@ class WormholeSimulator:
         )
 
 
-def _buffer_signature(buffer) -> tuple:
-    """A buffer's contents as ``(kind, message_id, seq)`` triples, the form
-    the fast-path probe snapshots and compares."""
-    return tuple((f.kind, f.message_id, f.seq) for f in buffer.flits())
+class _WormToken:
+    """One streaming worm's transfers due at one timestamp, held in the
+    transfer lane as one entry (see the module docstring)."""
+
+    __slots__ = (
+        "ni",
+        "links",
+        "shifting",
+        "carried",
+        "bubbles",
+        "bound",
+        "skipped",
+    )
+
+    def __init__(self, ni: SourceInterface, links: list[LinkState]) -> None:
+        self.ni = ni
+        #: Every link the worm holds, in the lane order of their transfers.
+        self.links = links
+        #: ``(buffer, per-slot seq delta)`` for every buffer whose slots
+        #: advance each period; ``None`` until the token is verified.
+        self.shifting: list[tuple[FlitBuffer, list[int]]] | None = None
+        #: Per link of the block: whether its wire carries a bubble.
+        self.carried: list[bool] = []
+        #: Bubbles one period of the block creates.
+        self.bubbles = 0
+        #: Periods the token may skip before the NI would push the tail.
+        self.bound = 0
+        #: Periods skipped and not yet materialised.
+        self.skipped = 0
 
 
-class _ProbeSnapshot(NamedTuple):
-    """What a fast-path probe captured before running its windows
-    (:meth:`WormholeSimulator._probe_snapshot`): the examine phase compares
-    the executed windows against it and the replay phase advances from it."""
+def _shift_plan(
+    message: Message, next_seq: int, buffers: list[FlitBuffer], before: list[tuple[Flit, ...]]
+) -> tuple[list[tuple[FlitBuffer, list[int]]], int] | None:
+    """Compare a verified block's buffers with their contents before it.
 
-    #: Pending transfers in completion order: ``(deadline, link, bubble)``.
-    moving: list[tuple[int, LinkState, bool]]
-    #: ``(link, (busy, reserved_by, feeder, sink, out_flits, in_flits))``.
-    links: list[tuple[LinkState, tuple]]
-    #: ``(segment, state, head_replicated, outputs, required)``.
-    segments: list[tuple]
-    #: ``(ni, current message, next_seq, backlog)``.
-    interfaces: list[tuple]
-    flit_hops: int
-    bubbles: int
-    #: ``(messages_completed, live segments, deliveries)``.
-    counters: tuple[int, int, int]
-    trace_len: int
-    generic_len: int
+    Every buffer must hold the same flits, each slot's seq advanced by 0 or
+    by 1, and by 1 only for a body flit of ``message``.  Returns the
+    buffers that advance with their per-slot deltas, and the bound: how
+    many further periods can be skipped before the NI (whose cursor is now
+    ``next_seq``) would push the tail or a shifted body flit would become
+    one.  Returns ``None`` when a buffer did not shift, or no period can be
+    skipped.
+    """
+    length = message.length_flits
+    mid = message.mid
+    bound = length - 1 - next_seq
+    shifting: list[tuple[FlitBuffer, list[int]]] = []
+    for buffer, pre in zip(buffers, before):
+        post = buffer._slots
+        if len(post) != len(pre):
+            return None
+        deltas = []
+        for old, new in zip(pre, post):
+            delta = new.seq - old.seq
+            if new.kind is not old.kind or new.message_id != old.message_id:
+                return None
+            if delta:
+                if delta != 1 or new.kind is not _BODY or new.message_id != mid:
+                    return None
+                bound = min(bound, length - 2 - new.seq)
+            deltas.append(delta)
+        if any(deltas):
+            shifting.append((buffer, deltas))
+    if bound < 1:
+        return None
+    return shifting, bound
 
 
 class _DestinationView:

@@ -6,8 +6,8 @@ are processed in scheduling order (FIFO), which both makes runs perfectly
 reproducible and provides the atomicity the OCRQ protocol relies on (a
 message enqueues all of its channel requests within a single event).
 
-Entries are ``(time, seq, kind, payload)`` tuples of two kinds, kept in two
-lanes that share one ``seq`` counter:
+Entries are ``(time, seq, kind, payload)`` tuples of three kinds, kept in
+two lanes that share one ``seq`` counter:
 
 * **generic events** (``kind == 0``) carry an arbitrary zero-argument
   callback and live in a binary heap, so the earliest generic deadline is
@@ -17,45 +17,51 @@ lanes that share one ``seq`` counter:
   flit per period, so a transfer always completes one period after it is
   scheduled: transfers arrive in ``(time, seq)`` order and live in a FIFO
   lane (a ``deque``) with no heap operation per flit hop.  The engine
-  dispatches them directly to ``WormholeSimulator._complete_transfer``.
+  dispatches them directly to ``WormholeSimulator._complete_transfer``;
+* **worm tokens** (``kind == 2``) live in the transfer lane too.  A token
+  stands for all of one streaming worm's transfers due at its timestamp,
+  which the per-flit engine keeps next to each other in the lane (see
+  ``docs/fast_path.md``).  :meth:`EventQueue.fold_transfers` swaps such a
+  block for one token under the block's first ``seq``,
+  :meth:`EventQueue.schedule_token` re-appends a token one period later
+  with one fresh ``seq``, and :meth:`EventQueue.unfold_tokens` expands
+  every token back into its transfers under the token's ``seq``.
 
 Popping takes whichever lane head is smaller on ``(time, seq)``, which is
-exactly the order one heap of both kinds would give.  The engine's fast path
-(``WormholeSimulator._coalesce_tick``) probes when the transfer lane's head
-comes first, reads the earliest generic deadline from the heap's head to
-bound (or bail out of) a batch, and walks the lane in completion order.
-After a verified batch the engine retimes every pending transfer in bulk
-with :meth:`EventQueue.shift_transfers` by a whole number of channel
-periods; every entry keeps its congruence class modulo the period.
-The coalescing contract this upholds is specified in ``docs/fast_path.md``.
+exactly the order one heap of every entry would give.  Entries of one
+unfolded token share a ``seq``, but they sit next to each other in the lane
+and lane entries are only ever compared with heap entries, whose ``seq`` is
+unique.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..errors import SimulationError
 
 __all__ = ["EventQueue"]
 
-#: Entry tags (third tuple field; never compared because ``seq`` is unique).
+#: Entry tags (third tuple field; never compared because ``seq`` is unique
+#: between the heap and the lane).
 _GENERIC = 0
 _TRANSFER = 1
+_TOKEN = 2
 
 
 class EventQueue:
-    """A heap of generic events plus a FIFO lane of flit transfers that
-    complete ``period_ns`` after they are scheduled."""
+    """A heap of generic events plus a FIFO lane of flit transfers (and
+    worm tokens) that complete ``period_ns`` after they are scheduled."""
 
     __slots__ = ("_heap", "_lane", "_period", "_seq", "now")
 
     def __init__(self, period_ns: int, start_ns: int = 0) -> None:
         self._heap: list[tuple[int, int, int, object]] = []
-        # Transfer entries in (time, seq) order: each is scheduled one
-        # period after a clock that never moves backwards, and a shift moves
-        # the clock and every transfer by the same amount.
+        # Lane entries in (time, seq) order: each is scheduled one period
+        # after a clock that never moves backwards, and a fold or an unfold
+        # keeps the time and the place of the entries it replaces.
         self._lane: deque[tuple[int, int, int, object]] = deque()
         self._period = period_ns
         self._seq = 0
@@ -91,6 +97,41 @@ class EventQueue:
         self._seq += 1
 
     # ------------------------------------------------------------------
+    # Worm tokens
+    # ------------------------------------------------------------------
+    def schedule_token(self, token) -> None:
+        """Re-append ``token`` one channel period from now with one fresh
+        ``seq``: where the block of transfers it stands for would have been
+        rescheduled."""
+        self._lane.append((self.now + self._period, self._seq, _TOKEN, token))
+        self._seq += 1
+
+    def fold_transfers(self, count: int, token) -> None:
+        """Replace the last ``count`` lane entries, one block of transfers
+        due at one time with consecutive ``seq`` values, by ``token`` under
+        the block's time and first ``seq``."""
+        lane = self._lane
+        for _ in range(count - 1):
+            lane.pop()
+        time_ns, seq, _kind, _link = lane.pop()
+        lane.append((time_ns, seq, _TOKEN, token))
+
+    def unfold_tokens(self, expand: Callable[[object], Iterable]) -> None:
+        """Replace every token in the lane by the transfers ``expand(token)``
+        returns, in place and under the token's time and ``seq``."""
+        lane = self._lane
+        entries: list[tuple[int, int, int, object]] = []
+        for entry in lane:
+            if entry[2] == _TOKEN:
+                time_ns, seq, _kind, token = entry
+                entries.extend((time_ns, seq, _TRANSFER, link) for link in expand(token))
+            else:
+                entries.append(entry)
+        # In place, so the engine's run loop can keep its alias of the lane.
+        lane.clear()
+        lane.extend(entries)
+
+    # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
     def pop_entry(self) -> tuple[int, int, int, object]:
@@ -110,9 +151,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) + len(self._lane)
 
-    # ------------------------------------------------------------------
-    # Fast-path mutation
-    # ------------------------------------------------------------------
     def advance_to(self, time_ns: int) -> None:
         """Advance the clock to ``time_ns`` without executing anything.
 
@@ -127,37 +165,3 @@ class EventQueue:
                 f"cannot advance the clock to {time_ns} ns past a pending event at {head} ns"
             )
         self.now = time_ns
-
-    def shift_transfers(self, delta_ns: int) -> None:
-        """Batch-advance: move the clock and every pending transfer deadline
-        ``delta_ns`` into the future, preserving both each transfer's
-        congruence class (deadline mod any period dividing ``delta_ns``) and
-        the transfers' FIFO order.  Generic entries are untouched.
-
-        The engine calls this after arithmetically replaying ``m`` identical
-        steady-state windows of the channel period ``P`` (``delta_ns =
-        m·P``): transfers that were pending at staggered deadlines ``d``
-        within the window must land at ``d + m·P``, exactly where the
-        per-flit execution would have rescheduled them (a synchronized
-        window is simply the special case where every deadline is the
-        same).
-        """
-        now_ns = self.now + delta_ns
-        if delta_ns < 0:
-            raise SimulationError("transfer shift would move time backwards")
-        if self._heap and self._heap[0][0] < now_ns:
-            raise SimulationError("transfer shift would overtake a pending generic event")
-        # The shifted transfers take fresh sequence numbers, after every
-        # pending generic event's: each of those was scheduled before the
-        # transfers were (re)scheduled, so on a timestamp tie the per-flit
-        # execution would run it first.
-        lane = self._lane
-        shifted = [
-            (time_ns + delta_ns, seq, _TRANSFER, link)
-            for seq, (time_ns, _seq, _kind, link) in enumerate(lane, self._seq)
-        ]
-        self._seq += len(shifted)
-        # In place, so the engine's run loop can keep its alias of the lane.
-        lane.clear()
-        lane.extend(shifted)
-        self.now = now_ns

@@ -91,10 +91,10 @@ class LinkState:
             self.busy_since_ns = None
 
     def fast_forward(self, k: int, advance_ns: int, bubble: bool) -> None:
-        """Advance the utilisation counters by ``k`` coalesced steady-state
-        ticks (``advance_ns`` is ``k`` channel periods): the wire carried one
-        flit of the same kind per tick and stayed continuously busy, so the
-        open busy period simply slides forward with the clock
+        """Advance the utilisation counters by ``k`` periods a worm token
+        skipped (``advance_ns`` is ``k`` channel periods): the wire carried
+        one flit of the same kind per period and stayed continuously busy,
+        so the open busy period simply slides forward with the clock
         (channel-statistics mode only; the engine's fast path is the single
         caller)."""
         if bubble:

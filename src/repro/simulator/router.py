@@ -306,7 +306,16 @@ class SourceInterface:
     injection channel's output buffer as fast as the channel drains it.
     """
 
-    __slots__ = ("engine", "processor", "injection", "queue", "current", "next_seq")
+    __slots__ = (
+        "engine",
+        "processor",
+        "injection",
+        "queue",
+        "current",
+        "next_seq",
+        "heads_pending",
+        "token_gate_ns",
+    )
 
     def __init__(self, engine: "WormholeSimulator", processor: int, injection: LinkState) -> None:
         self.engine = engine
@@ -315,6 +324,13 @@ class SourceInterface:
         self.queue: deque[Message] = deque()
         self.current: Message | None = None
         self.next_seq = 0
+        #: Destinations of the current message its header has not reached
+        #: yet (the engine counts arrivals only with the fast path on).
+        self.heads_pending = 0
+        #: Earliest time the NI offers its streaming worm to the fast path
+        #: (``WormholeSimulator.form_token``); pushed out while the worm is
+        #: a live token and for a few periods after an offer fails.
+        self.token_gate_ns = 0
 
     # ------------------------------------------------------------------
     def submit(self, message: Message) -> None:
@@ -331,6 +347,8 @@ class SourceInterface:
         message = self.queue.popleft()
         self.current = message
         self.next_seq = 0
+        self.heads_pending = len(message.destinations)
+        self.token_gate_ns = 0
         now = engine.now
         message.startup_began_ns = now
         engine.trace_event("startup", message=message.mid, processor=self.processor)
@@ -389,6 +407,10 @@ class SourceInterface:
             engine.trace_event("injected", message=message.mid, processor=self.processor)
             if self.queue:
                 self._begin_next()
+        elif seq != first and not self.heads_pending and engine.now >= self.token_gate_ns:
+            # Every destination has the header, so the worm streams: offer
+            # it to the fast path, which may fold it into a worm token.
+            engine.form_token(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         current = self.current.mid if self.current else None

@@ -102,14 +102,6 @@ class TestSweeps:
         assert series.spread() == pytest.approx(0.5)
         assert series.max_mean() == pytest.approx(11.0)
 
-    def test_rows_flatten_points(self):
-        result = self.build_sweep()
-        rows = list(result.rows())
-        assert len(rows) == 3
-        assert rows[0]["series"] == "a"
-        assert rows[0]["x"] == 1
-        assert "ci_low" in rows[0]
-
     def test_empty_series_spread(self):
         series = SweepSeries(label="empty")
         assert series.spread() == 0.0

@@ -1,16 +1,15 @@
-"""Trace-equivalence tests for the engine's steady-state fast path, plus
+"""Trace-equivalence tests for the engine's worm-token fast path, plus
 regression tests for the partial-run clock and channel-utilisation fixes.
 
 The fast path's contract is *bit-identical observable behaviour*: delivery
 timestamps, trace records, message statistics, flit-hop counts, bubble
-counts and per-channel utilisation must not change when event coalescing is
+counts and per-channel utilisation must not change when worm tokens are
 enabled (see ``docs/fast_path.md`` for the full contract).  Every scenario
 here runs twice — ``fast_path=True`` against ``fast_path=False`` (the
 reference per-flit execution) — and compares the full observable
-fingerprint.  Where a scenario is expected to reach a steady state, the
-test additionally asserts that the fast path actually coalesced something
-(and, for the phase-staggered and bubble-periodic patterns, that the
-corresponding mode engaged), so the equivalence claim is not vacuous.
+fingerprint.  Where a scenario is expected to stream, the test
+additionally asserts that a token skipped at least one worm-period
+(``coalesced_ticks > 0``), so the equivalence claim is not vacuous.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ def _run_pair(
     flits,
     run=None,
     expect_coalesced=False,
-    expect_stagger=False,
-    expect_bubbles=False,
     **overrides,
 ):
     """Run a scenario with the fast path on and off; assert identical output.
@@ -70,17 +67,26 @@ def _run_pair(
     fast_sim, ref_sim = simulators
     assert ref_sim.coalesced_ticks == 0
     if expect_coalesced:
-        assert fast_sim.coalesced_ticks > 0, "fast path never engaged; test is vacuous"
-    if expect_stagger:
-        assert fast_sim.coalesced_stagger_ticks > 0, (
-            "no phase-staggered window coalesced; test is vacuous"
-        )
-    if expect_bubbles:
-        assert fast_sim.coalesced_bubble_ticks > 0, (
-            "no bubble-periodic window coalesced; test is vacuous"
-        )
+        assert fast_sim.coalesced_ticks > 0, "no token skipped a period; test is vacuous"
     assert results[0] == results[1]
     return fast_sim
+
+
+def _blocked_branch_submit(processors):
+    """A long unicast acquires channels that one branch of a following
+    multicast needs; while the branch waits, the multicast's fork segment
+    emits one bubble per period into its free branch, for most of the
+    unicast's drain."""
+
+    def submit(sim):
+        sim.submit_message(processors[1], [processors[10]], at_ns=0)
+        sim.submit_message(
+            processors[0],
+            [p for p in processors[8:24] if p != processors[0]],
+            at_ns=200,
+        )
+
+    return submit
 
 
 @pytest.mark.equivalence
@@ -138,8 +144,9 @@ class TestTraceEquivalence:
         )
 
     def test_bounded_windows_equivalent(self, lattice32, lattice32_spam):
-        """Driving the simulation in ``run_for`` windows (which can cut a
-        steady-state batch short) must match the reference windowed run."""
+        """Driving the simulation in ``run_for`` windows (which materialise
+        live tokens at every boundary) must match the reference windowed
+        run."""
 
         def submit(sim):
             sim.submit_broadcast(lattice32.processors()[0])
@@ -169,12 +176,13 @@ class TestTraceEquivalence:
 
 @pytest.mark.equivalence
 class TestGeneralizedCoalescing:
-    """The phase-staggered and bubble-periodic extensions of the fast path.
+    """Worms streaming alongside other traffic: staggered start times,
+    mixed arrivals and blocked multicast branches.
 
-    Each scenario asserts the bit-identical fingerprint *and* that the mode
-    under test actually replayed windows arithmetically (via the engine's
-    ``coalesced_stagger_ticks`` / ``coalesced_bubble_ticks`` counters), so
-    the equivalence claim is not vacuous.
+    A token stands for one worm only, so worms that stream in different
+    phases of the channel period, or next to a multicast whose blocked
+    branch emits bubbles, each fold on their own.  Each scenario asserts the
+    bit-identical fingerprint *and* that some token skipped a period.
     """
 
     def _mixed_workload(self, network, arrival_process):
@@ -191,8 +199,8 @@ class TestGeneralizedCoalescing:
     def test_poisson_arrivals_mixed_traffic(self, lattice32, lattice32_spam):
         """Figure-3-style mixed traffic with Poisson arrivals: message starts
         fall on arbitrary nanoseconds, so concurrently-active worms stream in
-        different congruence classes modulo the channel period — the
-        phase-stagger mode must coalesce them and stay bit-identical."""
+        different congruence classes modulo the channel period; each worm's
+        token keeps its own phase and the run stays bit-identical."""
         workload = self._mixed_workload(lattice32, PoissonArrivals(0.03))
 
         fast_sim = _run_pair(
@@ -201,15 +209,14 @@ class TestGeneralizedCoalescing:
             workload.submit_to,
             flits=64,
             expect_coalesced=True,
-            expect_stagger=True,
         )
         assert fast_sim.stats.bubbles_created > 0
 
     def test_negative_binomial_arrivals_mixed_traffic(self, lattice32, lattice32_spam):
         """The paper's negative-binomial arrivals are quantised to the channel
         period, so worms stay phase-aligned; equivalence must hold through the
-        mixed unicast/multicast contention (including bubble-periodic
-        windows from blocked multicast branches)."""
+        mixed unicast/multicast contention (including the bubbles of blocked
+        multicast branches)."""
         workload = self._mixed_workload(lattice32, NegativeBinomialArrivals(0.03))
 
         _run_pair(
@@ -218,13 +225,12 @@ class TestGeneralizedCoalescing:
             workload.submit_to,
             flits=64,
             expect_coalesced=True,
-            expect_bubbles=True,
         )
 
     def test_phase_staggered_cross_traffic(self, lattice32, lattice32_spam):
         """Eight long unicasts deliberately submitted 3 ns apart (not a
         multiple of the 10 ns channel period) stream concurrently in
-        different congruence classes; the stagger mode must batch them."""
+        different congruence classes; their tokens interleave in the lane."""
         processors = lattice32.processors()
 
         def submit(sim):
@@ -241,41 +247,22 @@ class TestGeneralizedCoalescing:
             submit,
             flits=256,
             expect_coalesced=True,
-            expect_stagger=True,
         )
-
-    def _bubble_periodic_submit(self, processors):
-        """A long unicast acquires channels that one branch of a following
-        multicast needs; while the branch waits, the multicast's fork segment
-        emits one bubble per period into its free branch — a bubble-periodic
-        steady state lasting most of the unicast's drain."""
-
-        def submit(sim):
-            sim.submit_message(processors[1], [processors[10]], at_ns=0)
-            sim.submit_message(
-                processors[0],
-                [p for p in processors[8:24] if p != processors[0]],
-                at_ns=200,
-            )
-
-        return submit
 
     def test_bubble_periodic_blocked_branch(self, lattice32, lattice32_spam):
         processors = lattice32.processors()
         fast_sim = _run_pair(
             lattice32,
             lattice32_spam,
-            self._bubble_periodic_submit(processors),
+            _blocked_branch_submit(processors),
             flits=256,
             expect_coalesced=True,
-            expect_bubbles=True,
         )
         assert fast_sim.stats.bubbles_created > 0
 
     def test_bubble_counters_match_reference_exactly(self, lattice32, lattice32_spam):
-        """Regression for the closed-form bubble replay: the total bubble
-        count and every per-channel ``bubble_flits`` counter must equal the
-        reference engine's, flit for flit."""
+        """The total bubble count and every per-channel ``bubble_flits``
+        counter must equal the reference engine's, flit for flit."""
         processors = lattice32.processors()
         counters = []
         for fast in (True, False):
@@ -285,7 +272,7 @@ class TestGeneralizedCoalescing:
                 collect_channel_stats=True,
             )
             simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-            self._bubble_periodic_submit(processors)(simulator)
+            _blocked_branch_submit(processors)(simulator)
             stats = simulator.run()
             counters.append(
                 (
@@ -298,8 +285,8 @@ class TestGeneralizedCoalescing:
         assert fast_counters == ref_counters
 
     def test_bounded_windows_with_staggered_worms(self, lattice32, lattice32_spam):
-        """``run_for`` windows that cut staggered batches short must still
-        tile time exactly and stay bit-identical."""
+        """``run_for`` windows that cut staggered worms' tokens short must
+        still tile time exactly and stay bit-identical."""
         processors = lattice32.processors()
 
         def submit(sim):
@@ -323,7 +310,6 @@ class TestGeneralizedCoalescing:
             flits=256,
             run=run,
             expect_coalesced=True,
-            expect_stagger=True,
         )
 
 
@@ -391,6 +377,23 @@ class TestPartialRunClock:
         source, dest = two_switch.processors()
         message = simulator.submit_message(source, [dest])
         assert message.created_ns == 1_000
+
+    def test_submission_in_the_past_raises(self, two_switch, short_config):
+        """A send request timed before ``now`` names both times instead of
+        moving the message's creation time to ``now``, which would
+        understate its ``latency_from_creation_ns``; ``at_ns=now`` is still
+        valid, and nothing was submitted by the refused call."""
+        spam = SpamRouting.build(two_switch)
+        simulator = WormholeSimulator(two_switch, spam, short_config)
+        simulator.run_for(1_000)
+        source, dest = two_switch.processors()
+        with pytest.raises(SimulationError, match="at 400 ns.*current time is 1000 ns"):
+            simulator.submit_message(source, [dest], at_ns=400)
+        assert not simulator.messages
+        message = simulator.submit_message(source, [dest], at_ns=1_000)
+        assert message.created_ns == 1_000
+        simulator.run()
+        assert message.latency_from_creation_ns == message.completed_ns - 1_000
 
 
 class TestUtilisationAccounting:
@@ -525,9 +528,9 @@ OFF_GRID_TIMINGS = [(7, 40), (20, 40), (13, 45), (13, 0)]
 @pytest.mark.parametrize("bounded", [False, True], ids=["run", "run_for"])
 @pytest.mark.parametrize("period, setup", OFF_GRID_TIMINGS)
 def test_phases_batch_at_any_channel_period(lattice32, lattice32_spam, period, setup, bounded):
-    """Every channel shares the one period, so a streaming worm's window is
-    self-similar at any ``channel_latency_ns``: the probe batches, and the
-    run matches the reference bit for bit, with ``run()`` and with
+    """Every channel shares the one period, so a streaming worm repeats
+    itself at any ``channel_latency_ns``: its token passes verification, and
+    the run matches the reference bit for bit, with ``run()`` and with
     ``run_for`` windows that are not a period multiple."""
     processors = lattice32.processors()
 
@@ -569,52 +572,12 @@ def test_broadcast_coalesces_at_any_channel_period(lattice32, lattice32_spam, pe
 
 
 @pytest.mark.equivalence
-class TestDrainBails:
-    """The cheap-scan drain bail (the ``drain_bail`` tier): windows that
-    provably cannot verify at any period (a last-flit wire whose feeder is
-    done, a blocked not-yet-active receiver) skip the doomed snapshot and
-    take the verify-failure backoff instead."""
-
-    def test_drain_bails_engage_on_churny_mixed_traffic(
-        self, lattice32, lattice32_spam
-    ):
-        workload = mixed_traffic_workload(
-            lattice32,
-            rate_per_us=0.03,
-            multicast_destinations=8,
-            num_messages=36,
-            multicast_fraction=0.15,
-            seed=23,
-            arrival_process=PoissonArrivals(0.03),
-        )
-        fast_sim = _run_pair(
-            lattice32,
-            lattice32_spam,
-            workload.submit_to,
-            flits=128,
-            expect_coalesced=True,
-        )
-        assert _exits(fast_sim)["drain_bail"] > 0, (
-            "no probe exited through the drain bail; the tier (and the "
-            "churn-phase economiser) never engaged — test is vacuous"
-        )
-
-    def test_reference_engine_never_drain_bails(self, lattice32, lattice32_spam):
-        config = SimulationConfig(message_length_flits=64, fast_path=False)
-        simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-        simulator.submit_broadcast(lattice32.processors()[0])
-        simulator.run()
-        assert _exits(simulator)["drain_bail"] == 0
-
-
-@pytest.mark.equivalence
 class TestChurnPhaseBackoff:
-    """Paper-length mixed traffic is churn-dominated: most paid fast-path
-    snapshots fail the self-similarity check and take the exponential
-    backoff (``_coalesce_pause``).  The ROADMAP names this regime as the
-    next engine bottleneck; these tests pin its contract *before* anyone
-    attacks it — however the backoff paces its probes, traces and stats
-    must stay bit-identical to the reference engine."""
+    """Paper-length mixed traffic is churn-dominated: a token whose worm
+    stops repeating itself within its first period fails verification, and
+    its source NI waits a few periods before offering the worm again.
+    However that retry paces the offers, traces and stats must stay
+    bit-identical to the reference engine."""
 
     def _paper_length_workload(self, network, arrival_process):
         return mixed_traffic_workload(
@@ -633,10 +596,10 @@ class TestChurnPhaseBackoff:
     def test_verify_failure_backoff_stays_bit_identical(
         self, lattice32, lattice32_spam, arrival_cls
     ):
-        """A 128-flit (paper message length) mixed-traffic run must drive
-        the verify-failure backoff — churn phases make paid snapshots fail
-        — without changing a single observable: the backoff may only decide
-        *when* to probe, never what a window replays to."""
+        """A 128-flit (paper message length) mixed-traffic run must fail
+        some verifications without changing a single observable: the retry
+        may only decide *when* a worm is offered, never what a token skips
+        to."""
         workload = self._paper_length_workload(lattice32, arrival_cls(0.03))
         fast_sim = _run_pair(
             lattice32,
@@ -647,12 +610,11 @@ class TestChurnPhaseBackoff:
         )
         exits = _exits(fast_sim)
         assert exits["verify_failure"] > 0, (
-            "no paid snapshot failed verification; the churn regime (and "
-            "the backoff under test) never engaged — test is vacuous"
+            "no token failed verification; the churn regime (and the retry "
+            "under test) never engaged — test is vacuous"
         )
-        # The backoff is a real economiser here, not a one-off: failures
-        # recur across the run, so a regression in its bookkeeping would
-        # have many chances to corrupt state.
+        # Failures recur across the run, so a regression in the retry's
+        # bookkeeping would have more than one chance to corrupt state.
         assert exits["verify_failure"] > 1
 
     def test_reference_engine_counts_no_verify_failures(
@@ -670,64 +632,25 @@ class TestChurnPhaseBackoff:
 
 
 @pytest.mark.equivalence
-class TestGenericDeadlineBail:
-    """The O(1) probe bail on the EventQueue-maintained earliest generic
-    deadline (the churn-phase cheapener named in the ROADMAP)."""
-
-    def test_bails_engage_on_churny_mixed_traffic(self, lattice32, lattice32_spam):
-        """Paper-length mixed traffic is churn-dominated: submits, router
-        decisions and acquisitions queue as generic events close to the
-        streaming transfers, so most probes must exit through the O(1)
-        generic-deadline bail — and the run must stay bit-identical."""
-        workload = mixed_traffic_workload(
-            lattice32,
-            rate_per_us=0.03,
-            multicast_destinations=8,
-            num_messages=36,
-            multicast_fraction=0.15,
-            seed=23,
-            arrival_process=NegativeBinomialArrivals(0.03),
-        )
-        fast_sim = _run_pair(
-            lattice32,
-            lattice32_spam,
-            workload.submit_to,
-            flits=64,
-            expect_coalesced=True,
-        )
-        assert _exits(fast_sim)["generic_bail"] > 0, (
-            "no probe exited through the O(1) generic-deadline bail; "
-            "the tier (and the optimisation) never engaged"
-        )
-
-    def test_reference_engine_never_bails(self, lattice32, lattice32_spam):
-        config = SimulationConfig(message_length_flits=32, fast_path=False)
-        simulator = WormholeSimulator(lattice32, lattice32_spam, config)
-        simulator.submit_broadcast(lattice32.processors()[0])
-        simulator.run()
-        assert _exits(simulator)["generic_bail"] == 0
-
-
-@pytest.mark.equivalence
 class TestProbeTiers:
-    """``_coalesce_tick`` returns its exit tier and ``run()`` counts it in
-    ``coalesce_exits``.  The tally must equal the tiers the probe returned,
-    and only the executing tiers (a verify failure or a batch) may have run
-    any event."""
+    """``_verify_token`` returns its outcome tier and ``_pop_token`` counts it
+    in ``coalesce_exits``.  The tally must equal the tiers the verifications
+    returned, and every verification, failed or passed, ran the token's
+    block through the per-flit machinery: one flit hop per link."""
 
-    def _probe_log(self, simulator):
-        """Wrap the instance's probe; return the list it appends
-        ``(tier name, flit hops moved)`` to per probe."""
-        probe = simulator._coalesce_tick
+    def _verification_log(self, simulator):
+        """Wrap the instance's verification; return the list it appends
+        ``(tier name, the block ran per flit)`` to per verification."""
+        verify = simulator._verify_token
         log = []
 
-        def recording_probe(t0, until_ns):
+        def recording_verify(token):
             hops = simulator.stats.flit_hops
-            tier = probe(t0, until_ns)
-            log.append((PROBE_TIERS[tier], simulator.stats.flit_hops != hops))
+            tier = verify(token)
+            log.append((PROBE_TIERS[tier], simulator.stats.flit_hops - hops == len(token.links)))
             return tier
 
-        simulator._coalesce_tick = recording_probe
+        simulator._verify_token = recording_verify
         return log
 
     def test_returned_tier_names_the_counter_it_moved(self, lattice32, lattice32_spam):
@@ -743,12 +666,138 @@ class TestProbeTiers:
         simulator = WormholeSimulator(
             lattice32, lattice32_spam, SimulationConfig(message_length_flits=128)
         )
-        log = self._probe_log(simulator)
+        log = self._verification_log(simulator)
         poisson.submit_to(simulator)
         simulator.run()
         returned = [tier for tier, _executed in log]
         assert simulator.coalesce_exits == [returned.count(tier) for tier in PROBE_TIERS]
-        for tier, executed in log:
-            assert executed == (tier in ("verify_failure", "batch")), tier
+        assert all(executed for _tier, executed in log)
         seen = set(returned)
         assert seen == set(PROBE_TIERS), f"tiers never taken: {set(PROBE_TIERS) - seen}"
+
+
+@pytest.mark.equivalence
+class TestTokenBoundaries:
+    """A bounded run materialises every live token and turns it back into
+    its transfers before it returns, so what a caller sees between windows
+    is the reference state."""
+
+    def _count_cuts(self, simulator):
+        """Wrap the instance's token hooks; return the list that gets the
+        skipped periods of every token a ``run_for`` boundary thawed."""
+        pop_token, thaw = simulator._pop_token, simulator._thaw
+        popping = []
+        cuts = []
+
+        def wrapped_pop(token):
+            popping.append(token)
+            try:
+                pop_token(token)
+            finally:
+                popping.pop()
+
+        def wrapped_thaw(token):
+            if not popping and token.skipped:
+                cuts.append(token.skipped)
+            return thaw(token)
+
+        simulator._pop_token = wrapped_pop
+        simulator._thaw = wrapped_thaw
+        return cuts
+
+    @pytest.mark.parametrize("windows", [(997,), (333, 1_501, 70)], ids=["997", "mixed"])
+    def test_every_window_boundary_matches_the_reference(
+        self, lattice32, lattice32_spam, windows
+    ):
+        processors = lattice32.processors()
+        simulators = []
+        for fast in (True, False):
+            config = SimulationConfig(
+                message_length_flits=192,
+                fast_path=fast,
+                trace=True,
+                collect_channel_stats=True,
+            )
+            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+            simulator.submit_broadcast(processors[0])
+            for index in range(1, 6):
+                simulator.submit_message(
+                    processors[index],
+                    [processors[(index + 11) % len(processors)]],
+                    at_ns=index * 3_007,
+                )
+            simulators.append(simulator)
+        fast_sim, ref_sim = simulators
+        cuts = self._count_cuts(fast_sim)
+        boundaries = 0
+        while ref_sim.pending_messages:
+            window = windows[boundaries % len(windows)]
+            fast_stats = fast_sim.run_for(window)
+            ref_stats = ref_sim.run_for(window)
+            boundaries += 1
+            assert simulator_fingerprint(fast_sim, fast_stats) == simulator_fingerprint(
+                ref_sim, ref_stats
+            ), f"boundary {boundaries} at {ref_sim.now} ns"
+        assert not fast_sim.pending_messages
+        assert cuts, "no run_for boundary cut through a live token; test is vacuous"
+        assert fast_sim.coalesced_ticks > sum(cuts)
+
+
+@pytest.mark.equivalence
+class TestBlockedBranch:
+    """A multicast whose branch waits behind another worm streams bubbles on
+    its free branches, but the worm is not offered to the fast path until
+    that branch's header has arrived."""
+
+    def test_no_token_before_the_blocked_branch_header_arrives(
+        self, lattice32, lattice32_spam
+    ):
+        processors = lattice32.processors()
+        submit = _blocked_branch_submit(processors)
+        offers = []
+        headers = []
+        verified = []
+
+        def instrumented_submit(sim):
+            submit(sim)
+            if not sim.config.fast_path:
+                return
+            form_token, header_delivered = sim.form_token, sim._header_delivered
+            verify = sim._verify_token
+
+            def recording_form(ni):
+                offers.append((ni.current.mid, sim.now))
+                form_token(ni)
+
+            def recording_header(flit):
+                message = sim.messages[flit.message_id]
+                headers.append((flit.message_id, sim.now, sim.sources[message.source].next_seq))
+                header_delivered(flit)
+
+            def recording_verify(token):
+                mid = token.ni.current.mid
+                tier = verify(token)
+                verified.append((mid, PROBE_TIERS[tier]))
+                return tier
+
+            sim.form_token = recording_form
+            sim._header_delivered = recording_header
+            sim._verify_token = recording_verify
+
+        fast_sim = _run_pair(
+            lattice32, lattice32_spam, instrumented_submit, flits=256, expect_coalesced=True
+        )
+        multicast = fast_sim.messages[1]
+        assert len(multicast.destinations) > 1
+        arrivals = [(time_ns, pushed) for mid, time_ns, pushed in headers if mid == 1]
+        assert len(arrivals) == len(multicast.destinations)
+        last_header_ns, pushed_by_then = max(arrivals)
+        # The blocked branch held the header back while the NI kept pushing
+        # body flits down the free branches (which therefore bubbled).
+        assert pushed_by_then > 2
+        assert fast_sim.stats.bubbles_created > 0
+        assert last_header_ns > fast_sim.messages[0].startup_done_ns
+        multicast_offers = [time_ns for mid, time_ns in offers if mid == 1]
+        assert multicast_offers, "the multicast was never offered to the fast path"
+        assert min(multicast_offers) >= last_header_ns
+        assert (1, "batch") in verified, "the multicast never streamed as a token"

@@ -33,6 +33,11 @@ fixed slice :data:`FUZZ_TIER1` on both paths; CI checks all of them::
     PYTHONPATH=src python tests/test_golden.py --fuzz          # every seed
     PYTHONPATH=src python tests/test_golden.py --fuzz 37 128   # named seeds
 
+The whole-corpus check also counts the seeds on which the fast path
+advanced at least one worm token, and fails below
+:data:`FUZZ_MIN_TOKEN_SEEDS`: a corpus the tokens no longer reach would
+match on both paths without proving anything about them.
+
 Regenerate the corpora only for a change that is *meant* to move results,
 and say in the commit message why it moved::
 
@@ -310,6 +315,9 @@ def test_sweep_corpus_covers_exactly_the_exports():
 #: corpus takes about 8 s).
 FUZZ_SEEDS = range(200)
 FUZZ_TIER1 = FUZZ_SEEDS[::4]
+#: Fewest corpus seeds on which the fast path must advance a worm token
+#: (``coalesced_ticks > 0``); 167 of the 200 did when it was set.
+FUZZ_MIN_TOKEN_SEEDS = 150
 
 
 @dataclass
@@ -374,6 +382,12 @@ def fuzz_scenario(seed: int) -> FuzzScenario:
 
 def fuzz_digest(scenario: FuzzScenario, fast_path: bool) -> str:
     """sha256 of the fingerprint of ``scenario`` on one path."""
+    return fuzz_run(scenario, fast_path)[0]
+
+
+def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimulator]:
+    """Run ``scenario`` on one path: the sha256 of its fingerprint, and the
+    simulator that ran it."""
     config = SimulationConfig(
         trace=True, collect_channel_stats=True, fast_path=fast_path, **scenario.overrides
     )
@@ -385,7 +399,7 @@ def fuzz_digest(scenario: FuzzScenario, fast_path: bool) -> str:
         for _ in range(windows):
             simulator.run_for(window_ns)
     stats = simulator.run()
-    return digest(simulator_fingerprint(simulator, stats))
+    return digest(simulator_fingerprint(simulator, stats)), simulator
 
 
 def load_fuzz_golden() -> dict[int, str]:
@@ -393,20 +407,24 @@ def load_fuzz_golden() -> dict[int, str]:
     return {int(seed): sha for seed, sha in digests.items()}
 
 
-def fuzz_mismatches(seed: int, golden: dict[int, str]) -> list[str]:
+def fuzz_check(seed: int, golden: dict[int, str]) -> tuple[list[str], bool]:
     """One line per path whose digest moved from the golden, each naming
-    the seed, the scenario and a one-line reproducer."""
+    the seed, the scenario and a one-line reproducer; and whether the fast
+    path advanced at least one worm token."""
     scenario = fuzz_scenario(seed)
     lines = []
+    advanced = False
     for fast_path in (True, False):
-        observed = fuzz_digest(scenario, fast_path)
+        observed, simulator = fuzz_run(scenario, fast_path)
+        if fast_path:
+            advanced = simulator.coalesced_ticks > 0
         if observed != golden[seed]:
             lines.append(
                 f"fuzz seed {seed} moved on the {'fast' if fast_path else 'reference'} path "
                 f"(sha256 {golden[seed][:12]} -> {observed[:12]}): {scenario.describe()}; "
                 f"reproduce: PYTHONPATH=src python tests/test_golden.py --fuzz {seed}"
             )
-    return lines
+    return lines, advanced
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +435,7 @@ def fuzz_golden() -> dict[int, str]:
 @pytest.mark.equivalence
 @pytest.mark.parametrize("seed", FUZZ_TIER1)
 def test_fuzz_scenario_matches_golden(seed, fuzz_golden):
-    mismatches = fuzz_mismatches(seed, fuzz_golden)
+    mismatches, _advanced = fuzz_check(seed, fuzz_golden)
     assert not mismatches, "\n".join(mismatches)
 
 
@@ -425,21 +443,30 @@ def test_fuzz_corpus_covers_exactly_the_seeds(fuzz_golden):
     assert sorted(fuzz_golden) == list(FUZZ_SEEDS)
 
 
-def check_fuzz(seeds: list[int]) -> int:
+def check_fuzz(seeds: list[int]) -> bool:
     """Check ``seeds`` (all of them when empty) on both paths; print one
-    line per moved path and return the number of moved seeds."""
+    line per moved path and the number of seeds whose fast path advanced a
+    worm token.  Returns whether the check failed: a seed moved, or the
+    whole corpus advanced tokens on fewer than
+    :data:`FUZZ_MIN_TOKEN_SEEDS` seeds."""
     golden = load_fuzz_golden()
     moved = 0
+    advanced = 0
     for seed in seeds or FUZZ_SEEDS:
-        mismatches = fuzz_mismatches(seed, golden)
+        mismatches, seed_advanced = fuzz_check(seed, golden)
         if seeds:
             print(f"seed {seed}: {fuzz_scenario(seed).describe()}")
         for line in mismatches:
             print(line)
         moved += bool(mismatches)
+        advanced += seed_advanced
     checked = len(seeds) if seeds else len(FUZZ_SEEDS)
     print(f"fuzz corpus: {checked - moved} of {checked} seeds match on both paths")
-    return moved
+    print(f"fuzz corpus: the fast path advanced a worm token on {advanced} of {checked} seeds")
+    too_few = not seeds and advanced < FUZZ_MIN_TOKEN_SEEDS
+    if too_few:
+        print(f"fuzz corpus: fewer than {FUZZ_MIN_TOKEN_SEEDS} seeds advanced a token")
+    return bool(moved) or too_few
 
 
 def regenerate() -> None:

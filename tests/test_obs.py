@@ -159,8 +159,8 @@ class TestTelemetryOff:
     """Telemetry off is ``None``."""
 
     def test_disabled_engine_holds_none_and_raw_probe(self):
-        # Without a recorder the engine holds ``None`` and leaves the fast
-        # path's probe entry un-instrumented (zero per-event overhead).
+        # Without a recorder the engine holds ``None`` and verifies worm
+        # tokens through the un-instrumented entry (no clock reads).
         from repro.topology.examples import two_switch_network
 
         net = two_switch_network()
@@ -171,13 +171,14 @@ class TestTelemetryOff:
         )
         assert simulator.telemetry is None
 
-        def instrumented_probe(t0, until_ns):
-            raise AssertionError("telemetry-off run called the instrumented probe")
+        def instrumented_verify(token):
+            raise AssertionError("telemetry-off run called the instrumented verification")
 
-        simulator._coalesce_tick_timed = instrumented_probe
+        simulator._verify_token_timed = instrumented_verify
         source, dest = net.processors()
         simulator.submit_message(source, [dest])
         simulator.run()
+        assert simulator.coalesce_exits[PROBE_TIERS.index("batch")] > 0
         assert simulator.coalesced_ticks > 0
 
 
@@ -250,11 +251,12 @@ class TestTelemetryOnOffEquivalence:
             )
             assert on == off, f"telemetry changed observables in {name!r}"
             assert _span_count(tel, "engine.run") == 1, name
-            # Non-vacuity: the instrumented probe timed every probe, and each
-            # tier's duration distribution counts exactly the probes the
-            # deterministic tally counted for that tier.
+            # Non-vacuity: one ``engine.probe`` span timed every token
+            # verification, and each tier's duration distribution counts
+            # exactly the verifications the deterministic tally counted for
+            # that tier.
             exits = simulator.coalesce_exits
-            assert sum(exits) > 0, f"{name!r} never engaged the fast path probe"
+            assert sum(exits) > 0, f"{name!r} never verified a worm token"
             assert _span_count(tel, "engine.probe") == sum(exits), name
             timed = [
                 tel.values.get(f"engine.probe.{tier}_ns", {"count": 0})["count"]

@@ -430,16 +430,28 @@ def test_idle_unicast_latency_is_closed_form_at_any_timing(
     params=network_params,
     workload_seed=st.integers(min_value=0, max_value=2**16),
     num_messages=st.integers(min_value=1, max_value=8),
-    length=st.sampled_from([8, 32]),
+    length=st.sampled_from([8, 32, 64]),
     channel_latency_ns=st.sampled_from([7, 10, 13]),
+    input_depth=st.integers(min_value=1, max_value=3),
+    output_depth=st.integers(min_value=1, max_value=3),
+    windows=st.lists(st.integers(min_value=0, max_value=3_000), max_size=6),
 )
 def test_fast_path_matches_reference_at_any_channel_period(
-    params, workload_seed, num_messages, length, channel_latency_ns
+    params,
+    workload_seed,
+    num_messages,
+    length,
+    channel_latency_ns,
+    input_depth,
+    output_depth,
+    windows,
 ):
     """The fast path is bit-identical to the per-flit reference engine on
     every observable, on random irregular networks at channel periods other
-    than the paper's 10 ns too: the probe window is one period, whatever
-    its length, and submit times need not sit on the period grid."""
+    than the paper's 10 ns too, with input and output buffers one to three
+    flits deep, and at every boundary of a run split into random ``run_for``
+    windows (each of which materialises the live worm tokens); submit
+    times need not sit on the period grid."""
     import numpy as np
 
     network, spam = build_spam(params)
@@ -455,33 +467,37 @@ def test_fast_path_matches_reference_at_any_channel_period(
             (source, [others[int(i)] for i in chosen], int(rng.integers(0, 2_000)))
         )
 
-    fingerprints = []
+    def fingerprint(simulator, stats):
+        return (
+            {m: dict(msg.delivered_ns) for m, msg in simulator.messages.items()},
+            simulator.trace.signature(),
+            stats.flit_hops,
+            stats.bubbles_created,
+            stats.end_time_ns,
+            [
+                (rec.cid, rec.data_flits, rec.bubble_flits, rec.busy_ns)
+                for rec in stats.channel_records
+            ],
+        )
+
+    runs = []
     for fast in (True, False):
         config = SimulationConfig(
             message_length_flits=length,
             trace=True,
             collect_channel_stats=True,
             channel_latency_ns=channel_latency_ns,
+            input_buffer_depth=input_depth,
+            output_buffer_depth=output_depth,
             fast_path=fast,
         )
         simulator = WormholeSimulator(network, spam, config)
         for source, destinations, at_ns in specs:
             simulator.submit_message(source, destinations, at_ns=at_ns)
-        stats = simulator.run()
-        fingerprints.append(
-            (
-                {m: dict(msg.delivered_ns) for m, msg in simulator.messages.items()},
-                simulator.trace.signature(),
-                stats.flit_hops,
-                stats.bubbles_created,
-                stats.end_time_ns,
-                [
-                    (rec.cid, rec.data_flits, rec.bubble_flits, rec.busy_ns)
-                    for rec in stats.channel_records
-                ],
-            )
-        )
-    assert fingerprints[0] == fingerprints[1]
+        boundaries = [fingerprint(simulator, simulator.run_for(window)) for window in windows]
+        boundaries.append(fingerprint(simulator, simulator.run()))
+        runs.append(boundaries)
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +505,7 @@ def test_fast_path_matches_reference_at_any_channel_period(
 # ---------------------------------------------------------------------------
 class _OneHeapQueue:
     """Reference model of :class:`EventQueue`: one ``heapq`` of generic and
-    transfer entries.  A shift sorts the heap and renumbers it, every
-    pending generic entry first, then every transfer, so on a timestamp tie
-    a generic event pending across a shift fires before a shifted
-    transfer."""
+    transfer entries."""
 
     def __init__(self, period_ns: int) -> None:
         self.heap: list = []
@@ -531,30 +544,14 @@ class _OneHeapQueue:
             )
         self.now = time_ns
 
-    def shift_transfers(self, delta_ns):
-        now_ns = self.now + delta_ns
-        if delta_ns < 0:
-            raise SimulationError("transfer shift would move time backwards")
-        entries = sorted(self.heap)
-        if any(kind == 0 and time_ns < now_ns for time_ns, _seq, kind, _p in entries):
-            raise SimulationError("transfer shift would overtake a pending generic event")
-        self.heap = []
-        for wanted in (0, 1):
-            for time_ns, _seq, kind, payload in entries:
-                if kind == wanted:
-                    self._push(time_ns + delta_ns * kind, kind, payload)
-        self.now = now_ns
-
 
 #: An operation and its time argument as ``(periods, nudge)``: the offset
-#: from the clock (the shift for ``shift_transfers``) is ``periods`` channel
-#: periods plus ``nudge`` ns, so most times land on the transfers' grid and
-#: ties between the two lanes are common.
+#: from the clock is ``periods`` channel periods plus ``nudge`` ns, so most
+#: times land on the transfers' grid and ties between the two lanes are
+#: common.
 queue_operations = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["schedule", "schedule_transfer", "pop_entry", "shift_transfers", "advance_to"]
-        ),
+        st.sampled_from(["schedule", "schedule_transfer", "pop_entry", "advance_to"]),
         st.integers(min_value=-1, max_value=4),
         st.sampled_from([0, 0, 0, -1, 1]),
     ),
@@ -565,16 +562,14 @@ queue_operations = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(period_ns=st.sampled_from([2, 7, 10, 13]), operations=queue_operations)
-# A transfer shifted onto the deadline of a generic event scheduled after it.
+# A transfer due on the deadline of a generic event scheduled after it.
 @example(
     period_ns=10,
-    operations=[("schedule_transfer", 0, 0), ("schedule", 2, 0), ("shift_transfers", 1, 0)]
-    + [("pop_entry", 0, 0)] * 2,
+    operations=[("schedule_transfer", 0, 0), ("schedule", 1, 0)] + [("pop_entry", 0, 0)] * 2,
 )
 def test_two_lane_queue_matches_one_heap(period_ns, operations):
-    """Random interleavings of scheduling, popping, transfer shifts and clock
-    advances give the same pop order, clock and errors as one heap of every
-    entry."""
+    """Random interleavings of scheduling, popping and clock advances give
+    the same pop order, clock and errors as one heap of every entry."""
     queue, model = EventQueue(period_ns), _OneHeapQueue(period_ns)
     for payload, (name, periods, nudge) in enumerate(operations):
         offset = periods * period_ns + nudge
@@ -588,8 +583,6 @@ def test_two_lane_queue_matches_one_heap(period_ns, operations):
                 elif name == "pop_entry":
                     time_ns, _seq, kind, popped = subject.pop_entry()
                     result = (time_ns, kind, popped)
-                elif name == "shift_transfers":
-                    result = subject.shift_transfers(offset)
                 else:
                     result = subject.advance_to(subject.now + offset)
             except SimulationError as error:

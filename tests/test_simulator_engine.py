@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.spam import SpamRouting
 from repro.errors import ConfigurationError, DeadlockError, WorkloadError
 from repro.routing.naive import NaiveMinimalRouting
@@ -296,6 +301,21 @@ class TestValidationAndSafety:
         report = excinfo.value.report
         assert report.stalled_messages
         assert report.cycles
+
+    def test_importing_the_experiments_leaves_networkx_unloaded(self):
+        """networkx serves deadlock diagnosis (imported inside ``diagnose``,
+        which the test above drives) and CDG verification only, so importing
+        the experiment and sweep layers in a fresh interpreter does not load
+        it."""
+        code = "import sys, repro.experiments, repro.sweeps; print('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert result.stdout.strip() == "False"
 
     def test_spam_does_not_deadlock_on_same_pressure(self, ring8):
         spam = SpamRouting.build(ring8)

@@ -109,10 +109,9 @@ class TestEventQueue:
 
 
 class TestEventQueueTransferEntries:
-    """The FIFO lane of transfer entries backing the engine's fast path:
-    every transfer completes one channel period (here 10 ns) after it is
-    scheduled, and pops interleave with generic events in ``(time, seq)``
-    order."""
+    """The FIFO lane of transfer entries and worm tokens: every transfer
+    completes one channel period (here 10 ns) after it is scheduled, and
+    pops interleave with generic events in ``(time, seq)`` order."""
 
     def test_transfer_entries_are_counted(self):
         queue = EventQueue(10)
@@ -149,60 +148,42 @@ class TestEventQueueTransferEntries:
         queue.advance_to(160)
         assert queue.now == 160
 
-    def test_shift_preserves_congruence_classes_and_order(self):
-        """The phase-staggered batch advance: every transfer deadline moves
-        by the same delta, so staggered deadlines keep their spacing (and
-        congruence class modulo the period) and their relative order."""
+    def test_token_folds_a_block_and_unfolds_in_place(self):
+        """A worm token replaces the block of transfers at the lane's tail
+        under the block's time and first ``seq``; unfolding puts the block
+        back where the token stood, under the token's ``seq``."""
         queue = EventQueue(10)
-        early, late_first, late_second = object(), object(), object()
-        queue.advance_to(3)
-        queue.schedule_transfer(early)
-        queue.advance_to(7)
-        queue.schedule_transfer(late_first)
-        queue.schedule_transfer(late_second)
-        queue.shift_transfers(50)
-        assert queue.now == 57
-        entries = [queue.pop_entry() for _ in range(3)]
-        assert [entry[0] for entry in entries] == [63, 67, 67]
-        assert entries[0][3] is early
-        assert entries[1][3] is late_first and entries[2][3] is late_second
+        before, first, second, after = object(), object(), object(), object()
+        queue.schedule_transfer(before)
+        queue.advance_to(5)
+        queue.schedule_transfer(first)
+        queue.schedule_transfer(second)
+        token = object()
+        queue.fold_transfers(2, token)
+        assert len(queue) == 2
+        assert queue._lane[-1] == (15, 1, 2, token)
+        queue.schedule_transfer(after)
+        queue.unfold_tokens(lambda folded: [first, second] if folded is token else [])
+        entries = [queue.pop_entry() for _ in range(4)]
+        assert [entry[:3] for entry in entries] == [(10, 0, 1), (15, 1, 1), (15, 1, 1), (15, 3, 1)]
+        assert [entry[3] for entry in entries] == [before, first, second, after]
 
-    def test_shift_keeps_generic_priority_on_ties(self):
+    def test_rescheduled_token_fires_after_an_earlier_generic_on_a_tie(self):
+        """A token re-appended one period later takes one fresh ``seq``, so
+        a generic event scheduled before it at the same time fires first,
+        as it would before the transfers the token stands for."""
         queue = EventQueue(10)
-        transfer = object()
-        queue.schedule_transfer(transfer)
-        queue.schedule(40, lambda: None)
-        queue.shift_transfers(30)
-        # The transfer lands on the generic event's timestamp.  It was
-        # scheduled first, but the shift reschedules it after every pending
-        # generic event, so on the tie the generic must fire first, as the
-        # per-flit execution would have run it.
-        entries = [queue.pop_entry() for _ in range(2)]
-        assert [entry[0] for entry in entries] == [40, 40]
-        assert [entry[2] for entry in entries] == [0, 1]
-        assert entries[1][3] is transfer
-
-    def test_shift_rejects_moving_backwards(self):
-        queue = EventQueue(10)
+        token = object()
         queue.schedule_transfer(object())
-        with pytest.raises(SimulationError, match="backwards"):
-            queue.shift_transfers(-1)
-        assert queue.now == 0
-        assert queue.pop_entry()[0] == 10
-
-    def test_shift_refuses_to_overtake_generic_events(self):
-        queue = EventQueue(10)
+        queue.fold_transfers(1, token)
+        queue.pop_entry()
         queue.schedule(20, lambda: None)
-        queue.schedule_transfer(object())
-        with pytest.raises(SimulationError, match="overtake"):
-            queue.shift_transfers(30)
-        # Nothing moved; landing the clock on the generic deadline is fine.
-        assert queue.now == 0
-        queue.shift_transfers(20)
-        assert [queue.pop_entry()[:3:2] for _ in range(2)] == [(20, 0), (30, 1)]
+        queue.schedule_token(token)
+        entries = [queue.pop_entry() for _ in range(2)]
+        assert [entry[:3:2] for entry in entries] == [(20, 0), (20, 2)]
+        assert entries[1][3] is token
 
-    # The generic heap's head is what the probe's generic bail reads: the
-    # earliest pending generic deadline.
+    # The generic heap's head is the earliest pending generic deadline.
     def test_next_generic_time_tracks_generic_entries_only(self):
         queue = EventQueue(10)
         assert not queue._heap
@@ -217,15 +198,6 @@ class TestEventQueueTransferEntries:
         assert queue._heap[0][0] == 30
         queue.pop_entry()  # generic at 30
         assert not queue._heap
-
-    def test_next_generic_time_survives_transfer_shift(self):
-        queue = EventQueue(10)
-        queue.schedule(100, lambda: None)
-        queue.schedule_transfer(object())
-        queue.shift_transfers(40)
-        # The shift retimes transfers only; the generic deadline is exact.
-        assert queue._heap[0][0] == 100
-        assert queue._lane[0][0] == 50
 
     def test_next_generic_time_handles_equal_deadlines(self):
         queue = EventQueue(10)
@@ -253,8 +225,7 @@ class TestSimulationConfig:
         assert PAPER_CONFIG.message_length_flits == 128  # original untouched
 
     def test_fast_path_defaults(self):
-        # The fast path's patterns have no switches beyond ``fast_path``
-        # itself.
+        # The fast path has no switch beyond ``fast_path`` itself.
         assert PAPER_CONFIG.fast_path
         assert not [f.name for f in fields(SimulationConfig) if f.name.startswith("coalesce")]
 
