@@ -1,25 +1,10 @@
-"""Shared infrastructure for the benchmark harnesses.
+"""Shared fixtures for the pytest-benchmark engine harness
+(``bench_simulator_throughput.py``).
 
-Every benchmark regenerates one table or figure of the paper (or one
-ablation) and
-
-* runs the corresponding experiment driver exactly once per benchmark round
-  (``benchmark.pedantic(..., rounds=1)``) so the wall-clock time reported by
-  pytest-benchmark is the cost of regenerating that figure at the selected
-  scale, and
-* writes the regenerated rows/series to ``benchmarks/results/<name>.txt`` so
-  the numbers can be inspected without re-running anything.
-
-The scale is controlled by the ``REPRO_SCALE`` environment variable exactly
-like the experiment drivers (``smoke`` / ``default`` / ``paper``); benchmarks
-default to the ``default`` scale.
-
-The figure and ablation harnesses call the experiment drivers, which route
-through the :mod:`repro.sweeps` orchestrator: set ``REPRO_SWEEP_WORKERS=N``
-to spread sweep points over ``N`` worker processes (the timing then reports
-the sharded wall-clock).  No result store is passed, so benchmark timings
-always measure real simulation, never cache hits;
-``bench_sweep_orchestrator.py`` measures the cache itself.
+The harness writes what it measured under ``benchmarks/results/`` so the
+numbers can be inspected without re-running anything.  The paper's figures
+are regenerated by the ``repro-spam`` experiment verbs, and their end-to-end
+wall time is measured by ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ prints mean latency per multicast degree — the paper's Figure 3.  The
 expected shape: latency grows with the arrival rate (towards saturation) but
 is largely independent of the number of destinations per multicast.
 
-Sized to finish in well under a minute; the benchmark harness
-(``pytest benchmarks/bench_figure3_mixed_traffic.py``) and the
-``REPRO_SCALE`` environment variable control the full-size configuration.
+Sized to finish in well under a minute at the smoke scale; for the paper's
+configuration run ``repro-spam --scale paper figure3 --network-size 128
+--degrees 8 16 32 64``.
 
 Run with:  python examples/mixed_traffic_study.py
 """

@@ -13,9 +13,8 @@ the warm-cache path: the second run computes nothing and reassembles the
 identical figure from stored rows (see ``docs/sweeps.md``).
 
 The network size and sample counts are reduced relative to the paper so the
-example finishes in seconds; use the benchmark harness
-(``pytest benchmarks/bench_figure2_latency_vs_destinations.py``) or the
-``REPRO_SCALE=paper`` environment variable for the full configuration.
+example finishes in seconds; for the paper's configuration run
+``repro-spam --scale paper figure2 --network-sizes 128 256``.
 
 Run with:  python examples/single_multicast_sweep.py [num_switches]
 """

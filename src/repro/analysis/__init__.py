@@ -9,14 +9,13 @@ from .bounds import (
     software_multicast_lower_bound_us,
 )
 from .report import format_table, series_side_by_side
-from .stats import SampleSummary, confidence_interval, relative_half_width, summarize_samples
+from .stats import SampleSummary, confidence_interval, summarize_samples
 from .sweeps import SweepPoint, SweepResult, SweepSeries, sweep_result_from_points
 
 __all__ = [
     "SampleSummary",
     "summarize_samples",
     "confidence_interval",
-    "relative_half_width",
     "SweepPoint",
     "SweepSeries",
     "SweepResult",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from scipy import stats as scipy_stats
 
-__all__ = ["SampleSummary", "summarize_samples", "confidence_interval", "relative_half_width"]
+__all__ = ["SampleSummary", "summarize_samples", "confidence_interval"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +101,3 @@ def summarize_samples(values: Sequence[float], confidence: float = 0.95) -> Samp
     return SampleSummary(
         count=n, mean=mean, std=std, ci_low=low, ci_high=high, confidence=confidence
     )
-
-
-def relative_half_width(values: Sequence[float], confidence: float = 0.95) -> float:
-    """Relative CI half-width of ``values`` (the paper's precision metric)."""
-    return summarize_samples(values, confidence).relative_half_width

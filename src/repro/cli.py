@@ -86,8 +86,8 @@ def _shard(text: str) -> tuple[int, int]:
 def _add_run_flags(command: argparse.ArgumentParser) -> None:
     """The run flags every experiment verb shares: store, resume, workers,
     export, shard and telemetry."""
-    command.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: $REPRO_SWEEP_WORKERS or sequential; "
+    command.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default: %(default)s, sequential; "
                               "0 = one per CPU)")
     command.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                          help="reuse stored results and compute only missing points "

@@ -27,7 +27,7 @@ from .ablations import (
     run_root_ablation,
     run_selection_ablation,
 )
-from .common import ExperimentScale, SCALES, current_scale
+from .common import ExperimentScale, SCALES
 from .figure2 import (
     Figure2Config,
     default_destination_counts,
@@ -45,7 +45,6 @@ from .software_comparison import (
 __all__ = [
     "ExperimentScale",
     "SCALES",
-    "current_scale",
     "Figure2Config",
     "default_destination_counts",
     "figure2_specs",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sweeps import SweepPointSpec, run_sweep
-from .common import ExperimentScale, current_scale
+from .common import SCALES, ExperimentScale
 
 __all__ = [
     "AblationConfig",
@@ -36,12 +36,9 @@ class AblationConfig:
 
     network_size: int = 64
     num_destinations: int = 32
-    scale: ExperimentScale | None = None
+    scale: ExperimentScale = SCALES["default"]
     topology_seed: int = 7
     workload_seed: int = 41
-
-    def resolved_scale(self) -> ExperimentScale:
-        return self.scale or current_scale()
 
 
 def _ablation_spec(
@@ -55,7 +52,7 @@ def _ablation_spec(
     selection: str = "distance-to-lca",
     selection_seed: int | None = None,
 ) -> SweepPointSpec:
-    scale = config.resolved_scale()
+    scale = config.scale
     count = min(config.num_destinations, config.network_size - 1)
     if workload_params is None:
         workload_params = (

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.sweeps import SweepResult, sweep_result_from_points
 from ..sweeps import SweepPointSpec, run_sweep
-from .common import ExperimentScale, current_scale
+from .common import SCALES, ExperimentScale
 
 __all__ = [
     "Figure2Config",
@@ -62,13 +62,10 @@ class Figure2Config:
 
     network_sizes: tuple[int, ...] = (128, 256)
     destination_counts: dict[int, list[int]] = field(default_factory=dict)
-    scale: ExperimentScale | None = None
+    scale: ExperimentScale = SCALES["default"]
     topology_seed: int = 7
     workload_seed: int = 11
     root_strategy: str = "center"
-
-    def resolved_scale(self) -> ExperimentScale:
-        return self.scale or current_scale()
 
     def counts_for(self, num_switches: int) -> list[int]:
         if num_switches in self.destination_counts:
@@ -79,7 +76,7 @@ class Figure2Config:
 def figure2_specs(config: Figure2Config | None = None) -> list[SweepPointSpec]:
     """One sweep spec per Figure-2 data point, series by series."""
     config = config or Figure2Config()
-    scale = config.resolved_scale()
+    scale = config.scale
     specs: list[SweepPointSpec] = []
     for size in config.network_sizes:
         for count in config.counts_for(size):
@@ -104,7 +101,7 @@ def figure2_specs(config: Figure2Config | None = None) -> list[SweepPointSpec]:
 
 def figure2_result_from_points(config: Figure2Config, points) -> SweepResult:
     """Reassemble the Figure-2 :class:`SweepResult` from point results."""
-    scale = config.resolved_scale()
+    scale = config.scale
     return sweep_result_from_points(
         name="figure2-latency-vs-destinations",
         x_label="destinations",

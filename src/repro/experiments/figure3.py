@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..analysis.sweeps import SweepResult, sweep_result_from_points
 from ..sweeps import SweepPointSpec, run_sweep
-from .common import ExperimentScale, current_scale
+from .common import SCALES, ExperimentScale
 
 __all__ = ["Figure3Config", "figure3_specs", "figure3_result_from_points", "run_figure3"]
 
@@ -42,10 +42,10 @@ class Figure3Config:
     multicast_fraction: float = 0.1
     #: Arrival process drawn at every processor: ``"negative-binomial"``
     #: (the paper's traffic model, quantised to the channel cycle) or
-    #: ``"poisson"`` (arbitrary-nanosecond arrivals, which exercise the
-    #: engine's phase-staggered coalescing; see ``docs/fast_path.md``).
+    #: ``"poisson"`` (exponential inter-arrival times in whole nanoseconds,
+    #: so messages also start between channel cycles).
     arrival: str = "negative-binomial"
-    scale: ExperimentScale | None = None
+    scale: ExperimentScale = SCALES["default"]
     topology_seed: int = 7
     workload_seed: int = 23
     root_strategy: str = "center"
@@ -55,14 +55,11 @@ class Figure3Config:
     #: different overrides are distinct cache entries by design.
     sim_overrides: tuple[tuple[str, object], ...] = ()
 
-    def resolved_scale(self) -> ExperimentScale:
-        return self.scale or current_scale()
-
 
 def figure3_specs(config: Figure3Config | None = None) -> list[SweepPointSpec]:
     """One sweep spec per Figure-3 data point, one series per degree."""
     config = config or Figure3Config()
-    scale = config.resolved_scale()
+    scale = config.scale
     specs: list[SweepPointSpec] = []
     for degree in config.multicast_degrees:
         for rate in config.arrival_rates_per_us:
@@ -91,7 +88,7 @@ def figure3_specs(config: Figure3Config | None = None) -> list[SweepPointSpec]:
 
 def figure3_result_from_points(config: Figure3Config, points) -> SweepResult:
     """Reassemble the Figure-3 :class:`SweepResult` from point results."""
-    scale = config.resolved_scale()
+    scale = config.scale
     return sweep_result_from_points(
         name="figure3-latency-vs-arrival-rate",
         x_label="arrival_rate_per_us",

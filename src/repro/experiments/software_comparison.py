@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sweeps import SweepPointSpec, run_software_multicast_once, run_sweep
-from .common import ExperimentScale, current_scale
+from .common import SCALES, ExperimentScale
 
 __all__ = [
     "SoftwareComparisonConfig",
@@ -40,15 +40,12 @@ class SoftwareComparisonConfig:
 
     network_size: int = 256
     destination_counts: tuple[int, ...] = (8, 32, 128, 255)
-    scale: ExperimentScale | None = None
+    scale: ExperimentScale = SCALES["default"]
     topology_seed: int = 7
     workload_seed: int = 31
     #: Also execute the binomial software multicast on the simulator (slower
     #: but turns the bound comparison into a measured comparison).
     run_software_baseline: bool = True
-
-    def resolved_scale(self) -> ExperimentScale:
-        return self.scale or current_scale()
 
 
 def software_comparison_specs(
@@ -56,7 +53,7 @@ def software_comparison_specs(
 ) -> list[SweepPointSpec]:
     """One sweep spec per destination count of the §4 comparison."""
     config = config or SoftwareComparisonConfig()
-    scale = config.resolved_scale()
+    scale = config.scale
     specs: list[SweepPointSpec] = []
     for count in config.destination_counts:
         count = min(count, config.network_size - 1)

@@ -23,9 +23,6 @@ Public surface:
 * :mod:`repro.obs.export` — the schema-versioned JSON snapshot, the
   Chrome-trace/Perfetto ``trace_event`` exporter, and the snapshot
   validator used by tests and CI.
-* :mod:`repro.obs.runtime` — the sanctioned process-environment knob
-  reader (parallelism/scale knobs that may change wall-clock, never
-  results).
 """
 
 from .export import (
@@ -39,7 +36,6 @@ from .export import (
     write_chrome_trace,
     write_snapshot,
 )
-from .runtime import env_knob
 from .telemetry import Telemetry
 
 __all__ = [
@@ -53,5 +49,4 @@ __all__ = [
     "validate_snapshot",
     "write_chrome_trace",
     "write_snapshot",
-    "env_knob",
 ]

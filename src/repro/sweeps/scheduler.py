@@ -30,10 +30,6 @@ Guarantees:
   sweep without coordination and later combine their stores with
   :func:`~repro.sweeps.store.merge_stores`.  The store's ``manifest.json``
   records which points the (possibly sharded) run was responsible for.
-
-Worker counts default to ``$REPRO_SWEEP_WORKERS`` (sequential when unset),
-so the experiment drivers and benchmarks pick up process-level parallelism
-without any call-site changes.
 """
 
 from __future__ import annotations
@@ -43,8 +39,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..errors import SweepError
-from ..obs import Telemetry, env_knob
+from ..obs import Telemetry
 from .spec import SweepPointResult, SweepPointSpec, evaluate_spec, shard_specs
 from .store import ResultStore
 
@@ -94,18 +89,9 @@ class SweepOutcome:
         return line
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: explicit value, else ``$REPRO_SWEEP_WORKERS``,
-    else 1 (sequential).  ``0`` and negative values mean "one per CPU"."""
-    if workers is None:
-        raw = env_knob("REPRO_SWEEP_WORKERS", "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise SweepError(
-                f"$REPRO_SWEEP_WORKERS must be an integer worker count "
-                f"(0 or negative for one per CPU), got {raw!r}"
-            ) from None
+def resolve_workers(workers: int) -> int:
+    """Effective worker count: ``workers``, where ``0`` and negative values
+    mean "one per CPU"."""
     if workers <= 0:
         workers = os.cpu_count() or 1
     return workers
@@ -135,7 +121,7 @@ def _evaluate_point(
 def run_sweep(
     specs: Sequence[SweepPointSpec],
     store: ResultStore | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     resume: bool = True,
     progress: ProgressCallback | None = None,
     shard: tuple[int, int] | None = None,
@@ -152,7 +138,8 @@ def run_sweep(
         Content-addressed result store; ``None`` disables caching entirely
         (no reads, no writes) — the orchestrator then just computes.
     workers:
-        Process count (see :func:`resolve_workers`); ``1`` runs in-process.
+        Process count; ``1`` (the default) runs in-process, ``0`` or
+        negative means one per CPU (see :func:`resolve_workers`).
     resume:
         When ``True`` (default), stored results are reused and only missing
         points run.  When ``False`` every point is recomputed, and the fresh

@@ -1,7 +1,7 @@
 """Content-addressed sweep result store.
 
-Results are stored under a cache directory (default ``.sweep-cache/``,
-overridable via ``REPRO_SWEEP_CACHE``) in two files:
+Results are stored under a cache directory (the CLI's ``--cache-dir``,
+default ``.sweep-cache/``) in three files:
 
 ``results.jsonl``
     Append-only JSON Lines; one row per completed sweep point::
@@ -146,16 +146,13 @@ class ResultStore:
     Parameters
     ----------
     root:
-        Cache directory; defaults to ``$REPRO_SWEEP_CACHE`` or
-        ``.sweep-cache``.  Created on first write.
+        Cache directory.  Created on first write.
     code_salt:
         Override the code-version salt (tests use this to exercise
         invalidation; everything else should keep the default).
     """
 
-    def __init__(self, root: str | os.PathLike | None = None, code_salt: str | None = None):
-        if root is None:
-            root = os.environ.get("REPRO_SWEEP_CACHE", DEFAULT_STORE_DIR)  # repro-lint: disable=R4 -- cache location knob; stored results are content-addressed so the path cannot change values
+    def __init__(self, root: str | os.PathLike, code_salt: str | None = None):
         self.root = Path(root)
         self.results_path = self.root / "results.jsonl"
         self.index_path = self.root / "index.json"

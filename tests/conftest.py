@@ -2,8 +2,8 @@
 
 Fixtures are deliberately small (a handful of switches) so that the whole
 suite — including the flit-level simulation tests — runs in seconds; the
-larger paper-scale configurations are exercised by the benchmark harnesses
-instead.
+paper-scale configurations are exercised by the end-to-end benchmark
+(``benchmarks/e2e/``) and regenerated by ``repro-spam --scale paper``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.analysis.bounds import (
     software_multicast_lower_bound_us,
 )
 from repro.analysis.report import format_table, series_side_by_side
-from repro.analysis.stats import confidence_interval, relative_half_width, summarize_samples
+from repro.analysis.stats import confidence_interval, summarize_samples
 from repro.analysis.sweeps import SweepResult, SweepSeries
 
 
@@ -41,7 +41,7 @@ class TestSampleStatistics:
         low, high = confidence_interval(values)
         true_mean = sum(values) / len(values)
         assert low <= true_mean <= high
-        assert relative_half_width(values) < 0.02
+        assert summarize_samples(values).relative_half_width < 0.02
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ class TestCli:
             parser.parse_args(["sweep", "figure2"])
         for verb in ("figure2", "figure3", "compare"):
             args = parser.parse_args([verb])
-            assert args.workers is None and args.resume and not args.no_cache
+            assert args.workers == 1 and args.resume and not args.no_cache
             assert args.cache_dir == DEFAULT_STORE_DIR
             assert args.export is None and args.shard is None and args.telemetry is None
             assert parser.parse_args([verb, "--shard", "2/4", "--no-resume"]).shard == (1, 4)

@@ -1,20 +1,25 @@
 """Tests for the experiment drivers (reduced-size versions of each figure).
 
-These tests run the same code paths as the benchmark harnesses but on small
-networks with few samples, checking the *qualitative* claims of the paper:
+These tests run the same code paths as the ``repro-spam`` experiment verbs
+but on small networks with few samples, checking the *qualitative* claims of
+the paper:
 
-* Figure 2 — latency essentially independent of the destination count;
-* Figure 3 — latency grows with the arrival rate but stays close across
-  multicast degrees;
+* Figure 2 — latency essentially independent of the destination count and
+  of the network size;
+* Figure 3 — latency grows with the arrival rate from above the startup
+  latency but stays close across multicast degrees;
 * §4 comparison — SPAM beats the software multicast lower bound by a large
-  factor for broadcast-sized destination sets.
+  factor for broadcast-sized destination sets, more so as the destination
+  count grows;
+* the ablations — every variant stays in the idle-network latency band, the
+  paper's selection function is within noise of the best, and each extra
+  partition worm costs about one startup.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
     AblationConfig,
     run_buffer_depth_ablation,
@@ -22,8 +27,13 @@ from repro.experiments.ablations import (
     run_root_ablation,
     run_selection_ablation,
 )
-from repro.experiments.common import SCALES, current_scale
-from repro.experiments.figure2 import Figure2Config, default_destination_counts, run_figure2
+from repro.experiments.common import SCALES
+from repro.experiments.figure2 import (
+    Figure2Config,
+    default_destination_counts,
+    figure2_specs,
+    run_figure2,
+)
 from repro.experiments.figure3 import Figure3Config, run_figure3
 from repro.experiments.software_comparison import (
     SoftwareComparisonConfig,
@@ -41,28 +51,29 @@ def tiny_ablation_config():
 class TestScaling:
     def test_named_scales(self):
         assert SCALES["paper"].message_length_flits == 128
-        assert current_scale().name in SCALES
+        for config in (Figure2Config(), Figure3Config(), SoftwareComparisonConfig(),
+                       AblationConfig()):
+            assert config.scale is SCALES["default"]
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        monkeypatch.setenv("REPRO_FLITS", "16")
-        monkeypatch.setenv("REPRO_SAMPLES", "3")
-        scale = current_scale()
-        assert scale.name == "smoke"
-        assert scale.message_length_flits == 16
-        assert scale.samples_per_point == 3
-
-    def test_unknown_scale_name_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "papr")
-        with pytest.raises(ConfigurationError, match=r"REPRO_SCALE.*default, paper, smoke.*'papr'"):
-            current_scale()
-
-    @pytest.mark.parametrize("variable", ["REPRO_FLITS", "REPRO_SAMPLES"])
-    def test_non_integer_override_names_its_variable(self, monkeypatch, variable):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        monkeypatch.setenv(variable, "1.5")
-        with pytest.raises(ConfigurationError, match=variable):
-            current_scale()
+    def test_environment_changes_nothing(self, monkeypatch):
+        """The experiments read no environment variable: setting the former
+        ``REPRO_*`` scale, worker and store variables leaves the specs as
+        the configuration alone describes them."""
+        former = {
+            "REPRO_SCALE": "paper",
+            "REPRO_FLITS": "16",
+            "REPRO_SAMPLES": "3",
+            "REPRO_SWEEP_WORKERS": "4",
+            "REPRO_SWEEP_CACHE": "elsewhere",
+        }
+        for name in former:
+            monkeypatch.delenv(name, raising=False)
+        unset = figure2_specs(Figure2Config())
+        for name, value in former.items():
+            monkeypatch.setenv(name, value)
+        assert figure2_specs(Figure2Config()) == unset
+        assert {spec.message_length_flits for spec in unset} == {64}
+        assert {dict(spec.workload_params)["samples"] for spec in unset} == {4}
 
     def test_default_destination_counts(self):
         counts = default_destination_counts(128)
@@ -73,32 +84,40 @@ class TestScaling:
 
 
 class TestFigure2:
+    COUNTS = {16: [1, 4, 8, 15], 24: [1, 4, 12, 23]}
+
     @pytest.fixture(scope="class")
     def figure2_result(self):
         config = Figure2Config(
-            network_sizes=(24,),
-            destination_counts={24: [1, 4, 12, 23]},
+            network_sizes=tuple(self.COUNTS),
+            destination_counts=self.COUNTS,
             scale=SMOKE,
         )
         return run_figure2(config)
 
     def test_series_structure(self, figure2_result):
-        assert figure2_result.labels() == ["24-switch network"]
-        series = figure2_result.series[0]
-        assert series.xs() == [1, 4, 12, 23]
-        assert all(point.summary.count == SMOKE.samples_per_point for point in series.points)
+        assert figure2_result.labels() == ["16-switch network", "24-switch network"]
+        for series, counts in zip(figure2_result.series, self.COUNTS.values()):
+            assert series.xs() == counts
+            assert all(point.summary.count == SMOKE.samples_per_point for point in series.points)
 
     def test_latency_in_plausible_range(self, figure2_result):
         """With a 10 us startup the idle-network multicast latency must sit a
         little above 10 us — the paper reports 11-14 us."""
-        for mean in figure2_result.series[0].means():
-            assert 10.0 < mean < 20.0
+        for series in figure2_result.series:
+            for mean in series.means():
+                assert 10.0 < mean < 20.0
 
     def test_latency_flat_in_destination_count(self, figure2_result):
         """The paper's headline claim: latency is essentially independent of
         the number of destinations (single worm, single startup)."""
-        series = figure2_result.series[0]
-        assert series.spread() < 0.25 * min(series.means())
+        for series in figure2_result.series:
+            assert series.spread() < 0.25 * min(series.means())
+
+    def test_latency_flat_in_network_size(self, figure2_result):
+        """Latency is also largely independent of the size of the network."""
+        small, large = (series.max_mean() for series in figure2_result.series)
+        assert abs(small - large) < 0.5 * min(small, large)
 
 
 class TestFigure3:
@@ -118,8 +137,11 @@ class TestFigure3:
             assert series.xs() == [0.005, 0.05]
 
     def test_latency_rises_with_rate(self, figure3_result):
+        """Every curve rises from the no-load latency, which the 10 us
+        startup keeps above 10 us."""
         for series in figure3_result.series:
             means = series.means()
+            assert means[0] > 10.0
             assert means[-1] >= means[0]
 
     def test_latency_similar_across_degrees(self, figure3_result):
@@ -132,18 +154,21 @@ class TestSoftwareComparison:
     def test_speedup_over_lower_bound(self):
         config = SoftwareComparisonConfig(
             network_size=24,
-            destination_counts=(23,),
+            destination_counts=(4, 23),
             scale=SMOKE,
             run_software_baseline=True,
         )
         rows = run_software_comparison(config)
-        assert len(rows) == 1
-        row = rows[0]
+        assert [row["destinations"] for row in rows] == [4, 23]
+        row = rows[-1]
         assert row["software_bound_us"] >= 50.0
+        assert row["spam_latency_us"] < 25.0
         assert row["speedup"] > 3.0
         # The executable binomial baseline can only be slower than the bound.
         assert row["software_measured_us"] >= row["software_bound_us"] * 0.95
         assert row["measured_speedup"] >= row["speedup"] * 0.9
+        # The advantage grows with the destination count.
+        assert rows[0]["speedup"] <= rows[-1]["speedup"]
 
     def test_bound_only_mode(self):
         config = SoftwareComparisonConfig(
@@ -165,10 +190,12 @@ class TestAblations:
         assert rows[1]["latency_us"] <= rows[0]["latency_us"] + 0.05
 
     def test_selection_rows(self, tiny_ablation_config):
-        rows = run_selection_ablation(("distance-to-lca", "first-allowed"), tiny_ablation_config)
-        assert {row["selection"] for row in rows} == {"distance-to-lca", "first-allowed"}
-        best = min(rows, key=lambda row: row["latency_us"])
-        assert best["latency_us"] <= rows[0]["latency_us"] + 1e-9
+        strategies = ("distance-to-lca", "first-allowed", "random")
+        rows = run_selection_ablation(strategies, tiny_ablation_config)
+        by_name = {row["selection"]: row["latency_us"] for row in rows}
+        assert set(by_name) == set(strategies)
+        # The paper's distance-to-LCA policy is within noise of the best one.
+        assert by_name["distance-to-lca"] <= min(by_name.values()) * 1.05
 
     def test_root_rows(self, tiny_ablation_config):
         rows = run_root_ablation(("center", "first"), tiny_ablation_config)
@@ -176,9 +203,17 @@ class TestAblations:
         center = next(row for row in rows if row["root_strategy"] == "center")
         first = next(row for row in rows if row["root_strategy"] == "first")
         assert center["tree_height"] <= first["tree_height"]
+        # Every root keeps the idle-network latency in the paper's band.
+        assert all(10.0 < row["latency_us"] < 20.0 for row in rows)
 
     def test_partition_rows(self, tiny_ablation_config):
-        rows = run_partition_ablation((1, 2), config=tiny_ablation_config)
-        assert [row["groups"] for row in rows] == [1, 2]
-        # Splitting into two worms costs an extra startup on an idle network.
-        assert rows[1]["latency_us"] > rows[0]["latency_us"]
+        groups = (1, 2, 4)
+        rows = run_partition_ablation(groups, config=tiny_ablation_config)
+        assert [row["groups"] for row in rows] == list(groups)
+        # The source serialises its sends, so on an idle network each extra
+        # worm costs at least half a 10 us startup.
+        latencies = [row["latency_us"] for row in rows]
+        assert latencies == sorted(latencies)
+        for index in range(1, len(groups)):
+            extra_worms = groups[index] - groups[index - 1]
+            assert latencies[index] - latencies[index - 1] >= 5.0 * extra_worms

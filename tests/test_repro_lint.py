@@ -676,7 +676,7 @@ def test_r9_obs_package_absolute_repro_import_also_fires(tmp_path):
         """
         import repro.simulator.config
         """,
-        relpath="src/repro/obs/runtime.py",
+        relpath="src/repro/obs/telemetry.py",
         select=["R9"],
     )
     assert rule_ids(result) == ["R9"]

@@ -180,10 +180,9 @@ class FileRule(Rule):
     scope: tuple[str, ...] = ()
     #: Glob patterns carved *out* of the scope — a rule-scoped sanction
     #: (e.g. R4 excludes ``src/repro/obs/*``: the telemetry package owns
-    #: the monotonic clock and the runtime-knob reader, and rule R9's
-    #: firewall bounds what can flow out of it).  Prefer an exclusion with
-    #: a documented contract over per-site pragmas when a whole package is
-    #: exempt by design.
+    #: the monotonic clock, and rule R9's firewall bounds what can flow
+    #: out of it).  Prefer an exclusion with a documented contract over
+    #: per-site pragmas when a whole package is exempt by design.
     exclude: tuple[str, ...] = ()
 
     def applies_to(self, relpath: str) -> bool:

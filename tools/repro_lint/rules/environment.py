@@ -7,16 +7,12 @@ the wall clock (``time.time``, ``datetime.now``), OS entropy
 library makes results depend on when/where they ran — the exact failure
 mode the content-addressed store exists to prevent.
 
-Environment reads deserve a note: a handful of sanctioned knobs exist
-(``REPRO_SWEEP_WORKERS`` — parallelism only, results bit-identical;
-``REPRO_SWEEP_CACHE`` — store *location*, not content; ``REPRO_SCALE`` /
-``REPRO_FLITS`` / ``REPRO_SAMPLES`` — explicit scale selectors for CI).  The worker-count knob flows through the single
-sanctioned reader :func:`repro.obs.runtime.env_knob`; the ``repro.obs``
-package as a whole is excluded from this rule (a rule-scoped sanction —
-it owns the monotonic telemetry clock too), with rule R9's observables
-firewall statically bounding what can flow out of it.  Remaining sites
-carry justified pragmas; anything new must either flow through
-configuration objects, ``env_knob``, or argue its own pragma.
+No environment knob is sanctioned: scale, worker count and store location
+are arguments, so the library reads no environment variable.  The
+``repro.obs`` package as a whole is excluded from this rule (a rule-scoped
+sanction: it owns the monotonic telemetry clock), with rule R9's
+observables firewall statically bounding what can flow out of it.  Any new
+site must flow through configuration objects or argue its own pragma.
 """
 
 from __future__ import annotations
@@ -65,10 +61,9 @@ class EnvironmentLeakRule(FileRule):
     )
     scope = ("src/repro/*",)
     # Rule-scoped sanction: repro.obs owns the monotonic telemetry clock
-    # (Telemetry's default perf_counter_ns) and the runtime-knob reader
-    # (env_knob); R9's observables firewall keeps everything recorded there
-    # out of simulation/sweep results, which is the property this rule
-    # protects per-site everywhere else.
+    # (Telemetry's default perf_counter_ns); R9's observables firewall keeps
+    # everything recorded there out of simulation/sweep results, which is
+    # the property this rule protects per-site everywhere else.
     exclude = ("src/repro/obs/*",)
 
     def check_file(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
