@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale",
         choices=sorted(SCALES),
-        default="smoke",
-        help="experiment scale (message length and sample counts)",
+        default="default",
+        help="experiment scale (message length and sample counts); the "
+        "experiment configurations' default",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 

@@ -40,16 +40,23 @@ class FlitBuffer:
         return tuple(self._slots)
 
     def replace_contents(self, flits) -> None:
-        """Replace the whole buffer contents, oldest first.
+        """Replace every buffered flit, oldest first, by the next of
+        ``flits``, which holds as many flits as the buffer.
 
         Used by the engine's fast path to substitute the flits that the
-        periods a worm token skipped would have left here; fresh flit
-        objects avoid any aliasing with flits held elsewhere.
+        periods a token skipped would have left here; fresh flit objects
+        avoid any aliasing with flits held elsewhere.  The flits are
+        replaced slot by slot in the same deque, so a worm segment may keep
+        a reference to its input buffer's ``_slots``, and the deque
+        allocates nothing (``deque.clear`` would leave it holding a spare
+        block).
         """
-        slots = deque(flits)
-        if len(slots) > self.capacity:
-            raise SimulationError("replacement exceeds buffer capacity")
-        self._slots = slots
+        slots = self._slots
+        replacement = list(flits)
+        if len(replacement) != len(slots):
+            raise SimulationError("a replacement must hold as many flits as the buffer")
+        for index, flit in enumerate(replacement):
+            slots[index] = flit
 
     def __len__(self) -> int:
         return len(self._slots)

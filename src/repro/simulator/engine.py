@@ -44,11 +44,19 @@ materialises the skipped periods (flit sequence numbers, the NI cursor,
 ``flit_hops``, ``bubbles_created`` and channel statistics) and the worm
 runs per flit again.
 
-**Equivalence guarantee:** the token keeps the place of the transfers it
+Once the bound period has pushed the tail, :meth:`WormholeSimulator._form_drain`
+folds every link ahead of the tail into a *drain token* (:class:`_DrainToken`)
+if the worm streams one body flit per link.  Each pop advances those
+links one period and peels the level the tail enters next, whose links the
+reference has just left idle; the tail's own transfers stay lane entries,
+so every release, OCRQ hand-over and delivery runs per flit.
+
+**Equivalence guarantee:** a token keeps the place of the transfers it
 stands for in the lane, so every ``(time, seq)`` comparison against other
-transfers and generic events comes out as in the per-flit engine; and until
-the tail is injected nothing outside the worm reads or writes its buffers,
-segments or NI cursor.  Every observable — delivery timestamps,
+transfers and generic events comes out as in the per-flit engine; and
+nothing outside the worm reads or writes the buffers, segments or NI
+cursor a token lags behind (the links ahead of the tail stay reserved
+until the tail passes).  Every observable — delivery timestamps,
 :class:`~repro.simulator.trace.Trace` records, message records,
 ``flit_hops``, bubble counts and per-channel statistics — is therefore
 bit-identical to a run with ``fast_path=False`` at the end of every
@@ -410,11 +418,15 @@ class WormholeSimulator:
             events.fold_transfers(count, _WormToken(ni, [entry[3] for entry in block]))
             ni.token_gate_ns = _NEVER
 
-    def _pop_token(self, token: _WormToken) -> None:
-        """A worm token is due: verify it (its first pop), skip its block
-        for one period, or, at its bound, materialise it and run the block
-        per flit (the NI is about to push the tail)."""
-        if token.shifting is None:
+    def _pop_token(self, token: _WormToken | _DrainToken) -> None:
+        """A token is due.  A drain token advances and peels a level
+        (:meth:`_pop_drain`).  A worm token is verified (its first pop),
+        skips its block for one period, or, at its bound, materialises, runs
+        the block per flit (the NI pushes the tail) and hands the links
+        ahead of the tail to a drain token."""
+        if token.__class__ is _DrainToken:
+            self._pop_drain(token)
+        elif token.shifting is None:
             if self.telemetry is None:
                 tier = self._verify_token(token)
             else:
@@ -425,9 +437,11 @@ class WormholeSimulator:
             self.coalesced_ticks += 1
             self.events.schedule_token(token)
         else:
+            message = token.ni.current
             complete_transfer = self._complete_transfer
             for link in self._thaw(token):
                 complete_transfer(link)
+            self._form_drain(token, message)
 
     def _verify_token(self, token: _WormToken) -> int:
         """Run the token's block through the per-flit machinery, exactly as
@@ -495,13 +509,105 @@ class WormholeSimulator:
             self._delivery_count,
         )
 
-    def _thaw(self, token: _WormToken) -> list[LinkState]:
+    def _form_drain(self, token: _WormToken, message: Message) -> None:
+        """Fold the links ahead of ``message``'s tail into a drain token.
+
+        ``token`` has just run its bound period per flit, in which the NI
+        pushed the tail.  The fold happens only from the one-flit streaming
+        state: the NI has moved on and the tail is the only flit on the
+        injection link; every other link of the block holds exactly one
+        body flit of the worm in its output buffer and nothing in its input
+        buffer; and the lane ends with the block's transfers in block order,
+        due one period ahead, with consecutive ``seq`` values (the injection
+        link's is last: the NI always reschedules it after the rest).
+        Otherwise the drain runs per flit.
+        """
+        links = token.links
+        injection = links[-1]
+        slots = injection.out_buffer._slots
+        if (
+            token.ni.current is message
+            or len(slots) != 1
+            or slots[0].kind is not _TAIL
+            or injection.in_buffer._slots
+        ):
+            return
+        mid = message.mid
+        region = links[:-1]
+        for link in region:
+            slots = link.out_buffer._slots
+            if (
+                len(slots) != 1
+                or slots[0].kind is not _BODY
+                or slots[0].message_id != mid
+                or link.in_buffer._slots
+            ):
+                return
+        events = self.events
+        count = len(links)
+        block = list(islice(reversed(events._lane), count))
+        block.reverse()
+        due = events.now + self.config.channel_latency_ns
+        if len(block) != count or block[-1][1] - block[0][1] != count - 1 or any(
+            time_ns != due or kind != _TRANSFER or entry_link is not link
+            for (time_ns, _seq, kind, entry_link), link in zip(block, links)
+        ):
+            return
+        # Level d holds the links d segments below the injection link: the
+        # tail enters level d in the d-th period of the drain.
+        levels = []
+        level = injection.sink_segment.outputs
+        while level:
+            levels.append(level)
+            level = [
+                output
+                for link in level
+                if not link.sink_is_processor
+                for output in link.sink_segment.outputs
+            ]
+        events.fold_transfers(count - 1, _DrainToken(region, levels), following=1)
+
+    def _pop_drain(self, token: _DrainToken) -> None:
+        """Advance the links ahead of the tail one period with no per-flit
+        work, and peel the level the tail enters next.
+
+        In the reference period the links of that level have at this point
+        completed their last body flit, which moved on, and nothing has
+        refilled them: the transfer that will, the tail's, comes after the
+        region's in the lane.  So they are idle with both buffers empty,
+        and their hops and channel statistics close as
+        ``_complete_transfer`` would close them.  The token is re-appended
+        before the tail's transfers run, and ends with its last level.
+        """
+        token.skipped += 1
+        periods = token.skipped
+        level = token.levels[periods - 1]
+        for link in level:
+            link.out_buffer._slots.popleft()
+            link.busy = False
+        self.stats.flit_hops += periods * len(level)
+        if self._collect_stats:
+            now = self.events.now
+            advance = (periods - 1) * self.config.channel_latency_ns
+            for link in level:
+                link.fast_forward(periods - 1, advance, False)
+                link.data_flits_carried += 1
+                link.mark_utilisation_end(now)
+        self.coalesced_ticks += 1
+        if periods < len(token.levels):
+            self.events.schedule_token(token)
+
+    def _thaw(self, token: _WormToken | _DrainToken) -> list[LinkState]:
         """Materialise the periods ``token`` skipped and end it.
 
         Flit seqs, the NI cursor, ``flit_hops``, ``bubbles_created`` and the
         channel statistics catch up with the per-flit engine.  Returns the
         block's links in lane order: the transfers the token stood for.
+        A drain token (:meth:`_thaw_drain`) leaves the NI alone: it may
+        already be serving its next message.
         """
+        if token.__class__ is _DrainToken:
+            return self._thaw_drain(token)
         periods = token.skipped
         if periods:
             for buffer, deltas in token.shifting:
@@ -519,6 +625,29 @@ class WormholeSimulator:
                     link.fast_forward(periods, advance, bubble)
         token.ni.token_gate_ns = 0
         return token.links
+
+    def _thaw_drain(self, token: _DrainToken) -> list[LinkState]:
+        """:meth:`_thaw` for a drain token: returns the links of the levels
+        it has not peeled, in lane order.  After ``skipped`` periods each
+        carries the body flit that was ``skipped`` links further up the
+        worm (one flit per link and no bubble: the flits along a path are
+        consecutive), and ``flit_hops`` and its channel statistics catch
+        up."""
+        periods = token.skipped
+        ahead = {link for level in token.levels[periods:] for link in level}
+        links = [link for link in token.links if link in ahead]
+        if periods:
+            for link in links:
+                flit = link.out_buffer._slots[0]
+                link.out_buffer.replace_contents(
+                    (Flit(_BODY, flit.message_id, flit.seq + periods),)
+                )
+            self.stats.flit_hops += periods * len(links)
+            if self._collect_stats:
+                advance = periods * self.config.channel_latency_ns
+                for link in links:
+                    link.fast_forward(periods, advance, False)
+        return links
 
     # ------------------------------------------------------------------
     # Wall-clock telemetry (observability only; see docs/observability.md)
@@ -618,9 +747,10 @@ class WormholeSimulator:
 
         # The output-buffer slot freed by this transfer lets the feeder (the
         # upstream segment or the source NI) push its next flit, which may
-        # already restart this link; otherwise try to restart it here.
+        # already restart this link; otherwise try to restart it here.  A
+        # segment whose input buffer is empty has no flit to push.
         feeder = link.feeder
-        if feeder is not None:
+        if feeder is not None and feeder.in_slots:
             feeder.try_advance()
         if not link.busy and link.out_buffer._slots:
             self.try_start_transfer(link)
@@ -751,6 +881,23 @@ class _WormToken:
         #: Periods the token may skip before the NI would push the tail.
         self.bound = 0
         #: Periods skipped and not yet materialised.
+        self.skipped = 0
+
+
+class _DrainToken:
+    """The transfers of one worm's links ahead of its tail due at one
+    timestamp, held in the transfer lane as one entry (see
+    ``docs/fast_path.md``, "Draining a token")."""
+
+    __slots__ = ("links", "levels", "skipped")
+
+    def __init__(self, links: list[LinkState], levels: list[list[LinkState]]) -> None:
+        #: The links ahead of the tail when the drain formed, in the lane
+        #: order of their transfers.
+        self.links = links
+        #: The same links by level: ``levels[d]`` is peeled by pop ``d + 1``.
+        self.levels = levels
+        #: Periods advanced and not yet materialised (and levels peeled).
         self.skipped = 0
 
 

@@ -18,14 +18,17 @@ two lanes that share one ``seq`` counter:
   scheduled: transfers arrive in ``(time, seq)`` order and live in a FIFO
   lane (a ``deque``) with no heap operation per flit hop.  The engine
   dispatches them directly to ``WormholeSimulator._complete_transfer``;
-* **worm tokens** (``kind == 2``) live in the transfer lane too.  A token
+* **tokens** (``kind == 2``) live in the transfer lane too.  A worm token
   stands for all of one streaming worm's transfers due at its timestamp,
-  which the per-flit engine keeps next to each other in the lane (see
-  ``docs/fast_path.md``).  :meth:`EventQueue.fold_transfers` swaps such a
-  block for one token under the block's first ``seq``,
+  and a drain token for those of the links ahead of a worm's injected
+  tail; the per-flit engine keeps either block next to each other in the
+  lane (see ``docs/fast_path.md``).  :meth:`EventQueue.fold_transfers`
+  swaps such a block for one token under the block's first ``seq`` (for a
+  drain, the tail's transfer stays behind it),
   :meth:`EventQueue.schedule_token` re-appends a token one period later
   with one fresh ``seq``, and :meth:`EventQueue.unfold_tokens` expands
-  every token back into its transfers under the token's ``seq``.
+  every token back into its transfers, in place and under the token's
+  ``seq``.
 
 Popping takes whichever lane head is smaller on ``(time, seq)``, which is
 exactly the order one heap of every entry would give.  Entries of one
@@ -106,15 +109,19 @@ class EventQueue:
         self._lane.append((self.now + self._period, self._seq, _TOKEN, token))
         self._seq += 1
 
-    def fold_transfers(self, count: int, token) -> None:
-        """Replace the last ``count`` lane entries, one block of transfers
-        due at one time with consecutive ``seq`` values, by ``token`` under
-        the block's time and first ``seq``."""
+    def fold_transfers(self, count: int, token, following: int = 0) -> None:
+        """Replace ``count`` lane entries, one block of transfers due at one
+        time with consecutive ``seq`` values, by ``token`` under the block's
+        time and first ``seq``.  The block is the lane's tail, or is
+        followed by the lane's last ``following`` entries, which stay where
+        they are behind the token."""
         lane = self._lane
+        kept = [lane.pop() for _ in range(following)]
         for _ in range(count - 1):
             lane.pop()
         time_ns, seq, _kind, _link = lane.pop()
         lane.append((time_ns, seq, _TOKEN, token))
+        lane.extend(reversed(kept))
 
     def unfold_tokens(self, expand: Callable[[object], Iterable]) -> None:
         """Replace every token in the lane by the transfers ``expand(token)``

@@ -73,6 +73,7 @@ class WormSegment:
         "message",
         "switch",
         "in_link",
+        "in_slots",
         "state",
         "required",
         "outputs",
@@ -90,6 +91,10 @@ class WormSegment:
         self.message = message
         self.switch = switch
         self.in_link = in_link
+        #: The input buffer's deque (``FlitBuffer`` refills it in place, so
+        #: the reference stays valid): the flits waiting to be replicated.
+        #: The engine calls a feeder only when this holds a flit.
+        self.in_slots = in_link.in_buffer._slots
         self.state = _SETUP
         #: Links whose OCRQ this segment is queued in (before acquisition).
         self.required: list[LinkState] = []
@@ -177,7 +182,7 @@ class WormSegment:
             return
         engine = self.engine
         in_link = self.in_link
-        in_slots = in_link.in_buffer._slots
+        in_slots = self.in_slots
         outputs = self.outputs
         advanced_any = False
         while in_slots:
@@ -271,7 +276,7 @@ class WormSegment:
         engine.segment_finished(self)
         # The next worm's header may already wait behind the tail (input
         # buffers deeper than one flit); it reaches the router now.
-        slots = in_link.in_buffer._slots
+        slots = self.in_slots
         if slots and slots[0].kind is _HEAD:
             engine.handle_head_at_switch(in_link, slots[0], self.switch)
         for link in released:
@@ -316,6 +321,11 @@ class SourceInterface:
         "heads_pending",
         "token_gate_ns",
     )
+
+    #: Stands where a worm segment keeps its input buffer's deque: the
+    #: engine calls a feeder only when this holds a flit, and a source NI
+    #: feeds its injection link only while flits of its message are left.
+    in_slots = (True,)
 
     def __init__(self, engine: "WormholeSimulator", processor: int, injection: LinkState) -> None:
         self.engine = engine

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.common import SCALES
+from repro.experiments.figure2 import Figure2Config
 from repro.sweeps import DEFAULT_STORE_DIR, SweepPointSpec, evaluate_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +41,12 @@ class TestCli:
             assert parser.parse_args([verb, "--shard", "2/4", "--no-resume"]).shard == (1, 4)
         args = parser.parse_args(["merge", "--into", "dst", "a", "b"])
         assert args.into == "dst" and args.sources == ["a", "b"]
+
+    def test_default_scale_is_the_configs_default(self):
+        """A figure regenerated without naming a scale simulates the same
+        worms from the CLI as from the Python driver."""
+        args = build_parser().parse_args(["figure2"])
+        assert SCALES[args.scale] == Figure2Config().scale
 
     def test_topology_command(self, capsys, tmp_path):
         rc = main(["topology", "--switches", "12", "--seed", "3",

@@ -19,7 +19,7 @@ import pytest
 from repro.core.spam import SpamRouting
 from repro.errors import SimulationError
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import PROBE_TIERS, WormholeSimulator
+from repro.simulator.engine import PROBE_TIERS, WormholeSimulator, _DrainToken
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.topology.examples import two_switch_network
 from repro.topology.irregular import lattice_irregular_network
@@ -676,6 +676,20 @@ class TestProbeTiers:
         assert seen == set(PROBE_TIERS), f"tiers never taken: {set(PROBE_TIERS) - seen}"
 
 
+def _link_state(simulator):
+    """Every link's busy flag and buffered flits, and the pending transfers'
+    times and links in lane order."""
+    links = [
+        (
+            link.busy,
+            [(flit.kind, flit.message_id, flit.seq) for flit in link.out_buffer.flits()],
+            [(flit.kind, flit.message_id, flit.seq) for flit in link.in_buffer.flits()],
+        )
+        for link in simulator.links
+    ]
+    return links, [(time_ns, link.cid) for time_ns, _seq, _kind, link in simulator.events._lane]
+
+
 @pytest.mark.equivalence
 class TestTokenBoundaries:
     """A bounded run materialises every live token and turns it back into
@@ -683,8 +697,9 @@ class TestTokenBoundaries:
     is the reference state."""
 
     def _count_cuts(self, simulator):
-        """Wrap the instance's token hooks; return the list that gets the
-        skipped periods of every token a ``run_for`` boundary thawed."""
+        """Wrap the instance's token hooks; return the list that gets
+        ``(token, skipped periods)`` for every token that a ``run_for``
+        boundary thawed after it skipped a period."""
         pop_token, thaw = simulator._pop_token, simulator._thaw
         popping = []
         cuts = []
@@ -698,7 +713,7 @@ class TestTokenBoundaries:
 
         def wrapped_thaw(token):
             if not popping and token.skipped:
-                cuts.append(token.skipped)
+                cuts.append((token, token.skipped))
             return thaw(token)
 
         simulator._pop_token = wrapped_pop
@@ -740,7 +755,49 @@ class TestTokenBoundaries:
             ), f"boundary {boundaries} at {ref_sim.now} ns"
         assert not fast_sim.pending_messages
         assert cuts, "no run_for boundary cut through a live token; test is vacuous"
-        assert fast_sim.coalesced_ticks > sum(cuts)
+        assert fast_sim.coalesced_ticks > sum(skipped for _token, skipped in cuts)
+
+    @pytest.mark.parametrize("first_window, advanced", [(11_725, 1), (11_755, 4), (11_795, 8)])
+    def test_boundaries_inside_a_drain_match_the_reference(
+        self, lattice32, lattice32_spam, first_window, advanced
+    ):
+        """The first window ends inside the drain of a broadcast whose tail
+        is injected at 11,710 ns, after its drain token advanced 1, 4 or 8
+        of its 9 levels; windows of 7, 13 and 23 ns then cut the rest of the
+        run, including the drains of a unicast.  Every boundary hands back
+        the reference state: the fingerprint, trace and channel statistics
+        included, and every link's flits and pending transfer (no
+        observable shows a body flit's seq, so they are compared here)."""
+        processors = lattice32.processors()
+        simulators = []
+        for fast in (True, False):
+            config = SimulationConfig(
+                message_length_flits=128,
+                fast_path=fast,
+                trace=True,
+                collect_channel_stats=True,
+            )
+            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+            simulator.submit_broadcast(processors[0])
+            simulator.submit_message(processors[1], [processors[20]], at_ns=900)
+            simulators.append(simulator)
+        fast_sim, ref_sim = simulators
+        cuts = self._count_cuts(fast_sim)
+        windows = (first_window, 7, 13, 23)
+        boundaries = 0
+        while ref_sim.pending_messages:
+            window = windows[0] if boundaries == 0 else windows[1 + boundaries % 3]
+            fast_stats = fast_sim.run_for(window)
+            ref_stats = ref_sim.run_for(window)
+            boundaries += 1
+            assert simulator_fingerprint(fast_sim, fast_stats) == simulator_fingerprint(
+                ref_sim, ref_stats
+            ), f"boundary {boundaries} at {ref_sim.now} ns"
+            assert _link_state(fast_sim) == _link_state(ref_sim), f"boundary {boundaries}"
+        assert not fast_sim.pending_messages
+        drains = [skipped for token, skipped in cuts if isinstance(token, _DrainToken)]
+        assert drains, "no run_for boundary cut through a live drain token; test is vacuous"
+        assert drains[0] == advanced
 
 
 @pytest.mark.equivalence
@@ -801,3 +858,106 @@ class TestBlockedBranch:
         assert multicast_offers, "the multicast was never offered to the fast path"
         assert min(multicast_offers) >= last_header_ns
         assert (1, "batch") in verified, "the multicast never streamed as a token"
+
+
+def _record_drains(simulator, log):
+    """Wrap the instance's drain hooks: ``log`` gets ``("offered", now)``
+    per bound period that offered a drain and ``(token, now)`` per drain
+    pop, before the pop runs."""
+    form_drain, pop_drain = simulator._form_drain, simulator._pop_drain
+
+    def recording_form(token, message):
+        log.append(("offered", simulator.now))
+        form_drain(token, message)
+
+    def recording_pop(token):
+        log.append((token, simulator.now))
+        pop_drain(token)
+
+    simulator._form_drain = recording_form
+    simulator._pop_drain = recording_pop
+
+
+@pytest.mark.equivalence
+class TestDrainToken:
+    """Once the NI has injected the tail, a drain token advances the links
+    ahead of it with no per-flit work and peels the level the tail enters
+    next; the tail's own transfers run per flit (``docs/fast_path.md``,
+    "Draining a token")."""
+
+    def _run_logged(self, network, routing, submit, flits=128, **overrides):
+        """``_run_pair`` with the fast path's drain hooks recorded."""
+        log = []
+
+        def logged_submit(sim):
+            submit(sim)
+            if sim.config.fast_path:
+                _record_drains(sim, log)
+
+        fast_sim = _run_pair(network, routing, logged_submit, flits=flits, **overrides)
+        return fast_sim, log
+
+    def test_multicast_tails_delivered_at_different_depths(self, lattice32, lattice32_spam):
+        """A broadcast's branches end at different depths: its drain token
+        peels one level per period, and tails reach the shallow destinations
+        while the deeper levels are still folded in the token."""
+        source = lattice32.processors()[0]
+        fast_sim, log = self._run_logged(
+            lattice32, lattice32_spam, lambda sim: sim.submit_broadcast(source)
+        )
+        pops = [(time_ns, token) for token, time_ns in log if isinstance(token, _DrainToken)]
+        assert pops, "no drain token advanced; test is vacuous"
+        token = pops[0][1]
+        drain = [time_ns for time_ns, popped in pops if popped is token]
+        assert len(drain) == len(token.levels) > 2
+        delivered = sorted(set(fast_sim.messages[0].delivered_ns.values()))
+        assert len(delivered) > 2
+        # Tails were delivered before the token's last level was peeled.
+        assert delivered[0] < drain[-1]
+
+    def test_released_link_goes_to_the_ocrq_waiter_behind_the_tail(
+        self, lattice32, lattice32_spam
+    ):
+        """A unicast waits in the OCRQ of a link the broadcast holds.  The
+        tail's transfer releases that link right after the drain token's
+        first pop, the waiter acquires it in the same event, and the drain
+        token keeps advancing the broadcast's deeper levels."""
+        processors = lattice32.processors()
+
+        def submit(sim):
+            sim.submit_broadcast(processors[0])
+            sim.submit_message(processors[1], [processors[20]], at_ns=900)
+
+        fast_sim, log = self._run_logged(lattice32, lattice32_spam, submit)
+        drain = [time_ns for token, time_ns in log if isinstance(token, _DrainToken)]
+        released = {}
+        handoffs = []
+        for event in fast_sim.trace.events:
+            if event.kind == "release" and event.fields["message"] == 0:
+                released.update(dict.fromkeys(event.fields["channels"], event.time_ns))
+            elif event.kind == "acquire" and event.fields["message"] == 1:
+                handoffs.extend(
+                    event.time_ns
+                    for cid in event.fields["channels"]
+                    if released.get(cid) == event.time_ns
+                )
+        assert handoffs, "the waiter did not acquire a link the tail released"
+        assert drain and drain[0] <= handoffs[0] < drain[-1]
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_deeper_buffers_decline_the_drain(self, lattice32, lattice32_spam, depth):
+        """With 2- or 3-flit buffers the worm streams with more than one
+        flit per buffer: its worm token skips periods, but at the bound no
+        drain token forms, and the drain runs per flit as in the
+        reference."""
+        processors = lattice32.processors()
+        fast_sim, log = self._run_logged(
+            lattice32,
+            lattice32_spam,
+            lambda sim: sim.submit_message(processors[0], [processors[11]]),
+            expect_coalesced=True,
+            input_buffer_depth=depth,
+            output_buffer_depth=depth,
+        )
+        assert ("offered", fast_sim.messages[0].injection_done_ns) in log
+        assert not [token for token, _time_ns in log if isinstance(token, _DrainToken)]

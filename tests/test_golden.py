@@ -34,9 +34,10 @@ fixed slice :data:`FUZZ_TIER1` on both paths; CI checks all of them::
     PYTHONPATH=src python tests/test_golden.py --fuzz 37 128   # named seeds
 
 The whole-corpus check also counts the seeds on which the fast path
-advanced at least one worm token, and fails below
-:data:`FUZZ_MIN_TOKEN_SEEDS`: a corpus the tokens no longer reach would
-match on both paths without proving anything about them.
+advanced at least one worm token, and at least one drain token, and fails
+below :data:`FUZZ_MIN_TOKEN_SEEDS` or :data:`FUZZ_MIN_DRAIN_SEEDS`: a
+corpus the tokens no longer reach would match on both paths without
+proving anything about them.
 
 Regenerate the corpora only for a change that is *meant* to move results,
 and say in the commit message why it moved::
@@ -318,6 +319,10 @@ FUZZ_TIER1 = FUZZ_SEEDS[::4]
 #: Fewest corpus seeds on which the fast path must advance a worm token
 #: (``coalesced_ticks > 0``); 167 of the 200 did when it was set.
 FUZZ_MIN_TOKEN_SEEDS = 150
+#: Fewest corpus seeds on which the fast path must advance a drain token;
+#: 21 of the 200 did when it was set (most fuzz worms stream with 2-3
+#: flits per buffer, where no drain token forms).
+FUZZ_MIN_DRAIN_SEEDS = 18
 
 
 @dataclass
@@ -385,13 +390,21 @@ def fuzz_digest(scenario: FuzzScenario, fast_path: bool) -> str:
     return fuzz_run(scenario, fast_path)[0]
 
 
-def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimulator]:
-    """Run ``scenario`` on one path: the sha256 of its fingerprint, and the
-    simulator that ran it."""
+def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimulator, int]:
+    """Run ``scenario`` on one path: the sha256 of its fingerprint, the
+    simulator that ran it, and how many times a drain token advanced."""
     config = SimulationConfig(
         trace=True, collect_channel_stats=True, fast_path=fast_path, **scenario.overrides
     )
     simulator = WormholeSimulator(scenario.network, scenario.routing, config)
+    drain_pops = []
+    pop_drain = simulator._pop_drain
+
+    def counting_pop_drain(token) -> None:
+        drain_pops.append(simulator.now)
+        pop_drain(token)
+
+    simulator._pop_drain = counting_pop_drain
     for source, destinations, at_ns, length in scenario.messages:
         simulator.submit_message(source, destinations, at_ns=at_ns, length_flits=length)
     if scenario.tiling is not None:
@@ -399,7 +412,7 @@ def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimu
         for _ in range(windows):
             simulator.run_for(window_ns)
     stats = simulator.run()
-    return digest(simulator_fingerprint(simulator, stats)), simulator
+    return digest(simulator_fingerprint(simulator, stats)), simulator, len(drain_pops)
 
 
 def load_fuzz_golden() -> dict[int, str]:
@@ -407,24 +420,26 @@ def load_fuzz_golden() -> dict[int, str]:
     return {int(seed): sha for seed, sha in digests.items()}
 
 
-def fuzz_check(seed: int, golden: dict[int, str]) -> tuple[list[str], bool]:
+def fuzz_check(seed: int, golden: dict[int, str]) -> tuple[list[str], bool, bool]:
     """One line per path whose digest moved from the golden, each naming
-    the seed, the scenario and a one-line reproducer; and whether the fast
-    path advanced at least one worm token."""
+    the seed, the scenario and a one-line reproducer; whether the fast
+    path advanced at least one worm token; and whether it advanced a drain
+    token."""
     scenario = fuzz_scenario(seed)
     lines = []
-    advanced = False
+    advanced = drained = False
     for fast_path in (True, False):
-        observed, simulator = fuzz_run(scenario, fast_path)
+        observed, simulator, drain_pops = fuzz_run(scenario, fast_path)
         if fast_path:
             advanced = simulator.coalesced_ticks > 0
+            drained = drain_pops > 0
         if observed != golden[seed]:
             lines.append(
                 f"fuzz seed {seed} moved on the {'fast' if fast_path else 'reference'} path "
                 f"(sha256 {golden[seed][:12]} -> {observed[:12]}): {scenario.describe()}; "
                 f"reproduce: PYTHONPATH=src python tests/test_golden.py --fuzz {seed}"
             )
-    return lines, advanced
+    return lines, advanced, drained
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +450,7 @@ def fuzz_golden() -> dict[int, str]:
 @pytest.mark.equivalence
 @pytest.mark.parametrize("seed", FUZZ_TIER1)
 def test_fuzz_scenario_matches_golden(seed, fuzz_golden):
-    mismatches, _advanced = fuzz_check(seed, fuzz_golden)
+    mismatches, _advanced, _drained = fuzz_check(seed, fuzz_golden)
     assert not mismatches, "\n".join(mismatches)
 
 
@@ -445,27 +460,35 @@ def test_fuzz_corpus_covers_exactly_the_seeds(fuzz_golden):
 
 def check_fuzz(seeds: list[int]) -> bool:
     """Check ``seeds`` (all of them when empty) on both paths; print one
-    line per moved path and the number of seeds whose fast path advanced a
-    worm token.  Returns whether the check failed: a seed moved, or the
-    whole corpus advanced tokens on fewer than
-    :data:`FUZZ_MIN_TOKEN_SEEDS` seeds."""
+    line per moved path and the numbers of seeds whose fast path advanced
+    a worm token and a drain token.  Returns whether the check failed: a
+    seed moved, or the whole corpus advanced worm tokens on fewer than
+    :data:`FUZZ_MIN_TOKEN_SEEDS` seeds or drain tokens on fewer than
+    :data:`FUZZ_MIN_DRAIN_SEEDS`."""
     golden = load_fuzz_golden()
     moved = 0
     advanced = 0
+    drained = 0
     for seed in seeds or FUZZ_SEEDS:
-        mismatches, seed_advanced = fuzz_check(seed, golden)
+        mismatches, seed_advanced, seed_drained = fuzz_check(seed, golden)
         if seeds:
             print(f"seed {seed}: {fuzz_scenario(seed).describe()}")
         for line in mismatches:
             print(line)
         moved += bool(mismatches)
         advanced += seed_advanced
+        drained += seed_drained
     checked = len(seeds) if seeds else len(FUZZ_SEEDS)
     print(f"fuzz corpus: {checked - moved} of {checked} seeds match on both paths")
     print(f"fuzz corpus: the fast path advanced a worm token on {advanced} of {checked} seeds")
-    too_few = not seeds and advanced < FUZZ_MIN_TOKEN_SEEDS
-    if too_few:
+    print(f"fuzz corpus: the fast path advanced a drain token on {drained} of {checked} seeds")
+    too_few = False
+    if not seeds and advanced < FUZZ_MIN_TOKEN_SEEDS:
         print(f"fuzz corpus: fewer than {FUZZ_MIN_TOKEN_SEEDS} seeds advanced a token")
+        too_few = True
+    if not seeds and drained < FUZZ_MIN_DRAIN_SEEDS:
+        print(f"fuzz corpus: fewer than {FUZZ_MIN_DRAIN_SEEDS} seeds advanced a drain token")
+        too_few = True
     return bool(moved) or too_few
 
 

@@ -505,7 +505,8 @@ def test_fast_path_matches_reference_at_any_channel_period(
 # ---------------------------------------------------------------------------
 class _OneHeapQueue:
     """Reference model of :class:`EventQueue`: one ``heapq`` of generic and
-    transfer entries."""
+    transfer entries and tokens.  A token's payload is the tuple of the
+    payloads it folded."""
 
     def __init__(self, period_ns: int) -> None:
         self.heap: list = []
@@ -526,6 +527,40 @@ class _OneHeapQueue:
 
     def schedule_transfer(self, payload):
         self._push(self.now + self.period, 1, payload)
+
+    def schedule_token(self, token):
+        self._push(self.now + self.period, 2, token)
+
+    def foldable(self, count, following):
+        """The lane block ``fold_transfers(count, ..., following)`` would
+        fold, if it is one: transfers due at one time with consecutive
+        ``seq`` values, followed by ``following`` lane entries."""
+        lane = sorted(entry for entry in self.heap if entry[2])
+        if len(lane) < count + following:
+            return None
+        block = lane[len(lane) - following - count : len(lane) - following]
+        time_ns, first = block[0][:2]
+        if any(
+            entry[:3] != (time_ns, first + index, 1) for index, entry in enumerate(block)
+        ):
+            return None
+        return block
+
+    def fold_transfers(self, count, token, following=0):
+        block = self.foldable(count, following)
+        self.heap = [entry for entry in self.heap if entry not in block]
+        self.heap.append((block[0][0], block[0][1], 2, token))
+        heapq.heapify(self.heap)
+
+    def unfold_tokens(self, expand):
+        entries = []
+        for time_ns, seq, kind, payload in self.heap:
+            if kind == 2:
+                entries.extend((time_ns, seq, 1, folded) for folded in expand(payload))
+            else:
+                entries.append((time_ns, seq, kind, payload))
+        self.heap = entries
+        heapq.heapify(self.heap)
 
     def pop_entry(self):
         if not self.heap:
@@ -551,7 +586,17 @@ class _OneHeapQueue:
 #: common.
 queue_operations = st.lists(
     st.tuples(
-        st.sampled_from(["schedule", "schedule_transfer", "pop_entry", "advance_to"]),
+        st.sampled_from(
+            [
+                "schedule",
+                "schedule_transfer",
+                "pop_entry",
+                "advance_to",
+                "fold_transfers",
+                "schedule_token",
+                "unfold_tokens",
+            ]
+        ),
         st.integers(min_value=-1, max_value=4),
         st.sampled_from([0, 0, 0, -1, 1]),
     ),
@@ -568,11 +613,19 @@ queue_operations = st.lists(
     operations=[("schedule_transfer", 0, 0), ("schedule", 1, 0)] + [("pop_entry", 0, 0)] * 2,
 )
 def test_two_lane_queue_matches_one_heap(period_ns, operations):
-    """Random interleavings of scheduling, popping and clock advances give
-    the same pop order, clock and errors as one heap of every entry."""
+    """Random interleavings of scheduling, popping, clock advances, token
+    folds (with and without a following entry), token re-appends and
+    unfolds give the same pop order, clock and errors as one heap of every
+    entry."""
     queue, model = EventQueue(period_ns), _OneHeapQueue(period_ns)
     for payload, (name, periods, nudge) in enumerate(operations):
         offset = periods * period_ns + nudge
+        count, following = periods + 2, int(nudge == 1)
+        if name == "fold_transfers":
+            block = model.foldable(count, following)
+            if block is None:
+                continue
+            token = tuple(entry[3] for entry in block)
         outcomes = []
         for subject in (queue, model):
             try:
@@ -580,6 +633,12 @@ def test_two_lane_queue_matches_one_heap(period_ns, operations):
                     result = subject.schedule(subject.now + offset, payload)
                 elif name == "schedule_transfer":
                     result = subject.schedule_transfer(payload)
+                elif name == "fold_transfers":
+                    result = subject.fold_transfers(count, token, following)
+                elif name == "schedule_token":
+                    result = subject.schedule_token((payload,))
+                elif name == "unfold_tokens":
+                    result = subject.unfold_tokens(lambda folded: folded)
                 elif name == "pop_entry":
                     time_ns, _seq, kind, popped = subject.pop_entry()
                     result = (time_ns, kind, popped)

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.simulator.buffers import FlitBuffer
 from repro.simulator.config import PAPER_CONFIG, SimulationConfig
 from repro.simulator.events import EventQueue
+from repro.simulator.flit import Flit, FlitKind
 from repro.simulator.links import LinkState
 from repro.simulator.message import Message, MessageKind
 from repro.simulator.ocrq import OutputChannelRequestQueue
@@ -20,6 +21,19 @@ class TestFlitBuffer:
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
             FlitBuffer(0)
+
+    def test_replace_contents_refills_the_same_deque(self):
+        """A worm segment keeps a reference to its input buffer's deque, so
+        a replacement refills that deque slot by slot; the replacement may
+        be computed from the flits it replaces, and must hold as many."""
+        buffer = FlitBuffer(2)
+        slots = buffer._slots
+        slots.extend([Flit(FlitKind.BODY, 0, 1), Flit(FlitKind.BODY, 0, 2)])
+        buffer.replace_contents(Flit(flit.kind, 0, flit.seq + 3) for flit in slots)
+        assert buffer._slots is slots
+        assert [flit.seq for flit in slots] == [4, 5]
+        with pytest.raises(SimulationError):
+            buffer.replace_contents([slots[0]])
 
 
 class _FakeSegment:
@@ -167,6 +181,23 @@ class TestEventQueueTransferEntries:
         entries = [queue.pop_entry() for _ in range(4)]
         assert [entry[:3] for entry in entries] == [(10, 0, 1), (15, 1, 1), (15, 1, 1), (15, 3, 1)]
         assert [entry[3] for entry in entries] == [before, first, second, after]
+
+    def test_token_folds_a_block_that_another_entry_follows(self):
+        """A drain token folds the block in front of the tail's transfer:
+        the following entry keeps its place behind the token, and unfolding
+        puts the block back in front of it under the token's ``seq``."""
+        queue = EventQueue(10)
+        first, second, tail = object(), object(), object()
+        queue.schedule_transfer(first)
+        queue.schedule_transfer(second)
+        queue.schedule_transfer(tail)
+        token = object()
+        queue.fold_transfers(2, token, following=1)
+        assert list(queue._lane) == [(10, 0, 2, token), (10, 2, 1, tail)]
+        queue.unfold_tokens(lambda folded: [first, second])
+        entries = [queue.pop_entry() for _ in range(3)]
+        assert [entry[:3] for entry in entries] == [(10, 0, 1), (10, 0, 1), (10, 2, 1)]
+        assert [entry[3] for entry in entries] == [first, second, tail]
 
     def test_rescheduled_token_fires_after_an_earlier_generic_on_a_tie(self):
         """A token re-appended one period later takes one fresh ``seq``, so
