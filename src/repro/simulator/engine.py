@@ -792,7 +792,8 @@ class WormholeSimulator:
         segment = WormSegment(self, message, switch, link)
         link.sink_segment = segment
         self._segments.add(segment)
-        self.trace_event("head", message=message.mid, switch=switch, channel=link.cid)
+        if self.trace is not None:
+            self.trace_event("head", message=message.mid, switch=switch, channel=link.cid)
         self.events.schedule_after(self.config.router_setup_ns, segment.make_decision)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,6 @@ can directly re-evaluate the next waiter without a reverse lookup.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from ..errors import SimulationError
@@ -28,12 +27,18 @@ __all__ = ["OutputChannelRequestQueue"]
 
 
 class OutputChannelRequestQueue:
-    """FIFO queue of worm segments waiting for one output channel."""
+    """FIFO queue of worm segments waiting for one output channel.
+
+    The waiters are a plain list, head first: a queue holds at most a few
+    segments, and every link has one, so an empty ``deque`` (760 bytes on
+    CPython 3.11, against 56 for an empty list) would cost more than its
+    O(1) pop from the front saves.
+    """
 
     __slots__ = ("_queue",)
 
     def __init__(self) -> None:
-        self._queue: deque[Any] = deque()
+        self._queue: list[Any] = []
 
     # ------------------------------------------------------------------
     @property
@@ -62,7 +67,7 @@ class OutputChannelRequestQueue:
         """Remove the head request, which must be ``requester``."""
         if not self._queue or self._queue[0] is not requester:
             raise SimulationError("segment tried to pop an OCRQ it does not head")
-        self._queue.popleft()
+        del self._queue[0]
 
     def remove(self, requester) -> None:
         """Remove a queued request regardless of position (diagnostics/tests

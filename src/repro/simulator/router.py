@@ -17,11 +17,17 @@ channel.
 Both classes are driven by the engine (:mod:`repro.simulator.engine`): they
 never touch the event queue directly except through the engine's helpers, so
 all scheduling policy lives in one place.
+
+The engine owns both.  A source interface refers back to it weakly, and a
+worm segment strongly only while the segment lives: the segment clears each
+released link's ``feeder`` when it finishes, so a finished simulation holds
+no reference cycle and reference counting frees it.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -66,7 +72,15 @@ _DONE = SegmentState.DONE
 
 
 class WormSegment:
-    """One message's state machine at one switch."""
+    """One message's state machine at one switch.
+
+    A live segment references the engine strongly, and the engine reaches
+    it through its live set, its pending routing decision, the input
+    link's ``sink_segment``, the OCRQs it waits in and the ``feeder`` of
+    the links it holds.  When the tail has passed, :meth:`_finish` drops
+    the last of these, so nothing the engine owns keeps a finished segment
+    (or, through it, the engine).
+    """
 
     __slots__ = (
         "engine",
@@ -135,8 +149,9 @@ class WormSegment:
         self.state = _WAITING
         for link in links:
             link.ocrq.enqueue(self)
-        engine.trace_event("request", message=self.message.mid, switch=self.switch,
-                           channels=[link.cid for link in links])
+        if engine.trace is not None:
+            engine.trace_event("request", message=self.message.mid, switch=self.switch,
+                               channels=[link.cid for link in links])
         self.try_acquire()
 
     def try_acquire(self) -> None:
@@ -154,10 +169,12 @@ class WormSegment:
         self.outputs = self.required
         self.required = []
         self.state = _ACTIVE
-        self.engine.trace_event(
-            "acquire", message=mid, switch=self.switch,
-            channels=[link.cid for link in self.outputs],
-        )
+        engine = self.engine
+        if engine.trace is not None:
+            engine.trace_event(
+                "acquire", message=mid, switch=self.switch,
+                channels=[link.cid for link in self.outputs],
+            )
         self.try_advance()
 
     # ------------------------------------------------------------------
@@ -247,7 +264,7 @@ class WormSegment:
                     if not link.busy:
                         engine.try_start_transfer(link)
                     pushed_bubble = True
-            if pushed_bubble:
+            if pushed_bubble and engine.trace is not None:
                 engine.trace_event("bubble", message=own_mid, switch=self.switch)
             break
         if advanced_any and not in_link.busy and in_link.out_buffer._slots:
@@ -265,10 +282,14 @@ class WormSegment:
             if link.reserved_by != self.message.mid:
                 raise SimulationError("segment released a channel it does not hold")
             link.reserved_by = None
-        engine.trace_event(
-            "release", message=self.message.mid, switch=self.switch,
-            channels=[link.cid for link in released],
-        )
+            # A finished segment advances nothing (``try_advance`` returns
+            # at once), and a feeder left here would keep it alive.
+            link.feeder = None
+        if engine.trace is not None:
+            engine.trace_event(
+                "release", message=self.message.mid, switch=self.switch,
+                channels=[link.cid for link in released],
+            )
         # Detach from the input link and let the engine drop the segment.
         in_link = self.in_link
         if in_link.sink_segment is self:
@@ -309,6 +330,10 @@ class SourceInterface:
     each waits for the previous message's tail to be handed to the injection
     channel, then pays the startup latency, then streams its flits into the
     injection channel's output buffer as fast as the channel drains it.
+
+    The engine owns its interfaces for its whole life, so an interface's
+    ``engine`` is a weak proxy: a strong one would make every simulation a
+    reference cycle that only the cyclic garbage collector frees.
     """
 
     __slots__ = (
@@ -328,7 +353,7 @@ class SourceInterface:
     in_slots = (True,)
 
     def __init__(self, engine: "WormholeSimulator", processor: int, injection: LinkState) -> None:
-        self.engine = engine
+        self.engine = weakref.proxy(engine)
         self.processor = processor
         self.injection = injection
         self.queue: deque[Message] = deque()

@@ -438,6 +438,9 @@ def run_software_multicast_once(
             metadata={"software_multicast": True, "phase": step.phase},
         )
     simulator.run()
+    # The callback closes over the simulator: detached, the finished
+    # simulation is no reference cycle and is freed when this returns.
+    simulator.delivery_callbacks.remove(on_delivery)
     if not scheduler.finished:
         raise RuntimeError("software multicast did not reach every destination")
     return last_delivery_ns / 1000.0

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -374,6 +376,33 @@ class TestDeepInputBuffers:
             assert stats.messages_completed == 45
             fingerprints.append(simulator_fingerprint(simulator, stats))
         assert fingerprints[0] == fingerprints[1]
+
+
+class TestFreedByReferenceCounting:
+    """A finished simulation holds no reference cycle, so dropping its last
+    reference frees it at once, with the cyclic collector switched off."""
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+    def test_completed_run_is_freed_without_the_collector(
+        self, lattice32, lattice32_spam, fast_path
+    ):
+        processors = lattice32.processors()
+        config = SimulationConfig(message_length_flits=128, fast_path=fast_path)
+        gc.collect()
+        gc.disable()
+        try:
+            simulator = WormholeSimulator(lattice32, lattice32_spam, config)
+            multicast = simulator.submit_message(processors[0], processors[1:9], at_ns=0)
+            unicast = simulator.submit_message(processors[12], [processors[20]], at_ns=0)
+            simulator.run()
+            assert multicast.is_complete and unicast.is_complete
+            # The fast path folded worms into tokens: they hold the NIs.
+            assert (simulator.coalesced_ticks > 0) == fast_path
+            alive = weakref.ref(simulator)
+            del simulator
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestDeterministicSnapshots:

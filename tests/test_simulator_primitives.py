@@ -47,14 +47,19 @@ class _FakeSegment:
 class TestOcrq:
     def test_fifo_and_head(self):
         ocrq = OutputChannelRequestQueue()
-        a, b = _FakeSegment(1), _FakeSegment(2)
+        a, b, c = _FakeSegment(1), _FakeSegment(2), _FakeSegment(3)
         assert ocrq.is_empty and ocrq.head() is None
         ocrq.enqueue(a)
         ocrq.enqueue(b)
+        ocrq.enqueue(c)
         assert ocrq.head() is a
-        assert ocrq.waiting_message_ids() == (1, 2)
+        assert ocrq.waiting_message_ids() == (1, 2, 3)
         ocrq.pop_head(a)
         assert ocrq.head() is b
+        assert ocrq.waiting() == (b, c)
+        ocrq.pop_head(b)
+        ocrq.pop_head(c)
+        assert ocrq.is_empty and ocrq.head() is None
 
     def test_duplicate_enqueue_rejected(self):
         ocrq = OutputChannelRequestQueue()
@@ -73,10 +78,15 @@ class TestOcrq:
 
     def test_remove(self):
         ocrq = OutputChannelRequestQueue()
-        a, b = _FakeSegment(1), _FakeSegment(2)
+        a, b, c = _FakeSegment(1), _FakeSegment(2), _FakeSegment(3)
         ocrq.enqueue(a)
         ocrq.enqueue(b)
+        ocrq.enqueue(c)
         ocrq.remove(b)
+        assert ocrq.waiting() == (a, c)
+        assert ocrq.head() is a
+        ocrq.remove(a)
+        assert ocrq.head() is c
         assert len(ocrq) == 1
         with pytest.raises(SimulationError):
             ocrq.remove(b)

@@ -17,6 +17,7 @@ Covers the satellite guarantees the subsystem exists to provide:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import replace
@@ -27,6 +28,9 @@ from repro.errors import SweepError, ZeroDeliveryError
 from repro.experiments.figure2 import Figure2Config, figure2_result_from_points, figure2_specs
 from repro.experiments.figure3 import Figure3Config, figure3_result_from_points, figure3_specs
 from repro.experiments.common import ExperimentScale, SCALES
+from repro.simulator.engine import WormholeSimulator
+from repro.simulator.links import LinkState
+from repro.simulator.router import SourceInterface, WormSegment
 from repro.sweeps import (
     ResultStore,
     SweepPointResult,
@@ -253,6 +257,58 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep([bad, good], store=store, workers=2)
         assert ResultStore(tmp_path / "cache").get(good) is not None
+
+
+#: Smoke-sized parameters of every workload kind ``evaluate_spec`` runs.
+_KIND_PARAMS = {
+    "single-multicast": (("num_destinations", 8), ("samples", SMOKE.samples_per_point)),
+    "mixed": (
+        ("rate_per_us", 0.02),
+        ("multicast_destinations", 4),
+        ("num_messages", SMOKE.messages_per_rate_point),
+    ),
+    "software-comparison": (
+        ("num_destinations", 8),
+        ("samples", 1),
+        ("run_software_baseline", True),
+    ),
+    "partitioned-multicast": (
+        ("num_destinations", 12),
+        ("groups", 2),
+        ("strategy", "contiguous"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+def test_evaluated_point_leaves_no_engine_object_for_the_collector(kind):
+    """Every simulator a point runs is freed by reference counting when
+    ``evaluate_spec`` returns: with the cyclic collector off, no engine,
+    link, worm segment or source NI it created is left."""
+    spec = SweepPointSpec(
+        workload_kind=kind,
+        network_size=32,
+        topology_seed=3,
+        message_length_flits=SMOKE.message_length_flits,
+        workload_params=_KIND_PARAMS[kind],
+        workload_seed=5,
+    )
+    engine_types = (WormholeSimulator, LinkState, WormSegment, SourceInterface)
+    gc.collect()
+    gc.disable()
+    try:
+        # Held, so that no id of an older object is reused by a new one.
+        older = [obj for obj in gc.get_objects() if type(obj) in engine_types]
+        seen = {id(obj) for obj in older}
+        result = evaluate_spec(spec)
+        left = [
+            obj for obj in gc.get_objects()
+            if type(obj) in engine_types and id(obj) not in seen
+        ]
+    finally:
+        gc.enable()
+    assert result.latencies_us
+    assert left == []
 
 
 class TestResolveWorkers:
