@@ -18,9 +18,7 @@ __all__ = [
     "SweepPoint",
     "SweepSeries",
     "SweepResult",
-    "SweepCoverage",
     "sweep_result_from_points",
-    "sweep_coverage",
 ]
 
 
@@ -118,62 +116,6 @@ class SweepResult:
             "parameters": dict(self.parameters),
             "series": [series.as_dict() for series in self.series],
         }
-
-
-@dataclass(frozen=True)
-class SweepCoverage:
-    """Which figure points a partial result set covers.
-
-    Sharded sweeps (and stores mid-merge) legitimately hold only a subset
-    of a figure's points; this is the accounting a caller needs to label a
-    partial figure honestly instead of presenting it as the whole — the
-    ``(series label, x)`` pairs present and missing, in the spec list's
-    order.
-    """
-
-    present: tuple[tuple[str, float], ...]
-    missing: tuple[tuple[str, float], ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.present) + len(self.missing)
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
-    def summary(self) -> str:
-        """One-line accounting string for CLI/log output."""
-        if self.complete:
-            return f"all {self.total} figure points present"
-        head = ", ".join(f"{label!r}@{x:g}" for label, x in self.missing[:4])
-        if len(self.missing) > 4:
-            head += ", …"
-        return (
-            f"{len(self.present)} of {self.total} figure points present "
-            f"(partial figure; missing: {head})"
-        )
-
-
-def sweep_coverage(specs: Iterable, points: Iterable) -> SweepCoverage:
-    """Coverage of ``points`` against the full spec list of a figure.
-
-    ``specs`` is any iterable of objects exposing ``.label`` and ``.x``
-    (``SweepPointSpec`` instances in practice); ``points`` exposes
-    ``.spec`` the same way (``SweepPointResult``, fresh or store-loaded).
-    Duplicate (label, x) pairs count once.
-    """
-    have = {(point.spec.label, point.spec.x) for point in points}
-    present: list[tuple[str, float]] = []
-    missing: list[tuple[str, float]] = []
-    seen: set[tuple[str, float]] = set()
-    for spec in specs:
-        pair = (spec.label, spec.x)
-        if pair in seen:
-            continue
-        seen.add(pair)
-        (present if pair in have else missing).append(pair)
-    return SweepCoverage(present=tuple(present), missing=tuple(missing))
 
 
 def sweep_result_from_points(

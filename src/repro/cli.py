@@ -10,9 +10,6 @@ exposes the library's main entry points without writing any Python:
     Regenerate the paper's figures at a chosen scale and print the series.
 ``compare``
     SPAM vs. software-multicast comparison (the §4 six-fold-difference claim).
-``merge``
-    ``merge --into DIR SRC...`` combines per-shard result stores into one,
-    after which an unsharded run is a pure warm-cache export.
 ``verify``
     Run the deadlock/livelock verification suite on a generated topology.
 ``hotspot``
@@ -28,10 +25,9 @@ flags: results are content-addressed in ``--cache-dir`` (default
 ``.sweep-cache/``; ``--no-cache`` bypasses the store), an interrupted run
 resumes from what it already computed (``--no-resume`` recomputes), points
 spread over ``--workers`` processes, ``--export`` writes the assembled
-figure or rows as JSON, ``--shard I/N`` runs one deterministic shard of the
-points so several hosts can split a run, and ``--telemetry OUT`` writes a
-telemetry snapshot plus a Chrome-trace/Perfetto sibling (``OUT`` with a
-``.trace.json`` suffix).
+figure or rows as JSON, and ``--telemetry OUT`` writes a telemetry snapshot
+plus a Chrome-trace/Perfetto sibling (``OUT`` with a ``.trace.json``
+suffix).
 """
 
 from __future__ import annotations
@@ -44,9 +40,7 @@ from typing import Sequence
 
 from .analysis.hotspot import root_traversal_probability
 from .analysis.report import format_table, series_side_by_side
-from .analysis.sweeps import sweep_coverage
 from .core.spam import SpamRouting
-from .errors import SweepError
 from .experiments.common import SCALES
 from .experiments.figure2 import (
     Figure2Config,
@@ -64,7 +58,7 @@ from .obs import (
     write_chrome_trace,
     write_snapshot,
 )
-from .sweeps import DEFAULT_STORE_DIR, ResultStore, merge_stores, parse_shard, run_sweep
+from .sweeps import DEFAULT_STORE_DIR, ResultStore, run_sweep
 from .topology.irregular import lattice_irregular_network
 from .topology.properties import summarize
 from .topology.serialization import save_network
@@ -75,20 +69,12 @@ from .verification.reachability import check_unicast_reachability
 __all__ = ["build_parser", "main"]
 
 
-def _shard(text: str) -> tuple[int, int]:
-    """``--shard I/N`` as the 0-based ``(index, count)`` pair of ``run_sweep``."""
-    try:
-        return parse_shard(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _add_run_flags(command: argparse.ArgumentParser) -> None:
     """The run flags every experiment verb shares: store, resume, workers,
-    export, shard and telemetry."""
+    export and telemetry."""
     command.add_argument("--workers", type=int, default=1,
                          help="worker processes (default: %(default)s, sequential; "
-                              "0 = one per CPU)")
+                              "0 = one per usable CPU)")
     command.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                          help="reuse stored results and compute only missing points "
                               "(--no-resume recomputes everything)")
@@ -98,10 +84,6 @@ def _add_run_flags(command: argparse.ArgumentParser) -> None:
                          help="result store directory (default: %(default)s)")
     command.add_argument("--export", default=None, metavar="PATH",
                          help="write the assembled figure/rows as JSON to PATH")
-    command.add_argument("--shard", type=_shard, default=None, metavar="I/N",
-                         help="run only shard I of N (1-based, e.g. 2/4): a "
-                              "deterministic content-addressed slice of the points, "
-                              "disjoint from every other shard")
     command.add_argument(
         "--telemetry", default=None, metavar="OUT",
         help="record wall-clock telemetry (repro.obs) and write the JSON "
@@ -160,19 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip executing the binomial software baseline (faster)",
     )
     _add_run_flags(compare)
-
-    merge = subparsers.add_parser(
-        "merge", help="combine per-shard result stores",
-        description=(
-            "Combine the stores of sharded runs (--shard I/N, one cache dir "
-            "each) conflict-free into DIR, and report the points a shard "
-            "still owes."
-        ),
-    )
-    merge.add_argument("--into", required=True, metavar="DIR",
-                       help="destination store directory")
-    merge.add_argument("sources", nargs="+", metavar="SRC",
-                       help="source store directories to merge")
 
     obs = subparsers.add_parser(
         "obs", help="inspect repro.obs telemetry snapshots",
@@ -234,17 +203,12 @@ def _run_experiment(args, specs, render) -> int:
 
     outcome = run_sweep(
         specs, store=store, workers=args.workers, resume=args.resume,
-        progress=progress, shard=args.shard, telemetry=telemetry,
+        progress=progress, telemetry=telemetry,
     )
     table, exported = render(outcome.results)
     print(table)
-    shard_note = ""
-    if args.shard is not None:
-        coverage = sweep_coverage(specs, outcome.results)
-        shard_note = f"  [shard {args.shard[0] + 1}/{args.shard[1]}: {coverage.summary()}]"
     print(f"{args.command}: {outcome.summary()}"
-          + ("" if store is None else f"  (store: {store.root})")
-          + shard_note)
+          + ("" if store is None else f"  (store: {store.root})"))
     if args.export:
         with open(args.export, "w") as handle:
             json.dump(exported, handle, indent=2, sort_keys=True)
@@ -306,23 +270,6 @@ def _cmd_compare(args) -> int:
         return format_table(rows), {"experiment": "compare", "rows": rows}
 
     return _run_experiment(args, software_comparison_specs(config), render)
-
-
-def _cmd_merge(args) -> int:
-    for source in args.sources:
-        status = ResultStore(source).manifest_status()
-        if status is not None:
-            print(f"  {source}: {status.describe()}")
-    try:
-        report = merge_stores(args.into, *args.sources)
-    except (SweepError, ValueError) as exc:
-        print(f"merge: {exc}", file=sys.stderr)
-        return 1
-    print(f"merge: {report.summary()}  (store: {args.into})")
-    if report.missing:
-        print(f"  still missing {len(report.missing)} expected point(s); "
-              f"re-run the owing shard(s) and merge again")
-    return 0
 
 
 def _read_json(path: str, label: str) -> tuple[bool, object]:
@@ -438,7 +385,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "figure2": _cmd_figure2,
         "figure3": _cmd_figure3,
         "compare": _cmd_compare,
-        "merge": _cmd_merge,
         "obs": _cmd_obs,
         "verify": _cmd_verify,
         "hotspot": _cmd_hotspot,

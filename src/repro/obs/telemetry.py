@@ -46,7 +46,7 @@ class Telemetry:
     ----------
     track:
         Label for the execution context this instance records ("main",
-        "engine", "shard", "worker", ...); every span carries it, and
+        "engine", "worker", ...); every span carries it, and
         :meth:`merge_child` rewrites it when folding worker payloads in.
     clock:
         Monotonic nanosecond clock; injectable for deterministic tests.

@@ -17,19 +17,15 @@ Guarantees:
   spec layer's cache, which never changes a result.
 * **Per-point checkpointing** — every computed result is appended to the
   store the moment it arrives, so a killed run loses at most the points
-  still in flight.
+  still in flight, and a failing point stops no other: whatever the worker
+  count, every other point runs and is stored before the first error is
+  raised.
 * **Resume** — a re-run of the same spec list completes exactly the
   missing points (``resume=False`` recomputes everything but still
   refreshes the store).
 * **Explicit failures** — a point that delivers no messages raises
   :class:`~repro.errors.ZeroDeliveryError` out of :func:`run_sweep` instead
   of contributing a silent NaN row.
-* **Sharding** — ``shard=(index, count)`` restricts the run to one
-  deterministic, content-addressed shard of the spec list
-  (:func:`~repro.sweeps.spec.shard_specs`), so several hosts can split a
-  sweep without coordination and later combine their stores with
-  :func:`~repro.sweeps.store.merge_stores`.  The store's ``manifest.json``
-  records which points the (possibly sharded) run was responsible for.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..obs import Telemetry
-from .spec import SweepPointResult, SweepPointSpec, evaluate_spec, shard_specs
+from .spec import SweepPointResult, SweepPointSpec, evaluate_spec
 from .store import ResultStore
 
 __all__ = ["SweepOutcome", "run_sweep", "resolve_workers"]
@@ -91,9 +87,13 @@ class SweepOutcome:
 
 def resolve_workers(workers: int) -> int:
     """Effective worker count: ``workers``, where ``0`` and negative values
-    mean "one per CPU"."""
+    mean one per usable CPU: the CPUs this process may run on where the
+    platform reports its affinity (Linux), else every CPU."""
     if workers <= 0:
-        workers = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     return workers
 
 
@@ -124,7 +124,6 @@ def run_sweep(
     workers: int = 1,
     resume: bool = True,
     progress: ProgressCallback | None = None,
-    shard: tuple[int, int] | None = None,
     telemetry: Telemetry | None = None,
 ) -> SweepOutcome:
     """Evaluate ``specs``, reusing and checkpointing results via ``store``.
@@ -139,7 +138,7 @@ def run_sweep(
         (no reads, no writes) — the orchestrator then just computes.
     workers:
         Process count; ``1`` (the default) runs in-process, ``0`` or
-        negative means one per CPU (see :func:`resolve_workers`).
+        negative means one per usable CPU (see :func:`resolve_workers`).
     resume:
         When ``True`` (default), stored results are reused and only missing
         points run.  When ``False`` every point is recomputed, and the fresh
@@ -147,11 +146,6 @@ def run_sweep(
     progress:
         Optional callback invoked after every completed point with
         ``(points_done, points_total, spec)``.
-    shard:
-        Optional 0-based ``(index, count)``: run only that deterministic
-        shard of ``specs`` (see :func:`~repro.sweeps.spec.shard_specs`).
-        Results cover the shard's points only; ``SweepOutcome.total`` is
-        the shard size, not the full sweep's.
     telemetry:
         Wall-clock recorder (``repro.obs``).  ``None`` (the default) still
         measures the outcome's time accounting on a private recorder;
@@ -162,10 +156,9 @@ def run_sweep(
         changes any result (the observables firewall,
         ``docs/observability.md``).
 
-    When a store is given, the points this run was responsible for (the
-    shard's, under sharding) are recorded in the store's ``manifest.json``
-    before evaluation starts, so an interrupted shard still documents what
-    it owes (``ResultStore.manifest_status``).
+    A failing point raises out of :func:`run_sweep`, but only after every
+    other point has been evaluated and stored, so a re-run only repeats
+    the failed points; the first error in completion order is raised.
     """
     # Accounting always runs on *some* recorder: the caller's, or a private
     # one whose spans are discarded with the outcome's timing extracted.
@@ -177,14 +170,6 @@ def run_sweep(
     hit_ns = 0
 
     specs = list(specs)
-    if shard is not None:
-        index, count = shard
-        specs = shard_specs(
-            specs, index, count,
-            code_salt=None if store is None else store.code_salt,
-        )
-    if store is not None:
-        store.record_expected(specs, shard=shard)
     results: list[SweepPointResult | None] = [None] * len(specs)
     cache_hits = 0
     if store is not None and resume:
@@ -224,11 +209,20 @@ def run_sweep(
             progress(done, len(specs), result.spec)
 
     workers = min(resolve_workers(workers), len(unique))
+    # Keep going past a failing point, and cancel nothing: every other point
+    # runs to completion and is checkpointed, so a re-run only repeats the
+    # failed points, whatever the worker count.
+    first_error: Exception | None = None
     try:
         if workers <= 1:
             for spec in unique:
                 point_start_ns = clock()
-                result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
+                try:
+                    result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+                    continue
                 point_end_ns = clock()
                 computed_ns += point_end_ns - point_start_ns
                 acct.span_at(
@@ -239,7 +233,6 @@ def run_sweep(
                 )
                 record(result)
         else:
-            first_error: Exception | None = None
             dispatch_start_ns = clock()
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
@@ -252,11 +245,6 @@ def run_sweep(
                     try:
                         result, task_telemetry = future.result()
                     except Exception as exc:
-                        # Keep draining, and cancel nothing: every other
-                        # point runs to completion and is checkpointed, so a
-                        # re-run only repeats the failed points — whatever
-                        # the executor had or had not started when the
-                        # error came.
                         if first_error is None:
                             first_error = exc
                         continue
@@ -271,8 +259,8 @@ def run_sweep(
                 points=len(unique),
                 workers=workers,
             )
-            if first_error is not None:
-                raise first_error
+        if first_error is not None:
+            raise first_error
     finally:
         if store is not None:
             store.flush_index()

@@ -40,9 +40,9 @@ Workload kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -66,9 +66,6 @@ __all__ = [
     "WORKLOAD_KINDS",
     "evaluate_spec",
     "run_software_multicast_once",
-    "spec_from_dict",
-    "shard_specs",
-    "parse_shard",
 ]
 
 
@@ -127,8 +124,8 @@ class SweepPointSpec:
         return dict(self.workload_params)
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-serialisable view (tuples become lists); see
-        :func:`spec_from_dict` for the inverse."""
+        """JSON-serialisable view (tuples become lists): the form a store
+        row carries and its key hashes."""
         return {
             "workload_kind": self.workload_kind,
             "network_size": self.network_size,
@@ -151,78 +148,6 @@ class SweepPointSpec:
             f"({self.network_size} switches, topology seed {self.topology_seed}, "
             f"workload seed {self.workload_seed})"
         )
-
-
-def spec_from_dict(data: Mapping[str, object]) -> SweepPointSpec:
-    """Rebuild a :class:`SweepPointSpec` from :meth:`SweepPointSpec.as_dict`."""
-    kwargs: dict[str, Any] = dict(data)
-    kwargs["workload_params"] = tuple((k, v) for k, v in kwargs.get("workload_params", ()))
-    kwargs["sim_overrides"] = tuple((k, v) for k, v in kwargs.get("sim_overrides", ()))
-    known = {f.name for f in fields(SweepPointSpec)}
-    return SweepPointSpec(**{k: v for k, v in kwargs.items() if k in known})
-
-
-# ----------------------------------------------------------------------
-# Multi-host sharding
-# ----------------------------------------------------------------------
-def shard_specs(
-    specs: Sequence[SweepPointSpec],
-    index: int,
-    count: int,
-    code_salt: str | None = None,
-) -> list[SweepPointSpec]:
-    """Shard ``index`` (0-based) of ``count`` disjoint shards of ``specs``.
-
-    Partitioning is by content, not position: a spec belongs to shard
-    ``int(spec_key(spec), 16) % count``.  Consequences:
-
-    * the ``count`` shards are a **disjoint cover** of any spec list — every
-      spec lands in exactly one shard;
-    * membership is **stable under spec-list reordering** (and under
-      duplicates, drops or additions of *other* specs), so two hosts that
-      build the list independently and run shards ``1/4`` and ``2/4`` never
-      evaluate the same point twice and never miss one between them;
-    * shards are only balanced statistically (hashes are uniform), not
-      exactly — fine for the embarrassingly-parallel figure grids.
-
-    ``code_salt`` must match across the participating hosts (they run the
-    same code version, so the default salt does); it only rotates which
-    shard a spec lands in, never the cover property.  Input order is
-    preserved within the shard.
-    """
-    # Imported lazily: repro.sweeps.store imports this module at load time.
-    from .store import spec_key
-
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}), got {index}")
-    if count == 1:
-        return list(specs)
-    return [
-        spec
-        for spec in specs
-        if int(spec_key(spec, code_salt), 16) % count == index
-    ]
-
-
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse a CLI-style ``"I/N"`` shard designator (1-based ``I``).
-
-    Returns the ``(index, count)`` pair :func:`shard_specs` expects, with
-    ``index`` converted to 0-based: ``"1/4"`` → ``(0, 4)``.
-    """
-    try:
-        one_based, count = (int(part) for part in text.split("/"))
-    except ValueError:
-        raise ValueError(
-            f"shard designator must look like I/N (e.g. 2/4), got {text!r}"
-        ) from None
-    if count < 1 or not 1 <= one_based <= count:
-        raise ValueError(
-            f"shard designator {text!r} out of range: need 1 <= I <= N"
-        )
-    return one_based - 1, count
 
 
 @dataclass(frozen=True)

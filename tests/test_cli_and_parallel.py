@@ -37,10 +37,8 @@ class TestCli:
             args = parser.parse_args([verb])
             assert args.workers == 1 and args.resume and not args.no_cache
             assert args.cache_dir == DEFAULT_STORE_DIR
-            assert args.export is None and args.shard is None and args.telemetry is None
-            assert parser.parse_args([verb, "--shard", "2/4", "--no-resume"]).shard == (1, 4)
-        args = parser.parse_args(["merge", "--into", "dst", "a", "b"])
-        assert args.into == "dst" and args.sources == ["a", "b"]
+            assert args.export is None and args.telemetry is None
+            assert not parser.parse_args([verb, "--no-resume"]).resume
 
     def test_default_scale_is_the_configs_default(self):
         """A figure regenerated without naming a scale simulates the same

@@ -19,9 +19,9 @@ the sha256 of the exact bytes ``repro-spam <experiment> ... --export``
 writes for three smoke-scale runs (Figure 2, the software comparison, and
 the Figure-3 grid of the CI sweep-smoke job), each computed in-process with
 no result store, and of the rows of the four ablation drivers at smoke
-scale with their default variants.  The sharded-vs-whole differential then
-has a stored reference too: CI hashes its merged Figure-3 export against
-the same digest.
+scale with their default variants.  The cache and resume check has a
+stored reference too: ``tools/sweep_resume_check.py`` hashes its cold
+Figure-3 export against the same digest.
 
 A third corpus, ``tests/golden/fuzz.json``, pins 200 seeded random
 scenarios the hand-built ones do not reach: ``random_irregular_network``

@@ -12,11 +12,10 @@ on:
 * multicast plans cover exactly the destination set with down-tree channels;
 * the end-to-end simulator delivers every message (deadlock/livelock freedom
   under the full protocol) and latency accounting is consistent;
-* the sweep-store merge (:func:`repro.sweeps.store.merge_stores`) is
-  idempotent, order-insensitive for disjoint stores, last-row-wins on key
-  collisions, rejects rows computed under a different code salt, and
-  recovers a source store's truncated tail (a shard host killed
-  mid-append);
+* the sweep store (:class:`repro.sweeps.store.ResultStore`) serves every
+  key's last row, also after a run killed mid-append left a truncated or
+  newline-less tail, and stays appendable afterwards, and two instances
+  appending to one root both serve the last rows;
 * the two-lane event queue (:class:`repro.simulator.events.EventQueue`)
   pops, ticks and fails exactly like one heap of every entry.
 """
@@ -29,20 +28,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.multicast import build_multicast_plan
 from repro.core.spam import SpamRouting
-from repro.errors import SimulationError, SweepError
+from repro.errors import SimulationError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.events import EventQueue
 from repro.spanning.ancestry import Ancestry, node_mask
 from repro.spanning.labeling import label_channels
 from repro.spanning.tree import bfs_spanning_tree
-from repro.sweeps import ResultStore, SweepPointResult, SweepPointSpec, merge_stores
+from repro.sweeps import ResultStore, SweepPointResult, SweepPointSpec
 from repro.topology.examples import line_network
 from repro.topology.irregular import random_irregular_network
 
@@ -193,14 +191,14 @@ def test_multicast_plan_covers_exactly_destinations(params, dest_seed, count):
             assert lca_subtree >> channel.dst & 1
 
 
-# Sweep-store merge invariants ----------------------------------------------
+# Sweep-store crash safety ----------------------------------------------------
 #
-# Stores here are synthetic: rows are built directly (no simulation), so
-# hypothesis can drive many store shapes cheaply.  Each example builds its
-# stores in a private temp directory (hypothesis re-runs the test body many
-# times per test, so the per-test tmp_path fixture cannot be used).
+# Rows here are synthetic: built directly (no simulation), so hypothesis can
+# drive many store shapes cheaply.  Each example uses a private temp
+# directory (hypothesis re-runs the test body many times per test, so the
+# per-test tmp_path fixture cannot be used).
 
-_MERGE_BASE_SPEC = SweepPointSpec(
+_STORE_BASE_SPEC = SweepPointSpec(
     workload_kind="single-multicast",
     network_size=16,
     topology_seed=3,
@@ -210,142 +208,91 @@ _MERGE_BASE_SPEC = SweepPointSpec(
     x=4.0,
 )
 
-#: A store's contents as {seed: latency}: which points it holds and with
-#: what (synthetic) observation — enough to exercise every merge path.
-store_contents = st.dictionaries(
-    st.integers(min_value=0, max_value=30),
-    st.floats(min_value=0.5, max_value=9.5, allow_nan=False, width=16),
-    max_size=8,
-)
 
-MERGE_SETTINGS = settings(max_examples=30, deadline=None)
-
-
-def _merge_result(seed: int, latency: float) -> SweepPointResult:
+def _store_result(seed: int, latency: float) -> SweepPointResult:
     return SweepPointResult(
-        spec=replace(_MERGE_BASE_SPEC, workload_seed=seed),
+        spec=replace(_STORE_BASE_SPEC, workload_seed=seed),
         latencies_us=(latency,),
         metrics=(("tree_root", 0),),
     )
 
 
-def _build_store(root: Path, contents: dict[int, float], **kwargs) -> ResultStore:
-    store = ResultStore(root, **kwargs)
-    store.root.mkdir(parents=True, exist_ok=True)  # even when left empty
-    for seed, latency in sorted(contents.items()):
-        store.put(_merge_result(seed, latency))
-    store.flush_index()
-    return store
-
-
-def _store_bytes(root: Path) -> bytes:
-    """``results.jsonl`` contents; an empty (row-less) store reads as b""."""
-    path = root / "results.jsonl"
-    return path.read_bytes() if path.exists() else b""
-
-
-def _visible(store: ResultStore) -> dict[int, float]:
-    """The store's winning rows as {seed: latency}."""
+def _served(store: ResultStore, seeds) -> dict[int, float]:
+    """The latency ``store`` serves for each seed's spec."""
     return {
-        result.spec.workload_seed: result.latencies_us[0]
-        for result in store.iter_results()
+        seed: store.get(replace(_STORE_BASE_SPEC, workload_seed=seed)).latencies_us[0]
+        for seed in seeds
     }
 
 
-@MERGE_SETTINGS
-@given(dst_contents=store_contents, src_contents=store_contents)
-def test_merge_is_idempotent(dst_contents, src_contents):
-    """Merging the same source twice changes nothing — not even the bytes
-    of ``results.jsonl`` (identical rows are skipped, not re-appended)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        src = _build_store(tmp / "src", src_contents)
-        dst = _build_store(tmp / "dst", dst_contents)
-        merge_stores(dst, src)
-        once = _store_bytes(tmp / "dst")
-        report = merge_stores(dst, src)
-        assert _store_bytes(tmp / "dst") == once
-        assert (report.appended, report.replaced) == (0, 0)
-
-
-@MERGE_SETTINGS
+@settings(max_examples=40, deadline=None)
 @given(
-    contents_a=store_contents,
-    contents_b=store_contents,
-    contents_c=store_contents,
-)
-def test_merge_order_insensitive_for_disjoint_stores(contents_a, contents_b, contents_c):
-    """Disjoint sources merged in any order produce the same visible
-    {key: row} mapping (file order differs; lookups don't)."""
-    contents_b = {seed + 100: value for seed, value in contents_b.items()}
-    contents_c = {seed + 200: value for seed, value in contents_c.items()}
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        stores = [
-            _build_store(tmp / name, contents)
-            for name, contents in (("a", contents_a), ("b", contents_b), ("c", contents_c))
-        ]
-        merge_stores(tmp / "fwd", *stores)
-        merge_stores(tmp / "rev", *reversed(stores))
-        expected = {**contents_a, **contents_b, **contents_c}
-        assert _visible(ResultStore(tmp / "fwd")) == expected
-        assert _visible(ResultStore(tmp / "rev")) == expected
-
-
-@MERGE_SETTINGS
-@given(
-    shared=st.dictionaries(
-        st.integers(min_value=0, max_value=10),
+    rows=st.lists(
         st.tuples(
+            st.integers(min_value=0, max_value=10),
             st.floats(min_value=0.5, max_value=9.5, allow_nan=False, width=16),
-            st.floats(min_value=10.5, max_value=19.5, allow_nan=False, width=16),
         ),
-        min_size=1,
-        max_size=6,
+        max_size=12,
+    ),
+    flush=st.booleans(),
+    tail=st.sampled_from([b"", b"{", b'{"key": "dead', b'{"key": "beef"}']),
+)
+def test_store_serves_last_rows_after_a_killed_append(rows, flush, tail):
+    """Rows put one by one, duplicate keys included, then the tail a run
+    killed mid-append leaves (nothing, a cut-off row, or a complete row
+    without its newline): a reopened store serves every key's last row,
+    and a later ``put`` is readable after another reopen."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = ResultStore(root)
+        for seed, latency in rows:
+            store.put(_store_result(seed, latency))
+        if flush:
+            store.flush_index()
+        root.mkdir(parents=True, exist_ok=True)
+        with open(store.results_path, "ab") as handle:
+            handle.write(tail)
+        last = dict(rows)
+
+        reopened = ResultStore(root)
+        assert len(reopened) == len(last)
+        assert _served(reopened, last) == last
+        reopened.put(_store_result(11, 1.5))
+
+        final = ResultStore(root)
+        assert len(final) == len(last) + 1
+        assert _served(final, [*last, 11]) == {**last, 11: 1.5}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    puts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=5),
+            st.floats(min_value=0.5, max_value=9.5, allow_nan=False, width=16),
+            st.booleans(),
+        ),
+        max_size=12,
     ),
 )
-def test_merge_last_row_wins_on_collisions(shared):
-    """When sources collide on a key with different content, the row from
-    the *later* source wins lookups in the merged store."""
-    first = {seed: values[0] for seed, values in shared.items()}
-    second = {seed: values[1] for seed, values in shared.items()}
+def test_two_instances_on_one_root_serve_the_last_rows(puts):
+    """Two store instances on one root (a process that opens one for a
+    cold run and another for a warm run) put rows in any interleaving, each
+    flushing its index or not: both instances and a fresh open serve every
+    key's last row, however stale the index an instance last flushed."""
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        src_a = _build_store(tmp / "a", first)
-        src_b = _build_store(tmp / "b", second)
-        report = merge_stores(tmp / "dst", src_a, src_b)
-        assert _visible(ResultStore(tmp / "dst")) == second
-        assert report.replaced == len(shared)
-
-
-@MERGE_SETTINGS
-@given(src_contents=store_contents)
-def test_merge_rejects_foreign_code_salt(src_contents):
-    """Every row computed under a different code salt is rejected — never
-    silently mixed into a store of current-code results."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        src = _build_store(tmp / "src", src_contents or {0: 1.0}, code_salt="foreign-v0")
-        with pytest.raises(SweepError, match="foreign-v0"):
-            merge_stores(tmp / "dst", src)
-
-
-@MERGE_SETTINGS
-@given(
-    src_contents=store_contents,
-    tail=st.sampled_from([b"{", b'{"key": "dead', b'{"key": "beef"}']),
-)
-def test_merge_recovers_truncated_source_tail(src_contents, tail):
-    """A source store whose host died mid-append (truncated or
-    newline-less trailing line) merges its valid prefix."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        src = _build_store(tmp / "src", src_contents)
-        with open(src.results_path, "ab") as handle:
-            handle.write(tail)
-        report = merge_stores(tmp / "dst", ResultStore(tmp / "src"))
-        assert _visible(ResultStore(tmp / "dst")) == src_contents
-        assert report.appended == len(src_contents)
+        root = Path(tmp) / "store"
+        stores = [ResultStore(root), ResultStore(root)]
+        last: dict[int, float] = {}
+        for which, seed, latency, flush in puts:
+            stores[which].put(_store_result(seed, latency))
+            if flush:
+                stores[which].flush_index()
+            last[seed] = latency
+        for store in [*stores, ResultStore(root)]:
+            assert len(store) == len(last)
+            assert _served(store, last) == last
 
 
 # End-to-end simulation invariants -------------------------------------------

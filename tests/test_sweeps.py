@@ -4,15 +4,19 @@ Covers the satellite guarantees the subsystem exists to provide:
 
 * spec hashing is stable and sensitive to every field plus the code salt;
 * the store round-trips results, survives a truncated trailing line (a run
-  killed mid-append) and rebuilds a stale index;
+  killed mid-append) and rebuilds a stale or unusable index, but refuses a
+  corrupt row before the tail and never serves a row of another code salt;
 * parallel and sequential runs are bit-identical under the same seeds;
 * cache hit/miss accounting and code-salt invalidation;
 * an interrupted sweep resumes by computing exactly the missing points;
+* a failing point stops no other point from being stored, at any worker
+  count, and the index is still flushed;
+* progress reports every stored point once, and fewer than two missing
+  points start no process pool;
+* the sharding, manifest and merging API and CLI surface stay deleted;
 * zero-delivery points surface as explicit errors, not NaN rows;
-* multi-host sharding: `shard_specs` is a reorder-stable disjoint cover,
-  shards merged with `merge_stores` reproduce the unsharded figure export
-  byte for byte, manifests account for owed points, and a cleared store's
-  index is never trusted stale after a merge re-populates it.
+* ``tools/sweep_resume_check.py`` passes end to end, including its
+  stored Figure-3 digest.
 """
 
 from __future__ import annotations
@@ -20,29 +24,32 @@ from __future__ import annotations
 import gc
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.errors import SweepError, ZeroDeliveryError
 from repro.experiments.figure2 import Figure2Config, figure2_result_from_points, figure2_specs
-from repro.experiments.figure3 import Figure3Config, figure3_result_from_points, figure3_specs
+from repro.experiments.figure3 import Figure3Config, figure3_specs
 from repro.experiments.common import ExperimentScale, SCALES
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.links import LinkState
 from repro.simulator.router import SourceInterface, WormSegment
 from repro.sweeps import (
     ResultStore,
+    SweepOutcome,
     SweepPointResult,
     SweepPointSpec,
     evaluate_spec,
-    merge_stores,
-    parse_shard,
+    resolve_workers,
     run_sweep,
-    shard_specs,
     spec_key,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 SMOKE = SCALES["smoke"]
 
 
@@ -67,6 +74,27 @@ BASE_SPEC = SweepPointSpec(
     workload_seed=5,
     x=4.0,
 )
+
+
+def synthetic_result(seed=5, latency=1.0, metrics=(("tree_root", 0),)) -> SweepPointResult:
+    """A result of ``BASE_SPEC`` at workload seed ``seed``, built directly
+    (no simulation), for store tests that only need rows."""
+    return SweepPointResult(
+        spec=replace(BASE_SPEC, workload_seed=seed),
+        latencies_us=(latency,),
+        metrics=metrics,
+    )
+
+
+#: index.json contents a store must not trust, as functions of the data
+#: file's size (``None``: the index was deleted).
+_UNUSABLE_INDEXES = {
+    "deleted": None,
+    "not-json": lambda size: b"{",
+    "not-an-object": lambda size: b"[]",
+    "other-size": lambda size: json.dumps({"size": size + 1, "offsets": {}}).encode(),
+    "offsets-not-a-map": lambda size: json.dumps({"size": size, "offsets": []}).encode(),
+}
 
 
 class TestSpecKey:
@@ -141,13 +169,116 @@ class TestResultStore:
         assert final.get(other) is not None
         assert len(final) == 2
 
-    def test_iter_results_rebuilds_specs(self, tmp_path):
+    def test_flush_after_external_append_does_not_poison_index(self, tmp_path):
+        """An index flushed by an instance that missed an external append
+        must be detected as stale (its recorded size covers only what the
+        instance indexed), so the next open rescans and sees every row."""
+        spec_a, spec_b = BASE_SPEC, replace(BASE_SPEC, workload_seed=6)
         store = ResultStore(tmp_path / "cache")
-        result = evaluate_spec(BASE_SPEC)
-        store.put(result)
-        (loaded,) = list(store.iter_results())
-        assert loaded.spec == BASE_SPEC
-        assert loaded.latencies_us == result.latencies_us
+        store.put(evaluate_spec(spec_a))
+        # Another writer appends behind this instance's back...
+        ResultStore(tmp_path / "cache").put(evaluate_spec(spec_b))
+        # ...and the stale instance persists its (older) view.
+        store.flush_index()
+        reopened = ResultStore(tmp_path / "cache")
+        assert reopened.get(spec_a) is not None
+        assert reopened.get(spec_b) is not None
+        # The stale instance's in-memory index notices the append too.
+        assert store.get(spec_b) is not None
+
+    @pytest.mark.parametrize("tail", [b"{", b'{"key": "dead', b'{"key": "beef"}'],
+                             ids=["brace", "cut-off-row", "row-without-newline"])
+    def test_killed_append_is_cut_back_to_the_last_complete_row(self, tmp_path, tail):
+        """The next open truncates the file to exactly its rows that end in
+        a newline, a complete row without one included, so the next append
+        starts on a line of its own."""
+        store = ResultStore(tmp_path / "cache")
+        store.put(synthetic_result(seed=1))
+        valid = store.results_path.read_bytes()
+        with open(store.results_path, "ab") as handle:
+            handle.write(tail)
+        reopened = ResultStore(tmp_path / "cache")
+        assert len(reopened) == 1
+        assert store.results_path.read_bytes() == valid
+        reopened.put(synthetic_result(seed=2))
+        data = store.results_path.read_bytes()
+        assert data.startswith(valid) and data.count(b"\n") == 2
+        assert len(ResultStore(tmp_path / "cache")) == 2
+
+    @pytest.mark.parametrize("row", [b"not json\n", b'{"salt": "x"}\n', b"[1, 2]\n"],
+                             ids=["not-json", "no-key", "not-an-object"])
+    def test_corrupt_row_before_the_tail_raises(self, tmp_path, row):
+        """Only the last line may be cut off: a bad row with a row after it
+        is corruption, reported with its byte offset, and the file is left
+        as it was."""
+        store = ResultStore(tmp_path / "cache")
+        store.put(synthetic_result())
+        valid = store.results_path.read_bytes()
+        with open(store.results_path, "ab") as handle:
+            handle.write(row + valid)
+        corrupt = store.results_path.read_bytes()
+        with pytest.raises(SweepError, match=f"corrupt sweep store row at byte {len(valid)} "):
+            ResultStore(tmp_path / "cache").get(BASE_SPEC)
+        assert store.results_path.read_bytes() == corrupt
+
+    @pytest.mark.parametrize("index", list(_UNUSABLE_INDEXES.values()),
+                             ids=list(_UNUSABLE_INDEXES))
+    def test_unusable_index_is_rebuilt_from_the_data_file(self, tmp_path, index):
+        """index.json is advisory: deleted, unreadable, or recording another
+        size, it is ignored, the rows are rescanned, and the next flush
+        persists an index that covers the whole file."""
+        store = ResultStore(tmp_path / "cache")
+        store.put_many([synthetic_result(seed=1, latency=1.0), synthetic_result(seed=2, latency=2.0)])
+        store.flush_index()
+        size = store.results_path.stat().st_size
+        if index is None:
+            store.index_path.unlink()
+        else:
+            store.index_path.write_bytes(index(size))
+        reopened = ResultStore(tmp_path / "cache")
+        assert len(reopened) == 2
+        assert reopened.get(replace(BASE_SPEC, workload_seed=2)).latencies_us == (2.0,)
+        reopened.flush_index()
+        persisted = json.loads(store.index_path.read_text())
+        assert persisted["size"] == size and len(persisted["offsets"]) == 2
+
+    def test_put_many_appends_in_order_and_returns_the_keys(self, tmp_path):
+        """One ``put_many`` writes its rows in the order given, returns their
+        keys in that order, and a key written twice serves its last row."""
+        results = [synthetic_result(7, 1.0), synthetic_result(3, 2.0), synthetic_result(7, 3.0)]
+        store = ResultStore(tmp_path / "cache")
+        keys = store.put_many(results)
+        assert keys == [store.key(result.spec) for result in results]
+        rows = store.results_path.read_bytes().splitlines()
+        assert [json.loads(row)["key"] for row in rows] == keys
+        again = replace(BASE_SPEC, workload_seed=7)
+        assert store.get(again).latencies_us == (3.0,)
+        assert ResultStore(tmp_path / "cache").get(again).latencies_us == (3.0,)
+
+    def test_put_many_of_nothing_writes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        assert store.put_many([]) == []
+        assert not store.root.exists()
+
+    def test_metric_order_survives_the_round_trip(self, tmp_path):
+        """Metrics are stored as pairs, so their order (the report tables'
+        column order) is not sorted away by canonical JSON."""
+        metrics = (("zeta", 1), ("alpha", 2.5), ("mid", 3))
+        store = ResultStore(tmp_path / "cache")
+        store.put(synthetic_result(metrics=metrics))
+        store.flush_index()
+        assert ResultStore(tmp_path / "cache").get(BASE_SPEC).metrics == metrics
+
+    def test_rows_of_another_code_salt_are_never_served(self, tmp_path):
+        """A root that spans a code upgrade holds one spec's rows under both
+        salts; each store serves only the row of its own salt."""
+        ResultStore(tmp_path / "cache", code_salt="old").put(synthetic_result(latency=1.0))
+        new = ResultStore(tmp_path / "cache", code_salt="new")
+        assert new.get(BASE_SPEC) is None and BASE_SPEC not in new
+        new.put(synthetic_result(latency=2.0))
+        for salt, latency in (("new", 2.0), ("old", 1.0)):
+            reopened = ResultStore(tmp_path / "cache", code_salt=salt)
+            assert reopened.get(BASE_SPEC).latencies_us == (latency,)
 
 
 class TestRunSweep:
@@ -182,6 +313,9 @@ class TestRunSweep:
         store = ResultStore(tmp_path / "cache")
         cold = run_sweep(specs, store=store)
         assert (cold.cache_hits, cold.computed) == (0, 2)
+        assert sorted(path.name for path in store.root.iterdir()) == [
+            "index.json", "results.jsonl",
+        ]
         warm = run_sweep(specs, store=ResultStore(tmp_path / "cache"))
         assert (warm.cache_hits, warm.computed) == (2, 0)
         assert [r.latencies_us for r in warm.results] == [
@@ -245,18 +379,103 @@ class TestRunSweep:
         assert first.latencies_us == second.latencies_us
 
     @pytest.mark.slow
-    def test_worker_failure_still_checkpoints_completed_points(self, tmp_path):
-        """A failing point must not discard other points' checkpoints: the
-        pool path drains remaining futures and stores their results before
-        re-raising the first error."""
-        from dataclasses import replace
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_failure_still_checkpoints_completed_points(self, tmp_path, workers):
+        """A failing point must not discard other points' checkpoints, at
+        any worker count: every other point is evaluated and stored before
+        the first error is raised."""
         good = BASE_SPEC
         bad = replace(BASE_SPEC, workload_kind="bogus-kind")
         store = ResultStore(tmp_path / "cache")
-        with pytest.raises(ValueError):
-            run_sweep([bad, good], store=store, workers=2)
+        with pytest.raises(ValueError, match="bogus-kind"):
+            run_sweep([bad, good], store=store, workers=workers)
         assert ResultStore(tmp_path / "cache").get(good) is not None
+
+    def test_first_failing_point_is_raised_after_the_rest_are_stored(self, tmp_path):
+        """In-process, points run in spec order: of two failing points the
+        first one's error is raised, and the good point between them is
+        stored first."""
+        first = replace(BASE_SPEC, workload_kind="bogus-first")
+        second = replace(BASE_SPEC, workload_kind="bogus-second")
+        with pytest.raises(ValueError, match="bogus-first"):
+            run_sweep([first, BASE_SPEC, second], store=ResultStore(tmp_path / "cache"))
+        assert ResultStore(tmp_path / "cache").get(BASE_SPEC) is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_index_is_flushed_when_a_point_fails(self, tmp_path, workers):
+        """The index is persisted even when the sweep raises, so the re-run
+        that repeats the failed point trusts it instead of rescanning."""
+        bad = replace(BASE_SPEC, workload_kind="bogus-kind")
+        store = ResultStore(tmp_path / "cache")
+        with pytest.raises(ValueError, match="bogus-kind"):
+            run_sweep([bad, BASE_SPEC], store=store, workers=workers)
+        persisted = json.loads(store.index_path.read_text())
+        assert persisted["size"] == store.results_path.stat().st_size
+        assert list(persisted["offsets"]) == [store.key(BASE_SPEC)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reports_each_stored_point_once(self, tmp_path, workers):
+        """Progress fires once per computed point, as it is stored; its count
+        starts from the cache hits and advances by every copy of a repeated
+        spec, so the last call reports the total."""
+        _config, specs = small_specs((1, 4, 8))
+        store = ResultStore(tmp_path / "cache")
+        run_sweep(specs[:1], store=store)
+        calls = []
+        run_sweep(
+            [*specs, specs[1]], store=store, workers=workers,
+            progress=lambda done, total, spec: calls.append((done, total, spec)),
+        )
+        copies = {specs[1]: 2, specs[2]: 1}
+        assert len(calls) == 2 and {spec for _, _, spec in calls} == set(copies)
+        done = 1  # the cache hit
+        for reported, total, spec in calls:
+            done += copies[spec]
+            assert (reported, total) == (done, 4)
+        if workers == 1:
+            assert [spec for _, _, spec in calls] == specs[1:]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["one-missing-point", "warm"])
+    def test_no_pool_for_fewer_than_two_missing_points(self, tmp_path, monkeypatch, warm):
+        """``workers`` is capped by the number of distinct missing points:
+        one missing point runs in-process, and a warm re-run starts no
+        pool, whatever ``workers`` asks for."""
+        import repro.sweeps.scheduler as scheduler
+
+        store = ResultStore(tmp_path / "cache")
+        if warm:
+            run_sweep([BASE_SPEC], store=store)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
+        outcome = run_sweep([BASE_SPEC, BASE_SPEC], store=store, workers=4)
+        assert (outcome.cache_hits, outcome.computed) == ((2, 0) if warm else (0, 1))
+
+    def test_without_a_store_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        outcome = run_sweep([BASE_SPEC], store=None)
+        assert outcome.computed == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_sweep_takes_no_shard(self):
+        """One store per run: passing the deleted ``shard`` parameter is a
+        TypeError, not a silently whole run."""
+        with pytest.raises(TypeError, match="shard"):
+            run_sweep([BASE_SPEC], shard=(1, 2))
+
+    def test_summary_keeps_its_accounting_prefix(self):
+        """The summary starts with the point, hit and computed counts (CI
+        greps the ``N computed`` token); timing follows only when measured."""
+        results = [synthetic_result(seed) for seed in (1, 2, 3)]
+        untimed = SweepOutcome(results=results, cache_hits=2, computed=1)
+        assert untimed.summary() == "3 points: 2 cache hits, 1 computed"
+        timed = replace(untimed, elapsed_seconds=1.5, computed_seconds=2.25, hit_seconds=0.004)
+        assert timed.summary() == (
+            "3 points: 2 cache hits, 1 computed "
+            "(2.25 s computing, 0.004 s cache scan, 1.50 s elapsed)"
+        )
 
 
 #: Smoke-sized parameters of every workload kind ``evaluate_spec`` runs.
@@ -315,13 +534,23 @@ class TestResolveWorkers:
     def test_env_values_still_resolve(self, monkeypatch):
         """Whatever the former ``$REPRO_SWEEP_WORKERS`` holds, a worker count
         resolves from the argument alone: ``0`` or negative means one per
-        CPU, anything else is taken as given."""
-        from repro.sweeps import resolve_workers
-
+        usable CPU, anything else is taken as given.  Pinned to one CPU of
+        two (``taskset -c 0``), one per usable CPU is one worker."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert resolve_workers(0) == resolve_workers(-1) == (os.cpu_count() or 1)
+        assert resolve_workers(0) == resolve_workers(-1) == 1
         assert resolve_workers(1) == 1
         assert resolve_workers(2) == 2
+
+    def test_falls_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        """Platforms without ``sched_getaffinity`` (macOS, Windows) count
+        every CPU, and at least one."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers(0) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(0) == 1
 
 
 class TestFigureIntegration:
@@ -351,276 +580,6 @@ class TestFigureIntegration:
         assert again.cache_hits == 1
 
 
-class TestSharding:
-    def test_disjoint_cover_for_several_shardings(self):
-        """For several (index, count) combinations, the shards partition the
-        spec list: pairwise disjoint and jointly exhaustive."""
-        specs = [replace(BASE_SPEC, workload_seed=seed) for seed in range(17)]
-        whole = sorted(spec_key(spec) for spec in specs)
-        for count in (1, 2, 3, 4, 7):
-            shards = [shard_specs(specs, index, count) for index in range(count)]
-            keys = [set(spec_key(spec) for spec in shard) for shard in shards]
-            for i in range(count):
-                for j in range(i + 1, count):
-                    assert not keys[i] & keys[j], (count, i, j)
-            assert sorted(key for shard_keys in keys for key in shard_keys) == whole
-
-    def test_membership_stable_under_reordering(self):
-        """Two hosts building the spec list in different orders agree on
-        every spec's shard (partitioning is content-addressed, not
-        positional)."""
-        specs = [replace(BASE_SPEC, workload_seed=seed) for seed in range(11)]
-        forward = shard_specs(specs, 1, 3)
-        backward = shard_specs(list(reversed(specs)), 1, 3)
-        assert {spec_key(s) for s in forward} == {spec_key(s) for s in backward}
-        # Input order is preserved within a shard.
-        assert forward == list(reversed(backward))
-
-    def test_single_shard_is_identity(self):
-        specs = [replace(BASE_SPEC, workload_seed=seed) for seed in range(5)]
-        assert shard_specs(specs, 0, 1) == specs
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            shard_specs([BASE_SPEC], 2, 2)
-        with pytest.raises(ValueError):
-            shard_specs([BASE_SPEC], -1, 2)
-        with pytest.raises(ValueError):
-            shard_specs([BASE_SPEC], 0, 0)
-
-    def test_parse_shard(self):
-        assert parse_shard("1/4") == (0, 4)
-        assert parse_shard("4/4") == (3, 4)
-        for bad in ("0/4", "5/4", "1", "a/b", "1/0", "1/2/3"):
-            with pytest.raises(ValueError):
-                parse_shard(bad)
-
-    def test_mixed_shard_runs_drop_the_manifest_tag(self, tmp_path):
-        """Two different shards accumulating into one store union their
-        expected keys, but the manifest's shard tag must drop to None —
-        labelling the union with the latest shard would mis-attribute the
-        other shard's owed points to it."""
-        _config, specs = small_specs((1, 4, 8, 15))
-        store = ResultStore(tmp_path / "cache")
-        store.record_expected(shard_specs(specs, 0, 2), shard=(0, 2))
-        assert store.manifest_status().shard == (0, 2)
-        store.record_expected(shard_specs(specs, 0, 2), shard=(0, 2))
-        assert store.manifest_status().shard == (0, 2)  # same tag survives
-        store.record_expected(shard_specs(specs, 1, 2), shard=(1, 2))
-        status = store.manifest_status()
-        assert status.shard is None
-        assert set(status.expected) == {store.key(spec) for spec in specs}
-
-    def test_run_sweep_shard_records_manifest(self, tmp_path):
-        _config, specs = small_specs((1, 4, 8, 15))
-        store = ResultStore(tmp_path / "cache")
-        outcome = run_sweep(specs, store=store, shard=(0, 2))
-        shard = shard_specs(specs, 0, 2, code_salt=store.code_salt)
-        assert outcome.total == len(shard)
-        status = ResultStore(tmp_path / "cache").manifest_status()
-        assert status is not None
-        assert status.shard == (0, 2)
-        assert status.complete
-        assert set(status.expected) == {store.key(spec) for spec in shard}
-
-
-class TestManifestStatusEdgeCases:
-    """Regression pins for `manifest_status` corner cases that `sweep merge`
-    and the resume check lean on (both read completion straight off the
-    manifest)."""
-
-    def test_no_manifest_returns_none(self, tmp_path):
-        assert ResultStore(tmp_path / "cache").manifest_status() is None
-
-    def test_corrupt_manifest_reads_as_absent(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        store.root.mkdir(parents=True, exist_ok=True)
-        store.manifest_path.write_text("{not json")
-        assert store.manifest_status() is None
-        # A well-formed payload without an "expected" list is equally void.
-        store.manifest_path.write_text(json.dumps({"schema": 1, "salt": "s"}))
-        assert store.manifest_status() is None
-
-    def test_empty_manifest_is_vacuously_complete(self, tmp_path):
-        """An empty expected set (recorded before any specs existed) owes
-        nothing: complete, zero counts, and a shard-less describe line."""
-        store = ResultStore(tmp_path / "cache")
-        store.record_expected([])
-        status = store.manifest_status()
-        assert status is not None
-        assert status.expected == () and status.done == () and status.missing == ()
-        assert status.complete
-        assert status.describe() == "store: 0/0 expected points done"
-
-    def test_expected_but_empty_store_owes_every_point(self, tmp_path):
-        """A manifest recorded up front (a shard run does this before it
-        computes anything) against a store with no rows yet: nothing done,
-        everything missing, and the describe line says so."""
-        _config, specs = small_specs((1, 4))
-        store = ResultStore(tmp_path / "cache")
-        store.record_expected(specs)
-        status = store.manifest_status()
-        assert status is not None and not status.complete
-        assert status.done == ()
-        assert set(status.missing) == {store.key(spec) for spec in specs}
-        assert status.describe() == "store: 0/2 expected points done, 2 missing"
-
-    def test_null_shard_tag_survives_and_mixed_designators_stay_null(self, tmp_path):
-        """A store that accumulated mixed shard designators keeps the null
-        tag on *every* later recording — once the expected set spans
-        several shards no single designator may ever re-label it."""
-        _config, specs = small_specs((1, 4, 8, 15))
-        store = ResultStore(tmp_path / "cache")
-        store.record_expected(shard_specs(specs, 0, 2), shard=(0, 2))
-        store.record_expected(shard_specs(specs, 1, 2), shard=(1, 2))
-        assert store.manifest_status().shard is None
-        # Re-recording the original shard must not resurrect its tag.
-        store.record_expected(shard_specs(specs, 0, 2), shard=(0, 2))
-        status = store.manifest_status()
-        assert status.shard is None
-        assert status.describe().startswith("store:")
-        assert set(status.expected) == {store.key(spec) for spec in specs}
-
-
-class TestShardWholeDifferential:
-    """The shard/engine contract: a figure assembled from N merged shard
-    stores is byte-identical to the figure from one unsharded run."""
-
-    CONFIG = Figure3Config(
-        network_size=16,
-        multicast_degrees=(2, 4),
-        arrival_rates_per_us=(0.01, 0.02),
-        scale=SCALES["smoke"],
-    )
-
-    @staticmethod
-    def _export(config, results) -> bytes:
-        figure = figure3_result_from_points(config, results)
-        return json.dumps(figure.as_dict(), indent=2, sort_keys=True).encode()
-
-    def test_three_merged_shards_match_one_shard_byte_identically(self, tmp_path):
-        config = self.CONFIG
-        specs = figure3_specs(config)
-
-        whole = run_sweep(specs, store=ResultStore(tmp_path / "whole"))
-        whole_export = self._export(config, whole.results)
-
-        shard_stores = []
-        covered = 0
-        for index in range(3):
-            store = ResultStore(tmp_path / f"shard{index}")
-            outcome = run_sweep(specs, store=store, shard=(index, 3))
-            covered += outcome.total
-            shard_stores.append(store)
-        assert covered == len(specs)
-
-        report = merge_stores(tmp_path / "merged", *shard_stores)
-        assert report.appended == len(specs)
-        assert not report.missing
-
-        merged = run_sweep(specs, store=ResultStore(tmp_path / "merged"))
-        assert (merged.cache_hits, merged.computed) == (len(specs), 0)
-        assert self._export(config, merged.results) == whole_export
-
-
-class TestMergeStores:
-    def _result(self, seed: int, latency: float = 1.0) -> SweepPointResult:
-        return SweepPointResult(
-            spec=replace(BASE_SPEC, workload_seed=seed),
-            latencies_us=(latency,),
-            metrics=(("tree_root", 0),),
-        )
-
-    def test_salt_mismatch_rejected_with_clear_error(self, tmp_path):
-        src = ResultStore(tmp_path / "src", code_salt="elsewhere-v2")
-        src.put(self._result(1))
-        dst = ResultStore(tmp_path / "dst")
-        with pytest.raises(SweepError, match="elsewhere-v2"):
-            merge_stores(dst, src)
-
-    def test_merge_into_itself_rejected(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put(self._result(1))
-        with pytest.raises(ValueError):
-            merge_stores(store, ResultStore(tmp_path / "store"))
-
-    def test_nonexistent_source_rejected(self, tmp_path):
-        """A typo'd shard path must not pass as an empty store and report a
-        successful zero-row merge."""
-        with pytest.raises(SweepError, match="does not exist"):
-            merge_stores(tmp_path / "dst", tmp_path / "no-such-shard")
-
-    def test_last_source_wins_on_key_collision(self, tmp_path):
-        first = ResultStore(tmp_path / "a")
-        second = ResultStore(tmp_path / "b")
-        first.put(self._result(1, latency=1.0))
-        second.put(self._result(1, latency=2.0))
-        dst = ResultStore(tmp_path / "dst")
-        report = merge_stores(dst, first, second)
-        assert (report.appended, report.replaced) == (1, 1)
-        assert dst.get(replace(BASE_SPEC, workload_seed=1)).latencies_us == (2.0,)
-
-    def test_merged_manifest_reports_missing_shard_points(self, tmp_path):
-        """Merging an incomplete shard leaves exactly the owed keys in the
-        merged manifest, so the host running the merge knows what to re-run."""
-        _config, specs = small_specs((1, 4, 8))
-        store = ResultStore(tmp_path / "shard")
-        store.record_expected(specs, shard=(0, 1))
-        run_sweep(specs[:2], store=store)
-        report = merge_stores(tmp_path / "merged", store)
-        missing = {store.key(spec) for spec in specs[2:]}
-        assert set(report.missing) == missing
-        status = ResultStore(tmp_path / "merged").manifest_status()
-        assert set(status.missing) == missing
-        # Completing the owed points and re-merging settles the account.
-        run_sweep(specs, store=ResultStore(tmp_path / "shard"))
-        report = merge_stores(tmp_path / "merged", ResultStore(tmp_path / "shard"))
-        assert not report.missing
-        assert ResultStore(tmp_path / "merged").manifest_status().complete
-
-
-class TestClearStaleIndex:
-    def test_clear_then_merge_rebuilds_index(self, tmp_path):
-        """Regression: after ``clear()``, a merge into the same root (through
-        a second store instance) must be visible to the original instance —
-        the advisory index is rebuilt from the new ``results.jsonl``, never
-        trusted stale."""
-        spec_a = BASE_SPEC
-        spec_b = replace(BASE_SPEC, workload_seed=6)
-        src = ResultStore(tmp_path / "src")
-        src.put(evaluate_spec(spec_a))
-        src.flush_index()
-
-        store = ResultStore(tmp_path / "dst")
-        store.put(evaluate_spec(spec_b))
-        store.flush_index()
-        store.clear()
-        assert store.get(spec_b) is None
-
-        merge_stores(ResultStore(tmp_path / "dst"), src)  # a separate instance
-        # The cleared instance sees the merged row (no stale empty index)...
-        assert store.get(spec_a) is not None
-        assert store.get(spec_b) is None
-        # ...and persisting its index must not poison later opens.
-        store.flush_index()
-        assert ResultStore(tmp_path / "dst").get(spec_a) is not None
-
-    def test_flush_after_external_append_does_not_poison_index(self, tmp_path):
-        """An index flushed by an instance that missed an external append
-        must be detected as stale (its recorded size covers only what the
-        instance indexed), so the next open rescans and sees every row."""
-        spec_a, spec_b = BASE_SPEC, replace(BASE_SPEC, workload_seed=6)
-        store = ResultStore(tmp_path / "cache")
-        store.put(evaluate_spec(spec_a))
-        # Another writer appends behind this instance's back...
-        ResultStore(tmp_path / "cache").put(evaluate_spec(spec_b))
-        # ...and the stale instance persists its (older) view.
-        store.flush_index()
-        reopened = ResultStore(tmp_path / "cache")
-        assert reopened.get(spec_a) is not None
-        assert reopened.get(spec_b) is not None
-
-
 class TestSweepCli:
     def test_sweep_command_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
@@ -639,74 +598,26 @@ class TestSweepCli:
         assert " 0 computed" in warm_out
         assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
 
-    def test_sweep_shard_and_merge_roundtrip(self, tmp_path, capsys):
-        """CLI end-to-end: two sharded runs on disjoint cache dirs, a
-        ``merge`` (sources trail ``--into``), then an unsharded warm run off
-        the merged store that computes nothing and exports
-        byte-identically."""
-        from repro.cli import main
-
-        base = [
-            "--scale", "smoke", "figure2", "--network-sizes", "16",
-        ]
-        rc = main(base + ["--cache-dir", str(tmp_path / "whole"),
-                          "--export", str(tmp_path / "whole.json")])
-        assert rc == 0
-        capsys.readouterr()
-        for index in (1, 2):
-            rc = main(base + ["--shard", f"{index}/2",
-                              "--cache-dir", str(tmp_path / f"shard{index}")])
-            assert rc == 0
-            assert f"[shard {index}/2:" in capsys.readouterr().out
-        rc = main(["merge", "--into", str(tmp_path / "merged"),
-                   str(tmp_path / "shard1"), str(tmp_path / "shard2")])
-        assert rc == 0
-        assert "still missing" not in capsys.readouterr().out
-        rc = main(base + ["--cache-dir", str(tmp_path / "merged"),
-                          "--export", str(tmp_path / "merged.json")])
-        assert rc == 0
-        assert " 0 computed" in capsys.readouterr().out
-        assert (tmp_path / "merged.json").read_bytes() == (
-            tmp_path / "whole.json"
-        ).read_bytes()
-
-    def test_sweep_merge_requires_into_and_sources(self, capsys):
-        from repro.cli import main
-
-        for argv in (
-            ["merge", "SRC"],
-            ["merge", "--into", "DST"],
-            ["--scale", "smoke", "figure2", "--into", "DST"],
-        ):
-            with pytest.raises(SystemExit) as exit_info:
-                main(argv)
-            assert exit_info.value.code == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("argv", [
-        ["figure2", "--rates", "0.01"],
-        ["compare", "--degrees", "8"],
-        ["merge", "--into", "DST", "SRC", "--export", "x.json"],
-    ])
-    def test_flags_of_other_verbs_are_rejected(self, argv, tmp_path, capsys, monkeypatch):
-        """Each verb takes only its own flags; a flag of another verb is a
-        usage error rather than silently dropped."""
+    @pytest.mark.parametrize("argv, error", [
+        (["figure2", "--rates", "0.01"], "unrecognized arguments"),
+        (["compare", "--degrees", "8"], "unrecognized arguments"),
+        (["--scale", "smoke", "figure2", "--into", "DST"], "unrecognized arguments"),
+        # One store per run: no --shard flag and no merge verb.
+        (["figure2", "--shard", "1/2"], "unrecognized arguments"),
+        (["merge", "--into", "DST", "SRC"], "invalid choice"),
+    ], ids=["figure2-rates", "compare-degrees", "figure2-into", "figure2-shard", "merge"])
+    def test_flags_of_other_verbs_are_rejected(self, argv, error, tmp_path, capsys, monkeypatch):
+        """Each verb takes only its own flags; a flag of another verb, or a
+        flag or verb that does not exist, is a usage error that writes
+        nothing rather than being silently dropped."""
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_sweep_invalid_shard_designator(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--scale", "smoke", "figure2", "--shard", "9/4"])
-        assert exit_info.value.code == 2
-        assert "shard" in capsys.readouterr().err
 
     def test_sweep_command_no_cache(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
@@ -720,3 +631,62 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert not (tmp_path / ".sweep-cache").exists()
+
+    def test_no_resume_recomputes_every_point_into_the_same_store(self, tmp_path, capsys):
+        """``--no-resume`` reads no stored row, appends a fresh row per
+        point (the last row wins), and exports the same bytes."""
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        argv = ["--scale", "smoke", "figure2", "--network-sizes", "16", "--cache-dir", str(cache)]
+        assert main(argv + ["--export", str(tmp_path / "cold.json")]) == 0
+        rows = len((cache / "results.jsonl").read_bytes().splitlines())
+        capsys.readouterr()
+        assert main(argv + ["--no-resume", "--export", str(tmp_path / "again.json")]) == 0
+        assert f"{rows} points: 0 cache hits, {rows} computed" in capsys.readouterr().out
+        assert len((cache / "results.jsonl").read_bytes().splitlines()) == 2 * rows
+        assert len(ResultStore(cache)) == rows
+        assert sorted(path.name for path in cache.iterdir()) == ["index.json", "results.jsonl"]
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "again.json").read_bytes()
+
+    def test_workers_help_counts_usable_cpus(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure3", "--help"])
+        assert exit_info.value.code == 0
+        assert "0 = one per usable CPU" in " ".join(capsys.readouterr().out.split())
+
+
+def test_sharding_and_merging_api_is_gone():
+    """One store per run: the sharding, manifest and merging names are not
+    importable from any module that once held them."""
+    import repro.analysis.sweeps as analysis_sweeps
+    import repro.sweeps as sweeps
+    import repro.sweeps.spec as spec_module
+    import repro.sweeps.store as store_module
+
+    removed = {
+        sweeps: ("spec_from_dict", "shard_specs", "parse_shard", "ManifestStatus",
+                 "MergeReport", "merge_stores"),
+        spec_module: ("shard_specs", "parse_shard", "spec_from_dict"),
+        store_module: ("merge_stores", "MergeReport", "ManifestStatus", "read_manifest",
+                       "record_expected", "manifest_status"),
+        ResultStore: ("iter_results", "clear", "get_row", "iter_raw_rows", "append_rows"),
+        analysis_sweeps: ("SweepCoverage", "sweep_coverage"),
+    }
+    for owner, names in removed.items():
+        assert [name for name in names if hasattr(owner, name)] == [], owner
+    assert len(sweeps.__all__) == 13
+    assert all(hasattr(sweeps, name) for name in sweeps.__all__)
+
+
+def test_sweep_resume_check_tool_passes():
+    """The CI sweep-smoke job's tool: cold export against the stored
+    Figure-3 digest, warm re-run, and resume after losing half the rows."""
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep_resume_check.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    assert "sweep resume check PASSED" in completed.stdout

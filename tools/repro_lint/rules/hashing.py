@@ -1,11 +1,11 @@
 """R2: salted-hash hazards — builtin ``hash()`` / ``id()`` in keyed contexts.
 
-The content-addressed store, the shard partitioner and every export key
-results by **stable digests** (``hashlib.sha256`` over canonical JSON —
-see ``docs/sweeps.md``).  Builtin ``hash()`` is salted per process for
-``str``/``bytes`` (``PYTHONHASHSEED``) and ``id()`` is an address: using
-either in an ordering key, a spec key, a shard assignment or any persisted
-value silently breaks reproducibility across processes and hosts.  The
+The content-addressed store and every export key results by **stable
+digests** (``hashlib.sha256`` over canonical JSON — see ``docs/sweeps.md``).
+Builtin ``hash()`` is salted per process for ``str``/``bytes``
+(``PYTHONHASHSEED``) and ``id()`` is an address: using either in an
+ordering key, a spec key or any persisted value silently breaks
+reproducibility across processes and hosts.  The
 rule flags *every* call of the two builtins inside the library — a
 legitimate use (none exist today) must carry a justified pragma.
 """
@@ -20,7 +20,7 @@ from ..framework import FileContext, FileRule, Finding, Project, register
 _BANNED = {
     "hash": (
         "builtin hash() is salted per process (PYTHONHASHSEED) for str/bytes; "
-        "spec keys, shard assignments and orderings must use a stable digest "
+        "spec keys and orderings must use a stable digest "
         "(hashlib.sha256 over canonical JSON, see repro.sweeps.store.spec_key)"
     ),
     "id": (
@@ -39,7 +39,7 @@ class SaltedHashRule(FileRule):
     name = "salted-hash"
     description = (
         "builtin hash() and id() are process-local (hash salting, addresses); "
-        "keys, orderings and shard assignments must use stable digests"
+        "keys and orderings must use stable digests"
     )
     scope = ("src/repro/*",)
 

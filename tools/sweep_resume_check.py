@@ -4,24 +4,21 @@
 Runs a smoke-scale Figure-3 sweep through :mod:`repro.sweeps` and asserts
 the subsystem's acceptance guarantees:
 
-1. a warm-cache re-run computes nothing, reads everything from the store,
+1. the cold run's figure export hashes to the Figure-3 digest checked in
+   at ``tests/golden/sweeps.json`` (the same grid as ``repro-spam --scale
+   smoke figure3 --network-size 32 --degrees 4 8 --rates 0.005 0.02
+   --export``), so the check has a stored reference, not only a same-run
+   one;
+2. a warm-cache re-run computes nothing, reads everything from the store,
    produces a byte-identical figure export, and is at least 10x faster
    than the cold run;
-2. after deleting half the store (simulating an interrupted sweep), a
+3. after deleting half the store (simulating an interrupted sweep), a
    ``--resume`` re-run completes exactly the missing points with a nonzero
    cache-hit count and still reproduces the identical figure.
 
-With ``--shard I/N`` the same guarantees are asserted for one deterministic
-shard of the sweep (the CI sweep-smoke job runs a 2-shard matrix this way;
-an assembly step then merges the shard stores and compares the warm-cache
-export against the unsharded golden).  ``--golden PATH`` additionally runs
-the *full, unsharded* sweep into a throwaway store and writes its figure
-export to PATH, byte-compatible with ``repro-spam figure3 ... --export``.
-
 Usage::
 
-    PYTHONPATH=src python tools/sweep_resume_check.py \
-        [--cache-dir DIR] [--shard I/N] [--golden PATH]
+    PYTHONPATH=src python tools/sweep_resume_check.py [--cache-dir DIR]
 
 Exits nonzero (AssertionError) on any violated guarantee.
 """
@@ -29,12 +26,14 @@ Exits nonzero (AssertionError) on any violated guarantee.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.experiments.common import SCALES  # noqa: E402
 from repro.experiments.figure3 import (  # noqa: E402
@@ -42,7 +41,9 @@ from repro.experiments.figure3 import (  # noqa: E402
     figure3_result_from_points,
     figure3_specs,
 )
-from repro.sweeps import ResultStore, parse_shard, run_sweep, shard_specs  # noqa: E402
+from repro.sweeps import ResultStore, run_sweep  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden" / "sweeps.json"
 
 
 def export(config, outcome) -> bytes:
@@ -55,13 +56,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache-dir", default=None,
                         help="store directory (default: a fresh temp dir)")
-    parser.add_argument("--shard", default=None, metavar="I/N",
-                        help="check only shard I of N (1-based) of the sweep")
-    parser.add_argument("--golden", default=None, metavar="PATH",
-                        help="also run the full unsharded sweep (fresh temp store) "
-                             "and write its figure export to PATH")
     args = parser.parse_args()
-    shard = None if args.shard is None else parse_shard(args.shard)
 
     config = Figure3Config(
         network_size=32,
@@ -70,11 +65,6 @@ def main() -> int:
         scale=SCALES["smoke"],
     )
     specs = figure3_specs(config)
-    if shard is not None:
-        specs = shard_specs(specs, *shard)
-        print(f"shard {shard[0] + 1}/{shard[1]}: {len(specs)} of "
-              f"{len(figure3_specs(config))} sweep points")
-        assert specs, "shard is empty at this smoke scale; widen the grid"
 
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = Path(args.cache_dir or (Path(tmp) / "sweep-cache"))
@@ -86,6 +76,13 @@ def main() -> int:
         assert cold.computed == len(specs) and cold.cache_hits == 0, cold.summary()
         cold_export = export(config, cold)
         print(f"cold run:   {cold.summary()}")
+        golden = json.loads(GOLDEN.read_text())["exports"]["figure3"]["sha256"]
+        digest = hashlib.sha256(cold_export).hexdigest()
+        assert digest == golden, (
+            f"cold export sha256 {digest} differs from {GOLDEN.relative_to(ROOT)} "
+            f"exports.figure3 {golden}"
+        )
+        print(f"cold export matches the stored Figure-3 digest {golden[:12]}")
 
         warm = run_sweep(specs, store=ResultStore(cache_dir))
         assert warm.computed == 0 and warm.cache_hits == len(specs), warm.summary()
@@ -113,20 +110,6 @@ def main() -> int:
         assert resumed.computed == len(rows) - len(kept), resumed.summary()
         assert export(config, resumed) == cold_export, "resumed export differs from cold"
         print(f"resume run: {resumed.summary()}")
-
-        # The store ends complete: its manifest must owe nothing.
-        status = ResultStore(cache_dir).manifest_status()
-        assert status is not None and status.complete, status
-        print(f"manifest:   {status.describe()}")
-
-        if args.golden:
-            golden_specs = figure3_specs(config)
-            golden = run_sweep(golden_specs, store=ResultStore(Path(tmp) / "golden-cache"))
-            assert golden.computed + golden.cache_hits == len(golden_specs)
-            golden_path = Path(args.golden)
-            golden_path.parent.mkdir(parents=True, exist_ok=True)
-            golden_path.write_bytes(export(config, golden))
-            print(f"golden unsharded export written to {golden_path}")
 
     print("sweep resume check PASSED")
     return 0
