@@ -51,6 +51,17 @@ links one period and peels the level the tail enters next, whose links the
 reference has just left idle; the tail's own transfers stay lane entries,
 so every release, OCRQ hand-over and delivery runs per flit.
 
+A unicast skips its worm token.  With one-flit buffers, once its header
+reaches its destination the rest of its body has a closed form: one
+transfer per period, the *spine*, carries a run that starts at the
+consumption link and grows one link upstream per period until it holds the
+whole path, and the NI pushes the tail ``D`` periods before delivery.
+:meth:`WormholeSimulator._form_unicast` swaps the spine for a *unicast
+token* (:class:`_UnicastToken`), whose first pop runs it per flit and
+verifies the block it appended; every later pop advances the run with no
+per-flit work, and the pop that pushes the tail leaves a drain token in
+front of the tail's transfer.
+
 **Equivalence guarantee:** a token keeps the place of the transfers it
 stands for in the lane, so every ``(time, seq)`` comparison against other
 transfers and generic events comes out as in the per-flit engine; and
@@ -110,10 +121,10 @@ _BODY = FlitKind.BODY
 _TAIL = FlitKind.TAIL
 _BUBBLE = FlitKind.BUBBLE
 
-#: Token verification outcomes: ``_verify_token`` returns one of these,
-#: and ``PROBE_TIERS[tier]`` names its ``coalesce_exits`` slot and its
-#: telemetry.  Either way the verified period ran through the per-flit
-#: machinery.
+#: Token verification outcomes: ``_verify_token`` and ``_verify_unicast``
+#: return one of these, and ``PROBE_TIERS[tier]`` names its
+#: ``coalesce_exits`` slot and its telemetry.  Either way the verified
+#: period ran through the per-flit machinery.
 _VERIFY_FAILURE, _BATCH = range(2)
 PROBE_TIERS = ("verify_failure", "batch")
 
@@ -176,6 +187,10 @@ class WormholeSimulator:
         self.completion_callbacks: list[CompletionCallback] = []
         # Hot-path caches (attribute chains are expensive in the event loop).
         self._collect_stats = self.config.collect_channel_stats
+        #: Unicast tokens need one-flit buffers (``_form_unicast``).
+        self._one_flit_buffers = (
+            self.config.input_buffer_depth == 1 and self.config.output_buffer_depth == 1
+        )
         #: Worm-periods the fast path advanced with no per-flit work, one
         #: per token pop that skipped its block (an engine-side
         #: observability counter; not part of the simulation's observable
@@ -418,19 +433,26 @@ class WormholeSimulator:
             events.fold_transfers(count, _WormToken(ni, [entry[3] for entry in block]))
             ni.token_gate_ns = _NEVER
 
-    def _pop_token(self, token: _WormToken | _DrainToken) -> None:
-        """A token is due.  A drain token advances and peels a level
-        (:meth:`_pop_drain`).  A worm token is verified (its first pop),
-        skips its block for one period, or, at its bound, materialises, runs
-        the block per flit (the NI pushes the tail) and hands the links
-        ahead of the tail to a drain token."""
-        if token.__class__ is _DrainToken:
+    def _pop_token(self, token: _WormToken | _DrainToken | _UnicastToken) -> None:
+        """A token is due.  A verified unicast token advances its run
+        (:meth:`_pop_unicast`), and a drain token advances and peels a level
+        (:meth:`_pop_drain`).  A worm or unicast token is verified on its
+        first pop.  A verified worm token skips its block for one period,
+        or, at its bound, materialises, runs the block per flit (the NI
+        pushes the tail) and hands the links ahead of the tail to a drain
+        token."""
+        cls = token.__class__
+        if cls is _UnicastToken and token.size:
+            self._pop_unicast(token)
+        elif cls is _DrainToken:
             self._pop_drain(token)
-        elif token.shifting is None:
-            if self.telemetry is None:
-                tier = self._verify_token(token)
-            else:
+        elif cls is _UnicastToken or token.shifting is None:
+            if self.telemetry is not None:
                 tier = self._verify_token_timed(token)
+            elif cls is _UnicastToken:
+                tier = self._verify_unicast(token)
+            else:
+                tier = self._verify_token(token)
             self.coalesce_exits[tier] += 1
         elif token.skipped < token.bound:
             token.skipped += 1
@@ -608,6 +630,8 @@ class WormholeSimulator:
         """
         if token.__class__ is _DrainToken:
             return self._thaw_drain(token)
+        if token.__class__ is _UnicastToken:
+            return self._thaw_unicast(token)
         periods = token.skipped
         if periods:
             for buffer, deltas in token.shifting:
@@ -650,11 +674,190 @@ class WormholeSimulator:
         return links
 
     # ------------------------------------------------------------------
+    # Unicast tokens
+    # ------------------------------------------------------------------
+    def _form_unicast(self, ni: SourceInterface, message: Message) -> None:
+        """Seat a unicast token on the transfer right behind the header's
+        delivery.
+
+        ``message``'s header has just reached its destination.  From here
+        to its tail push the unicast is closed: it holds every link of its
+        path, the processor takes one flit per period, and one transfer
+        per period, the *spine*, carries its run.  The spine is the
+        transfer on the link into the destination's switch, due now with
+        the next ``seq``.  If the lane's head is that transfer, the token
+        takes its place; otherwise, or when the tail would be pushed before
+        the run reaches the injection link (``L - 1 < 2 D`` for ``L``
+        flits over ``D`` links), the unicast runs as before.
+        """
+        path = [ni.injection]
+        link = ni.injection
+        while not link.sink_is_processor:
+            link = link.sink_segment.outputs[0]
+            path.append(link)
+        count = len(path)
+        lane = self.events._lane
+        if count < 3 or message.length_flits - 1 < 2 * count or not lane:
+            return
+        time_ns, _seq, kind, spine = lane[0]
+        if time_ns != self.events.now or kind != _TRANSFER or spine is not path[-2]:
+            return
+        path.reverse()
+        push = message.length_flits - 1 - count
+        self.events.fold_head(_UnicastToken(ni, message.mid, path, push))
+        ni.token_gate_ns = _NEVER
+
+    def _verify_unicast(self, token: _UnicastToken) -> int:
+        """Run the spine transfer through the per-flit machinery, exactly as
+        the reference would, and fold the block it appended.
+
+        ``_BATCH``: the transfer appended exactly three transfers and did
+        nothing else (no generic event, trace record, delivery, completed
+        message or segment change): the consumption link's, the spine's and
+        the next link upstream's, in that order, due one period ahead with
+        consecutive ``seq`` values.  They fold into the token, whose run
+        from now on advances one period per pop.  ``_VERIFY_FAILURE``: the
+        appended transfers stay in the lane (they already are the reference
+        execution) and the worm runs on as if no token had formed.
+        """
+        events = self.events
+        lane = events._lane
+        links = token.links
+        depth = len(lane)
+        counters = self._token_counters()
+        self._complete_transfer(links[1])
+        due = events.now + self.config.channel_latency_ns
+        if (
+            len(lane) == depth + 3
+            and self._token_counters() == counters
+            and lane[-1][1] - lane[-3][1] == 2
+            and all(
+                lane[index - 3][0] == due
+                and lane[index - 3][2] == _TRANSFER
+                and lane[index - 3][3] is links[index]
+                for index in range(3)
+            )
+        ):
+            events.fold_transfers(3, token)
+            token.size = 3
+            return _BATCH
+        token.ni.token_gate_ns = 0
+        return _VERIFY_FAILURE
+
+    def _pop_unicast(self, token: _UnicastToken) -> None:
+        """Advance a verified unicast token's run one period with no
+        per-flit work.
+
+        While the worm decompresses, the run's front enters the next link
+        upstream, which must be stalled: idle, with one flit of the message
+        in each of its buffers.  If it is not, the token materialises and
+        its block runs per flit from this period on.  At the pop where the
+        NI pushes the tail, :meth:`_push_unicast_tail` ends the token.
+        """
+        links = token.links
+        size = token.size
+        if size < len(links):
+            link = links[size]
+            out_slots = link.out_buffer._slots
+            in_slots = link.in_buffer._slots
+            mid = token.mid
+            if (
+                link.busy
+                or len(out_slots) != 1
+                or len(in_slots) != 1
+                or out_slots[0].message_id != mid
+                or in_slots[0].message_id != mid
+            ):
+                complete_transfer = self._complete_transfer
+                for link in self._thaw(token):
+                    complete_transfer(link)
+                return
+            # The input buffer's flit moves on into the run, and the link
+            # starts sending its output buffer's flit.
+            in_slots.popleft()
+            link.busy = True
+            if self._collect_stats and link.busy_since_ns is None:
+                link.busy_since_ns = self.events.now
+            token.size = size + 1
+        elif token.skipped + 1 == token.push:
+            self._push_unicast_tail(token)
+            return
+        token.skipped += 1
+        self.coalesced_ticks += 1
+        self.events.schedule_token(token)
+
+    def _push_unicast_tail(self, token: _UnicastToken) -> None:
+        """The token's last pop, in whose period the NI pushes the tail.
+
+        The run materialises through this period, in which the injection
+        link's last body flit moved on.  The links ahead of the tail, each
+        holding one body flit, become a drain token, and the NI pushes the
+        tail as ``SourceInterface.try_advance`` does: the tail's transfer
+        behind the drain token (the lane shape ``_form_drain`` builds), the
+        injection record, the release of the injection link and the next
+        message's startup.
+        """
+        token.skipped = token.push
+        region = token.links[:-1]
+        injection = token.links[-1]
+        self._catch_up(token, region)
+        # The injection link joined the run at pop D - 3.
+        sent = token.push - (len(token.links) - 3)
+        injection.out_buffer._slots.popleft()
+        injection.busy = False
+        self.stats.flit_hops += sent
+        if self._collect_stats:
+            injection.fast_forward(sent, sent * self.config.channel_latency_ns, False)
+        token.ni.next_seq += sent - 1
+        self.coalesced_ticks += 1
+        self.events.schedule_token(_DrainToken(region, [[link] for link in reversed(region)]))
+        token.ni.try_advance()
+
+    def _thaw_unicast(self, token: _UnicastToken) -> list[LinkState]:
+        """:meth:`_thaw` for a unicast token: returns its run's links, in
+        lane order, after catching them and the NI cursor up."""
+        links = token.links[: token.size]
+        self._catch_up(token, links)
+        ni = token.ni
+        if len(links) == len(token.links):
+            # The NI pushed a body flit each time the injection link, which
+            # joined the run at pop D - 3, sent one.
+            ni.next_seq += token.skipped - (len(links) - 3)
+        ni.token_gate_ns = 0
+        return links
+
+    def _catch_up(self, token: _UnicastToken, links: list[LinkState]) -> None:
+        """Materialise the periods ``token`` skipped on ``links``, a prefix
+        of its run.  A link sent one flit per period since it joined the
+        run: the first three at verification, ``links[i]`` at pop
+        ``i - 2`` after it.  The flits along the path are consecutive, so
+        each output buffer's flit advances by the flits its link sent, and
+        ``flit_hops`` and the channel statistics grow as in
+        :meth:`_thaw`."""
+        periods = token.skipped
+        if not periods:
+            return
+        mid = token.mid
+        collect = self._collect_stats
+        period = self.config.channel_latency_ns
+        hops = 0
+        for index, link in enumerate(links):
+            sent = periods if index < 3 else periods - index + 2
+            if sent:
+                buffer = link.out_buffer
+                buffer.replace_contents((Flit(_BODY, mid, buffer._slots[0].seq + sent),))
+                hops += sent
+                if collect:
+                    link.fast_forward(sent, sent * period, False)
+        self.stats.flit_hops += hops
+
+    # ------------------------------------------------------------------
     # Wall-clock telemetry (observability only; see docs/observability.md)
     # ------------------------------------------------------------------
-    def _verify_token_timed(self, token: _WormToken) -> int:
-        """Instrumented twin of :meth:`_verify_token`: one ``engine.probe``
-        span around one verification, labelled with its outcome tier.
+    def _verify_token_timed(self, token: _WormToken | _UnicastToken) -> int:
+        """Instrumented twin of :meth:`_verify_token` and
+        :meth:`_verify_unicast`: one ``engine.probe`` span around one
+        verification, labelled with its outcome tier.
 
         ``_pop_token`` calls this instead of the raw verification when the
         engine holds a recorder; the verification itself never reads the
@@ -663,7 +866,10 @@ class WormholeSimulator:
         tel = self.telemetry
         clock = tel.clock
         start_ns = clock()
-        tier = self._verify_token(token)
+        if token.__class__ is _UnicastToken:
+            tier = self._verify_unicast(token)
+        else:
+            tier = self._verify_token(token)
         end_ns = clock()
         name = PROBE_TIERS[tier]
         tel.value(f"engine.probe.{name}_ns", end_ns - start_ns)
@@ -758,12 +964,15 @@ class WormholeSimulator:
     def _header_delivered(self, flit: Flit) -> None:
         """A header reached one of its destinations: count it against its
         source NI, which offers the worm to the fast path once every
-        destination has the header."""
+        destination has the header.  A unicast's header landing may start
+        a unicast token (:meth:`_form_unicast`)."""
         if self.config.fast_path:
             message = self.messages[flit.message_id]
             ni = self.sources[message.source]
             if ni.current is message:
                 ni.heads_pending -= 1
+                if self._one_flit_buffers and len(message.destinations) == 1:
+                    self._form_unicast(ni, message)
 
     def _deliver_tail(self, flit: Flit, processor: int) -> None:
         """A tail flit reached its destination processor: record delivery."""
@@ -899,6 +1108,31 @@ class _DrainToken:
         #: The same links by level: ``levels[d]`` is peeled by pop ``d + 1``.
         self.levels = levels
         #: Periods advanced and not yet materialised (and levels peeled).
+        self.skipped = 0
+
+
+class _UnicastToken:
+    """A unicast's transfers from its header's delivery to its tail push,
+    held in the transfer lane as one entry per period (see
+    ``docs/fast_path.md``, "Unicast tokens")."""
+
+    __slots__ = ("ni", "mid", "links", "size", "push", "skipped")
+
+    def __init__(
+        self, ni: SourceInterface, mid: int, links: list[LinkState], push: int
+    ) -> None:
+        self.ni = ni
+        self.mid = mid
+        #: The unicast's path from its consumption link up to its injection
+        #: link: the lane order of the run's transfers.
+        self.links = links
+        #: The run, whose transfers the token stands for, is
+        #: ``links[:size]``; ``0`` until the token is verified (it then
+        #: stands for the spine, ``links[1]``).
+        self.size = 0
+        #: The pop after verification at which the NI pushes the tail.
+        self.push = push
+        #: Periods advanced with no per-flit work and not yet materialised.
         self.skipped = 0
 
 

@@ -20,11 +20,13 @@ two lanes that share one ``seq`` counter:
   dispatches them directly to ``WormholeSimulator._complete_transfer``;
 * **tokens** (``kind == 2``) live in the transfer lane too.  A worm token
   stands for all of one streaming worm's transfers due at its timestamp,
-  and a drain token for those of the links ahead of a worm's injected
-  tail; the per-flit engine keeps either block next to each other in the
-  lane (see ``docs/fast_path.md``).  :meth:`EventQueue.fold_transfers`
-  swaps such a block for one token under the block's first ``seq`` (for a
-  drain, the tail's transfer stays behind it),
+  a drain token for those of the links ahead of a worm's injected tail,
+  and a unicast token for those of a unicast whose header has landed; the
+  per-flit engine keeps each such block next to each other in the lane
+  (see ``docs/fast_path.md``).  :meth:`EventQueue.fold_transfers` swaps
+  such a block for one token under the block's first ``seq`` (for a
+  drain, the tail's transfer stays behind it), :meth:`EventQueue.fold_head`
+  swaps the lane's head transfer for one,
   :meth:`EventQueue.schedule_token` re-appends a token one period later
   with one fresh ``seq``, and :meth:`EventQueue.unfold_tokens` expands
   every token back into its transfers, in place and under the token's
@@ -122,6 +124,13 @@ class EventQueue:
         time_ns, seq, _kind, _link = lane.pop()
         lane.append((time_ns, seq, _TOKEN, token))
         lane.extend(reversed(kept))
+
+    def fold_head(self, token) -> None:
+        """Replace the lane's head, a transfer with a ``seq`` of its own
+        (not one of an unfolded token's), by ``token`` under the
+        transfer's time and ``seq``."""
+        time_ns, seq, _kind, _link = self._lane[0]
+        self._lane[0] = (time_ns, seq, _TOKEN, token)
 
     def unfold_tokens(self, expand: Callable[[object], Iterable]) -> None:
         """Replace every token in the lane by the transfers ``expand(token)``

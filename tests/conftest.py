@@ -53,6 +53,14 @@ def lattice32_spam(lattice32):
     return SpamRouting.build(lattice32)
 
 
+@pytest.fixture(scope="session")
+def paper_network():
+    """The paper's 128-switch topology with Figure 3's seed and root, and
+    SPAM on it (neither changes during a simulation)."""
+    network = lattice_irregular_network(128, seed=7)
+    return network, SpamRouting.build(network, root_strategy="center")
+
+
 @pytest.fixture
 def mesh3x3():
     """A 3x3 mesh (regular topology)."""

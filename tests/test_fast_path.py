@@ -633,24 +633,34 @@ class TestChurnPhaseBackoff:
 
 @pytest.mark.equivalence
 class TestProbeTiers:
-    """``_verify_token`` returns its outcome tier and ``_pop_token`` counts it
-    in ``coalesce_exits``.  The tally must equal the tiers the verifications
-    returned, and every verification, failed or passed, ran the token's
-    block through the per-flit machinery: one flit hop per link."""
+    """``_verify_token`` and ``_verify_unicast`` return their outcome tier
+    and ``_pop_token`` counts it in ``coalesce_exits``.  The tally must equal
+    the tiers the verifications returned, and every verification, failed or
+    passed, ran the token's block through the per-flit machinery: one flit
+    hop per link a worm token holds, and one for a unicast token's spine."""
 
     def _verification_log(self, simulator):
-        """Wrap the instance's verification; return the list it appends
-        ``(tier name, the block ran per flit)`` to per verification."""
-        verify = simulator._verify_token
+        """Wrap the instance's two verifications; return the list they
+        append ``(token kind, tier name, the block ran per flit)`` to per
+        verification."""
         log = []
 
-        def recording_verify(token):
-            hops = simulator.stats.flit_hops
-            tier = verify(token)
-            log.append((PROBE_TIERS[tier], simulator.stats.flit_hops - hops == len(token.links)))
-            return tier
+        def recording(kind, verify, block_links):
+            def recording_verify(token):
+                hops = simulator.stats.flit_hops
+                tier = verify(token)
+                ran = simulator.stats.flit_hops - hops == block_links(token)
+                log.append((kind, PROBE_TIERS[tier], ran))
+                return tier
 
-        simulator._verify_token = recording_verify
+            return recording_verify
+
+        simulator._verify_token = recording(
+            "worm", simulator._verify_token, lambda token: len(token.links)
+        )
+        simulator._verify_unicast = recording(
+            "unicast", simulator._verify_unicast, lambda token: 1
+        )
         return log
 
     def test_returned_tier_names_the_counter_it_moved(self, lattice32, lattice32_spam):
@@ -669,11 +679,12 @@ class TestProbeTiers:
         log = self._verification_log(simulator)
         poisson.submit_to(simulator)
         simulator.run()
-        returned = [tier for tier, _executed in log]
+        returned = [tier for _kind, tier, _executed in log]
         assert simulator.coalesce_exits == [returned.count(tier) for tier in PROBE_TIERS]
-        assert all(executed for _tier, executed in log)
+        assert all(executed for _kind, _tier, executed in log)
         seen = set(returned)
         assert seen == set(PROBE_TIERS), f"tiers never taken: {set(PROBE_TIERS) - seen}"
+        assert {kind for kind, _tier, _executed in log} == {"worm", "unicast"}
 
 
 def _link_state(simulator):
@@ -961,3 +972,308 @@ class TestDrainToken:
         )
         assert ("offered", fast_sim.messages[0].injection_done_ns) in log
         assert not [token for token, _time_ns in log if isinstance(token, _DrainToken)]
+
+
+#: Processor index pairs on the ``paper_network`` fixture by unicast path length
+#: ``D`` (links, injection and consumption included).
+PAPER_PAIRS = {3: (1, 49), 6: (0, 35), 12: (0, 21), 18: (0, 119), 30: (1, 119), 45: (75, 7)}
+
+
+def _record_unicasts(simulator):
+    """Wrap the instance's unicast-token hooks and its worm-token offers;
+    return the log they fill.  ``verified`` gets ``(mid, tier name)`` per
+    verification, ``pushed`` the mid of every token that pushed its tail,
+    ``thawed`` ``(mid, skipped periods, run links, inside a pop)`` per
+    materialised token, and ``offers`` ``(mid, now)`` per worm-token
+    offer."""
+    log = {"verified": [], "pushed": [], "thawed": [], "offers": []}
+    verify, push = simulator._verify_unicast, simulator._push_unicast_tail
+    pop, thaw, form = simulator._pop_unicast, simulator._thaw_unicast, simulator.form_token
+    popping = []
+
+    def recording_verify(token):
+        tier = verify(token)
+        log["verified"].append((token.mid, PROBE_TIERS[tier]))
+        return tier
+
+    def recording_push(token):
+        log["pushed"].append(token.mid)
+        push(token)
+
+    def recording_pop(token):
+        popping.append(token)
+        try:
+            pop(token)
+        finally:
+            popping.pop()
+
+    def recording_thaw(token):
+        log["thawed"].append((token.mid, token.skipped, token.size, bool(popping)))
+        return thaw(token)
+
+    def recording_form(ni):
+        log["offers"].append((ni.current.mid, simulator.now))
+        form(ni)
+
+    simulator._verify_unicast = recording_verify
+    simulator._push_unicast_tail = recording_push
+    simulator._pop_unicast = recording_pop
+    simulator._thaw_unicast = recording_thaw
+    simulator.form_token = recording_form
+    return log
+
+
+def _unicast_pair(network, routing, submit, windows=(), flits=128, perturb=None, **overrides):
+    """Run ``submit``'s workload with the fast path on and off and compare
+    them at every ``run_for`` boundary: the full fingerprint, every link's
+    flits and busy flag, and the pending transfers in lane order.
+
+    ``windows[0]`` is the first window; ``windows[1:]`` (or ``windows[0]``
+    again) then cycle for up to 24 more boundaries before a final
+    ``run()``, compared the same way.
+    ``perturb``, if given, is applied to both simulators at the first
+    boundary.  Returns the fast simulator and its unicast-token log
+    (:func:`_record_unicasts`)."""
+    simulators = []
+    for fast in (True, False):
+        config = SimulationConfig(
+            message_length_flits=flits,
+            fast_path=fast,
+            trace=True,
+            collect_channel_stats=True,
+            **overrides,
+        )
+        simulator = WormholeSimulator(network, routing, config)
+        submit(simulator)
+        simulators.append(simulator)
+    fast_sim, ref_sim = simulators
+    log = _record_unicasts(fast_sim)
+
+    def compare(where):
+        assert simulator_fingerprint(fast_sim, fast_sim.stats) == simulator_fingerprint(
+            ref_sim, ref_sim.stats
+        ), where
+        assert _link_state(fast_sim) == _link_state(ref_sim), where
+
+    for boundary, window in enumerate((windows[:1] + (windows[1:] or windows) * 24)[:25]):
+        if not len(ref_sim.events):
+            break
+        fast_sim.run_for(window)
+        ref_sim.run_for(window)
+        compare(f"boundary {boundary + 1} at {ref_sim.now} ns")
+        if boundary == 0 and perturb is not None:
+            perturb(fast_sim)
+            perturb(ref_sim)
+    fast_sim.run()
+    ref_sim.run()
+    compare("end of run()")
+    return fast_sim, log
+
+
+def _submit_pairs(processors, pairs, at_ns=0):
+    def submit(sim):
+        for source, destination in pairs:
+            sim.submit_message(processors[source], [processors[destination]], at_ns=at_ns)
+
+    return submit
+
+
+def _path_cids(simulator, message):
+    """The channel ids of a delivered unicast's path, from its injection
+    link to its consumption link (from its ``head`` trace records: a path
+    may pass a switch twice)."""
+    heads = [
+        event.fields["channel"]
+        for event in simulator.trace.events
+        if event.kind == "head" and event.fields["message"] == message.mid
+    ]
+    return heads + [simulator.network.consumption_channel(message.destinations[0]).cid]
+
+
+@pytest.mark.equivalence
+class TestUnicastToken:
+    """Once a unicast's header lands, a unicast token carries the rest of
+    its body, one lane entry per period, up to the tail push, and hands the
+    links ahead of the tail to a drain token (``docs/fast_path.md``,
+    "Unicast tokens").  Every scenario is compared with the reference at
+    every ``run_for`` boundary and asserts that the token engaged or
+    declined as intended."""
+
+    @pytest.mark.parametrize("links", sorted(PAPER_PAIRS))
+    @pytest.mark.parametrize("windows", [(), (997,)], ids=["run", "997"])
+    def test_lone_unicasts_over_several_path_lengths(self, paper_network, links, windows):
+        """From 3 to 45 links.  Left alone, the token pops once per period
+        from its verification to the tail push (``L - 1 - D`` pops) and the
+        drain token once per level (``D - 1``), and the NI offers no worm
+        token while the unicast token lives."""
+        network, spam = paper_network
+        pair = PAPER_PAIRS[links]
+        fast_sim, log = _unicast_pair(
+            network, spam, _submit_pairs(network.processors(), [pair]), windows
+        )
+        (message,) = fast_sim.messages.values()
+        assert message.hops + 1 == links
+        assert log["verified"] == [(0, "batch")]
+        if not windows:
+            assert log["pushed"] == [0]
+            assert fast_sim.coalesced_ticks == (127 - links) + (links - 1)
+            header_ns = message.delivered_ns[message.destinations[0]] - 127 * 10
+            assert not [
+                time_ns for _mid, time_ns in log["offers"]
+                if header_ns <= time_ns <= message.injection_done_ns
+            ]
+
+    def test_released_links_go_to_ocrq_waiters(self, paper_network):
+        """Two unicasts share part of their path: the second waits in the
+        OCRQ of a link the first holds, and takes it in the event in which
+        the first's tail releases it, while a drain token carries the links
+        ahead of that tail; both run as unicast tokens."""
+        network, spam = paper_network
+        processors = network.processors()
+
+        def submit(sim):
+            _submit_pairs(processors, [PAPER_PAIRS[30]])(sim)
+            _submit_pairs(processors, [PAPER_PAIRS[18]], at_ns=1_000)(sim)
+
+        fast_sim, log = _unicast_pair(network, spam, submit)
+        assert sorted(log["pushed"]) == [0, 1]
+        released = {}
+        handoffs = []
+        for event in fast_sim.trace.events:
+            if event.kind == "release" and event.fields["message"] == 0:
+                released.update(dict.fromkeys(event.fields["channels"], event.time_ns))
+            elif event.kind == "acquire" and event.fields["message"] == 1:
+                handoffs.extend(
+                    event.time_ns
+                    for cid in event.fields["channels"]
+                    if released.get(cid) == event.time_ns
+                )
+        assert handoffs, "the waiter did not acquire a link the tail released"
+        assert handoffs[0] > fast_sim.messages[0].injection_done_ns
+
+    @pytest.mark.parametrize("windows", [(), (997,), (4_999, 333, 1_501, 70)], ids=["run", "997", "mixed"])
+    def test_contended_figure3_point(self, paper_network, windows):
+        network, spam = paper_network
+        workload = mixed_traffic_workload(
+            network, rate_per_us=0.03, multicast_destinations=8, num_messages=40, seed=23
+        )
+        fast_sim, log = _unicast_pair(network, spam, workload.submit_to, windows)
+        unicasts = [m for m in fast_sim.messages.values() if len(m.destinations) == 1]
+        assert {mid for mid, _tier in log["verified"]} == {m.mid for m in unicasts}
+        assert len(log["pushed"]) > len(unicasts) // 2
+        if windows:
+            assert [cut for cut in log["thawed"] if not cut[3]], "no boundary cut a token"
+
+    @pytest.mark.parametrize(
+        "where", ["decompression", "streaming", "before_push", "at_push", "after_push"]
+    )
+    def test_boundaries_around_the_run(self, paper_network, where):
+        """A ``run_for`` boundary inside the decompression, inside the
+        streaming, one period before the tail push, at it, and one period
+        after it: the token materialises (before the push) or the drain
+        token does (from the push on), and each later boundary of 7, 13 and
+        23 ns matches the reference too."""
+        network, spam = paper_network
+        submit = _submit_pairs(network.processors(), [PAPER_PAIRS[18]])
+        message = _traced(network, spam, submit).messages[0]
+        header_ns = message.delivered_ns[message.destinations[0]] - 127 * 10
+        push_ns = message.injection_done_ns
+        assert push_ns == header_ns + (127 - 18) * 10
+        boundary = {
+            "decompression": header_ns + 6 * 10 + 3,
+            "streaming": header_ns + 22 * 10 + 5,
+            "before_push": push_ns - 10,
+            "at_push": push_ns,
+            "after_push": push_ns + 10,
+        }[where]
+        fast_sim, log = _unicast_pair(network, spam, submit, (boundary, 7, 13, 23))
+        cuts = [(skipped, size) for _mid, skipped, size, in_pop in log["thawed"] if not in_pop]
+        if where in ("at_push", "after_push"):
+            assert log["pushed"] == [0] and not cuts
+        else:
+            assert not log["pushed"]
+            skipped = (boundary - header_ns) // 10
+            assert cuts[0] == (skipped, min(18, skipped + 3))
+
+    @pytest.mark.parametrize("depth", [(1, 2), (2, 1), (3, 3)], ids=["out2", "in2", "in3out3"])
+    def test_deeper_buffers_decline(self, paper_network, depth):
+        network, spam = paper_network
+        fast_sim, log = _unicast_pair(
+            network, spam, _submit_pairs(network.processors(), [PAPER_PAIRS[12]]), (997,),
+            input_buffer_depth=depth[0], output_buffer_depth=depth[1],
+        )
+        assert not log["verified"]
+        assert fast_sim.coalesced_ticks > 0
+
+    def test_multicasts_decline(self, paper_network):
+        network, spam = paper_network
+        processors = network.processors()
+        fast_sim, log = _unicast_pair(
+            network, spam,
+            lambda sim: sim.submit_message(processors[0], [processors[21], processors[119]]),
+            (997,),
+        )
+        assert not log["verified"]
+        assert fast_sim.coalesced_ticks > 0
+
+    @pytest.mark.parametrize("flits, engages", [(90, False), (91, True)])
+    def test_worm_shorter_than_twice_its_path_declines(self, paper_network, flits, engages):
+        """On 45 links the tail of a 90-flit worm would be pushed before the
+        run reaches the injection link (``L - 1 < 2D``); 91 flits engage."""
+        network, spam = paper_network
+        fast_sim, log = _unicast_pair(
+            network, spam, _submit_pairs(network.processors(), [PAPER_PAIRS[45]]), (997,),
+            flits=flits,
+        )
+        assert bool(log["verified"]) == engages
+
+    def test_tail_pushed_before_the_header_lands_declines(self, paper_network):
+        network, spam = paper_network
+        fast_sim, log = _unicast_pair(
+            network, spam, _submit_pairs(network.processors(), [PAPER_PAIRS[18]]), (997,),
+            flits=8,
+        )
+        message = fast_sim.messages[0]
+        assert message.injection_done_ns < message.delivered_ns[message.destinations[0]] - 7 * 10
+        assert not log["verified"]
+
+    @pytest.mark.parametrize("upstream, outcome", [(2, "verify_failure"), (5, "front")])
+    def test_a_link_that_is_not_stalled_ends_the_token(self, paper_network, upstream, outcome):
+        """The token's checks, exercised by fault injection: under the
+        engine's rules a unicast's holes never meet its run.  Just before
+        the header lands, both engines lose the flit in the input buffer of
+        the ``upstream``-th link above the consumption link, which then
+        never sends again, so the worm stalls.  Two links up, the
+        verification fails; five links up, the run's front finds the link
+        not stalled, the token materialises and its block runs per flit.
+        Either way both engines stall alike."""
+        network, spam = paper_network
+        submit = _submit_pairs(network.processors(), [PAPER_PAIRS[18]])
+        reference = _traced(network, spam, submit)
+        message = reference.messages[0]
+        header_ns = message.delivered_ns[message.destinations[0]] - 127 * 10
+        path = _path_cids(reference, message)
+
+        def lose_a_flit(sim):
+            sim.links[path[-1 - upstream]].in_buffer._slots.popleft()
+
+        fast_sim, log = _unicast_pair(
+            network, spam, submit, (header_ns - 5, 997), perturb=lose_a_flit,
+            deadlock_detection=False,
+        )
+        assert not fast_sim.messages[0].is_complete
+        if outcome == "verify_failure":
+            assert log["verified"] == [(0, "verify_failure")]
+        else:
+            assert log["verified"] == [(0, "batch")]
+            assert log["thawed"] == [(0, upstream - 3, upstream, True)]
+
+
+def _traced(network, routing, submit):
+    """``submit``'s workload run on the reference engine with tracing on."""
+    simulator = WormholeSimulator(
+        network, routing, SimulationConfig(fast_path=False, trace=True)
+    )
+    submit(simulator)
+    simulator.run()
+    return simulator

@@ -34,10 +34,10 @@ fixed slice :data:`FUZZ_TIER1` on both paths; CI checks all of them::
     PYTHONPATH=src python tests/test_golden.py --fuzz 37 128   # named seeds
 
 The whole-corpus check also counts the seeds on which the fast path
-advanced at least one worm token, and at least one drain token, and fails
-below :data:`FUZZ_MIN_TOKEN_SEEDS` or :data:`FUZZ_MIN_DRAIN_SEEDS`: a
-corpus the tokens no longer reach would match on both paths without
-proving anything about them.
+advanced at least one worm token, drain token and unicast token, and
+fails below :data:`FUZZ_MIN_TOKEN_SEEDS`, :data:`FUZZ_MIN_DRAIN_SEEDS` or
+:data:`FUZZ_MIN_UNICAST_SEEDS`: a corpus the tokens no longer reach would
+match on both paths without proving anything about them.
 
 Regenerate the corpora only for a change that is *meant* to move results,
 and say in the commit message why it moved::
@@ -323,6 +323,17 @@ FUZZ_MIN_TOKEN_SEEDS = 150
 #: 21 of the 200 did when it was set (most fuzz worms stream with 2-3
 #: flits per buffer, where no drain token forms).
 FUZZ_MIN_DRAIN_SEEDS = 18
+#: Fewest corpus seeds on which the fast path must advance a unicast
+#: token; 17 of the 200 did when it was set (a unicast token needs
+#: one-flit buffers and a worm at least twice as long as its path, and the
+#: corpus's worms have 2-64 flits).
+FUZZ_MIN_UNICAST_SEEDS = 14
+#: The token kinds the fuzz check counts, each with its floor.
+FUZZ_TOKEN_FLOORS = {
+    "worm": FUZZ_MIN_TOKEN_SEEDS,
+    "drain": FUZZ_MIN_DRAIN_SEEDS,
+    "unicast": FUZZ_MIN_UNICAST_SEEDS,
+}
 
 
 @dataclass
@@ -390,21 +401,26 @@ def fuzz_digest(scenario: FuzzScenario, fast_path: bool) -> str:
     return fuzz_run(scenario, fast_path)[0]
 
 
-def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimulator, int]:
-    """Run ``scenario`` on one path: the sha256 of its fingerprint, the
-    simulator that ran it, and how many times a drain token advanced."""
+def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, dict[str, int]]:
+    """Run ``scenario`` on one path: the sha256 of its fingerprint, and how
+    many periods each kind of token advanced (``coalesced_ticks`` split
+    into worm, drain and unicast tokens)."""
     config = SimulationConfig(
         trace=True, collect_channel_stats=True, fast_path=fast_path, **scenario.overrides
     )
     simulator = WormholeSimulator(scenario.network, scenario.routing, config)
-    drain_pops = []
-    pop_drain = simulator._pop_drain
+    advanced = {"drain": 0, "unicast": 0}
 
-    def counting_pop_drain(token) -> None:
-        drain_pops.append(simulator.now)
-        pop_drain(token)
+    def counting(kind, pop):
+        def counting_pop(token) -> None:
+            ticks = simulator.coalesced_ticks
+            pop(token)
+            advanced[kind] += simulator.coalesced_ticks - ticks
 
-    simulator._pop_drain = counting_pop_drain
+        return counting_pop
+
+    simulator._pop_drain = counting("drain", simulator._pop_drain)
+    simulator._pop_unicast = counting("unicast", simulator._pop_unicast)
     for source, destinations, at_ns, length in scenario.messages:
         simulator.submit_message(source, destinations, at_ns=at_ns, length_flits=length)
     if scenario.tiling is not None:
@@ -412,7 +428,8 @@ def fuzz_run(scenario: FuzzScenario, fast_path: bool) -> tuple[str, WormholeSimu
         for _ in range(windows):
             simulator.run_for(window_ns)
     stats = simulator.run()
-    return digest(simulator_fingerprint(simulator, stats)), simulator, len(drain_pops)
+    advanced["worm"] = simulator.coalesced_ticks - advanced["drain"] - advanced["unicast"]
+    return digest(simulator_fingerprint(simulator, stats)), advanced
 
 
 def load_fuzz_golden() -> dict[int, str]:
@@ -420,26 +437,24 @@ def load_fuzz_golden() -> dict[int, str]:
     return {int(seed): sha for seed, sha in digests.items()}
 
 
-def fuzz_check(seed: int, golden: dict[int, str]) -> tuple[list[str], bool, bool]:
+def fuzz_check(seed: int, golden: dict[int, str]) -> tuple[list[str], set[str]]:
     """One line per path whose digest moved from the golden, each naming
-    the seed, the scenario and a one-line reproducer; whether the fast
-    path advanced at least one worm token; and whether it advanced a drain
-    token."""
+    the seed, the scenario and a one-line reproducer; and the kinds of
+    token (of :data:`FUZZ_TOKEN_FLOORS`) the fast path advanced."""
     scenario = fuzz_scenario(seed)
     lines = []
-    advanced = drained = False
+    kinds: set[str] = set()
     for fast_path in (True, False):
-        observed, simulator, drain_pops = fuzz_run(scenario, fast_path)
+        observed, advanced = fuzz_run(scenario, fast_path)
         if fast_path:
-            advanced = simulator.coalesced_ticks > 0
-            drained = drain_pops > 0
+            kinds = {kind for kind, periods in advanced.items() if periods}
         if observed != golden[seed]:
             lines.append(
                 f"fuzz seed {seed} moved on the {'fast' if fast_path else 'reference'} path "
                 f"(sha256 {golden[seed][:12]} -> {observed[:12]}): {scenario.describe()}; "
                 f"reproduce: PYTHONPATH=src python tests/test_golden.py --fuzz {seed}"
             )
-    return lines, advanced, drained
+    return lines, kinds
 
 
 @pytest.fixture(scope="module")
@@ -450,7 +465,7 @@ def fuzz_golden() -> dict[int, str]:
 @pytest.mark.equivalence
 @pytest.mark.parametrize("seed", FUZZ_TIER1)
 def test_fuzz_scenario_matches_golden(seed, fuzz_golden):
-    mismatches, _advanced, _drained = fuzz_check(seed, fuzz_golden)
+    mismatches, _kinds = fuzz_check(seed, fuzz_golden)
     assert not mismatches, "\n".join(mismatches)
 
 
@@ -460,35 +475,33 @@ def test_fuzz_corpus_covers_exactly_the_seeds(fuzz_golden):
 
 def check_fuzz(seeds: list[int]) -> bool:
     """Check ``seeds`` (all of them when empty) on both paths; print one
-    line per moved path and the numbers of seeds whose fast path advanced
-    a worm token and a drain token.  Returns whether the check failed: a
-    seed moved, or the whole corpus advanced worm tokens on fewer than
-    :data:`FUZZ_MIN_TOKEN_SEEDS` seeds or drain tokens on fewer than
-    :data:`FUZZ_MIN_DRAIN_SEEDS`."""
+    line per moved path, the number of seeds whose fast path advanced each
+    kind of token, and the seeds that advanced a unicast token.  Returns
+    whether the check failed: a seed moved, or the whole corpus advanced a
+    kind of token on fewer seeds than its floor in
+    :data:`FUZZ_TOKEN_FLOORS`."""
     golden = load_fuzz_golden()
     moved = 0
-    advanced = 0
-    drained = 0
+    seeds_by_kind: dict[str, list[int]] = {kind: [] for kind in FUZZ_TOKEN_FLOORS}
     for seed in seeds or FUZZ_SEEDS:
-        mismatches, seed_advanced, seed_drained = fuzz_check(seed, golden)
+        mismatches, kinds = fuzz_check(seed, golden)
         if seeds:
             print(f"seed {seed}: {fuzz_scenario(seed).describe()}")
         for line in mismatches:
             print(line)
         moved += bool(mismatches)
-        advanced += seed_advanced
-        drained += seed_drained
+        for kind in kinds:
+            seeds_by_kind[kind].append(seed)
     checked = len(seeds) if seeds else len(FUZZ_SEEDS)
     print(f"fuzz corpus: {checked - moved} of {checked} seeds match on both paths")
-    print(f"fuzz corpus: the fast path advanced a worm token on {advanced} of {checked} seeds")
-    print(f"fuzz corpus: the fast path advanced a drain token on {drained} of {checked} seeds")
+    for kind, advanced in seeds_by_kind.items():
+        print(f"fuzz corpus: the fast path advanced a {kind} token on {len(advanced)} of {checked} seeds")
+    print(f"fuzz corpus: unicast-token seeds: {' '.join(map(str, seeds_by_kind['unicast']))}")
     too_few = False
-    if not seeds and advanced < FUZZ_MIN_TOKEN_SEEDS:
-        print(f"fuzz corpus: fewer than {FUZZ_MIN_TOKEN_SEEDS} seeds advanced a token")
-        too_few = True
-    if not seeds and drained < FUZZ_MIN_DRAIN_SEEDS:
-        print(f"fuzz corpus: fewer than {FUZZ_MIN_DRAIN_SEEDS} seeds advanced a drain token")
-        too_few = True
+    for kind, floor in FUZZ_TOKEN_FLOORS.items():
+        if not seeds and len(seeds_by_kind[kind]) < floor:
+            print(f"fuzz corpus: fewer than {floor} seeds advanced a {kind} token")
+            too_few = True
     return bool(moved) or too_few
 
 

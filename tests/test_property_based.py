@@ -499,6 +499,16 @@ class _OneHeapQueue:
         self.heap.append((block[0][0], block[0][1], 2, token))
         heapq.heapify(self.heap)
 
+    def lane_head(self):
+        """The lane's earliest entry (a transfer or a token), if any."""
+        return min((entry for entry in self.heap if entry[2]), default=None)
+
+    def fold_head(self, token):
+        head = self.lane_head()
+        self.heap.remove(head)
+        self.heap.append((head[0], head[1], 2, token))
+        heapq.heapify(self.heap)
+
     def unfold_tokens(self, expand):
         entries = []
         for time_ns, seq, kind, payload in self.heap:
@@ -540,6 +550,7 @@ queue_operations = st.lists(
                 "pop_entry",
                 "advance_to",
                 "fold_transfers",
+                "fold_head",
                 "schedule_token",
                 "unfold_tokens",
             ]
@@ -561,9 +572,9 @@ queue_operations = st.lists(
 )
 def test_two_lane_queue_matches_one_heap(period_ns, operations):
     """Random interleavings of scheduling, popping, clock advances, token
-    folds (with and without a following entry), token re-appends and
-    unfolds give the same pop order, clock and errors as one heap of every
-    entry."""
+    folds (with and without a following entry), folds of the lane's head
+    transfer, token re-appends and unfolds give the same pop order, clock
+    and errors as one heap of every entry."""
     queue, model = EventQueue(period_ns), _OneHeapQueue(period_ns)
     for payload, (name, periods, nudge) in enumerate(operations):
         offset = periods * period_ns + nudge
@@ -573,6 +584,14 @@ def test_two_lane_queue_matches_one_heap(period_ns, operations):
             if block is None:
                 continue
             token = tuple(entry[3] for entry in block)
+        elif name == "fold_head":
+            # Only a transfer with its own seq, as the engine folds: an
+            # unfolded token's transfers share one, and their lane order is
+            # one this model cannot hold once one of them changes kind.
+            head = model.lane_head()
+            if head is None or head[2] != 1 or sum(e[1] == head[1] for e in model.heap) > 1:
+                continue
+            token = (head[3],)
         outcomes = []
         for subject in (queue, model):
             try:
@@ -582,6 +601,8 @@ def test_two_lane_queue_matches_one_heap(period_ns, operations):
                     result = subject.schedule_transfer(payload)
                 elif name == "fold_transfers":
                     result = subject.fold_transfers(count, token, following)
+                elif name == "fold_head":
+                    result = subject.fold_head(token)
                 elif name == "schedule_token":
                     result = subject.schedule_token((payload,))
                 elif name == "unfold_tokens":

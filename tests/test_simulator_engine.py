@@ -18,6 +18,7 @@ from repro.routing.updown import UpDownRouting
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
+from repro.simulator.flit import FlitKind
 from repro.topology.examples import figure1_network
 from repro.topology.irregular import lattice_irregular_network
 from repro.traffic.arrivals import PoissonArrivals
@@ -86,6 +87,119 @@ class TestUnicastTiming:
         simulator.run()
         assert message.latency_from_startup_ns > short_config.startup_latency_ns
         assert message.latency_from_startup_ns < 2 * short_config.startup_latency_ns
+
+
+def _closed_form_run(network, routing, submit, flits):
+    """Run ``submit``'s workload on the reference engine with tracing on.
+
+    Returns the simulator and, per message whose header reached a
+    destination, ``(header delivery time, header entry seq, next lane
+    entry)``: the lane entry right after the header's delivery, and the
+    ``seq`` of the header's own transfer entry (recorded when the transfer
+    was scheduled)."""
+    config = SimulationConfig(message_length_flits=flits, fast_path=False, trace=True)
+    simulator = WormholeSimulator(network, routing, config)
+    lane = simulator.events._lane
+    start_transfer = simulator.try_start_transfer
+    complete_transfer = simulator._complete_transfer
+    header_seqs = {}
+    headers = {}
+
+    def carries_header(link):
+        slots = link.out_buffer._slots
+        return link.sink_is_processor and slots and slots[0].kind is FlitKind.HEAD
+
+    def recording_start(link):
+        busy = link.busy
+        start_transfer(link)
+        if not busy and link.busy and carries_header(link):
+            header_seqs[link.out_buffer._slots[0].message_id] = lane[-1][1]
+
+    def recording_complete(link):
+        header = carries_header(link)
+        mid = link.out_buffer._slots[0].message_id if header else None
+        complete_transfer(link)
+        if header:
+            headers[mid] = (simulator.now, header_seqs[mid], lane[0] if lane else None)
+
+    simulator.try_start_transfer = recording_start
+    simulator._complete_transfer = recording_complete
+    submit(simulator)
+    simulator.run()
+    return simulator, headers
+
+
+class TestUnicastAfterItsHeaderLands:
+    """The reference engine's closed form for a unicast whose header has
+    reached its destination, with one-flit buffers.  With ``D`` links, ``L``
+    flits and period ``p``: the tail arrives ``(L-1)p`` after the header;
+    when ``L - 1 >= 2D`` the NI hands the tail to the injection link ``Dp``
+    before delivery and the ``k``-th switch releases its output ``(D-k)p``
+    before it; and the lane entry right after the header's delivery is the
+    transfer on the link into the destination's switch, with the next
+    ``seq``.  The fast path's unicast token rests on these facts
+    (``docs/fast_path.md``, "Unicast tokens"); a refactor of either path
+    that breaks one fails here."""
+
+    def _check(self, simulator, headers, message):
+        """Assert the four facts for ``message``; return whether it lies in
+        the token's domain (``L - 1 >= 2D``), where the last three hold."""
+        period = simulator.config.channel_latency_ns
+        (destination,) = message.destinations
+        links = message.hops + 1
+        flits = message.length_flits
+        header_ns, header_seq, following = headers[message.mid]
+        delivered_ns = message.delivered_ns[destination]
+        assert delivered_ns - header_ns == (flits - 1) * period
+        # The link into the destination's switch is the one its header
+        # arrived on there: the message's last ``head`` record.
+        records = [
+            event for event in simulator.trace.events
+            if event.fields.get("message") == message.mid
+        ]
+        into = [event.fields["channel"] for event in records if event.kind == "head"]
+        assert len(into) == links - 1
+        time_ns, seq, _kind, link = following
+        assert (time_ns, seq, link.cid) == (header_ns, header_seq + 1, into[-1])
+        if flits - 1 < 2 * links:
+            return False
+        assert delivered_ns - message.injection_done_ns == links * period
+        releases = sorted(event.time_ns for event in records if event.kind == "release")
+        assert releases == [delivered_ns - (links - k) * period for k in range(1, links)]
+        return True
+
+    def test_lone_unicasts_over_several_paths(self, paper_network):
+        network, spam = paper_network
+        processors = network.processors()
+        lengths = set()
+        for source, destination in [(0, 50), (3, 100), (10, 11), (7, 90), (64, 2), (120, 30)]:
+            simulator, headers = _closed_form_run(
+                network,
+                spam,
+                lambda sim: sim.submit_message(processors[source], [processors[destination]]),
+                flits=128,
+            )
+            (message,) = simulator.messages.values()
+            assert self._check(simulator, headers, message)
+            lengths.add(message.hops + 1)
+        assert len(lengths) >= 4, f"too few distinct path lengths: {sorted(lengths)}"
+
+    @pytest.mark.parametrize("flits", [32, 128])
+    def test_every_unicast_of_a_contended_mixed_point(self, paper_network, flits):
+        """A Figure-3 point at rate 0.03 with the smoke scale's 40 messages:
+        queueing at consumption and shared channels, at the smoke and the
+        paper message length."""
+        network, spam = paper_network
+        workload = mixed_traffic_workload(
+            network, rate_per_us=0.03, multicast_destinations=8, num_messages=40, seed=23
+        )
+        simulator, headers = _closed_form_run(network, spam, workload.submit_to, flits)
+        unicasts = [m for m in simulator.messages.values() if len(m.destinations) == 1]
+        assert len(unicasts) > 25
+        domain = [self._check(simulator, headers, message) for message in unicasts]
+        assert any(domain)
+        if flits == 32:
+            assert not all(domain), "no unicast outside the token's domain"
 
 
 class TestMulticastBehaviour:
