@@ -8,8 +8,8 @@ expected shape: latency grows with the arrival rate (towards saturation) but
 is largely independent of the number of destinations per multicast.
 
 Sized to finish in well under a minute at the smoke scale; for the paper's
-configuration run ``repro-spam --scale paper figure3 --network-size 128
---degrees 8 16 32 64``.
+configuration (128 switches, degrees 8 to 64, five rates) run
+``repro-spam --scale paper figure3``.
 
 Run with:  python examples/mixed_traffic_study.py
 """

@@ -13,8 +13,8 @@ the warm-cache path: the second run computes nothing and reassembles the
 identical figure from stored rows (see ``docs/sweeps.md``).
 
 The network size and sample counts are reduced relative to the paper so the
-example finishes in seconds; for the paper's configuration run
-``repro-spam --scale paper figure2 --network-sizes 128 256``.
+example finishes in seconds; for the paper's configuration (128 and 256
+switches) run ``repro-spam --scale paper figure2``.
 
 Run with:  python examples/single_multicast_sweep.py [num_switches]
 """
@@ -25,7 +25,7 @@ import sys
 import tempfile
 
 from repro.analysis import series_side_by_side, software_multicast_lower_bound_us
-from repro.experiments import Figure2Config, default_destination_counts
+from repro.experiments import Figure2Config
 from repro.experiments.common import SCALES
 from repro.experiments.figure2 import figure2_result_from_points, figure2_specs
 from repro.sweeps import ResultStore, run_sweep
@@ -33,11 +33,7 @@ from repro.sweeps import ResultStore, run_sweep
 
 def main() -> None:
     num_switches = int(sys.argv[1]) if len(sys.argv) > 1 else 64
-    config = Figure2Config(
-        network_sizes=(num_switches,),
-        destination_counts={num_switches: default_destination_counts(num_switches, points=7)},
-        scale=SCALES["smoke"],
-    )
+    config = Figure2Config(network_sizes=(num_switches,), scale=SCALES["smoke"])
     specs = figure2_specs(config)
 
     with tempfile.TemporaryDirectory() as tmp:

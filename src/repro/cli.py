@@ -10,6 +10,8 @@ exposes the library's main entry points without writing any Python:
     Regenerate the paper's figures at a chosen scale and print the series.
 ``compare``
     SPAM vs. software-multicast comparison (the §4 six-fold-difference claim).
+``ablations``
+    The buffer-depth, selection, root and partitioning ablations.
 ``verify``
     Run the deadlock/livelock verification suite on a generated topology.
 ``hotspot``
@@ -19,9 +21,12 @@ exposes the library's main entry points without writing any Python:
     them against the checked-in schema and print per-tier time-attribution
     tables.
 
-The experiment verbs (``figure2``, ``figure3``, ``compare``) run their
-points through the :mod:`repro.sweeps` orchestrator and share its run
-flags: results are content-addressed in ``--cache-dir`` (default
+Each experiment verb (``figure2``, ``figure3``, ``compare``,
+``ablations``) runs its configuration's grid: an experiment flag overrides
+only the configuration field it names, and an omitted one leaves the
+configuration's value.  The verbs run their points through the
+:mod:`repro.sweeps` orchestrator and share its run flags: results are
+content-addressed in ``--cache-dir`` (default
 ``.sweep-cache/``; ``--no-cache`` bypasses the store), an interrupted run
 resumes from what it already computed (``--no-resume`` recomputes), points
 spread over ``--workers`` processes, ``--export`` writes the assembled
@@ -35,21 +40,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 from .analysis.hotspot import root_traversal_probability
 from .analysis.report import format_table, series_side_by_side
 from .core.spam import SpamRouting
+from .experiments.ablations import AblationConfig, ablation_rows, ablation_specs
 from .experiments.common import SCALES
-from .experiments.figure2 import (
-    Figure2Config,
-    default_destination_counts,
-    figure2_result_from_points,
-    figure2_specs,
-)
+from .experiments.figure2 import Figure2Config, figure2_result_from_points, figure2_specs
 from .experiments.figure3 import Figure3Config, figure3_result_from_points, figure3_specs
-from .experiments.software_comparison import SoftwareComparisonConfig, software_comparison_specs
+from .experiments.software_comparison import (
+    SoftwareComparisonConfig,
+    software_comparison_rows,
+    software_comparison_specs,
+)
 from .obs import (
     Telemetry,
     summarize_snapshot,
@@ -113,35 +119,40 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--seed", type=int, default=0)
     topology.add_argument("--save", type=str, default=None, help="write the network to a JSON file")
 
+    # An experiment flag's dest is the configuration field it overrides;
+    # its default None means "not given": the configuration's value stays.
     figure2 = subparsers.add_parser("figure2", help="latency vs number of destinations")
-    figure2.add_argument("--network-sizes", type=int, nargs="+", default=[64])
-    figure2.add_argument("--seed", type=int, default=7)
+    figure2.add_argument("--network-sizes", type=int, nargs="+", dest="network_sizes")
+    figure2.add_argument("--seed", type=int, dest="topology_seed")
     _add_run_flags(figure2)
 
     figure3 = subparsers.add_parser("figure3", help="latency vs arrival rate (mixed traffic)")
-    figure3.add_argument("--network-size", type=int, default=64)
-    figure3.add_argument("--degrees", type=int, nargs="+", default=[8, 16])
+    figure3.add_argument("--network-size", type=int, dest="network_size")
+    figure3.add_argument("--degrees", type=int, nargs="+", dest="multicast_degrees")
     figure3.add_argument(
-        "--rates", type=float, nargs="+", default=[0.005, 0.02, 0.04],
+        "--rates", type=float, nargs="+", dest="arrival_rates_per_us",
         help="per-processor arrival rates in messages per microsecond",
     )
     figure3.add_argument(
         "--arrival", choices=["negative-binomial", "poisson"],
-        default="negative-binomial",
         help="arrival process at every processor (paper: negative-binomial)",
     )
-    figure3.add_argument("--seed", type=int, default=7)
+    figure3.add_argument("--seed", type=int, dest="topology_seed")
     _add_run_flags(figure3)
 
     compare = subparsers.add_parser("compare", help="SPAM vs software multicast")
-    compare.add_argument("--network-size", type=int, default=64)
-    compare.add_argument("--destinations", type=int, nargs="+", default=[8, 32, 63])
-    compare.add_argument("--seed", type=int, default=7)
+    compare.add_argument("--network-size", type=int, dest="network_size")
+    compare.add_argument("--destinations", type=int, nargs="+", dest="destination_counts")
+    compare.add_argument("--seed", type=int, dest="topology_seed")
     compare.add_argument(
-        "--bound-only", action="store_true",
+        "--bound-only", action="store_false", dest="run_software_baseline", default=None,
         help="skip executing the binomial software baseline (faster)",
     )
     _add_run_flags(compare)
+
+    ablations = subparsers.add_parser(
+        "ablations", help="buffer depth, selection, root and partitioning ablations")
+    _add_run_flags(ablations)
 
     obs = subparsers.add_parser(
         "obs", help="inspect repro.obs telemetry snapshots",
@@ -191,10 +202,53 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def _run_experiment(args, specs, render) -> int:
-    """Run an experiment verb: evaluate ``specs`` under the run flags, print
-    the table of ``render(results)``, a ``(table, export document)`` pair,
-    and the sweep summary, and write the document to ``--export``."""
+def _figure(result) -> tuple[str, dict]:
+    """A figure's printed series and its export document."""
+    return series_side_by_side(result), result.as_dict()
+
+
+def _compare(config, points) -> tuple[str, dict]:
+    rows = software_comparison_rows(points)
+    return format_table(rows), {"experiment": "compare", "rows": rows}
+
+
+def _ablations(config, points) -> tuple[str, dict]:
+    rows = ablation_rows(config, points)
+    tables = "\n".join(f"{name}:\n{format_table(table)}" for name, table in rows.items())
+    return tables, {"experiment": "ablations", "rows": rows}
+
+
+#: Experiment verb -> (configuration class, spec builder, renderer).  The
+#: renderer turns the configuration and the point results into the printed
+#: table and the export document, through the experiment's own assembler.
+EXPERIMENTS = {
+    "figure2": (
+        Figure2Config, figure2_specs,
+        lambda config, points: _figure(figure2_result_from_points(config, points)),
+    ),
+    "figure3": (
+        Figure3Config, figure3_specs,
+        lambda config, points: _figure(figure3_result_from_points(config, points)),
+    ),
+    "compare": (SoftwareComparisonConfig, software_comparison_specs, _compare),
+    "ablations": (AblationConfig, ablation_specs, _ablations),
+}
+
+
+def _cmd_experiment(args) -> int:
+    """Run an experiment verb: build its configuration (``--scale`` sets
+    ``scale``; each experiment flag given overrides the field it names),
+    evaluate the configuration's specs under the run flags, print the
+    rendered table and the sweep summary, and write the export document to
+    ``--export``."""
+    config_class, specs_of, render = EXPERIMENTS[args.command]
+    # ``args.scale`` is the global flag's name, not the field's value.
+    given = {
+        field.name: tuple(value) if isinstance(value, list) else value
+        for field in fields(config_class)
+        if field.name != "scale" and (value := getattr(args, field.name, None)) is not None
+    }
+    config = config_class(scale=SCALES[args.scale], **given)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     telemetry = Telemetry(track="main") if args.telemetry else None
 
@@ -202,10 +256,10 @@ def _run_experiment(args, specs, render) -> int:
         print(f"  [{done}/{total}] {spec.label} x={spec.x}", flush=True)
 
     outcome = run_sweep(
-        specs, store=store, workers=args.workers, resume=args.resume,
+        specs_of(config), store=store, workers=args.workers, resume=args.resume,
         progress=progress, telemetry=telemetry,
     )
-    table, exported = render(outcome.results)
+    table, exported = render(config, outcome.results)
     print(table)
     print(f"{args.command}: {outcome.summary()}"
           + ("" if store is None else f"  (store: {store.root})"))
@@ -219,57 +273,6 @@ def _run_experiment(args, specs, render) -> int:
         trace_path = write_chrome_trace(telemetry, Path(args.telemetry).with_suffix(".trace.json"))
         print(f"telemetry written to {snapshot_path} (trace: {trace_path})")
     return 0
-
-
-def _figure(result) -> tuple[str, dict]:
-    """A figure's printed series and its export document."""
-    return series_side_by_side(result), result.as_dict()
-
-
-def _cmd_figure2(args) -> int:
-    config = Figure2Config(
-        network_sizes=tuple(args.network_sizes),
-        destination_counts={
-            size: default_destination_counts(size, points=6) for size in args.network_sizes
-        },
-        scale=SCALES[args.scale],
-        topology_seed=args.seed,
-    )
-    return _run_experiment(
-        args, figure2_specs(config),
-        lambda points: _figure(figure2_result_from_points(config, points)),
-    )
-
-
-def _cmd_figure3(args) -> int:
-    config = Figure3Config(
-        network_size=args.network_size,
-        multicast_degrees=tuple(args.degrees),
-        arrival_rates_per_us=tuple(args.rates),
-        arrival=args.arrival,
-        scale=SCALES[args.scale],
-        topology_seed=args.seed,
-    )
-    return _run_experiment(
-        args, figure3_specs(config),
-        lambda points: _figure(figure3_result_from_points(config, points)),
-    )
-
-
-def _cmd_compare(args) -> int:
-    config = SoftwareComparisonConfig(
-        network_size=args.network_size,
-        destination_counts=tuple(args.destinations),
-        scale=SCALES[args.scale],
-        topology_seed=args.seed,
-        run_software_baseline=not args.bound_only,
-    )
-
-    def render(points):
-        rows = [point.metrics_dict() for point in points]
-        return format_table(rows), {"experiment": "compare", "rows": rows}
-
-    return _run_experiment(args, software_comparison_specs(config), render)
 
 
 def _read_json(path: str, label: str) -> tuple[bool, object]:
@@ -382,12 +385,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "topology": _cmd_topology,
-        "figure2": _cmd_figure2,
-        "figure3": _cmd_figure3,
-        "compare": _cmd_compare,
         "obs": _cmd_obs,
         "verify": _cmd_verify,
         "hotspot": _cmd_hotspot,
+        **dict.fromkeys(EXPERIMENTS, _cmd_experiment),
     }
     return handlers[args.command](args)
 

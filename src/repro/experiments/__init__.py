@@ -9,24 +9,20 @@ discussions.
 * :func:`~repro.experiments.software_comparison.run_software_comparison` —
   SPAM vs the software multicast lower bound and a measured binomial-tree
   baseline (§4's six-fold-difference claim).
-* :mod:`~repro.experiments.ablations` — buffer depth, selection function,
-  root selection and destination partitioning.
+* :func:`~repro.experiments.ablations.run_ablations` — buffer depth,
+  selection function, root selection and destination partitioning.
 
 Every driver routes through the :mod:`repro.sweeps` orchestrator: each data
 point is a :class:`~repro.sweeps.spec.SweepPointSpec`.  A cached, resumable
 or parallel run passes an experiment's specs (:func:`figure2_specs`,
-:func:`figure3_specs`, :func:`software_comparison_specs`) to
-``run_sweep(specs, store=..., workers=...)``, as the ``repro-spam`` verbs
-do (see ``docs/sweeps.md``).
+:func:`figure3_specs`, :func:`software_comparison_specs`,
+:func:`ablation_specs`) to ``run_sweep(specs, store=..., workers=...)``, as
+the ``repro-spam`` verbs do (see ``docs/sweeps.md``).  Each configuration
+is the one place its grid is written: a verb's flags only override its
+fields.
 """
 
-from .ablations import (
-    AblationConfig,
-    run_buffer_depth_ablation,
-    run_partition_ablation,
-    run_root_ablation,
-    run_selection_ablation,
-)
+from .ablations import AblationConfig, ablation_rows, ablation_specs, run_ablations
 from .common import ExperimentScale, SCALES
 from .figure2 import (
     Figure2Config,
@@ -38,7 +34,7 @@ from .figure3 import Figure3Config, figure3_specs, run_figure3
 from .software_comparison import (
     SoftwareComparisonConfig,
     run_software_comparison,
-    run_software_multicast_once,
+    software_comparison_rows,
     software_comparison_specs,
 )
 
@@ -54,11 +50,10 @@ __all__ = [
     "run_figure3",
     "SoftwareComparisonConfig",
     "software_comparison_specs",
+    "software_comparison_rows",
     "run_software_comparison",
-    "run_software_multicast_once",
     "AblationConfig",
-    "run_buffer_depth_ablation",
-    "run_selection_ablation",
-    "run_root_ablation",
-    "run_partition_ablation",
+    "ablation_specs",
+    "ablation_rows",
+    "run_ablations",
 ]

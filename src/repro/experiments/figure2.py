@@ -39,17 +39,17 @@ __all__ = [
 ]
 
 
-def default_destination_counts(num_switches: int, points: int = 8) -> list[int]:
+def default_destination_counts(num_switches: int) -> list[int]:
     """Destination counts to sweep for a network of ``num_switches`` processors.
 
     The paper sweeps from 1 destination up to (nearly) a full broadcast; we
-    use a geometric-ish ladder (1, 2, 4, ... , n-1) capped at ``points``
-    values so that the default benchmark stays affordable while still
-    covering the full range of the x-axis.
+    use a geometric-ish ladder (1, 2, 4, ... , n-1) capped at 8 values so
+    that the default benchmark stays affordable while still covering the
+    full range of the x-axis.
     """
     counts: list[int] = []
     value = 1
-    while value < num_switches - 1 and len(counts) < points - 1:
+    while value < num_switches - 1 and len(counts) < 7:
         counts.append(value)
         value *= 2
     counts.append(num_switches - 1)  # full broadcast (every other processor)

@@ -49,11 +49,6 @@ class Figure3Config:
     topology_seed: int = 7
     workload_seed: int = 23
     root_strategy: str = "center"
-    #: Extra :class:`~repro.simulator.config.SimulationConfig` overrides
-    #: applied to every point (e.g. ``(("input_buffer_depth", 4),)``).
-    #: Overrides participate in spec identity — points computed under
-    #: different overrides are distinct cache entries by design.
-    sim_overrides: tuple[tuple[str, object], ...] = ()
 
 
 def figure3_specs(config: Figure3Config | None = None) -> list[SweepPointSpec]:
@@ -78,7 +73,6 @@ def figure3_specs(config: Figure3Config | None = None) -> list[SweepPointSpec]:
                     ),
                     workload_seed=config.workload_seed + degree,
                     root_strategy=config.root_strategy,
-                    sim_overrides=config.sim_overrides,
                     label=f"{degree} destinations",
                     x=rate,
                 )

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sweeps import SweepPointSpec, run_software_multicast_once, run_sweep
+from ..sweeps import SweepPointSpec, run_sweep
 from .common import SCALES, ExperimentScale
 
 __all__ = [
     "SoftwareComparisonConfig",
     "software_comparison_specs",
+    "software_comparison_rows",
     "run_software_comparison",
-    "run_software_multicast_once",
 ]
 
 
@@ -76,13 +76,17 @@ def software_comparison_specs(
     return specs
 
 
-def run_software_comparison(config: SoftwareComparisonConfig | None = None) -> list[dict]:
-    """Run the comparison and return one result row per destination count.
+def software_comparison_rows(points) -> list[dict]:
+    """One result row per destination count, from the point results.
 
     Each row contains the measured SPAM latency, the software lower bound,
     the measured software (binomial) latency when enabled, and the resulting
     speedup factors.
     """
+    return [point.metrics_dict() for point in points]
+
+
+def run_software_comparison(config: SoftwareComparisonConfig | None = None) -> list[dict]:
+    """Run the comparison and return its rows (:func:`software_comparison_rows`)."""
     config = config or SoftwareComparisonConfig()
-    outcome = run_sweep(software_comparison_specs(config))
-    return [result.metrics_dict() for result in outcome.results]
+    return software_comparison_rows(run_sweep(software_comparison_specs(config)).results)

@@ -18,8 +18,8 @@ runs:
   from the store.
 
 The experiment drivers in :mod:`repro.experiments` build specs and route
-through :func:`run_sweep`; the ``repro-spam figure2``/``figure3``/``compare``
-commands expose the same machinery on the command line.
+through :func:`run_sweep`; the ``repro-spam figure2``/``figure3``/``compare``/
+``ablations`` commands expose the same machinery on the command line.
 ``docs/sweeps.md`` documents the store layout, the hashing contract and the
 resume semantics.
 """
@@ -30,7 +30,6 @@ from .spec import (
     SweepPointSpec,
     WORKLOAD_KINDS,
     evaluate_spec,
-    run_software_multicast_once,
 )
 from .store import (
     DEFAULT_STORE_DIR,
@@ -45,7 +44,6 @@ __all__ = [
     "SweepPointResult",
     "WORKLOAD_KINDS",
     "evaluate_spec",
-    "run_software_multicast_once",
     "ResultStore",
     "spec_key",
     "default_code_salt",

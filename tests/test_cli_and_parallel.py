@@ -8,12 +8,37 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+from repro.experiments.ablations import AblationConfig, ablation_specs
 from repro.experiments.common import SCALES
-from repro.experiments.figure2 import Figure2Config
+from repro.experiments.figure2 import Figure2Config, figure2_specs
+from repro.experiments.figure3 import Figure3Config, figure3_specs
+from repro.experiments.software_comparison import (
+    SoftwareComparisonConfig,
+    software_comparison_specs,
+)
 from repro.sweeps import DEFAULT_STORE_DIR, SweepPointSpec, evaluate_spec
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def recorded_specs(monkeypatch, argv: list[str]) -> list[SweepPointSpec]:
+    """The specs ``repro-spam <argv> --no-cache`` would sweep, recorded by a
+    stub in place of ``run_sweep`` so that nothing is simulated."""
+    recorded = []
+
+    class Recorded(Exception):
+        pass
+
+    def record(specs, **kwargs):
+        recorded.append(list(specs))
+        raise Recorded
+
+    monkeypatch.setattr(repro.cli, "run_sweep", record)
+    with pytest.raises(Recorded):
+        main([*argv, "--no-cache"])
+    return recorded[0]
 
 
 class TestCli:
@@ -33,7 +58,7 @@ class TestCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "figure2"])
-        for verb in ("figure2", "figure3", "compare"):
+        for verb in ("figure2", "figure3", "compare", "ablations"):
             args = parser.parse_args([verb])
             assert args.workers == 1 and args.resume and not args.no_cache
             assert args.cache_dir == DEFAULT_STORE_DIR
@@ -45,6 +70,35 @@ class TestCli:
         worms from the CLI as from the Python driver."""
         args = build_parser().parse_args(["figure2"])
         assert SCALES[args.scale] == Figure2Config().scale
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    @pytest.mark.parametrize("verb, config_class, specs_of", [
+        ("figure2", Figure2Config, figure2_specs),
+        ("figure3", Figure3Config, figure3_specs),
+        ("compare", SoftwareComparisonConfig, software_comparison_specs),
+        ("ablations", AblationConfig, ablation_specs),
+    ], ids=["figure2", "figure3", "compare", "ablations"])
+    def test_verb_without_experiment_flags_runs_its_configurations_grid(
+        self, verb, config_class, specs_of, scale, monkeypatch
+    ):
+        """The configuration is the one place a grid is written: a verb
+        given no experiment flag sweeps exactly the configuration's specs."""
+        swept = recorded_specs(monkeypatch, ["--scale", scale, verb])
+        assert swept == specs_of(config_class(scale=SCALES[scale]))
+
+    @pytest.mark.parametrize("argv, specs", [
+        (["figure2", "--network-sizes", "16", "--seed", "3"],
+         figure2_specs(Figure2Config(network_sizes=(16,), topology_seed=3))),
+        (["figure3", "--network-size", "32", "--degrees", "4", "8", "--rates", "0.005",
+          "--arrival", "poisson"],
+         figure3_specs(Figure3Config(network_size=32, multicast_degrees=(4, 8),
+                                     arrival_rates_per_us=(0.005,), arrival="poisson"))),
+        (["compare", "--destinations", "8", "--bound-only"],
+         software_comparison_specs(SoftwareComparisonConfig(destination_counts=(8,),
+                                                            run_software_baseline=False))),
+    ], ids=["figure2", "figure3", "compare"])
+    def test_experiment_flags_override_only_the_fields_they_name(self, argv, specs, monkeypatch):
+        assert recorded_specs(monkeypatch, argv) == specs
 
     def test_topology_command(self, capsys, tmp_path):
         rc = main(["topology", "--switches", "12", "--seed", "3",

@@ -20,13 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import (
-    AblationConfig,
-    run_buffer_depth_ablation,
-    run_partition_ablation,
-    run_root_ablation,
-    run_selection_ablation,
-)
+from repro.experiments.ablations import AblationConfig, run_ablations
 from repro.experiments.common import SCALES
 from repro.experiments.figure2 import (
     Figure2Config,
@@ -44,8 +38,8 @@ SMOKE = SCALES["smoke"]
 
 
 @pytest.fixture(scope="module")
-def tiny_ablation_config():
-    return AblationConfig(network_size=16, num_destinations=8, scale=SMOKE)
+def tiny_ablations():
+    return run_ablations(AblationConfig(network_size=16, num_destinations=8, scale=SMOKE))
 
 
 class TestScaling:
@@ -182,34 +176,32 @@ class TestSoftwareComparison:
 
 
 class TestAblations:
-    def test_buffer_depth_rows(self, tiny_ablation_config):
-        rows = run_buffer_depth_ablation((1, 2), tiny_ablation_config)
-        assert [row["buffer_depth"] for row in rows] == [1, 2]
+    def test_buffer_depth_rows(self, tiny_ablations):
+        rows = tiny_ablations["buffer_depth"]
+        assert [row["buffer_depth"] for row in rows] == [1, 2, 4, 8]
         assert all(row["latency_us"] > 10.0 for row in rows)
         # Deeper buffers never make an idle-network multicast slower.
-        assert rows[1]["latency_us"] <= rows[0]["latency_us"] + 0.05
+        for shallow, deep in zip(rows, rows[1:]):
+            assert deep["latency_us"] <= shallow["latency_us"] + 0.05
 
-    def test_selection_rows(self, tiny_ablation_config):
-        strategies = ("distance-to-lca", "first-allowed", "random")
-        rows = run_selection_ablation(strategies, tiny_ablation_config)
-        by_name = {row["selection"]: row["latency_us"] for row in rows}
-        assert set(by_name) == set(strategies)
+    def test_selection_rows(self, tiny_ablations):
+        by_name = {row["selection"]: row["latency_us"] for row in tiny_ablations["selection"]}
+        assert list(by_name) == ["distance-to-lca", "first-allowed", "random"]
         # The paper's distance-to-LCA policy is within noise of the best one.
         assert by_name["distance-to-lca"] <= min(by_name.values()) * 1.05
 
-    def test_root_rows(self, tiny_ablation_config):
-        rows = run_root_ablation(("center", "first"), tiny_ablation_config)
-        assert all("tree_height" in row for row in rows)
-        center = next(row for row in rows if row["root_strategy"] == "center")
-        first = next(row for row in rows if row["root_strategy"] == "first")
-        assert center["tree_height"] <= first["tree_height"]
+    def test_root_rows(self, tiny_ablations):
+        rows = {row["root_strategy"]: row for row in tiny_ablations["root"]}
+        assert list(rows) == ["center", "max-degree", "first"]
+        assert rows["center"]["tree_height"] <= rows["first"]["tree_height"]
         # Every root keeps the idle-network latency in the paper's band.
-        assert all(10.0 < row["latency_us"] < 20.0 for row in rows)
+        assert all(10.0 < row["latency_us"] < 20.0 for row in rows.values())
 
-    def test_partition_rows(self, tiny_ablation_config):
+    def test_partition_rows(self, tiny_ablations):
         groups = (1, 2, 4)
-        rows = run_partition_ablation(groups, config=tiny_ablation_config)
+        rows = tiny_ablations["partition"]
         assert [row["groups"] for row in rows] == list(groups)
+        assert [row["worms"] for row in rows] == list(groups)
         # The source serialises its sends, so on an idle network each extra
         # worm costs at least half a 10 us startup.
         latencies = [row["latency_us"] for row in rows]

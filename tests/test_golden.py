@@ -16,12 +16,13 @@ processes, and a bounded run window cut mid-stream.
 
 The experiments are pinned the same way: ``tests/golden/sweeps.json`` holds
 the sha256 of the exact bytes ``repro-spam <experiment> ... --export``
-writes for three smoke-scale runs (Figure 2, the software comparison, and
-the Figure-3 grid of the CI sweep-smoke job), each computed in-process with
-no result store, and of the rows of the four ablation drivers at smoke
-scale with their default variants.  The cache and resume check has a
-stored reference too: ``tools/sweep_resume_check.py`` hashes its cold
-Figure-3 export against the same digest.
+writes for three smoke-scale runs (Figure 2 and the software comparison on
+their configurations' grids, and the Figure-3 grid of the CI sweep-smoke
+job), each computed in-process with no result store, and of each of the
+four row lists in the export of ``repro-spam --scale smoke ablations``.
+The cache and resume check has a stored reference too:
+``tools/sweep_resume_check.py`` hashes its cold Figure-3 export against the
+same digest.
 
 A third corpus, ``tests/golden/fuzz.json``, pins 200 seeded random
 scenarios the hand-built ones do not reach: ``random_irregular_network``
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -63,14 +65,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.spam import SpamRouting
-from repro.experiments.ablations import (
-    AblationConfig,
-    run_buffer_depth_ablation,
-    run_partition_ablation,
-    run_root_ablation,
-    run_selection_ablation,
-)
-from repro.experiments.common import SCALES
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
@@ -260,13 +254,18 @@ SWEEP_EXPORTS: dict[str, list[str]] = {
 }
 
 
-def sweep_export_digest(argv: list[str]) -> str:
-    """sha256 of the ``--export`` file of ``repro-spam <argv> --no-cache``."""
+def sweep_export(argv: list[str]) -> bytes:
+    """The ``--export`` file of ``repro-spam <argv> --no-cache``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main([*argv, "--no-cache", "--export", str(path)]) == 0
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
+
+
+def sweep_export_digest(argv: list[str]) -> str:
+    """sha256 of the ``--export`` file of ``repro-spam <argv> --no-cache``."""
+    return hashlib.sha256(sweep_export(argv)).hexdigest()
 
 
 def load_sweep_golden(section: str = "exports") -> dict:
@@ -282,33 +281,32 @@ def test_sweep_export_matches_golden(name):
     )
 
 
-#: Ablation name -> driver, run at smoke scale with its default variants.
-#: Names key the ``ablations`` section of ``tests/golden/sweeps.json``.
-ABLATIONS: dict[str, Callable[..., list[dict]]] = {
-    "buffer_depth": run_buffer_depth_ablation,
-    "selection": run_selection_ablation,
-    "root": run_root_ablation,
-    "partition": run_partition_ablation,
-}
+#: The ablations, keying both the rows of the ``ablations`` export and the
+#: ``ablations`` section of ``tests/golden/sweeps.json``.
+ABLATIONS = ("buffer_depth", "selection", "root", "partition")
 
 
-def ablation_digest(driver: Callable[..., list[dict]]) -> str:
-    """sha256 of the driver's rows, rendered like an ``--export`` file."""
-    rows = driver(config=AblationConfig(scale=SCALES["smoke"]))
-    text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+@functools.cache
+def ablation_digests() -> dict[str, str]:
+    """Ablation -> sha256 of its rows in the ``--export`` of ``repro-spam
+    --scale smoke ablations``, each rendered like an ``--export`` file."""
+    rows = json.loads(sweep_export(["--scale", "smoke", "ablations"]))["rows"]
+    return {
+        name: hashlib.sha256((json.dumps(table, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+        for name, table in rows.items()
+    }
 
 
-@pytest.mark.parametrize("name", list(ABLATIONS))
+@pytest.mark.parametrize("name", ABLATIONS)
 def test_ablation_rows_match_golden(name):
-    assert ablation_digest(ABLATIONS[name]) == load_sweep_golden("ablations")[name]["sha256"], (
+    assert ablation_digests()[name] == load_sweep_golden("ablations")[name]["sha256"], (
         f"ablation {name!r} moved from its golden digest"
     )
 
 
 def test_sweep_corpus_covers_exactly_the_exports():
     assert sorted(load_sweep_golden()) == sorted(SWEEP_EXPORTS)
-    assert sorted(load_sweep_golden("ablations")) == sorted(ABLATIONS)
+    assert sorted(load_sweep_golden("ablations")) == sorted(ABLATIONS) == sorted(ablation_digests())
 
 
 #: Seeds of the fuzz corpus, and the fixed slice tier-1 checks: every
@@ -526,8 +524,8 @@ def regenerate() -> None:
         exports[name] = {"argv": argv, "sha256": sweep_export_digest(argv)}
         print(f"{name}: {exports[name]['sha256']}")
     ablations = {}
-    for name, driver in ABLATIONS.items():
-        ablations[name] = {"sha256": ablation_digest(driver)}
+    for name in ABLATIONS:
+        ablations[name] = {"sha256": ablation_digests()[name]}
         print(f"{name}: {ablations[name]['sha256']}")
     document = {"regenerate": REGENERATE, "exports": exports, "ablations": ablations}
     SWEEP_GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")

@@ -3,9 +3,8 @@
 Each rule gets at least one *positive* snippet (the hazard fires) and one
 *negative* snippet (the corrected code is silent), written to a temporary
 project tree that mirrors the repository's scoped paths.  On top of the
-per-rule tests: pragma discipline, baseline round-trips, the CLI contract,
-and the tier-1 "self-clean" test asserting the real repository lints clean
-with an empty baseline.
+per-rule tests: pragma discipline, the CLI contract, and the tier-1
+"self-clean" test asserting the real repository lints clean.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.repro_lint import DEFAULT_PATHS, all_rules, run_lint, write_baseline  # noqa: E402
+from tools.repro_lint import DEFAULT_PATHS, all_rules, run_lint  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -770,58 +769,6 @@ def test_pragma_for_other_rule_does_not_suppress(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    files = {
-        "src/repro/module.py": """
-        def f(items: set[int]):
-            return sum(items)
-        """
-    }
-    baseline = tmp_path / "baseline.json"
-    first = lint_project(tmp_path, files, select=["R1"], baseline=baseline)
-    assert first.exit_code == 1
-    write_baseline(baseline, first)
-
-    second = run_lint(
-        root=tmp_path, paths=list(DEFAULT_PATHS), select=["R1"], baseline=baseline
-    )
-    assert second.exit_code == 0
-    assert second.baselined == 1
-
-    # The baseline is line-text keyed: moving the offending line down must
-    # not un-baseline it ...
-    shifted = "# leading comment\n" + textwrap.dedent(files["src/repro/module.py"])
-    (tmp_path / "src/repro/module.py").write_text(shifted, encoding="utf-8")
-    third = run_lint(
-        root=tmp_path, paths=list(DEFAULT_PATHS), select=["R1"], baseline=baseline
-    )
-    assert third.exit_code == 0 and third.baselined == 1
-
-    # ... but a *new* identical hazard elsewhere is NOT covered.
-    (tmp_path / "src/repro/other.py").write_text(
-        textwrap.dedent(files["src/repro/module.py"]), encoding="utf-8"
-    )
-    fourth = run_lint(
-        root=tmp_path, paths=list(DEFAULT_PATHS), select=["R1"], baseline=baseline
-    )
-    assert fourth.exit_code == 1 and fourth.baselined == 1
-
-
-def test_unreadable_baseline_is_an_error(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("not json", encoding="utf-8")
-    with pytest.raises(ValueError):
-        lint_project(
-            tmp_path,
-            {"src/repro/module.py": "x = 1\n"},
-            select=["R1"],
-            baseline=baseline,
-        )
-
-
-# ----------------------------------------------------------------------
 # Framework details
 # ----------------------------------------------------------------------
 def test_unparseable_file_is_e0(tmp_path):
@@ -842,20 +789,13 @@ def test_registry_covers_r1_through_r9():
 
 
 # ----------------------------------------------------------------------
-# Tier-1 self-clean: the real repository lints clean, empty baseline
+# Tier-1 self-clean: the real repository lints clean
 # ----------------------------------------------------------------------
 def test_repository_is_self_clean_with_empty_baseline():
+    """No finding is tolerated: there is no baseline to excuse one."""
     result = run_lint(root=REPO_ROOT, paths=list(DEFAULT_PATHS))
-    assert result.baselined == 0, "repository policy: the baseline stays empty"
     assert result.findings == [], "\n".join(f.render() for f in result.findings)
     assert result.exit_code == 0
-
-
-def test_checked_in_baseline_is_empty():
-    payload = json.loads(
-        (REPO_ROOT / "tools/repro_lint/baseline.json").read_text(encoding="utf-8")
-    )
-    assert payload["findings"] == []
 
 
 # ----------------------------------------------------------------------

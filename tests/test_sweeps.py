@@ -601,11 +601,13 @@ class TestSweepCli:
     @pytest.mark.parametrize("argv, error", [
         (["figure2", "--rates", "0.01"], "unrecognized arguments"),
         (["compare", "--degrees", "8"], "unrecognized arguments"),
+        (["ablations", "--network-size", "16"], "unrecognized arguments"),
         (["--scale", "smoke", "figure2", "--into", "DST"], "unrecognized arguments"),
         # One store per run: no --shard flag and no merge verb.
         (["figure2", "--shard", "1/2"], "unrecognized arguments"),
         (["merge", "--into", "DST", "SRC"], "invalid choice"),
-    ], ids=["figure2-rates", "compare-degrees", "figure2-into", "figure2-shard", "merge"])
+    ], ids=["figure2-rates", "compare-degrees", "ablations-network-size", "figure2-into",
+            "figure2-shard", "merge"])
     def test_flags_of_other_verbs_are_rejected(self, argv, error, tmp_path, capsys, monkeypatch):
         """Each verb takes only its own flags; a flag of another verb, or a
         flag or verb that does not exist, is a usage error that writes
@@ -677,7 +679,7 @@ def test_sharding_and_merging_api_is_gone():
     }
     for owner, names in removed.items():
         assert [name for name in names if hasattr(owner, name)] == [], owner
-    assert len(sweeps.__all__) == 13
+    assert len(sweeps.__all__) == 12
     assert all(hasattr(sweeps, name) for name in sweeps.__all__)
 
 

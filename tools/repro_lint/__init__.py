@@ -13,7 +13,6 @@ uses it) and :func:`all_rules`.  The contract the rules enforce is documented in
 """
 
 from .framework import (
-    DEFAULT_BASELINE,
     DEFAULT_PATHS,
     FileContext,
     FileRule,
@@ -22,13 +21,10 @@ from .framework import (
     Project,
     Rule,
     all_rules,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "DEFAULT_PATHS",
     "FileContext",
     "FileRule",
@@ -37,7 +33,5 @@ __all__ = [
     "Project",
     "Rule",
     "all_rules",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]

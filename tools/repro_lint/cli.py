@@ -12,13 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .framework import (
-    DEFAULT_BASELINE,
-    DEFAULT_PATHS,
-    all_rules,
-    run_lint,
-    write_baseline,
-)
+from .framework import DEFAULT_PATHS, all_rules, run_lint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,17 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} under the root)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule registry and exit"
     )
     return parser
@@ -90,33 +73,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.root is not None
         else Path(__file__).resolve().parent.parent.parent
     )
-    baseline = Path(args.baseline).resolve() if args.baseline else None
     try:
         result = run_lint(
             root=root,
             paths=args.paths,
             select=_split(args.select) or None,
             disable=_split(args.disable),
-            baseline=baseline,
         )
     except ValueError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = baseline if baseline is not None else root / DEFAULT_BASELINE
-        write_baseline(target, result)
-        print(
-            f"repro-lint: wrote {len(result.fingerprints)} fingerprint(s) to {target}"
-        )
-        return 0
 
     if args.json:
         payload = {
             "findings": [finding.as_dict() for finding in result.findings],
             "files_scanned": result.files_scanned,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

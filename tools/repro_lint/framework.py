@@ -1,4 +1,4 @@
-"""The ``repro-lint`` framework: findings, pragmas, baseline, rule registry.
+"""The ``repro-lint`` framework: findings, pragmas, rule registry.
 
 ``repro-lint`` is an AST-based static analyzer enforcing the repository's
 *determinism contract*: every simulation, sweep and export must be
@@ -23,13 +23,8 @@ Architecture
 
   The justification after ``--`` is mandatory; a pragma without one is
   itself reported (rule ``R0``).  A pragma on a line of its own applies to
-  the next source line.
-* **Baseline**: a checked-in JSON list of finding fingerprints that are
-  tolerated (grandfathered).  The repository policy is an *empty* baseline
-  — fix or pragma, don't baseline — but the mechanism exists so the linter
-  can be adopted mid-flight by downstream forks.  Fingerprints hash the
-  rule id, the file path and the source line *text* (not the line number),
-  so unrelated edits above a baselined site do not un-baseline it.
+  the next source line.  There is no baseline of tolerated findings: a
+  finding is fixed or pragma'd with a reason.
 
 Exit codes (:func:`tools.repro_lint.cli.main`): 0 clean, 1 findings,
 2 usage/internal error — deterministic, CI-friendly.
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,17 +49,11 @@ __all__ = [
     "register",
     "all_rules",
     "run_lint",
-    "load_baseline",
-    "write_baseline",
     "DEFAULT_PATHS",
-    "DEFAULT_BASELINE",
 ]
 
 #: Paths scanned when the CLI is given none (repository-relative).
 DEFAULT_PATHS = ("src", "tools", "benchmarks")
-
-#: Default baseline location (repository-relative).
-DEFAULT_BASELINE = "tools/repro_lint/baseline.json"
 
 #: ``# repro-lint: disable=R1,R4 -- justification``
 _PRAGMA = re.compile(
@@ -107,12 +95,6 @@ class FileContext:
     text: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
-
-    def line_text(self, lineno: int) -> str:
-        """Source text of 1-based ``lineno`` (empty when out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 class Project:
@@ -290,45 +272,6 @@ def _apply_pragmas(
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def _fingerprint(finding: Finding, line_text: str) -> str:
-    """Stable identity of a finding: rule, file, and the *text* of the line
-    (line numbers shift when unrelated code moves; text does not)."""
-    return f"{finding.rule}:{finding.path}:{line_text.strip()}"
-
-
-def load_baseline(path: Path) -> list[str]:
-    """Fingerprints grandfathered by the baseline file (missing file = none)."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return []
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable baseline {path}: {exc}") from exc
-    entries = payload.get("findings") if isinstance(payload, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(
-            f"baseline {path} must look like {{\"findings\": [<fingerprint>, ...]}}"
-        )
-    return [str(entry) for entry in entries]
-
-
-def write_baseline(path: Path, result: "LintResult") -> None:
-    """Persist the current findings as the new baseline (sorted, stable)."""
-    payload = {
-        "comment": (
-            "Grandfathered repro-lint findings. Repository policy is to keep "
-            "this EMPTY: fix the hazard or add a justified inline pragma. "
-            "Regenerate with --write-baseline."
-        ),
-        "findings": sorted(result.fingerprints),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 @dataclass
@@ -336,10 +279,8 @@ class LintResult:
     """What a lint run produced, pre-sorted for deterministic output."""
 
     findings: list[Finding]
-    fingerprints: list[str]  #: aligned with ``findings``
     files_scanned: int
     suppressed: int  #: findings silenced by justified pragmas
-    baselined: int  #: findings silenced by the baseline file
 
     @property
     def exit_code(self) -> int:
@@ -350,7 +291,7 @@ class LintResult:
         return (
             f"repro-lint: {len(self.findings)} finding(s) across "
             f"{self.files_scanned} file(s) "
-            f"({self.suppressed} pragma-suppressed, {self.baselined} baselined): {status}"
+            f"({self.suppressed} pragma-suppressed): {status}"
         )
 
 
@@ -374,7 +315,6 @@ def run_lint(
     paths: Sequence[str] = DEFAULT_PATHS,
     select: Iterable[str] | None = None,
     disable: Iterable[str] = (),
-    baseline: Path | None = None,
     rules: Sequence[Rule] | None = None,
 ) -> LintResult:
     """Run the analyzer and return a :class:`LintResult`.
@@ -388,9 +328,6 @@ def run_lint(
         Files or directories (relative to ``root``) to scan.
     select / disable:
         Restrict to / drop the given rule ids (``select`` wins first).
-    baseline:
-        Baseline file; ``None`` uses :data:`DEFAULT_BASELINE` under
-        ``root`` when present.
     rules:
         Explicit rule instances (tests); defaults to the full registry.
     """
@@ -452,30 +389,4 @@ def run_lint(
             kept.extend(file_findings)
 
     kept.sort()
-    baseline_path = baseline if baseline is not None else root / DEFAULT_BASELINE
-    grandfathered = load_baseline(baseline_path)
-    budget: dict[str, int] = {}
-    for entry in grandfathered:
-        budget[entry] = budget.get(entry, 0) + 1
-
-    final: list[Finding] = []
-    fingerprints: list[str] = []
-    baselined = 0
-    for finding in kept:
-        ctx = project.file(finding.path)
-        line_text = ctx.line_text(finding.line) if ctx is not None else ""
-        fingerprint = _fingerprint(finding, line_text)
-        if budget.get(fingerprint, 0) > 0:
-            budget[fingerprint] -= 1
-            baselined += 1
-            continue
-        final.append(finding)
-        fingerprints.append(fingerprint)
-
-    return LintResult(
-        findings=final,
-        fingerprints=fingerprints,
-        files_scanned=len(contexts),
-        suppressed=suppressed_total,
-        baselined=baselined,
-    )
+    return LintResult(findings=kept, files_scanned=len(contexts), suppressed=suppressed_total)
