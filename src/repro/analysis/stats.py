@@ -13,9 +13,30 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 __all__ = ["SampleSummary", "summarize_samples", "confidence_interval"]
+
+#: scipy 1.17.1's float64 ``t.ppf(0.975, df)``, frozen as ``float.hex`` so
+#: that no scipy release moves an export, at exactly the degrees of freedom
+#: the experiment scales reach: Figure 2's ``samples_per_point - 1`` and
+#: Figure 3's ``messages_per_rate_point - 1``.
+_T_975 = {
+    1: float.fromhex("0x1.96993aacc4d1ep+3"),
+    3: float.fromhex("0x1.975a66893c1a7p+1"),
+    11: float.fromhex("0x1.19b9e1b8c996cp+1"),
+    39: float.fromhex("0x1.02e7893bbcad5p+1"),
+    119: float.fromhex("0x1.fae7d3543239fp+0"),
+    399: float.fromhex("0x1.f74702e24b3d3p+0"),
+}
+
+
+def _t_975(df: int) -> float:
+    """The 97.5 % quantile of Student's t with ``df`` degrees of freedom."""
+    if df in _T_975:
+        return _T_975[df]
+    # Only a sample size that no configuration uses reaches scipy.
+    from scipy import stats
+
+    return float(stats.t.ppf(0.975, df=df))
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,9 +52,7 @@ class SampleSummary:
     std:
         Sample standard deviation (ddof=1; 0 for a single observation).
     ci_low, ci_high:
-        Bounds of the confidence interval of the mean.
-    confidence:
-        Confidence level of the interval (default 0.95).
+        Bounds of the 95 % confidence interval of the mean.
     """
 
     count: int
@@ -41,7 +60,6 @@ class SampleSummary:
     std: float
     ci_low: float
     ci_high: float
-    confidence: float = 0.95
 
     @property
     def half_width(self) -> float:
@@ -67,10 +85,8 @@ class SampleSummary:
         }
 
 
-def confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> tuple[float, float]:
-    """Student-t confidence interval of the mean of ``values``.
+def confidence_interval(values: Sequence[float]) -> tuple[float, float]:
+    """95 % Student-t confidence interval of the mean of ``values``.
 
     For a single observation the interval degenerates to the observation
     itself (there is no dispersion information).
@@ -83,11 +99,11 @@ def confidence_interval(
         return (mean, mean)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
-    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t_crit = _t_975(n - 1)
     return (mean - t_crit * sem, mean + t_crit * sem)
 
 
-def summarize_samples(values: Sequence[float], confidence: float = 0.95) -> SampleSummary:
+def summarize_samples(values: Sequence[float]) -> SampleSummary:
     """Build a :class:`SampleSummary` from raw observations."""
     if not values:
         raise ValueError("cannot summarise an empty sample")
@@ -97,7 +113,5 @@ def summarize_samples(values: Sequence[float], confidence: float = 0.95) -> Samp
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
     else:
         std = 0.0
-    low, high = confidence_interval(values, confidence)
-    return SampleSummary(
-        count=n, mean=mean, std=std, ci_low=low, ci_high=high, confidence=confidence
-    )
+    low, high = confidence_interval(values)
+    return SampleSummary(count=n, mean=mean, std=std, ci_low=low, ci_high=high)

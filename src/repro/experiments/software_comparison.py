@@ -55,8 +55,8 @@ def software_comparison_specs(
     config = config or SoftwareComparisonConfig()
     scale = config.scale
     specs: list[SweepPointSpec] = []
-    for count in config.destination_counts:
-        count = min(count, config.network_size - 1)
+    # Each count clamped to the network, once, in first-appearance order.
+    for count in dict.fromkeys(min(c, config.network_size - 1) for c in config.destination_counts):
         specs.append(
             SweepPointSpec(
                 workload_kind="software-comparison",

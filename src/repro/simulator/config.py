@@ -45,13 +45,6 @@ class SimulationConfig:
     output_buffer_depth:
         Capacity, in flits, of the output buffer at the transmitting end of
         every channel.
-    max_hops:
-        Safety bound on the number of switches a single worm may visit;
-        exceeding it raises :class:`~repro.errors.LivelockError`.
-    deadlock_detection:
-        When ``True`` (default) the simulator diagnoses a deadlock (and
-        raises :class:`~repro.errors.DeadlockError`) if its event queue
-        drains while messages are still in flight.
     collect_channel_stats:
         Record per-channel busy time and flit counts (slightly slower; off by
         default for large sweeps).
@@ -76,8 +69,6 @@ class SimulationConfig:
     message_length_flits: int = 128
     input_buffer_depth: int = 1
     output_buffer_depth: int = 1
-    max_hops: int = 4096
-    deadlock_detection: bool = True
     collect_channel_stats: bool = False
     trace: bool = False
     fast_path: bool = True
@@ -93,8 +84,6 @@ class SimulationConfig:
             raise ConfigurationError("messages need at least a header and a tail flit")
         if self.input_buffer_depth < 1 or self.output_buffer_depth < 1:
             raise ConfigurationError("buffer depths must be at least one flit")
-        if self.max_hops < 2:
-            raise ConfigurationError("max_hops must be at least 2")
 
     def with_overrides(self, **kwargs: Any) -> "SimulationConfig":
         """A copy of the configuration with the given fields replaced."""

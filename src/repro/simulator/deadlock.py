@@ -68,16 +68,11 @@ def diagnose(engine) -> DeadlockReport:
         The :class:`~repro.simulator.engine.WormholeSimulator` whose event
         queue has drained with undelivered messages.
     """
-    # networkx is imported here, not at module level: a run that never
-    # stalls (and every import of ``repro``) does not pay for loading it.
-    import networkx as nx
-
     report = DeadlockReport()
     report.stalled_messages = [
         message.mid for message in engine.messages.values() if not message.is_complete
     ]
 
-    graph = nx.DiGraph()
     for segment in engine.active_segments():
         blocking = segment.waiting_on()
         if not blocking:
@@ -95,12 +90,37 @@ def diagnose(engine) -> DeadlockReport:
             )
             report.waiting_segments.append(description)
             if holder is not None and holder != waiting_mid:
-                graph.add_edge(waiting_mid, holder)
                 report.wait_for_edges.append((waiting_mid, holder))
             for ahead in queue_ahead:
                 if ahead != waiting_mid:
-                    graph.add_edge(waiting_mid, ahead)
                     report.wait_for_edges.append((waiting_mid, ahead))
 
-    report.cycles = [list(cycle) for cycle in nx.simple_cycles(graph)]
+    report.cycles = _simple_cycles(report.wait_for_edges)
     return report
+
+
+def _simple_cycles(edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Every elementary cycle of the digraph ``edges``, in lexicographic order.
+
+    Backtracking search (Tiernan, "An efficient search algorithm to find the
+    elementary circuits of a graph", CACM 13(12), 1970): each cycle is rooted
+    at its smallest node and its paths extend only through larger nodes.  A
+    wait-for graph has one node per stalled message, so it stays small.
+    """
+    successors: dict[int, list[int]] = {}
+    for source, target in sorted(set(edges)):
+        successors.setdefault(source, []).append(target)
+    cycles = []
+    for root in successors:
+        path, pending = [root], [iter(successors[root])]
+        while path:
+            node = next(pending[-1], None)
+            if node is None:
+                pending.pop()
+                path.pop()
+            elif node == root:
+                cycles.append(list(path))
+            elif node > root and node not in path:
+                path.append(node)
+                pending.append(iter(successors.get(node, ())))
+    return cycles

@@ -121,6 +121,10 @@ _BODY = FlitKind.BODY
 _TAIL = FlitKind.TAIL
 _BUBBLE = FlitKind.BUBBLE
 
+#: Switches one worm may visit before ``handle_head_at_switch`` raises
+#: :class:`~repro.errors.LivelockError` (a routing that makes no progress).
+_MAX_HOPS = 4096
+
 #: Token verification outcomes: ``_verify_token`` and ``_verify_unicast``
 #: return one of these, and ``PROBE_TIERS[tier]`` names its
 #: ``coalesce_exits`` slot and its telemetry.  Either way the verified
@@ -361,7 +365,7 @@ class WormholeSimulator:
                 bounded=until_ns is not None,
                 end_time_ns=self.now,
             )
-        if until_ns is None and self.config.deadlock_detection:
+        if until_ns is None:
             incomplete = [m for m in self.messages.values() if not m.is_complete]
             if incomplete:
                 report = diagnose(self)
@@ -993,9 +997,9 @@ class WormholeSimulator:
         ``link``'s input buffer and schedule its decision."""
         message = self.messages[flit.message_id]
         message.hops += 1
-        if message.hops > self.config.max_hops:
+        if message.hops > _MAX_HOPS:
             raise LivelockError(
-                f"message {message.mid} exceeded {self.config.max_hops} hops; "
+                f"message {message.mid} exceeded {_MAX_HOPS} hops; "
                 f"the routing algorithm {self.routing.name!r} is not making progress"
             )
         segment = WormSegment(self, message, switch, link)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..core.phases import Phase
 from ..core.spam import SpamRouting
 from ..core.unicast import unicast_options
@@ -36,9 +34,13 @@ __all__ = ["ChannelDependencyGraph", "build_spam_cdg", "build_updown_cdg", "buil
 
 @dataclass
 class ChannelDependencyGraph:
-    """A channel dependency graph plus convenience queries."""
+    """A channel dependency graph plus convenience queries.
 
-    graph: nx.DiGraph
+    ``graph`` maps every channel id to its successors, the channels it may
+    request while held; both levels are insertion-ordered dicts.
+    """
+
+    graph: dict[int, dict[int, None]]
     algorithm: str
     network_name: str
     metadata: dict = field(default_factory=dict)
@@ -46,24 +48,41 @@ class ChannelDependencyGraph:
     @property
     def num_channels(self) -> int:
         """Number of channels (vertices)."""
-        return self.graph.number_of_nodes()
+        return len(self.graph)
 
     @property
     def num_dependencies(self) -> int:
         """Number of dependency edges."""
-        return self.graph.number_of_edges()
+        return sum(len(successors) for successors in self.graph.values())
 
     def is_acyclic(self) -> bool:
         """``True`` when the dependency graph has no directed cycle."""
-        return nx.is_directed_acyclic_graph(self.graph)
+        return self.find_cycle() is None
 
     def find_cycle(self) -> list[tuple[int, int]] | None:
-        """One dependency cycle as a list of edges, or ``None`` if acyclic."""
-        try:
-            edges = nx.find_cycle(self.graph)
-        except nx.NetworkXNoCycle:
-            return None
-        return [(int(edge[0]), int(edge[1])) for edge in edges]
+        """One dependency cycle as a list of edges, or ``None`` if acyclic:
+        an iterative three-colour depth-first search in channel-id order, in
+        which an edge into a channel on the current path closes a cycle."""
+        graph = self.graph
+        done: set[int] = set()
+        for root in sorted(graph):
+            if root in done:
+                continue
+            path, position, pending = [root], {root: 0}, [iter(graph[root])]
+            while path:
+                channel = next(pending[-1], None)
+                if channel is None:
+                    pending.pop()
+                    done.add(path[-1])
+                    del position[path.pop()]
+                elif channel in position:
+                    cycle = path[position[channel]:] + [channel]
+                    return list(zip(cycle, cycle[1:]))
+                elif channel not in done:
+                    position[channel] = len(path)
+                    path.append(channel)
+                    pending.append(iter(graph[channel]))
+        return None
 
     def summary(self) -> dict[str, object]:
         """Compact description for reports and tests."""
@@ -99,9 +118,7 @@ def build_spam_cdg(routing: SpamRouting) -> ChannelDependencyGraph:
     network = routing.network
     labeling = routing.labeling
     ancestry = routing.ancestry
-    graph = nx.DiGraph()
-    for channel in network.channels():
-        graph.add_node(channel.cid)
+    graph: dict[int, dict[int, None]] = {channel.cid: {} for channel in network.channels()}
     for in_channel in network.channels():
         switch = in_channel.dst
         if not network.is_switch(switch):
@@ -111,7 +128,7 @@ def build_spam_cdg(routing: SpamRouting) -> ChannelDependencyGraph:
             if target == switch:
                 continue
             for option in unicast_options(labeling, ancestry, switch, phase, target):
-                graph.add_edge(in_channel.cid, option.channel.cid)
+                graph[in_channel.cid][option.channel.cid] = None
     return ChannelDependencyGraph(
         graph=graph, algorithm=routing.name, network_name=network.name
     )
@@ -121,9 +138,7 @@ def build_updown_cdg(routing: UpDownRouting) -> ChannelDependencyGraph:
     """Channel dependency graph induced by classic up*/down* routing."""
     network = routing.network
     labeling = routing.labeling
-    graph = nx.DiGraph()
-    for channel in network.channels():
-        graph.add_node(channel.cid)
+    graph: dict[int, dict[int, None]] = {channel.cid: {} for channel in network.channels()}
     for in_channel in network.channels():
         switch = in_channel.dst
         if not network.is_switch(switch):
@@ -134,10 +149,10 @@ def build_updown_cdg(routing: UpDownRouting) -> ChannelDependencyGraph:
                 continue
             if arrived_up:
                 for channel in labeling.up_channels_from(switch):
-                    graph.add_edge(in_channel.cid, channel.cid)
+                    graph[in_channel.cid][channel.cid] = None
             for channel in labeling.down_channels_from(switch):
                 if routing.down_reachable(channel.dst, destination):
-                    graph.add_edge(in_channel.cid, channel.cid)
+                    graph[in_channel.cid][channel.cid] = None
     return ChannelDependencyGraph(
         graph=graph, algorithm=routing.name, network_name=network.name
     )
@@ -150,9 +165,7 @@ def build_naive_cdg(routing: NaiveMinimalRouting) -> ChannelDependencyGraph:
     which is exactly why the algorithm can deadlock.
     """
     network = routing.network
-    graph = nx.DiGraph()
-    for channel in network.channels():
-        graph.add_node(channel.cid)
+    graph: dict[int, dict[int, None]] = {channel.cid: {} for channel in network.channels()}
     for in_channel in network.channels():
         switch = in_channel.dst
         if not network.is_switch(switch):
@@ -164,7 +177,7 @@ def build_naive_cdg(routing: NaiveMinimalRouting) -> ChannelDependencyGraph:
                 continue
             for channel in network.channels_from(switch):
                 if dist.get(channel.dst, float("inf")) < here:
-                    graph.add_edge(in_channel.cid, channel.cid)
+                    graph[in_channel.cid][channel.cid] = None
     return ChannelDependencyGraph(
         graph=graph, algorithm=routing.name, network_name=network.name
     )

@@ -96,10 +96,7 @@ def stress_test_deadlock_freedom(
     """
     if multicast_destinations is None:
         multicast_destinations = max(2, min(8, network.num_processors - 1))
-    config = SimulationConfig(
-        message_length_flits=message_length_flits,
-        deadlock_detection=True,
-    )
+    config = SimulationConfig(message_length_flits=message_length_flits)
     results = []
     rng = np.random.default_rng(seed)
     for round_index in range(rounds):

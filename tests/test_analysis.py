@@ -12,8 +12,9 @@ from repro.analysis.bounds import (
     software_multicast_lower_bound_us,
 )
 from repro.analysis.report import format_table, series_side_by_side
-from repro.analysis.stats import confidence_interval, summarize_samples
+from repro.analysis.stats import _T_975, _t_975, confidence_interval, summarize_samples
 from repro.analysis.sweeps import SweepResult, SweepSeries
+from repro.experiments.common import SCALES
 
 
 class TestSampleStatistics:
@@ -30,11 +31,26 @@ class TestSampleStatistics:
         assert summary.std == 0.0
         assert summary.relative_half_width == 0.0
 
-    def test_confidence_interval_widens_with_confidence(self):
-        values = [10, 11, 12, 13, 14, 15]
-        low95, high95 = confidence_interval(values, 0.95)
-        low99, high99 = confidence_interval(values, 0.99)
-        assert high99 - low99 > high95 - low95
+    def test_frozen_quantiles_cover_exactly_the_scales(self):
+        """The table holds the degrees of freedom of Figure 2's samples and
+        Figure 3's messages at every scale, and nothing else."""
+        reached = {scale.samples_per_point - 1 for scale in SCALES.values()}
+        reached |= {scale.messages_per_rate_point - 1 for scale in SCALES.values()}
+        assert set(_T_975) == reached
+
+    def test_frozen_quantiles_are_scipys(self):
+        from scipy import stats
+
+        for df, quantile in _T_975.items():
+            assert _t_975(df) == quantile
+            assert quantile == pytest.approx(float(stats.t.ppf(0.975, df)), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [2, 5, 199])
+    def test_other_degrees_of_freedom_ask_scipy(self, df):
+        from scipy import stats
+
+        assert df not in _T_975
+        assert _t_975(df) == float(stats.t.ppf(0.975, df))
 
     def test_interval_contains_true_mean_for_large_sample(self):
         values = [10 + (i % 7) * 0.5 for i in range(200)]

@@ -73,7 +73,8 @@ def test_deadlock_verification_runs(capsys):
     output = capsys.readouterr().out
     assert "acyclic=True" in output
     assert "deadlocked=False" in output
-    assert "stress rounds deadlocked" in output
+    assert "delivered 0/8 messages, deadlocked=True" in output
+    assert "circular wait 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 6 -> 7 -> 0\n" in output
 
 
 @pytest.mark.slow

@@ -32,6 +32,7 @@ from repro.experiments.figure3 import Figure3Config, run_figure3
 from repro.experiments.software_comparison import (
     SoftwareComparisonConfig,
     run_software_comparison,
+    software_comparison_specs,
 )
 
 SMOKE = SCALES["smoke"]
@@ -173,6 +174,12 @@ class TestSoftwareComparison:
         )
         rows = run_software_comparison(config)
         assert "software_measured_us" not in rows[0]
+
+    def test_clamped_destination_counts_appear_once(self):
+        """On 16 switches 32, 128 and 255 destinations all clamp to 15; the
+        comparison lists that row once."""
+        specs = software_comparison_specs(SoftwareComparisonConfig(network_size=16))
+        assert [spec.x for spec in specs] == [8, 15]
 
 
 class TestAblations:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.spam import SpamRouting
-from repro.errors import SimulationError
+from repro.errors import DeadlockError, SimulationError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import PROBE_TIERS, WormholeSimulator, _DrainToken
 from repro.simulator.fingerprint import simulator_fingerprint
@@ -468,14 +468,11 @@ class TestFastPathSafety:
     def test_deadlock_detection_unaffected_by_fast_path(self, ring8):
         """Deliberately broken routing must still deadlock identically with
         the fast path enabled (heads never coalesce)."""
-        from repro.errors import DeadlockError
         from repro.routing.naive import NaiveMinimalRouting
 
         for fast in (True, False):
             naive = NaiveMinimalRouting(ring8)
-            config = SimulationConfig(
-                message_length_flits=64, deadlock_detection=True, fast_path=fast
-            )
+            config = SimulationConfig(message_length_flits=64, fast_path=fast)
             simulator = WormholeSimulator(ring8, naive, config)
             processors = ring8.processors()
             count = len(processors)
@@ -1023,14 +1020,17 @@ def _record_unicasts(simulator):
     return log
 
 
-def _unicast_pair(network, routing, submit, windows=(), flits=128, perturb=None, **overrides):
+def _unicast_pair(
+    network, routing, submit, windows=(), flits=128, perturb=None, stalls=False, **overrides
+):
     """Run ``submit``'s workload with the fast path on and off and compare
     them at every ``run_for`` boundary: the full fingerprint, every link's
     flits and busy flag, and the pending transfers in lane order.
 
     ``windows[0]`` is the first window; ``windows[1:]`` (or ``windows[0]``
     again) then cycle for up to 24 more boundaries before a final
-    ``run()``, compared the same way.
+    ``run()``, compared the same way.  With ``stalls``, both final runs
+    must raise :class:`DeadlockError` with the same report.
     ``perturb``, if given, is applied to both simulators at the first
     boundary.  Returns the fast simulator and its unicast-token log
     (:func:`_record_unicasts`)."""
@@ -1064,8 +1064,16 @@ def _unicast_pair(network, routing, submit, windows=(), flits=128, perturb=None,
         if boundary == 0 and perturb is not None:
             perturb(fast_sim)
             perturb(ref_sim)
-    fast_sim.run()
-    ref_sim.run()
+    if stalls:
+        reports = []
+        for simulator in (fast_sim, ref_sim):
+            with pytest.raises(DeadlockError) as excinfo:
+                simulator.run()
+            reports.append(excinfo.value.report.describe())
+        assert reports[0] == reports[1]
+    else:
+        fast_sim.run()
+        ref_sim.run()
     compare("end of run()")
     return fast_sim, log
 
@@ -1258,8 +1266,7 @@ class TestUnicastToken:
             sim.links[path[-1 - upstream]].in_buffer._slots.popleft()
 
         fast_sim, log = _unicast_pair(
-            network, spam, submit, (header_ns - 5, 997), perturb=lose_a_flit,
-            deadlock_detection=False,
+            network, spam, submit, (header_ns - 5, 997), perturb=lose_a_flit, stalls=True
         )
         assert not fast_sim.messages[0].is_complete
         if outcome == "verify_failure":

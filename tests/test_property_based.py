@@ -35,7 +35,7 @@ from repro.core.multicast import build_multicast_plan
 from repro.core.spam import SpamRouting
 from repro.errors import SimulationError
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import WormholeSimulator
+from repro.simulator.engine import _MAX_HOPS, WormholeSimulator
 from repro.simulator.events import EventQueue
 from repro.spanning.ancestry import Ancestry, node_mask
 from repro.spanning.labeling import label_channels
@@ -334,7 +334,7 @@ def test_simulator_delivers_every_message(params, workload_seed, num_messages, l
         assert message.latency_from_creation_ns >= message.latency_from_startup_ns
         # A worm visits at least one switch per destination-reaching path and
         # never more switches than the hop-limit allows.
-        assert 1 <= message.hops <= config.max_hops
+        assert 1 <= message.hops <= _MAX_HOPS
 
 
 @FAST_SETTINGS

@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.decision import one_of
+from repro.core.interface import RoutingAlgorithm
 from repro.core.spam import SpamRouting
-from repro.errors import ConfigurationError, DeadlockError, WorkloadError
+from repro.errors import ConfigurationError, DeadlockError, LivelockError, WorkloadError
 from repro.routing.naive import NaiveMinimalRouting
 from repro.routing.updown import UpDownRouting
 from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import WormholeSimulator
+from repro.simulator.engine import _MAX_HOPS, WormholeSimulator
 from repro.simulator.fingerprint import simulator_fingerprint
 from repro.simulator.flit import FlitKind
 from repro.topology.examples import figure1_network
@@ -404,7 +406,7 @@ class TestValidationAndSafety:
         """Naive minimal routing on a ring deadlocks under all-to-neighbour
         pressure; the simulator must detect and explain it rather than hang."""
         naive = NaiveMinimalRouting(ring8)
-        config = SimulationConfig(message_length_flits=64, deadlock_detection=True)
+        config = SimulationConfig(message_length_flits=64)
         simulator = WormholeSimulator(ring8, naive, config)
         processors = ring8.processors()
         count = len(processors)
@@ -415,15 +417,49 @@ class TestValidationAndSafety:
         with pytest.raises(DeadlockError) as excinfo:
             simulator.run()
         report = excinfo.value.report
-        assert report.stalled_messages
-        assert report.cycles
+        assert report.stalled_messages == list(range(count))
+        # One circular wait, listed from its smallest message id.
+        assert report.cycles == [list(range(count))]
 
-    def test_importing_the_experiments_leaves_networkx_unloaded(self):
-        """networkx serves deadlock diagnosis (imported inside ``diagnose``,
-        which the test above drives) and CDG verification only, so importing
-        the experiment and sweep layers in a fresh interpreter does not load
-        it."""
-        code = "import sys, repro.experiments, repro.sweeps; print('networkx' in sys.modules)"
+    def test_a_worm_circling_a_ring_raises_livelock(self, ring8):
+        """A routing that forwards every header one switch clockwise never
+        delivers; the hop bound stops the 2-flit worm instead of the run
+        spinning forever."""
+
+        class Clockwise(RoutingAlgorithm):
+            name = "clockwise"
+
+            def decide(self, message, switch, in_channel):
+                size = ring8.num_switches
+                return one_of(
+                    [c for c in ring8.channels_from(switch) if c.dst == (switch + 1) % size]
+                )
+
+        config = SimulationConfig(message_length_flits=2)
+        simulator = WormholeSimulator(ring8, Clockwise(), config)
+        source, destination = ring8.processors()[:2]
+        message = simulator.submit_message(source, [destination])
+        with pytest.raises(LivelockError, match=f"exceeded {_MAX_HOPS} hops"):
+            simulator.run()
+        assert message.hops == _MAX_HOPS + 1
+
+    def test_importing_the_cli_leaves_scipy_and_networkx_unloaded(self):
+        """Neither library is on the import path: deadlock diagnosis and
+        the CDG check find cycles themselves, and the 95 % t quantiles the
+        experiment scales need are frozen in ``repro.analysis.stats``.  So
+        a fresh interpreter loads neither on importing the CLI, nor on
+        running a smoke Figure 2 and a one-point smoke Figure 3, whose
+        confidence intervals read the frozen table."""
+        code = (
+            "import contextlib, io, sys, repro.cli, repro.experiments, repro.sweeps\n"
+            "loaded = lambda: sorted({'scipy', 'networkx'} & set(sys.modules))\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    repro.cli.main(['--scale', 'smoke', 'figure2', '--no-cache'])\n"
+            "    repro.cli.main(['--scale', 'smoke', 'figure3', '--no-cache',\n"
+            "                    '--degrees', '4', '--rates', '0.005'])\n"
+            "print(loaded())\n"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -431,11 +467,11 @@ class TestValidationAndSafety:
             check=True,
             env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split("\n") == ["[]", "[]", ""]
 
     def test_spam_does_not_deadlock_on_same_pressure(self, ring8):
         spam = SpamRouting.build(ring8)
-        config = SimulationConfig(message_length_flits=64, deadlock_detection=True)
+        config = SimulationConfig(message_length_flits=64)
         simulator = WormholeSimulator(ring8, spam, config)
         processors = ring8.processors()
         count = len(processors)

@@ -284,16 +284,14 @@ class TestSimulationConfig:
             {"channel_latency_ns": 0},
             {"message_length_flits": 1},
             {"input_buffer_depth": 0},
-            {"max_hops": 1},
             {"router_setup_ns": -5},
             {"output_buffer_depth": 0},
             # One boundary past each check: a negative period, a worm of no
-            # flits, either buffer empty while the other is deep, no hops.
+            # flits, either buffer empty while the other is deep.
             {"channel_latency_ns": -7},
             {"message_length_flits": 0},
             {"input_buffer_depth": 0, "output_buffer_depth": 3},
             {"input_buffer_depth": 3, "output_buffer_depth": 0},
-            {"max_hops": 0},
             {"startup_latency_ns": -10_000, "router_setup_ns": 0},
         ],
     )

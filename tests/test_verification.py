@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.core.spam import SpamRouting
 from repro.routing.naive import NaiveMinimalRouting
 from repro.routing.updown import UpDownRouting
+from repro.simulator.deadlock import _simple_cycles
 from repro.topology.irregular import lattice_irregular_network, random_irregular_network
 from repro.topology.regular import mesh_network, ring_network
-from repro.verification.cdg import build_naive_cdg, build_spam_cdg, build_updown_cdg
+from repro.verification.cdg import (
+    ChannelDependencyGraph,
+    build_naive_cdg,
+    build_spam_cdg,
+    build_updown_cdg,
+)
 from repro.verification.harness import run_workload, stress_test_deadlock_freedom
 from repro.verification.reachability import (
     check_multicast_coverage,
@@ -62,9 +71,77 @@ class TestChannelDependencyGraphs:
         spam = SpamRouting.build(network)
         cdg = build_spam_cdg(spam)
         labeling = spam.labeling
-        for src, dst in cdg.graph.edges():
-            if not labeling.is_up(src):
-                assert not labeling.is_up(dst)
+        for src, successors in cdg.graph.items():
+            for dst in successors:
+                if not labeling.is_up(src):
+                    assert not labeling.is_up(dst)
+
+
+def _random_digraph(seed):
+    """A seeded random digraph of up to 9 nodes, self-loops included, as
+    the adjacency map a :class:`ChannelDependencyGraph` holds."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 9)
+    density = rng.choice([0.1, 0.2, 0.35, 0.5])
+    return {
+        node: {other: None for other in range(size) if rng.random() < density}
+        for node in range(size)
+    }
+
+
+def _verification_cdgs():
+    """The SPAM, up*/down* and naive CDGs the tests above build."""
+    cdgs = []
+    for seed in range(4):
+        network = random_irregular_network(10, extra_links=6, seed=seed)
+        cdgs.append(build_spam_cdg(SpamRouting.build(network)))
+    for network in (lattice_irregular_network(24, seed=5), mesh_network(3, 4), ring_network(6)):
+        cdgs.append(build_spam_cdg(SpamRouting.build(network)))
+    network = random_irregular_network(10, extra_links=6, seed=7)
+    cdgs.append(build_updown_cdg(UpDownRouting.build(network)))
+    cdgs.append(build_naive_cdg(NaiveMinimalRouting(ring_network(6))))
+    cdgs.append(build_naive_cdg(NaiveMinimalRouting(ring_network(8))))
+    return cdgs
+
+
+def _rotated(cycle):
+    """``cycle`` rotated to start at its smallest node."""
+    start = cycle.index(min(cycle))
+    return tuple(cycle[start:] + cycle[:start])
+
+
+class TestCycleRoutinesAgainstNetworkx:
+    """The CDG's depth-first search and the deadlock report's cycle
+    enumeration against networkx, an independent reference."""
+
+    def _check(self, graph):
+        reference = nx.DiGraph()
+        reference.add_nodes_from(graph)
+        reference.add_edges_from((src, dst) for src, succ in graph.items() for dst in succ)
+        cdg = ChannelDependencyGraph(graph=graph, algorithm="test", network_name="test")
+        assert cdg.num_channels == reference.number_of_nodes()
+        assert cdg.num_dependencies == reference.number_of_edges()
+        assert cdg.is_acyclic() == nx.is_directed_acyclic_graph(reference)
+        cycle = cdg.find_cycle()
+        if cycle is not None:
+            # A closed walk of graph edges.
+            assert all(reference.has_edge(src, dst) for src, dst in cycle)
+            assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        cycles = _simple_cycles(list(reference.edges()))
+        assert cycles == sorted(cycles)
+        assert len(set(map(_rotated, cycles))) == len(cycles)
+        assert set(map(_rotated, cycles)) == set(map(_rotated, nx.simple_cycles(reference)))
+
+    def test_random_digraphs(self):
+        for seed in range(2000):
+            self._check(_random_digraph(seed))
+
+    def test_verification_cdgs(self):
+        verdicts = []
+        for cdg in _verification_cdgs():
+            self._check(cdg.graph)
+            verdicts.append(cdg.is_acyclic())
+        assert verdicts == [True] * 8 + [False, False]
 
 
 class TestReachability:
