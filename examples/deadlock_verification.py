@@ -89,9 +89,9 @@ def main() -> None:
     )
     if not result.deadlocked:
         raise SystemExit("  the naive ring run did not deadlock (expected a circular wait)")
-    lines = result.deadlock_description.splitlines()
-    for cycle in lines[lines.index("circular waits:") + 1:]:
-        print(f"  detector found the circular wait {cycle.strip()}")
+    for cycle in result.deadlock.cycles:
+        waits = " -> ".join(str(mid) for mid in cycle + [cycle[0]])
+        print(f"  detector found the circular wait {waits}")
 
 
 if __name__ == "__main__":

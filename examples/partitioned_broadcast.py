@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro import SpamRouting, SimulationConfig, WormholeSimulator, lattice_irregular_network
 from repro.analysis import format_table
-from repro.core import partition_destinations
+from repro.core import partition_contiguous
 from repro.traffic import broadcast_destinations, mixed_traffic_workload
 
 
@@ -35,7 +35,7 @@ def broadcast_with_partitions(network, spam, source, destinations, groups, backg
     simulator = WormholeSimulator(network, spam, config)
     if background is not None:
         background.submit_to(simulator)
-    parts = partition_destinations(spam.tree, destinations, groups, strategy="contiguous")
+    parts = partition_contiguous(spam.tree, destinations, groups)
     messages = [
         simulator.submit_message(source, part, at_ns=0, metadata={"group": index})
         for index, part in enumerate(parts)

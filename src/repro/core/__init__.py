@@ -21,13 +21,7 @@ from .multicast import (
     downtree_outputs,
     normalize_destinations,
 )
-from .partition import (
-    PARTITION_STRATEGIES,
-    partition_by_subtree,
-    partition_contiguous,
-    partition_destinations,
-    partition_random,
-)
+from .partition import partition_contiguous
 from .phases import Phase, may_follow
 from .selection import (
     SELECTION_STRATEGIES,
@@ -63,9 +57,5 @@ __all__ = [
     "RandomSelection",
     "make_selection",
     "SELECTION_STRATEGIES",
-    "partition_destinations",
     "partition_contiguous",
-    "partition_by_subtree",
-    "partition_random",
-    "PARTITION_STRATEGIES",
 ]

@@ -8,17 +8,20 @@ message's ``routing_data`` dictionary during :meth:`RoutingAlgorithm.prepare`.
 
 Keeping this interface independent of the simulator lets the verification
 utilities drive the same algorithms over the static topology (to enumerate
-the channel dependency relation) and lets tests exercise routing logic
-without running a simulation.
+the channel dependency relation, or to walk a unicast's route with
+:meth:`RoutingAlgorithm.unicast_route`) and lets tests exercise routing
+logic without running a simulation.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from .decision import RoutingDecision
+from ..errors import RoutingError
 from ..topology.channels import Channel
+from ..topology.network import Network
 
 __all__ = ["MessageLike", "RoutingAlgorithm"]
 
@@ -45,6 +48,9 @@ class RoutingAlgorithm(abc.ABC):
 
     #: Short machine-readable name used in reports and benchmark labels.
     name: str = "abstract"
+
+    #: The network the algorithm routes on.
+    network: Network
 
     #: Whether the algorithm can deliver a message to several destinations
     #: with a single worm.  Algorithms with ``False`` here are only handed
@@ -88,3 +94,43 @@ class RoutingAlgorithm(abc.ABC):
             raise NotImplementedError(
                 f"{self.name} does not support multi-destination messages"
             )
+
+    def unicast_route(self, source: int, destination: int) -> list[Channel]:
+        """The path of a unicast from ``source`` to ``destination`` through
+        an idle network: the first channel of every decision, from the
+        injection channel to the destination's consumption channel.
+
+        Raises :class:`~repro.errors.RoutingError` unless the endpoints are
+        distinct processors, and when the walk passes ``4 * num_nodes``
+        switches without arriving.
+        """
+        network = self.network
+        if not network.is_processor(source):
+            raise RoutingError(f"source {source} is not a processor")
+        if not network.is_processor(destination):
+            raise RoutingError(f"destination {destination} is not a processor")
+        if source == destination:
+            raise RoutingError("source and destination must differ")
+        probe = _Probe(source, (destination,))
+        self.prepare(probe)
+        injection = network.injection_channel(source)
+        path = [injection]
+        switch, in_channel = injection.dst, None
+        for _ in range(4 * network.num_nodes):
+            channel = self.decide(probe, switch, in_channel).channels[0]
+            path.append(channel)
+            if channel.dst == destination:
+                return path
+            switch, in_channel = channel.dst, channel
+        raise RoutingError(f"unicast route from {source} to {destination} did not terminate")
+
+
+class _Probe:
+    """The :class:`MessageLike` a route walk hands to the algorithm."""
+
+    __slots__ = ("source", "destinations", "routing_data")
+
+    def __init__(self, source: int, destinations: tuple[int, ...]) -> None:
+        self.source = source
+        self.destinations = destinations
+        self.routing_data: dict = {}

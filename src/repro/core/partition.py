@@ -6,31 +6,22 @@ creating a potential hot spot.  The proposed mitigation is to "partition the
 destinations into groups of contiguous nodes and send separate tree-based
 multicasts to each of these groups".
 
-This module implements several partitioning strategies.  The natural notion
-of contiguity for a tree-based scheme is adjacency in the depth-first
-traversal order of the spanning tree: destinations that are consecutive in
-DFS order share deep common ancestors, so each group's LCA sits low in the
-tree and the per-group worms avoid the root whenever the group is confined
-to one subtree.
+The natural notion of contiguity for a tree-based scheme is adjacency in
+the depth-first traversal order of the spanning tree: destinations that are
+consecutive in DFS order share deep common ancestors, so each group's LCA
+sits low in the tree and the per-group worms avoid the root whenever the
+group is confined to one subtree.  :func:`partition_contiguous` cuts that
+order into groups.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError, WorkloadError
 from ..spanning.tree import SpanningTree
 
-__all__ = [
-    "dfs_order",
-    "partition_contiguous",
-    "partition_by_subtree",
-    "partition_random",
-    "PARTITION_STRATEGIES",
-    "partition_destinations",
-]
+__all__ = ["dfs_order", "partition_contiguous"]
 
 
 def dfs_order(tree: SpanningTree) -> dict[int, int]:
@@ -57,99 +48,13 @@ def partition_contiguous(
     that are contiguous in the tree walk — the paper's "groups of contiguous
     nodes".
     """
-    _validate(destinations, groups)
-    order = dfs_order(tree)
-    ranked = sorted(destinations, key=lambda node: order[node])
-    return _chunk(ranked, groups)
-
-
-def partition_by_subtree(
-    tree: SpanningTree, destinations: Sequence[int], groups: int
-) -> list[list[int]]:
-    """Group destinations by the root's child subtree they fall in.
-
-    Destinations under the same depth-1 subtree never need the root to reach
-    each other, so this grouping directly targets the root hot-spot.  If the
-    number of occupied subtrees exceeds ``groups``, subtree groups are merged
-    (smallest first); if it is smaller, the largest groups are split by DFS
-    order until ``groups`` groups exist (or no group can be split further).
-    """
-    _validate(destinations, groups)
-    order = dfs_order(tree)
-    by_subtree: dict[int, list[int]] = {}
-    for dest in destinations:
-        path = tree.path_to_root(dest)
-        # path[-1] is the root; path[-2] is the depth-1 ancestor (or the node
-        # itself when the destination hangs directly off the root).
-        anchor = path[-2] if len(path) >= 2 else path[-1]
-        by_subtree.setdefault(anchor, []).append(dest)
-    groups_list = [sorted(nodes, key=lambda n: order[n]) for _, nodes in sorted(by_subtree.items())]
-    # Merge smallest groups while too many.
-    while len(groups_list) > groups:
-        groups_list.sort(key=len)
-        merged = groups_list[0] + groups_list[1]
-        groups_list = [sorted(merged, key=lambda n: order[n])] + groups_list[2:]
-    # Split largest groups while too few (and splitting is possible).
-    while len(groups_list) < groups and any(len(g) > 1 for g in groups_list):
-        groups_list.sort(key=len, reverse=True)
-        largest = groups_list[0]
-        half = len(largest) // 2
-        groups_list = [largest[:half], largest[half:]] + groups_list[1:]
-    return [g for g in groups_list if g]
-
-
-def partition_random(
-    tree: SpanningTree,
-    destinations: Sequence[int],
-    groups: int,
-    seed: int | np.random.Generator = 0,
-) -> list[list[int]]:
-    """Random (non-contiguous) partition, as a control for the ablation.
-
-    Seed contract: all randomness flows from ``seed`` and nothing else.
-    An integer seed builds a private ``numpy.random.default_rng(seed)``, so
-    equal seeds give equal partitions on equal inputs — across processes
-    and platforms.  A caller-owned :class:`numpy.random.Generator` is used
-    in place and advanced by exactly one ``shuffle`` of the destination
-    list, letting callers thread one explicit stream through several draws.
-    The *global* ``numpy.random`` state is never read nor written
-    (repro-lint R3 polices this module like any other), and
-    ``destinations`` is not mutated.
-    """
-    _validate(destinations, groups)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shuffled = list(destinations)
-    rng.shuffle(shuffled)
-    return _chunk(shuffled, groups)
-
-
-PARTITION_STRATEGIES = ("contiguous", "subtree", "random")
-
-
-def partition_destinations(
-    tree: SpanningTree,
-    destinations: Sequence[int],
-    groups: int,
-    strategy: str = "contiguous",
-    seed: int = 0,
-) -> list[list[int]]:
-    """Partition ``destinations`` into ``groups`` groups by strategy name."""
-    if strategy == "contiguous":
-        return partition_contiguous(tree, destinations, groups)
-    if strategy == "subtree":
-        return partition_by_subtree(tree, destinations, groups)
-    if strategy == "random":
-        return partition_random(tree, destinations, groups, seed)
-    raise ConfigurationError(
-        f"unknown partition strategy {strategy!r}; choose from {PARTITION_STRATEGIES}"
-    )
-
-
-def _validate(destinations: Sequence[int], groups: int) -> None:
     if groups < 1:
         raise ConfigurationError("number of groups must be positive")
     if not destinations:
         raise WorkloadError("cannot partition an empty destination set")
+    order = dfs_order(tree)
+    ranked = sorted(destinations, key=lambda node: order[node])
+    return _chunk(ranked, groups)
 
 
 def _chunk(ordered: list[int], groups: int) -> list[list[int]]:

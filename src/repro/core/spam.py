@@ -4,7 +4,7 @@ This module ties together the SPAM building blocks — the up*/down* spanning
 tree and labelling, the ancestor/extended-ancestor relations, the unicast
 routing function, the selection function and the multicast distribution
 rule — into a single :class:`SpamRouting` object implementing the
-:class:`~repro.routing.base.RoutingAlgorithm` interface consumed by the
+:class:`~repro.core.interface.RoutingAlgorithm` interface consumed by the
 flit-level simulator.
 
 Algorithm summary (paper §3)
@@ -157,7 +157,7 @@ class SpamRouting(RoutingAlgorithm):
         dest_mask: int = data["dest_mask"]
         lca: int = data["lca"]
 
-        incoming_phase = Phase.UP if in_channel is None else self._phase_of(in_channel)
+        incoming_phase = Phase.UP if in_channel is None else self.phase_of(in_channel)
 
         # Down-tree distribution mode: entered when the header reaches the
         # LCA of the destination set, or as soon as it has used a down tree
@@ -180,7 +180,9 @@ class SpamRouting(RoutingAlgorithm):
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def _phase_of(self, channel: Channel) -> Phase:
+    def phase_of(self, channel: Channel) -> Phase:
+        """The phase a worm is in once its header has crossed ``channel``:
+        the phase of the channel's label."""
         label = self.labeling.label(channel)
         if label.is_up:
             return Phase.UP
@@ -192,52 +194,8 @@ class SpamRouting(RoutingAlgorithm):
         """Static distribution plan (LCA and down-tree structure) for a multicast."""
         return build_multicast_plan(self.network, self.ancestry, source, list(destinations))
 
-    def unicast_route(self, source: int, destination: int) -> list[Channel]:
-        """The contention-free path of a unicast from ``source`` to ``destination``.
-
-        The path starts with the injection channel and ends with the
-        consumption channel of the destination.  It follows the selection
-        function's first choice at every switch, i.e. it is the path a worm
-        takes through an idle network.
-        """
-        if not self.network.is_processor(source):
-            raise RoutingError(f"source {source} is not a processor")
-        if not self.network.is_processor(destination):
-            raise RoutingError(f"destination {destination} is not a processor")
-        if source == destination:
-            raise RoutingError("source and destination must differ")
-
-        message = _ProbeMessage(source, (destination,))
-        self.prepare(message)
-        injection = self.network.injection_channel(source)
-        path = [injection]
-        switch = injection.dst
-        in_channel: Channel | None = None
-        for _ in range(4 * self.network.num_nodes):
-            decision = self.decide(message, switch, in_channel)
-            channel = decision.channels[0]
-            path.append(channel)
-            if channel.dst == destination:
-                return path
-            in_channel = channel
-            switch = channel.dst
-        raise RoutingError(
-            f"unicast route from {source} to {destination} did not terminate"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SpamRouting(network={self.network.name!r}, root={self.tree.root}, "
             f"selection={self.selection.name!r})"
         )
-
-
-class _ProbeMessage:
-    """Minimal :class:`MessageLike` used for static path probing."""
-
-    __slots__ = ("source", "destinations", "routing_data")
-
-    def __init__(self, source: int, destinations: tuple[int, ...]) -> None:
-        self.source = source
-        self.destinations = destinations
-        self.routing_data: dict = {}

@@ -38,7 +38,6 @@ ROOT_STRATEGIES = ("center", "max-degree", "first")
 #: tree order, and one worm per group leaves the source at the same instant.
 #: Splitting trades extra startups for less root contention.
 PARTITION_GROUPS = (1, 2, 4)
-PARTITION_STRATEGY = "contiguous"
 
 
 @dataclass
@@ -90,11 +89,7 @@ def ablation_specs(config: AblationConfig | None = None) -> list[SweepPointSpec]
             replace(
                 multicast, label=f"partition-{groups}", x=groups,
                 workload_kind="partitioned-multicast",
-                workload_params=(
-                    ("num_destinations", count),
-                    ("groups", groups),
-                    ("strategy", PARTITION_STRATEGY),
-                ),
+                workload_params=(("num_destinations", count), ("groups", groups)),
             )
             for groups in PARTITION_GROUPS
         ),
@@ -129,7 +124,7 @@ def ablation_rows(config: AblationConfig, points) -> dict[str, list[dict]]:
         "partition": [
             {
                 "groups": result.metric("groups"),
-                "strategy": PARTITION_STRATEGY,
+                "strategy": "contiguous",  # the one strategy, named in the export
                 "latency_us": result.mean_us,
                 "worms": result.metric("worms"),
             }

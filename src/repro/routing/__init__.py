@@ -7,7 +7,7 @@ SPAM itself lives in :mod:`repro.core`; this package hosts everything the
 paper compares against or builds upon.
 """
 
-from .base import MessageLike, RoutingAlgorithm
+from ..core.interface import MessageLike, RoutingAlgorithm
 from .naive import NaiveMinimalRouting
 from .unicast_multicast import (
     ForwardingStep,

@@ -144,32 +144,3 @@ class UpDownRouting(RoutingAlgorithm):
             )
         ordered = self.selection.order(options, destination)
         return one_of([option.channel for option in ordered])
-
-    def unicast_route(self, source: int, destination: int) -> list[Channel]:
-        """Contention-free path from ``source`` to ``destination`` (first
-        choice at every hop), starting with the injection channel."""
-        if source == destination:
-            raise RoutingError("source and destination must differ")
-        message = _Probe(source, (destination,))
-        injection = self.network.injection_channel(source)
-        path = [injection]
-        switch = injection.dst
-        in_channel: Channel | None = None
-        for _ in range(4 * self.network.num_nodes):
-            decision = self.decide(message, switch, in_channel)
-            channel = decision.channels[0]
-            path.append(channel)
-            if channel.dst == destination:
-                return path
-            in_channel = channel
-            switch = channel.dst
-        raise RoutingError("up*/down* route did not terminate")
-
-
-class _Probe:
-    __slots__ = ("source", "destinations", "routing_data")
-
-    def __init__(self, source: int, destinations: tuple[int, ...]) -> None:
-        self.source = source
-        self.destinations = destinations
-        self.routing_data: dict = {}

@@ -268,7 +268,6 @@ class WormholeSimulator:
         if not self.network.is_processor(source):
             raise ConfigurationError(f"source {source} is not a processor")
         dests = normalize_destinations(self.network, source, destinations)
-        self.routing.validate_destinations(_DestinationView(source, dests))
         message = Message(
             mid=self._next_mid,
             source=source,
@@ -278,6 +277,7 @@ class WormholeSimulator:
             ),
             created_ns=at,
         )
+        self.routing.validate_destinations(message)
         self._next_mid += 1
         if metadata:
             message.metadata.update(metadata)
@@ -1176,14 +1176,3 @@ def _shift_plan(
     if bound < 1:
         return None
     return shifting, bound
-
-
-class _DestinationView:
-    """Minimal message view used for early destination validation."""
-
-    __slots__ = ("source", "destinations", "routing_data")
-
-    def __init__(self, source: int, destinations: tuple[int, ...]) -> None:
-        self.source = source
-        self.destinations = destinations
-        self.routing_data: dict = {}

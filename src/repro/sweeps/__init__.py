@@ -10,8 +10,8 @@ runs:
   hashable description of one point, and :func:`evaluate_spec`, the single
   evaluation path every workload kind shares (points on one network share
   its SPAM skeleton through a per-process cache);
-* :mod:`repro.sweeps.store` — :class:`ResultStore`, a content-addressed
-  JSONL + index store keyed by a stable hash of spec + code-version salt;
+* :mod:`repro.sweeps.store` — :class:`ResultStore`, a content-addressed,
+  append-only JSONL file keyed by a stable hash of spec + code-version salt;
 * :mod:`repro.sweeps.scheduler` — :func:`run_sweep`, one-point-per-task
   process-pool dispatch with per-point checkpointing, deterministic
   ordering, and a resume path that completes a partially finished sweep

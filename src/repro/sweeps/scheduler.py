@@ -16,7 +16,8 @@ Guarantees:
   process shares network/routing skeletons between points through the
   spec layer's cache, which never changes a result.
 * **Per-point checkpointing** — every computed result is appended to the
-  store the moment it arrives, so a killed run loses at most the points
+  store's one file the moment it arrives, and nothing is left to flush
+  when the run ends or raises, so a killed run loses at most the points
   still in flight, and a failing point stops no other: whatever the worker
   count, every other point runs and is stored before the first error is
   raised.
@@ -213,57 +214,53 @@ def run_sweep(
     # runs to completion and is checkpointed, so a re-run only repeats the
     # failed points, whatever the worker count.
     first_error: Exception | None = None
-    try:
-        if workers <= 1:
-            for spec in unique:
-                point_start_ns = clock()
+    if workers <= 1:
+        for spec in unique:
+            point_start_ns = clock()
+            try:
+                result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+                continue
+            point_end_ns = clock()
+            computed_ns += point_end_ns - point_start_ns
+            acct.span_at(
+                "sweep.point.evaluate",
+                point_start_ns,
+                point_end_ns,
+                workload=spec.workload_kind,
+            )
+            record(result)
+    else:
+        dispatch_start_ns = clock()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_evaluate_point, spec, collect_detail) for spec in unique
+            ]
+            # Track labels come from submission order, not completion
+            # order, so merged worker telemetry is stably named.
+            task_index = {future: i for i, future in enumerate(futures)}
+            for future in as_completed(futures):
                 try:
-                    result = evaluate_spec(spec, telemetry=acct if collect_detail else None)
+                    result, task_telemetry = future.result()
                 except Exception as exc:
                     if first_error is None:
                         first_error = exc
                     continue
-                point_end_ns = clock()
-                computed_ns += point_end_ns - point_start_ns
-                acct.span_at(
-                    "sweep.point.evaluate",
-                    point_start_ns,
-                    point_end_ns,
-                    workload=spec.workload_kind,
-                )
+                evaluate_dist = task_telemetry["values"]["sweep.point.evaluate_ns"]
+                computed_ns += int(evaluate_dist["total"])
+                acct.merge_child(task_telemetry, track=f"chunk{task_index[future]}")
                 record(result)
-        else:
-            dispatch_start_ns = clock()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_evaluate_point, spec, collect_detail) for spec in unique
-                ]
-                # Track labels come from submission order, not completion
-                # order, so merged worker telemetry is stably named.
-                task_index = {future: i for i, future in enumerate(futures)}
-                for future in as_completed(futures):
-                    try:
-                        result, task_telemetry = future.result()
-                    except Exception as exc:
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    evaluate_dist = task_telemetry["values"]["sweep.point.evaluate_ns"]
-                    computed_ns += int(evaluate_dist["total"])
-                    acct.merge_child(task_telemetry, track=f"chunk{task_index[future]}")
-                    record(result)
-            acct.span_at(
-                "sweep.pool.dispatch",
-                dispatch_start_ns,
-                clock(),
-                points=len(unique),
-                workers=workers,
-            )
-        if first_error is not None:
-            raise first_error
-    finally:
-        if store is not None:
-            store.flush_index()
+        acct.span_at(
+            "sweep.pool.dispatch",
+            dispatch_start_ns,
+            clock(),
+            points=len(unique),
+            workers=workers,
+        )
+    if first_error is not None:
+        raise first_error
 
     elapsed_ns = clock() - run_start_ns
     acct.span_at(

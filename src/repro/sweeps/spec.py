@@ -34,8 +34,10 @@ Workload kinds
     unicast routing.  Scalar results land in ``metrics``.
 ``"partitioned-multicast"``
     §5 destination partitioning: one logical broadcast split into ``groups``
-    worms submitted at the same instant; the latency is the completion time
-    of the whole logical broadcast.
+    worms of destinations contiguous in tree order
+    (:func:`~repro.core.partition.partition_contiguous`), submitted at the
+    same instant; the latency is the completion time of the whole logical
+    broadcast.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..analysis.bounds import compare_against_bound
-from ..core.partition import partition_destinations
+from ..core.partition import partition_contiguous
 from ..core.selection import DistanceToTargetSelection, make_selection
 from ..core.spam import SpamRouting
 from ..errors import ZeroDeliveryError
@@ -422,9 +424,7 @@ def _evaluate_partitioned_multicast(
     rng = np.random.default_rng(spec.workload_seed)
     source = uniform_source(network, rng)
     destinations = uniform_destinations(network, source, count, rng)
-    partitions = partition_destinations(
-        routing.tree, destinations, int(params["groups"]), str(params.get("strategy", "contiguous"))
-    )
+    partitions = partition_contiguous(routing.tree, destinations, int(params["groups"]))
     simulator = WormholeSimulator(network, routing, config, telemetry=telemetry)
     messages = [
         simulator.submit_message(source, part, at_ns=0, metadata={"group": index})

@@ -1,39 +1,35 @@
 """Content-addressed sweep result store.
 
 Results are stored under a cache directory (the CLI's ``--cache-dir``,
-default ``.sweep-cache/``) in two files:
+default ``.sweep-cache/``) in one file, ``results.jsonl``: append-only JSON
+Lines, one row per completed sweep point::
 
-``results.jsonl``
-    Append-only JSON Lines; one row per completed sweep point::
+    {"key": <sha256>, "salt": <code salt>, "spec": {...},
+     "latencies_us": [...], "metrics": {...}}
 
-        {"key": <sha256>, "salt": <code salt>, "spec": {...},
-         "latencies_us": [...], "metrics": {...}}
+Appending (never rewriting) is what makes the scheduler's per-point
+checkpointing crash-safe: a killed run leaves a valid prefix plus at most
+one truncated trailing line, which the next open detects and drops.  When a
+key is appended twice the *last* row wins.
 
-    Appending (never rewriting) is what makes the scheduler's per-point
-    checkpointing crash-safe: a killed run leaves a valid prefix plus at
-    most one truncated trailing line, which the next open detects and
-    drops.  When a key is appended twice the *last* row wins.
-
-``index.json``
-    Acceleration structure: ``{"size": <bytes indexed>, "offsets":
-    {key: byte offset into results.jsonl}}``.  The index is advisory —
-    whenever its recorded size differs from the data file's actual size
-    (a killed run, a hand-edited store, another instance's appends) the
-    data file is rescanned and the index rebuilt, so deleting
-    ``index.json`` is always safe.  The same staleness check is applied to
-    the in-memory index on every access, so a store instance notices when
-    another instance on the same root appended underneath it.
+A store instance builds its key → byte-offset map by one scan of the file,
+keeps it in step on every append and reads rows on demand.  The map is
+checked against the file's size on every access, so an instance notices
+when another instance on the same root appended underneath it, and
+rescans.  Nothing else is persisted: an ``index.json`` that older versions
+left in a root is neither read nor rewritten.
 
 Hashing contract
 ----------------
 The key of a row is ``sha256(canonical-json({"salt": ..., "spec":
 spec.as_dict()}))``: every field of :class:`~repro.sweeps.spec.SweepPointSpec`
 participates, so any parameter change produces a different key, and the
-*code salt* folds the library version plus a store schema version in, so
-results computed by older code are never silently reused after an upgrade
-(bump :data:`STORE_SCHEMA_VERSION` when changing what the simulator's
-observable behaviour or the row format means).  Identity of results is
-content-addressed; nothing depends on file order or timestamps.
+*code salt* (:func:`default_code_salt`) folds the library version plus a
+store schema version in, so results computed by older code are never
+silently reused after an upgrade (bump :data:`STORE_SCHEMA_VERSION` when
+changing what the simulator's observable behaviour or the row format
+means).  Identity of results is content-addressed; nothing depends on file
+order or timestamps.
 
 The store is single-writer: one orchestrator process appends (worker
 processes return results over the pool, they never touch the store).
@@ -67,23 +63,20 @@ STORE_SCHEMA_VERSION = 1
 
 
 def default_code_salt() -> str:
-    """The default code-version salt: library version + store schema."""
+    """The code-version salt: library version + store schema."""
     from .. import __version__
 
     return f"repro-{__version__}/sweep-schema-{STORE_SCHEMA_VERSION}"
 
 
-def spec_key(spec: SweepPointSpec, code_salt: str | None = None) -> str:
-    """Stable content hash of ``spec`` under ``code_salt``.
+def spec_key(spec: SweepPointSpec) -> str:
+    """Stable content hash of ``spec`` under the code salt.
 
     Canonical JSON (sorted keys, no whitespace) of the spec dict plus the
     salt, hashed with SHA-256.  Two specs share a key iff every field is
     equal and they were produced under the same salt.
     """
-    payload = {
-        "salt": default_code_salt() if code_salt is None else code_salt,
-        "spec": spec.as_dict(),
-    }
+    payload = {"salt": default_code_salt(), "spec": spec.as_dict()}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -95,24 +88,19 @@ class ResultStore:
     ----------
     root:
         Cache directory.  Created on first write.
-    code_salt:
-        Override the code-version salt (tests use this to exercise
-        invalidation; everything else should keep the default).
     """
 
-    def __init__(self, root: str | os.PathLike, code_salt: str | None = None):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.results_path = self.root / "results.jsonl"
-        self.index_path = self.root / "index.json"
-        self.code_salt = default_code_salt() if code_salt is None else code_salt
-        self._offsets: dict[str, int] | None = None
-        #: Data-file size the in-memory index covers; ``None`` means "no
-        #: in-memory index yet".  Checked against the actual file size on
-        #: every access so another instance's appends are noticed.
+        self._offsets: dict[str, int] = {}
+        #: Data-file size the offset map covers; ``None`` until the first
+        #: scan.  Checked against the actual file size on every access so
+        #: another instance's appends are noticed.
         self._indexed_size: int | None = None
 
     # ------------------------------------------------------------------
-    # Index maintenance
+    # Offset map
     # ------------------------------------------------------------------
     def _data_size(self) -> int:
         try:
@@ -121,35 +109,13 @@ class ResultStore:
             return 0
 
     def _ensure_index(self) -> dict[str, int]:
-        """Load the key → offset map, rescanning ``results.jsonl`` when the
-        persisted *or in-memory* index is missing or stale.
-
-        Staleness is judged by data-file size, for both indexes: an
-        in-memory map built before another writer appended is as
-        untrustworthy as an out-of-date ``index.json``.
-        """
-        size = self._data_size()
-        if self._offsets is not None and self._indexed_size == size:
-            return self._offsets
-        if self.index_path.exists():
-            try:
-                persisted = json.loads(self.index_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                persisted = None
-            if (
-                isinstance(persisted, dict)
-                and persisted.get("size") == size
-                and isinstance(persisted.get("offsets"), dict)
-            ):
-                self._offsets = {str(k): int(v) for k, v in persisted["offsets"].items()}
-                self._indexed_size = size
-                return self._offsets
-        self._offsets = self._scan()
-        # _scan may have cut a truncated tail off, shrinking the file.
-        self._indexed_size = self._data_size()
+        """The key → offset map, rebuilt by a scan of ``results.jsonl``
+        whenever the file's size differs from the size the map covers."""
+        if self._indexed_size != self._data_size():
+            self._scan()
         return self._offsets
 
-    def _scan(self) -> dict[str, int]:
+    def _scan(self) -> None:
         """Rebuild the offset map from the data file.
 
         A truncated trailing line (a run killed mid-append) is cut off so
@@ -157,10 +123,11 @@ class ResultStore:
         else raises :class:`~repro.errors.SweepError`.
         """
         offsets: dict[str, int] = {}
-        if not self.results_path.exists():
-            return offsets
-        with open(self.results_path, "rb") as handle:
-            data = handle.read()
+        try:
+            with open(self.results_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
         position = 0
         valid_until = 0
         while position < len(data):
@@ -184,33 +151,15 @@ class ResultStore:
         if valid_until < len(data):
             with open(self.results_path, "r+b") as handle:
                 handle.truncate(valid_until)
-        return offsets
-
-    def flush_index(self) -> None:
-        """Persist the offset map so the next open skips the full rescan.
-
-        The recorded size is the size the in-memory map actually covers,
-        *not* a fresh ``stat`` of the data file: if another writer appended
-        since this instance last looked, re-statting would persist a
-        size-matching index with missing offsets — a poisoned index that
-        later opens would trust.  Recording the covered size instead makes
-        such an index merely stale, which the next open detects and repairs
-        by rescanning.
-        """
-        if self._offsets is None:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {"size": self._indexed_size, "offsets": self._offsets}
-        tmp = self.index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(self.index_path)
+        self._offsets = offsets
+        self._indexed_size = valid_until
 
     # ------------------------------------------------------------------
     # Content-addressed access
     # ------------------------------------------------------------------
     def key(self, spec: SweepPointSpec) -> str:
-        """The content hash of ``spec`` under this store's code salt."""
-        return spec_key(spec, self.code_salt)
+        """The content hash of ``spec`` (:func:`spec_key`)."""
+        return spec_key(spec)
 
     def __contains__(self, spec: SweepPointSpec) -> bool:
         return self.key(spec) in self._ensure_index()
@@ -231,11 +180,11 @@ class ResultStore:
         )
 
     def _row(self, result: SweepPointResult) -> dict:
-        """The raw store-row form of ``result`` under this store's salt:
-        what :meth:`put_many` appends."""
+        """The raw store-row form of ``result``: what :meth:`put_many`
+        appends."""
         return {
             "key": self.key(result.spec),
-            "salt": self.code_salt,
+            "salt": default_code_salt(),
             "spec": result.spec.as_dict(),
             "latencies_us": list(result.latencies_us),
             # Pair list, not an object: metric order is part of the result

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.phases import Phase
 from ..core.spam import SpamRouting
 from ..core.unicast import unicast_options
 from ..routing.naive import NaiveMinimalRouting
 from ..routing.updown import UpDownRouting
-from ..topology.network import Network
 
 __all__ = ["ChannelDependencyGraph", "build_spam_cdg", "build_updown_cdg", "build_naive_cdg"]
 
@@ -95,15 +93,6 @@ class ChannelDependencyGraph:
         }
 
 
-def _incoming_phase(labeling, channel) -> Phase:
-    label = labeling.label(channel)
-    if label.is_up:
-        return Phase.UP
-    if label.is_down_cross:
-        return Phase.DOWN_CROSS
-    return Phase.DOWN_TREE
-
-
 def build_spam_cdg(routing: SpamRouting) -> ChannelDependencyGraph:
     """Channel dependency graph induced by SPAM's routing rules.
 
@@ -123,7 +112,7 @@ def build_spam_cdg(routing: SpamRouting) -> ChannelDependencyGraph:
         switch = in_channel.dst
         if not network.is_switch(switch):
             continue
-        phase = _incoming_phase(labeling, in_channel)
+        phase = routing.phase_of(in_channel)
         for target in network.nodes():
             if target == switch:
                 continue

@@ -18,6 +18,7 @@ import numpy as np
 from ..core.interface import RoutingAlgorithm
 from ..errors import DeadlockError
 from ..simulator.config import SimulationConfig
+from ..simulator.deadlock import DeadlockReport
 from ..simulator.engine import WormholeSimulator
 from ..topology.network import Network
 from ..traffic.workload import Workload, mixed_traffic_workload
@@ -31,11 +32,16 @@ class StressResult:
 
     messages_submitted: int
     messages_completed: int
-    deadlocked: bool
-    deadlock_description: str = ""
+    #: The simulator's diagnosis when the run ended in a detected deadlock.
+    deadlock: DeadlockReport | None = None
     end_time_ns: int = 0
     mean_latency_us: float = float("nan")
     details: dict = field(default_factory=dict)
+
+    @property
+    def deadlocked(self) -> bool:
+        """``True`` when the run ended in a detected deadlock."""
+        return self.deadlock is not None
 
     @property
     def all_delivered(self) -> bool:
@@ -52,25 +58,22 @@ def run_workload(
     """Run ``workload`` on a fresh simulator and report delivery/deadlock status.
 
     Unlike :meth:`WormholeSimulator.run`, a detected deadlock is *captured*
-    rather than raised, so callers (tests, examples) can assert on it either
-    way.
+    rather than raised: its :class:`DeadlockReport` becomes the result's
+    ``deadlock``, so callers (tests, examples) can assert on it either way.
     """
     config = config or SimulationConfig()
     simulator = WormholeSimulator(network, routing, config)
     workload.submit_to(simulator)
-    deadlocked = False
-    description = ""
+    deadlock = None
     try:
         simulator.run()
     except DeadlockError as error:
-        deadlocked = True
-        description = str(error)
+        deadlock = error.report  # the engine attaches its diagnosis
     stats = simulator.stats
     return StressResult(
         messages_submitted=stats.messages_submitted,
         messages_completed=stats.messages_completed,
-        deadlocked=deadlocked,
-        deadlock_description=description,
+        deadlock=deadlock,
         end_time_ns=simulator.now,
         mean_latency_us=stats.mean_latency_us(),
         details={"workload": workload.name, "routing": routing.name},

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.phases import Phase
+from ..core.phases import Phase, may_follow
 from ..core.spam import SpamRouting
 from ..core.unicast import unicast_options
 from ..errors import VerificationError
@@ -41,18 +41,17 @@ class ReachabilityReport:
 
 
 def check_unicast_reachability(
-    routing: SpamRouting, max_hops: int | None = None, sample_pairs: int | None = None
+    routing: SpamRouting, sample_pairs: int | None = None
 ) -> ReachabilityReport:
     """Check that SPAM routes every source to every destination.
 
     Follows the selection function's first choice from every source processor
     to every destination processor (or a deterministic subsample of pairs
-    when ``sample_pairs`` is given) and verifies termination within
-    ``max_hops`` switches as well as monotone phase progression.
+    when ``sample_pairs`` is given) and verifies termination within the
+    route walk's bound (:meth:`~repro.core.interface.RoutingAlgorithm.unicast_route`)
+    as well as monotone phase progression.
     """
-    network = routing.network
-    processors = network.processors()
-    limit = max_hops if max_hops is not None else 4 * network.num_nodes
+    processors = routing.network.processors()
     report = ReachabilityReport()
 
     pairs = [(s, d) for s in processors for d in processors if s != d]
@@ -60,7 +59,6 @@ def check_unicast_reachability(
         stride = max(1, len(pairs) // sample_pairs)
         pairs = pairs[::stride][:sample_pairs]
 
-    phase_rank = {Phase.UP: 0, Phase.DOWN_CROSS: 1, Phase.DOWN_TREE: 2}
     for source, destination in pairs:
         report.pairs_checked += 1
         try:
@@ -68,29 +66,15 @@ def check_unicast_reachability(
         except Exception as exc:  # pragma: no cover - failure path
             report.failures.append(f"{source}->{destination}: {exc}")
             continue
-        if len(path) > limit:
-            report.failures.append(
-                f"{source}->{destination}: route of {len(path)} hops exceeds limit {limit}"
-            )
-        if path[-1].dst != destination:
-            report.failures.append(f"{source}->{destination}: route ends at {path[-1].dst}")
         # Phase monotonicity along the concrete path.
-        previous_rank = -1
-        for channel in path:
-            label = routing.labeling.label(channel)
-            if label.is_up:
-                rank = 0
-            elif label.is_down_cross:
-                rank = 1
-            else:
-                rank = 2
-            if rank < previous_rank:
+        phases = [routing.phase_of(channel) for channel in path]
+        for channel, before, after in zip(path[1:], phases, phases[1:]):
+            if not may_follow(before, after):
                 report.failures.append(
                     f"{source}->{destination}: phase order violated at channel "
                     f"{channel.src}->{channel.dst}"
                 )
                 break
-            previous_rank = max(previous_rank, rank)
         report.max_route_length = max(report.max_route_length, len(path))
     return report
 

@@ -29,7 +29,7 @@ class TestPhases:
         seen = set()
         for channel in figure1_spam.network.channels():
             label = figure1_spam.labeling.label(channel)
-            assert figure1_spam._phase_of(channel) is expected[label]
+            assert figure1_spam.phase_of(channel) is expected[label]
             seen.add(label)
         assert seen == set(expected)
 

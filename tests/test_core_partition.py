@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.partition import (
-    dfs_order,
-    partition_by_subtree,
-    partition_contiguous,
-    partition_destinations,
-    partition_random,
-)
+from repro.core.partition import dfs_order, partition_contiguous
 from repro.errors import ConfigurationError, WorkloadError
 from repro.spanning.tree import bfs_spanning_tree
 
@@ -67,71 +61,11 @@ class TestContiguousPartition:
         assert len(groups) == 1
         assert sorted(groups[0]) == sorted(destinations)
 
-
-class TestOtherStrategies:
-    def test_subtree_partition_covers_everything(self, lattice32, lattice_tree):
-        destinations = all_destinations(lattice32, 20)
-        groups = partition_by_subtree(lattice_tree, destinations, 4)
-        assert sorted(sum(groups, [])) == sorted(destinations)
-        assert all(groups)
-
-    def test_random_partition_seeded(self, lattice32, lattice_tree):
-        destinations = all_destinations(lattice32, 10)
-        a = partition_random(lattice_tree, destinations, 3, seed=2)
-        b = partition_random(lattice_tree, destinations, 3, seed=2)
-        assert a == b
-        assert sorted(sum(a, [])) == sorted(destinations)
-
-    def test_random_partition_accepts_caller_owned_generator(
-        self, lattice32, lattice_tree
-    ):
-        """The documented seed contract: an explicit Generator is used in
-        place and advanced (two calls on one stream differ; two fresh
-        streams from the same seed match the integer-seed path), and the
-        input sequence is never mutated."""
-        import numpy as np
-
-        destinations = all_destinations(lattice32, 10)
-        frozen = list(destinations)
-
-        from_int = partition_random(lattice_tree, destinations, 3, seed=7)
-        from_gen = partition_random(
-            lattice_tree, destinations, 3, seed=np.random.default_rng(7)
-        )
-        assert from_gen == from_int
-
-        stream = np.random.default_rng(7)
-        first = partition_random(lattice_tree, destinations, 3, seed=stream)
-        second = partition_random(lattice_tree, destinations, 3, seed=stream)
-        assert first == from_int  # the stream's first draw matches a fresh rng
-        assert second != first  # ... and the stream advanced in place
-        assert destinations == frozen
-
-    def test_random_partition_ignores_global_numpy_state(
-        self, lattice32, lattice_tree
-    ):
-        """Reseeding the *global* numpy RNG must not change the result:
-        randomness flows only from the explicit seed argument."""
-        import numpy as np
-
-        destinations = all_destinations(lattice32, 10)
-        np.random.seed(123)
-        a = partition_random(lattice_tree, destinations, 3, seed=5)
-        np.random.seed(321)
-        b = partition_random(lattice_tree, destinations, 3, seed=5)
-        assert a == b
-
-    def test_dispatch_and_errors(self, lattice32, lattice_tree):
-        destinations = all_destinations(lattice32, 8)
-        for strategy in ("contiguous", "subtree", "random"):
-            groups = partition_destinations(lattice_tree, destinations, 2, strategy)
-            assert sorted(sum(groups, [])) == sorted(destinations)
+    def test_errors(self, lattice32, lattice_tree):
         with pytest.raises(ConfigurationError):
-            partition_destinations(lattice_tree, destinations, 2, "bogus")
-        with pytest.raises(ConfigurationError):
-            partition_destinations(lattice_tree, destinations, 0)
+            partition_contiguous(lattice_tree, all_destinations(lattice32, 8), 0)
         with pytest.raises(WorkloadError):
-            partition_destinations(lattice_tree, [], 2)
+            partition_contiguous(lattice_tree, [], 2)
 
     def test_partitioned_groups_have_deeper_lcas(self, lattice32, lattice_tree):
         """Partitioning by contiguity should push each group's LCA at least as

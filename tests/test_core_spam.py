@@ -7,7 +7,7 @@ import pytest
 from repro.core.decision import DecisionMode
 from repro.core.spam import SpamRouting
 from repro.errors import RoutingError
-from repro.routing.base import RoutingAlgorithm
+from repro.core.interface import RoutingAlgorithm
 from repro.simulator.message import Message
 from repro.topology.irregular import random_irregular_network
 from repro.topology.regular import hypercube_network, mesh_network

@@ -234,10 +234,9 @@ def _served(store: ResultStore, seeds) -> dict[int, float]:
         ),
         max_size=12,
     ),
-    flush=st.booleans(),
     tail=st.sampled_from([b"", b"{", b'{"key": "dead', b'{"key": "beef"}']),
 )
-def test_store_serves_last_rows_after_a_killed_append(rows, flush, tail):
+def test_store_serves_last_rows_after_a_killed_append(rows, tail):
     """Rows put one by one, duplicate keys included, then the tail a run
     killed mid-append leaves (nothing, a cut-off row, or a complete row
     without its newline): a reopened store serves every key's last row,
@@ -247,8 +246,6 @@ def test_store_serves_last_rows_after_a_killed_append(rows, flush, tail):
         store = ResultStore(root)
         for seed, latency in rows:
             store.put(_store_result(seed, latency))
-        if flush:
-            store.flush_index()
         root.mkdir(parents=True, exist_ok=True)
         with open(store.results_path, "ab") as handle:
             handle.write(tail)
@@ -271,24 +268,21 @@ def test_store_serves_last_rows_after_a_killed_append(rows, flush, tail):
             st.integers(min_value=0, max_value=1),
             st.integers(min_value=0, max_value=5),
             st.floats(min_value=0.5, max_value=9.5, allow_nan=False, width=16),
-            st.booleans(),
         ),
         max_size=12,
     ),
 )
 def test_two_instances_on_one_root_serve_the_last_rows(puts):
     """Two store instances on one root (a process that opens one for a
-    cold run and another for a warm run) put rows in any interleaving, each
-    flushing its index or not: both instances and a fresh open serve every
-    key's last row, however stale the index an instance last flushed."""
+    cold run and another for a warm run) put rows in any interleaving:
+    each notices the other's appends, and both instances and a fresh open
+    serve every key's last row."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "store"
         stores = [ResultStore(root), ResultStore(root)]
         last: dict[int, float] = {}
-        for which, seed, latency, flush in puts:
+        for which, seed, latency in puts:
             stores[which].put(_store_result(seed, latency))
-            if flush:
-                stores[which].flush_index()
             last[seed] = latency
         for store in [*stores, ResultStore(root)]:
             assert len(store) == len(last)

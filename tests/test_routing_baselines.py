@@ -21,20 +21,6 @@ def make_message(source, destinations, mid=0):
     return Message(mid=mid, source=source, destinations=destinations, length_flits=8, created_ns=0)
 
 
-def first_choice_path(routing, message, switch, max_hops=64):
-    """The channels a worm takes through an idle network: the first channel
-    of every decision, from ``switch`` until a destination is reached."""
-    path = []
-    in_channel = None
-    for _ in range(max_hops):
-        channel = routing.decide(message, switch, in_channel).channels[0]
-        path.append(channel)
-        if channel.dst in message.destinations:
-            return path
-        in_channel, switch = channel, channel.dst
-    raise AssertionError(f"no destination reached within {max_hops} hops")
-
-
 class TestUpDownRouting:
     def test_routes_every_pair(self, lattice32):
         updown = UpDownRouting.build(lattice32)
@@ -86,11 +72,9 @@ class TestNaiveMinimalRouting:
         naive = NaiveMinimalRouting(mesh3x3)
         processors = mesh3x3.processors()
         source, dest = processors[0], processors[-1]
-        path = first_choice_path(
-            naive, make_message(source, (dest,)), mesh3x3.switch_of(source)
-        )
-        # Mesh corner to corner: 4 switch hops + consumption channel.
-        assert len(path) == 5
+        path = naive.unicast_route(source, dest)
+        # Mesh corner to corner: injection, 4 switch hops, consumption.
+        assert len(path) == 6
 
     def test_decision_offers_only_closer_channels(self, ring8):
         naive = NaiveMinimalRouting(ring8)

@@ -392,6 +392,18 @@ class TestValidationAndSafety:
         message = simulator.submit_message(figure1.source, figure1.destinations)
         assert message.length_flits == short_config.message_length_flits
 
+    def test_a_message_the_routing_rejects_takes_no_id(self, figure1, short_config):
+        """A multicast handed to a unicast-only routing is rejected before
+        it takes a message id, so the next message gets the id it would
+        have had and nothing is left submitted."""
+        updown = UpDownRouting.build(figure1.network, root=figure1.root)
+        simulator = WormholeSimulator(figure1.network, updown, short_config)
+        with pytest.raises(NotImplementedError, match="multi-destination"):
+            simulator.submit_message(figure1.source, figure1.destinations)
+        assert simulator.messages == {} and simulator.stats.messages_submitted == 0
+        message = simulator.submit_message(figure1.source, figure1.destinations[:1])
+        assert message.mid == 0
+
     def test_channel_stats_collection(self, figure1):
         config = SimulationConfig(message_length_flits=8, collect_channel_stats=True)
         spam = SpamRouting.build(figure1.network, root=figure1.root)

@@ -4,13 +4,14 @@ Covers the satellite guarantees the subsystem exists to provide:
 
 * spec hashing is stable and sensitive to every field plus the code salt;
 * the store round-trips results, survives a truncated trailing line (a run
-  killed mid-append) and rebuilds a stale or unusable index, but refuses a
-  corrupt row before the tail and never serves a row of another code salt;
+  killed mid-append), serves rows another instance appended and ignores a
+  leftover ``index.json``, but refuses a corrupt row before the tail and
+  never serves a row of another code salt;
 * parallel and sequential runs are bit-identical under the same seeds;
 * cache hit/miss accounting and code-salt invalidation;
 * an interrupted sweep resumes by computing exactly the missing points;
 * a failing point stops no other point from being stored, at any worker
-  count, and the index is still flushed;
+  count;
 * progress reports every stored point once, and fewer than two missing
   points start no process pool;
 * the sharding, manifest and merging API and CLI surface stay deleted;
@@ -38,6 +39,7 @@ from repro.experiments.common import ExperimentScale, SCALES
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.links import LinkState
 from repro.simulator.router import SourceInterface, WormSegment
+import repro.sweeps.store as store_module
 from repro.sweeps import (
     ResultStore,
     SweepOutcome,
@@ -86,15 +88,10 @@ def synthetic_result(seed=5, latency=1.0, metrics=(("tree_root", 0),)) -> SweepP
     )
 
 
-#: index.json contents a store must not trust, as functions of the data
-#: file's size (``None``: the index was deleted).
-_UNUSABLE_INDEXES = {
-    "deleted": None,
-    "not-json": lambda size: b"{",
-    "not-an-object": lambda size: b"[]",
-    "other-size": lambda size: json.dumps({"size": size + 1, "offsets": {}}).encode(),
-    "offsets-not-a-map": lambda size: json.dumps({"size": size, "offsets": []}).encode(),
-}
+def next_schema_version(monkeypatch) -> None:
+    """Give every key and row from here on a new code salt, as a bump of
+    ``STORE_SCHEMA_VERSION`` does."""
+    monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", store_module.STORE_SCHEMA_VERSION + 1)
 
 
 class TestSpecKey:
@@ -122,8 +119,10 @@ class TestSpecKey:
         keys = {base} | {spec_key(v) for v in variants}
         assert len(keys) == len(variants) + 1
 
-    def test_sensitive_to_code_salt(self):
-        assert spec_key(BASE_SPEC, "salt-a") != spec_key(BASE_SPEC, "salt-b")
+    def test_sensitive_to_code_salt(self, monkeypatch):
+        before = spec_key(BASE_SPEC)
+        next_schema_version(monkeypatch)
+        assert spec_key(BASE_SPEC) != before
 
 
 class TestResultStore:
@@ -132,26 +131,28 @@ class TestResultStore:
         result = evaluate_spec(BASE_SPEC)
         assert store.get(BASE_SPEC) is None
         store.put(result)
-        store.flush_index()
-        # A brand-new store instance (fresh index load) sees the same row.
+        # A brand-new store instance (fresh scan) sees the same row.
         reopened = ResultStore(tmp_path / "cache")
         loaded = reopened.get(BASE_SPEC)
         assert loaded is not None
         assert loaded.latencies_us == result.latencies_us
         assert loaded.metrics == result.metrics
 
-    def test_stale_index_triggers_rescan(self, tmp_path):
+    def test_an_instance_serves_rows_another_instance_appended(self, tmp_path):
+        """An instance whose offset map predates another instance's append
+        notices it (the file's size no longer matches the size the map
+        covers), rescans and serves the new row; a fresh open serves
+        every row."""
+        spec_a, spec_b = BASE_SPEC, replace(BASE_SPEC, workload_seed=6)
         store = ResultStore(tmp_path / "cache")
-        store.put(evaluate_spec(BASE_SPEC))
-        store.flush_index()
-        # Append another row without updating the index: size mismatch.
-        from dataclasses import replace
-        other = replace(BASE_SPEC, workload_seed=6)
-        second = ResultStore(tmp_path / "cache")
-        second.put(evaluate_spec(other))
-        third = ResultStore(tmp_path / "cache")
-        assert third.get(BASE_SPEC) is not None
-        assert third.get(other) is not None
+        store.put(synthetic_result(seed=5, latency=1.0))
+        assert store.get(spec_b) is None
+        ResultStore(tmp_path / "cache").put(synthetic_result(seed=6, latency=2.0))
+        assert store.get(spec_b).latencies_us == (2.0,)
+        for instance in (store, ResultStore(tmp_path / "cache")):
+            assert len(instance) == 2
+            assert instance.get(spec_a).latencies_us == (1.0,)
+            assert instance.get(spec_b).latencies_us == (2.0,)
 
     def test_truncated_tail_is_dropped(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -168,23 +169,6 @@ class TestResultStore:
         final = ResultStore(tmp_path / "cache")
         assert final.get(other) is not None
         assert len(final) == 2
-
-    def test_flush_after_external_append_does_not_poison_index(self, tmp_path):
-        """An index flushed by an instance that missed an external append
-        must be detected as stale (its recorded size covers only what the
-        instance indexed), so the next open rescans and sees every row."""
-        spec_a, spec_b = BASE_SPEC, replace(BASE_SPEC, workload_seed=6)
-        store = ResultStore(tmp_path / "cache")
-        store.put(evaluate_spec(spec_a))
-        # Another writer appends behind this instance's back...
-        ResultStore(tmp_path / "cache").put(evaluate_spec(spec_b))
-        # ...and the stale instance persists its (older) view.
-        store.flush_index()
-        reopened = ResultStore(tmp_path / "cache")
-        assert reopened.get(spec_a) is not None
-        assert reopened.get(spec_b) is not None
-        # The stale instance's in-memory index notices the append too.
-        assert store.get(spec_b) is not None
 
     @pytest.mark.parametrize("tail", [b"{", b'{"key": "dead', b'{"key": "beef"}'],
                              ids=["brace", "cut-off-row", "row-without-newline"])
@@ -221,26 +205,36 @@ class TestResultStore:
             ResultStore(tmp_path / "cache").get(BASE_SPEC)
         assert store.results_path.read_bytes() == corrupt
 
-    @pytest.mark.parametrize("index", list(_UNUSABLE_INDEXES.values()),
-                             ids=list(_UNUSABLE_INDEXES))
-    def test_unusable_index_is_rebuilt_from_the_data_file(self, tmp_path, index):
-        """index.json is advisory: deleted, unreadable, or recording another
-        size, it is ignored, the rows are rescanned, and the next flush
-        persists an index that covers the whole file."""
+    @pytest.mark.parametrize("leftover", ["garbage", "swapped-offsets"])
+    def test_a_leftover_index_json_is_neither_read_nor_rewritten(self, tmp_path, leftover):
+        """Older versions kept a byte-offset map, ``index.json``, next to the
+        rows and trusted it whenever its recorded size matched the data
+        file.  A root that still holds one, garbage or of the right size
+        with two rows' offsets swapped, serves every row correctly, and
+        reads, appends and a sweep leave the file's bytes as they were."""
         store = ResultStore(tmp_path / "cache")
-        store.put_many([synthetic_result(seed=1, latency=1.0), synthetic_result(seed=2, latency=2.0)])
-        store.flush_index()
-        size = store.results_path.stat().st_size
-        if index is None:
-            store.index_path.unlink()
+        keys = store.put_many([synthetic_result(seed=1, latency=1.0),
+                               synthetic_result(seed=2, latency=2.0)])
+        first_row = store.results_path.read_bytes().splitlines(keepends=True)[0]
+        index_path = store.root / "index.json"
+        if leftover == "garbage":
+            index_path.write_bytes(b"{")
         else:
-            store.index_path.write_bytes(index(size))
+            index_path.write_text(json.dumps({
+                "size": store.results_path.stat().st_size,
+                "offsets": {keys[0]: len(first_row), keys[1]: 0},
+            }, sort_keys=True))
+        leftover_bytes = index_path.read_bytes()
+        spec_1, spec_2 = (replace(BASE_SPEC, workload_seed=seed) for seed in (1, 2))
+
         reopened = ResultStore(tmp_path / "cache")
-        assert len(reopened) == 2
-        assert reopened.get(replace(BASE_SPEC, workload_seed=2)).latencies_us == (2.0,)
-        reopened.flush_index()
-        persisted = json.loads(store.index_path.read_text())
-        assert persisted["size"] == size and len(persisted["offsets"]) == 2
+        assert reopened.get(spec_1).latencies_us == (1.0,)
+        assert reopened.get(spec_2).latencies_us == (2.0,)
+        reopened.put(synthetic_result(seed=3, latency=3.0))
+        outcome = run_sweep([spec_2, spec_1], store=ResultStore(tmp_path / "cache"))
+        assert (outcome.cache_hits, outcome.computed) == (2, 0)
+        assert [result.latencies_us for result in outcome.results] == [(2.0,), (1.0,)]
+        assert index_path.read_bytes() == leftover_bytes
 
     def test_put_many_appends_in_order_and_returns_the_keys(self, tmp_path):
         """One ``put_many`` writes its rows in the order given, returns their
@@ -266,19 +260,20 @@ class TestResultStore:
         metrics = (("zeta", 1), ("alpha", 2.5), ("mid", 3))
         store = ResultStore(tmp_path / "cache")
         store.put(synthetic_result(metrics=metrics))
-        store.flush_index()
         assert ResultStore(tmp_path / "cache").get(BASE_SPEC).metrics == metrics
 
-    def test_rows_of_another_code_salt_are_never_served(self, tmp_path):
+    def test_rows_of_another_code_salt_are_never_served(self, tmp_path, monkeypatch):
         """A root that spans a code upgrade holds one spec's rows under both
-        salts; each store serves only the row of its own salt."""
-        ResultStore(tmp_path / "cache", code_salt="old").put(synthetic_result(latency=1.0))
-        new = ResultStore(tmp_path / "cache", code_salt="new")
+        salts; each store serves only the row of the current salt."""
+        old = store_module.STORE_SCHEMA_VERSION
+        ResultStore(tmp_path / "cache").put(synthetic_result(latency=1.0))
+        next_schema_version(monkeypatch)
+        new = ResultStore(tmp_path / "cache")
         assert new.get(BASE_SPEC) is None and BASE_SPEC not in new
         new.put(synthetic_result(latency=2.0))
-        for salt, latency in (("new", 2.0), ("old", 1.0)):
-            reopened = ResultStore(tmp_path / "cache", code_salt=salt)
-            assert reopened.get(BASE_SPEC).latencies_us == (latency,)
+        for version, latency in ((old + 1, 2.0), (old, 1.0)):
+            monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", version)
+            assert ResultStore(tmp_path / "cache").get(BASE_SPEC).latencies_us == (latency,)
 
 
 class TestRunSweep:
@@ -313,19 +308,18 @@ class TestRunSweep:
         store = ResultStore(tmp_path / "cache")
         cold = run_sweep(specs, store=store)
         assert (cold.cache_hits, cold.computed) == (0, 2)
-        assert sorted(path.name for path in store.root.iterdir()) == [
-            "index.json", "results.jsonl",
-        ]
+        assert [path.name for path in store.root.iterdir()] == ["results.jsonl"]
         warm = run_sweep(specs, store=ResultStore(tmp_path / "cache"))
         assert (warm.cache_hits, warm.computed) == (2, 0)
         assert [r.latencies_us for r in warm.results] == [
             r.latencies_us for r in cold.results
         ]
 
-    def test_code_salt_invalidates(self, tmp_path):
+    def test_code_salt_invalidates(self, tmp_path, monkeypatch):
         _config, specs = small_specs((1,))
         run_sweep(specs, store=ResultStore(tmp_path / "cache"))
-        salted = run_sweep(specs, store=ResultStore(tmp_path / "cache", code_salt="v2"))
+        next_schema_version(monkeypatch)
+        salted = run_sweep(specs, store=ResultStore(tmp_path / "cache"))
         assert (salted.cache_hits, salted.computed) == (0, 1)
 
     def test_no_resume_recomputes_but_refreshes_store(self, tmp_path):
@@ -343,7 +337,6 @@ class TestRunSweep:
         partial_store = ResultStore(tmp_path / "partial")
         for result in full.results[:2]:
             partial_store.put(result)
-        partial_store.flush_index()
         resumed = run_sweep(specs, store=ResultStore(tmp_path / "partial"))
         assert (resumed.cache_hits, resumed.computed) == (2, 2)
         assert [r.latencies_us for r in resumed.results] == [
@@ -400,18 +393,6 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="bogus-first"):
             run_sweep([first, BASE_SPEC, second], store=ResultStore(tmp_path / "cache"))
         assert ResultStore(tmp_path / "cache").get(BASE_SPEC) is not None
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_index_is_flushed_when_a_point_fails(self, tmp_path, workers):
-        """The index is persisted even when the sweep raises, so the re-run
-        that repeats the failed point trusts it instead of rescanning."""
-        bad = replace(BASE_SPEC, workload_kind="bogus-kind")
-        store = ResultStore(tmp_path / "cache")
-        with pytest.raises(ValueError, match="bogus-kind"):
-            run_sweep([bad, BASE_SPEC], store=store, workers=workers)
-        persisted = json.loads(store.index_path.read_text())
-        assert persisted["size"] == store.results_path.stat().st_size
-        assert list(persisted["offsets"]) == [store.key(BASE_SPEC)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_reports_each_stored_point_once(self, tmp_path, workers):
@@ -491,11 +472,7 @@ _KIND_PARAMS = {
         ("samples", 1),
         ("run_software_baseline", True),
     ),
-    "partitioned-multicast": (
-        ("num_destinations", 12),
-        ("groups", 2),
-        ("strategy", "contiguous"),
-    ),
+    "partitioned-multicast": (("num_destinations", 12), ("groups", 2)),
 }
 
 
@@ -648,7 +625,7 @@ class TestSweepCli:
         assert f"{rows} points: 0 cache hits, {rows} computed" in capsys.readouterr().out
         assert len((cache / "results.jsonl").read_bytes().splitlines()) == 2 * rows
         assert len(ResultStore(cache)) == rows
-        assert sorted(path.name for path in cache.iterdir()) == ["index.json", "results.jsonl"]
+        assert [path.name for path in cache.iterdir()] == ["results.jsonl"]
         assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
     def test_workers_help_counts_usable_cpus(self, capsys):

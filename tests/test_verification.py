@@ -217,7 +217,8 @@ class TestStressHarness:
         )
         assert result.deadlocked
         assert not result.all_delivered
-        assert result.deadlock_description
+        # One circular wait, listed from its smallest message id.
+        assert result.deadlock.cycles == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
     def test_run_workload_reports_counts(self, lattice32, short_config):
         spam = SpamRouting.build(lattice32)
