@@ -63,7 +63,7 @@ def check_unicast_reachability(
         report.pairs_checked += 1
         try:
             path = routing.unicast_route(source, destination)
-        except Exception as exc:  # pragma: no cover - failure path
+        except Exception as exc:
             report.failures.append(f"{source}->{destination}: {exc}")
             continue
         # Phase monotonicity along the concrete path.

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.decision import one_of
+from repro.core.interface import RoutingAlgorithm
 from repro.core.spam import SpamRouting
-from repro.errors import WorkloadError
+from repro.errors import RoutingError, WorkloadError
 from repro.routing.naive import NaiveMinimalRouting
 from repro.routing.unicast_multicast import (
     UnicastMulticastScheduler,
@@ -84,6 +86,64 @@ class TestNaiveMinimalRouting:
         dist = naive._distances(processors[3])
         here = dist[ring8.switch_of(processors[0])]
         assert all(dist[c.dst] < here for c in decision.channels)
+
+
+#: Every routing algorithm, built on a network with its default root.
+ROUTINGS = {
+    "spam": SpamRouting.build,
+    "updown": UpDownRouting.build,
+    "naive": NaiveMinimalRouting,
+}
+
+
+class _Clockwise(RoutingAlgorithm):
+    """Always forwards to the next switch of a ring: no route arrives."""
+
+    name = "clockwise"
+
+    def __init__(self, network):
+        self.network = network
+
+    def decide(self, message, switch, in_channel):
+        switches = self.network.switches()
+        following = switches[(switches.index(switch) + 1) % len(switches)]
+        return one_of([self.network.channel_between(switch, following)])
+
+
+class _PreparedNaive(NaiveMinimalRouting):
+    """Naive minimal routing that refuses a message ``prepare`` never saw."""
+
+    def prepare(self, message):
+        message.routing_data["prepared"] = True
+
+    def decide(self, message, switch, in_channel):
+        if not message.routing_data.get("prepared"):
+            raise RoutingError("decide before prepare")
+        return super().decide(message, switch, in_channel)
+
+
+class TestUnicastRouteWalk:
+    """``RoutingAlgorithm.unicast_route`` is the one route walk of every
+    algorithm."""
+
+    @pytest.mark.parametrize("build", list(ROUTINGS.values()), ids=list(ROUTINGS))
+    def test_rejects_endpoints_that_are_not_distinct_processors(self, figure1, build):
+        routing = build(figure1.network)
+        switch, processor = figure1.nodes[4], figure1.source
+        for source, destination in ((switch, processor), (processor, switch), (processor, processor)):
+            with pytest.raises(RoutingError):
+                routing.unicast_route(source, destination)
+
+    def test_prepares_the_probe_before_deciding(self, mesh3x3):
+        processors = mesh3x3.processors()
+        source, dest = processors[0], processors[-1]
+        path = _PreparedNaive(mesh3x3).unicast_route(source, dest)
+        assert path == NaiveMinimalRouting(mesh3x3).unicast_route(source, dest)
+
+    def test_a_walk_that_never_arrives_raises(self, ring8):
+        processors = ring8.processors()
+        with pytest.raises(RoutingError, match="did not terminate"):
+            _Clockwise(ring8).unicast_route(processors[0], processors[3])
 
 
 class TestSoftwareMulticast:

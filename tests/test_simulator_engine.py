@@ -45,6 +45,27 @@ def expected_idle_unicast_latency(config: SimulationConfig, hops: int) -> int:
 
 
 class TestUnicastTiming:
+    @pytest.mark.parametrize(
+        "build",
+        [SpamRouting.build, UpDownRouting.build, NaiveMinimalRouting],
+        ids=["spam", "updown", "naive"],
+    )
+    def test_an_idle_worm_takes_the_walked_route(self, lattice32, build):
+        """Alone in the network a unicast's flits cross exactly the channels
+        of its algorithm's ``unicast_route``, every channel carrying the
+        whole worm, so routes the verification walks are the simulated
+        ones."""
+        routing = build(lattice32)
+        config = SimulationConfig(message_length_flits=8, collect_channel_stats=True)
+        processors = lattice32.processors()
+        for source, dest in ((processors[0], processors[-1]), (processors[5], processors[20])):
+            simulator = WormholeSimulator(lattice32, routing, config)
+            simulator.submit_message(source, [dest])
+            stats = simulator.run()
+            carried = {record.cid: record.data_flits for record in stats.channel_records if record.data_flits}
+            path = routing.unicast_route(source, dest)
+            assert carried == {channel.cid: 8 for channel in path}
+
     def test_idle_unicast_latency_matches_closed_form(self, two_switch, short_config):
         spam = SpamRouting.build(two_switch)
         simulator = WormholeSimulator(two_switch, spam, short_config)

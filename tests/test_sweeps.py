@@ -154,6 +154,27 @@ class TestResultStore:
             assert instance.get(spec_a).latencies_us == (1.0,)
             assert instance.get(spec_b).latencies_us == (2.0,)
 
+    def test_the_file_is_rescanned_only_after_it_changed(self, tmp_path, monkeypatch):
+        """The offset map is built by one scan and kept in step by the
+        instance's own appends; only another instance's append, which
+        changes the file's size behind it, makes an access scan again."""
+        scans = []
+        scan = ResultStore._scan
+        monkeypatch.setattr(ResultStore, "_scan", lambda store: (scans.append(store), scan(store)))
+        spec_2 = replace(BASE_SPEC, workload_seed=2)
+        writer = ResultStore(tmp_path / "cache")
+        writer.put_many([synthetic_result(seed=1, latency=1.0), synthetic_result(seed=2, latency=2.0)])
+        writer.put(synthetic_result(seed=3, latency=3.0))
+        assert len(writer) == 3 and writer.get(spec_2).latencies_us == (2.0,)
+        assert scans == [writer]
+        reader = ResultStore(tmp_path / "cache")
+        for _ in range(3):
+            assert reader.get(spec_2).latencies_us == (2.0,) and len(reader) == 3
+        assert scans == [writer, reader]
+        writer.put(synthetic_result(seed=4, latency=4.0))
+        assert len(reader) == 4 and len(writer) == 4
+        assert scans == [writer, reader, reader]
+
     def test_truncated_tail_is_dropped(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         store.put(evaluate_spec(BASE_SPEC))

@@ -156,6 +156,33 @@ class TestReachability:
         assert report.ok, report.failures
         assert report.pairs_checked <= 101
 
+    def test_a_phase_order_violation_is_reported(self, ring8):
+        """SPAM's walk made to follow naive minimal routing's choices takes
+        the ring's cross channel after tree channels going down, which the
+        phase order forbids; every such pair is reported, the rest pass."""
+        spam = SpamRouting.build(ring8)
+        assert check_unicast_reachability(spam).ok
+        spam.decide = NaiveMinimalRouting(ring8).decide
+        report = check_unicast_reachability(spam)
+        assert not report.ok and report.pairs_checked == 8 * 7
+        assert all("phase order violated" in failure for failure in report.failures)
+        processors = ring8.processors()
+        assert f"{processors[2]}->{processors[5]}: phase order violated at channel 4->5" in report.failures
+        assert not any(failure.startswith(f"{processors[0]}->{processors[1]}:") for failure in report.failures)
+
+    def test_a_route_that_never_arrives_is_reported(self, ring8):
+        """A walk that circles the ring without delivering is a failure of
+        its pair, not an exception out of the check."""
+        from repro.core.decision import one_of
+
+        spam = SpamRouting.build(ring8)
+        spam.decide = lambda message, switch, in_channel: one_of(
+            [ring8.channel_between(switch, (switch + 1) % 8)]
+        )
+        report = check_unicast_reachability(spam, sample_pairs=5)
+        assert report.pairs_checked == 5 and len(report.failures) == 5
+        assert all("did not terminate" in failure for failure in report.failures)
+
     def test_multicast_coverage(self, lattice32_spam, lattice32):
         processors = lattice32.processors()
         sets = [processors[1:5], processors[5:21], processors[1:]]
